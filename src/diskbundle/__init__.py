@@ -49,6 +49,7 @@ from .criteria import (
     default_probes,
     green_boundedness,
     green_potential,
+    green_sweep,
     pointwise_bound,
     similarity_verdict,
 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import DefectField, defect_field, full_bundle_curvature, gram_bounds, load_frame
 from .calculus import build_grid
-from .criteria import Thresholds, default_probes, similarity_verdict, write_probe_heatmap
+from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
 from .errors import DataError, NumericalError, ParameterError, ValidationError
 from .rational import RationalFunction
 from .toeplitz import (
@@ -94,11 +94,31 @@ class RunConfig:
     length: int = 64
     radii: tuple = DEFAULT_RADII
 
+    def validate(self):
+        """Range checks shared by config keys and command-line overrides."""
+        self.grid.validate()
+        if not 2 <= self.truncation <= 100000:
+            raise ParameterError("truncation must be in 2..100000", field="truncation")
+
 
 def _typed(obj, types, name):
     if not isinstance(obj, types) or isinstance(obj, bool):
         raise ParameterError(f"{name} has the wrong type", field=name)
     return obj
+
+
+def _complex_pair(obj, name) -> complex:
+    """``[re, im]`` of two finite JSON numbers."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ParameterError(f"{name} must be an [re, im] pair", field=name)
+    re, im = (_typed(x, (int, float), name) for x in obj)
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:
+        z = complex(np.inf)
+    if not np.isfinite(z):
+        raise ParameterError(f"{name} must be finite", field=name)
+    return z
 
 
 def _check_keys(obj, allowed, where):
@@ -150,17 +170,14 @@ def load_config(path: Path, command: str) -> RunConfig:
     if "second_symbol" in raw:
         cfg.second_symbol_path = base / str(_typed(raw["second_symbol"], str, "second_symbol"))
     if "lambda" in raw:
-        pair = raw["lambda"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParameterError("lambda must be an [re, im] pair", field="lambda")
-        cfg.lam = complex(float(pair[0]), float(pair[1]))
+        cfg.lam = _complex_pair(raw["lambda"], "lambda")
         if abs(cfg.lam) >= 1.0:
             raise ParameterError("lambda must lie in the open unit disk", field="lambda")
     if "vector" in raw:
         vec = raw["vector"]
         if not isinstance(vec, list) or not vec:
             raise ParameterError("vector must be a list of [re, im] pairs", field="vector")
-        cfg.vector = [complex(float(p[0]), float(p[1])) for p in vec]
+        cfg.vector = [_complex_pair(p, "vector") for p in vec]
     if "probe_stride" in raw:
         cfg.probe_stride = int(_typed(raw["probe_stride"], int, "probe_stride"))
         if cfg.probe_stride < 1:
@@ -190,9 +207,7 @@ def load_config(path: Path, command: str) -> RunConfig:
                 raise ParameterError("radii must lie in [0, 1)", field="radii")
         cfg.radii = tuple(float(r) for r in radii)
 
-    cfg.grid.validate()
-    if not 2 <= cfg.truncation <= 100000:
-        raise ParameterError("truncation must be in 2..100000", field="truncation")
+    cfg.validate()
     return cfg
 
 
@@ -268,6 +283,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
                 "defect": split.defect,
                 "tensor_total": split.tensor_total,
                 "discrepancy": split.discrepancy,
+                "truncation_tail": split.truncation_tail,
             }
         )
     return {
@@ -284,6 +300,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
             "max": float(np.max(field_.values)),
             "mean": float(np.mean(field_.values)),
         },
+        "samples": samples,
         "truncation": cfg.truncation,
         "heatmap_csv": "defect_field.csv",
     }
@@ -295,8 +312,7 @@ def _cmd_criteria(cfg: RunConfig) -> dict:
     report = similarity_verdict(frame, grid, cfg.thresholds, cfg.probe_stride, cfg.max_depth)
     doc = {"command": "criteria", **report.to_json_dict()}
     if not report.partial:
-        field_ = defect_field(frame, grid)
-        write_probe_heatmap(field_, default_probes(grid, cfg.probe_stride), cfg.out_dir / "criteria_probes.csv")
+        write_probe_heatmap(report.field, report.probes, cfg.out_dir / "criteria_probes.csv", report.potentials)
         doc["heatmap_csv"] = "criteria_probes.csv"
     else:
         doc["heatmap_csv"] = None
@@ -410,7 +426,7 @@ def main(argv=None) -> int:
             cfg.grid.margin = args.margin
         if args.truncation is not None:
             cfg.truncation = args.truncation
-        cfg.grid.validate()
+        cfg.validate()
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         doc = _DISPATCH[args.command](cfg)
         report_path = cfg.out_dir / "report.json"

@@ -7,18 +7,18 @@ constant ``sup sqrt(defect) * (1 - |z|)``. All three are reported over the
 grid; the tool never claims anything about the full open disk.
 
 The potential quadrature follows the grid's midpoint rule except near the
-logarithmic singularity: cells whose sample sits within three quarters of
-a cell diagonal of the singular point are subdivided once, and whatever
-subcells remain singular are integrated exactly over an equal-area disk
-using the primitive of ``r ln r``.
+logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
+(2.5) cell diagonals of the singular point are subdivided once, and the
+subcells whose closure holds the singular point are integrated exactly
+over an equal-area disk using the primitive of ``r ln r``.
+:func:`green_potential` evaluates one point; :func:`green_sweep` evaluates
+many with the same arithmetic in the same order, batched in numpy.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +32,13 @@ from .errors import DataError, DomainError, ParameterError
 #: point sits among them (the pooled set is containment-bound regardless)
 _NEAR_SINGULAR = 2.5
 
+#: probes per batch in :func:`green_sweep`; each batch holds a few
+#: ``(block, grid.n)`` arrays, and larger blocks raise peak memory without
+#: making the sweep faster
+_PROBE_BLOCK = 8
 
-def _worker_count() -> int:
-    raw = os.environ.get("TOOL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+#: closure tolerance of :func:`_cell_contains`
+_CONTAINS_TOL = 1e-12
 
 
 def _require_complete(field: DefectField) -> None:
@@ -46,7 +46,7 @@ def _require_complete(field: DefectField) -> None:
         raise DataError("field is partial; recompute the failing points first")
 
 
-def _cell_contains(r_lo, r_hi, t_lo, t_hi, lam, tol=1e-12) -> bool:
+def _cell_contains(r_lo, r_hi, t_lo, t_hi, lam, tol=_CONTAINS_TOL) -> bool:
     r = abs(lam)
     if not r_lo - tol <= r <= r_hi + tol:
         return False
@@ -108,6 +108,98 @@ def green_potential(field: DefectField, lam: complex) -> float:
     return (2.0 / np.pi) * total
 
 
+def _in_order_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...`` added left to right, like a Python loop."""
+    return float(np.add.accumulate(np.append(start, terms))[-1])
+
+
+def green_sweep(field: DefectField, probes: Sequence[complex]) -> np.ndarray:
+    """:func:`green_potential` at every probe, in probe order.
+
+    Probes run in blocks of ``_PROBE_BLOCK``: the whole-grid terms are
+    ``(block, n)`` arrays and the subdivided near cells are flat subcell
+    arrays instead of a Python loop. Every sum is taken in the scalar
+    path's order (row sums for the smooth part, a sum over the compacted
+    far cells, in-order accumulation for subcells and the pooled disk), and
+    subcell distances use ``hypot`` like the scalar ``abs``, so each value
+    equals :func:`green_potential` bit for bit. Raises :class:`DataError`
+    for a partial field and :class:`DomainError`, before any work, when a
+    probe lies outside the grid's covered disk.
+    """
+    _require_complete(field)
+    grid = field.grid
+    outer = float(grid.radial_edges[-1])
+    lams = np.array([complex(z) for z in probes], dtype=complex)
+    radii = [abs(lam) for lam in lams]
+    for r in radii:
+        if r >= outer:
+            raise DomainError(f"point |lam| = {r:.4f} outside grid coverage |z| < {outer:.4f}")
+    angles = [float(np.angle(lam)) % TWO_PI for lam in lams]
+
+    rho = field.values
+    pts = grid.points
+    rw = rho * grid.area_weights
+    count = grid.angular_count
+    dtheta = TWO_PI / count
+    edges = grid.radial_edges
+    rings = np.arange(grid.n) // count
+    reach = _NEAR_SINGULAR * np.hypot(np.diff(edges)[rings], np.abs(pts) * dtheta)
+    tol = _CONTAINS_TOL
+
+    out = np.empty(len(lams))
+    for start in range(0, len(lams), _PROBE_BLOCK):
+        block = lams[start : start + _PROBE_BLOCK, None]
+        smooth = np.sum(rw * (-np.log(np.abs(1.0 - np.conj(block) * pts))), axis=1)
+        dist = np.abs(pts - block)
+        near = dist <= reach
+
+        # subcells of every near cell, probe-major and in the scalar loop's
+        # order: cells ascending, then (inner, outer) half x (lower, upper) half
+        owner, cell = np.nonzero(near)
+        ring, sector = np.divmod(cell, count)
+        r_lo, r_hi = edges[ring], edges[ring + 1]
+        t_lo, t_hi = sector * dtheta, (sector + 1) * dtheta
+        r_mid, t_mid = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
+        a = np.stack([r_lo, r_lo, r_mid, r_mid], axis=1).ravel()
+        b = np.stack([r_mid, r_mid, r_hi, r_hi], axis=1).ravel()
+        c = np.stack([t_lo, t_mid, t_lo, t_mid], axis=1).ravel()
+        d = np.stack([t_mid, t_hi, t_mid, t_hi], axis=1).ravel()
+        owner = np.repeat(owner, 4)
+        rho_s = np.repeat(rho[cell], 4)
+        r_s = 0.5 * (a + b)
+        w_s = r_s * (b - a) * (d - c)
+
+        # _cell_contains, one subcell per entry
+        r = np.array(radii[start : start + _PROBE_BLOCK])[owner]
+        t = np.array(angles[start : start + _PROBE_BLOCK])[owner]
+        angular = ((c - tol <= t) & (t <= d + tol)) | ((c - tol <= t + TWO_PI) & (t + TWO_PI <= d + tol))
+        pooled = (a - tol <= r) & (r <= b + tol) & np.where(r <= tol, a <= tol, angular)
+
+        kept = ~pooled
+        z_s = r_s[kept] * np.exp(1j * (0.5 * (c[kept] + d[kept])))
+        gap = z_s - lams[start + owner[kept]]
+        terms = rho_s[kept] * w_s[kept] * np.log(np.hypot(gap.real, gap.imag))
+        mass = rho_s[pooled] * w_s[pooled]
+        area = w_s[pooled]
+
+        term_end = np.searchsorted(owner[kept], np.arange(len(block)), side="right")
+        pool_end = np.searchsorted(owner[pooled], np.arange(len(block)), side="right")
+        term_lo = pool_lo = 0
+        for k in range(len(block)):
+            far = ~near[k]
+            total = float(smooth[k])
+            total += float(np.sum(rw[far] * np.log(dist[k, far])))
+            total = _in_order_sum(total, terms[term_lo : term_end[k]])
+            if pool_end[k] > pool_lo:
+                pooled_area = _in_order_sum(0.0, area[pool_lo : pool_end[k]])
+                pooled_mass = _in_order_sum(0.0, mass[pool_lo : pool_end[k]])
+                radius = np.sqrt(pooled_area / np.pi)
+                total += pooled_mass * (float(np.log(radius)) - 0.5)
+            out[start + k] = (2.0 / np.pi) * total
+            term_lo, pool_lo = term_end[k], pool_end[k]
+    return out
+
+
 def default_probes(grid: ComplexGrid, stride: int = 4) -> np.ndarray:
     """Probe points on every ``stride``-th radial level of the grid."""
     if stride < 1:
@@ -121,13 +213,7 @@ def green_boundedness(field: DefectField, probe_points: Sequence[complex]) -> fl
     probes = list(probe_points)
     if not probes:
         raise ParameterError("at least one probe point is required")
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda z: green_potential(field, z), probes))
-    else:
-        values = [green_potential(field, z) for z in probes]
-    return float(np.min(values))
+    return float(np.min(green_sweep(field, probes)))
 
 
 def pointwise_bound(field: DefectField) -> float:
@@ -167,6 +253,10 @@ class CriteriaReport:
     checks: dict
     partial: bool
     failures: tuple = ()
+    #: what the verdict swept, kept for :func:`write_probe_heatmap`; not in the JSON
+    field: Optional[DefectField] = dataclass_field(default=None, repr=False, compare=False)
+    probes: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
+    potentials: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def similar_at_grid_scale(self) -> bool:
@@ -227,7 +317,9 @@ def similarity_verdict(
             failures=field.failures,
         )
     bounds = gram_bounds(frame, grid)
-    green_inf = green_boundedness(field, default_probes(grid, probe_stride))
+    probes = default_probes(grid, probe_stride)
+    potentials = green_sweep(field, probes)
+    green_inf = float(np.min(potentials))
     carleson = carleson_check(field, max_depth)
     pointwise = pointwise_bound(field)
     checks = {
@@ -245,18 +337,30 @@ def similarity_verdict(
         grid_meta=meta,
         checks=checks,
         partial=False,
+        field=field,
+        probes=probes,
+        potentials=potentials,
     )
 
 
-def write_probe_heatmap(field: DefectField, probes: Sequence[complex], path) -> None:
-    """CSV ``re,im,defect,green_potential`` per probe, in probe order."""
+def write_probe_heatmap(
+    field: DefectField, probes: Sequence[complex], path, potentials: Optional[Sequence[float]] = None
+) -> None:
+    """CSV ``re,im,defect,green_potential`` per probe, in probe order.
+
+    ``potentials`` are the probes' Green potentials when the caller already
+    swept them (as :func:`similarity_verdict` does); otherwise they are
+    computed here with :func:`green_sweep`.
+    """
     _require_complete(field)
+    if potentials is None:
+        potentials = green_sweep(field, probes)
     grid = field.grid
     lookup = {complex(z): v for z, v in zip(grid.points, field.values)}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "defect", "green_potential"])
-        for z in probes:
+        for z, p in zip(probes, potentials, strict=True):
             z = complex(z)
             d = lookup.get(z)
             if d is None:
@@ -267,6 +371,6 @@ def write_probe_heatmap(field: DefectField, probes: Sequence[complex], path) -> 
                     repr(z.real),
                     repr(z.imag),
                     repr(float(d)),
-                    repr(green_potential(field, z)),
+                    repr(float(p)),
                 ]
             )

@@ -152,6 +152,73 @@ def test_toeplitz_command_scalar_symbol(tmp_path):
     assert "grid" in report["margin_scope"]
 
 
+def test_criteria_probe_csv_minimum_is_green_inf(tmp_path):
+    save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "frame": "frame.json",
+            "out_dir": "out",
+            "probe_stride": 1,
+            "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01},
+        },
+    )
+    result = run_cli(["criteria", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rows = (tmp_path / "out" / "criteria_probes.csv").read_text().splitlines()
+    assert rows[0] == "re,im,defect,green_potential"
+    values = [[float(part) for part in row.split(",")] for row in rows[1:]]
+    assert len(values) == 4 * 16
+    assert min(row[3] for row in values) == report["green_inf"] < 0.0
+
+
+def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"frame": "frame.json", "out_dir": "out", "grid": {"radial_count": 2, "angular_count": 4, "margin": 0.1}},
+    )
+    result = run_cli(["curvature", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    samples = json.loads((tmp_path / "out" / "report.json").read_text())["samples"]
+    assert [s["lambda"] for s in samples] == [[0.0, 0.0], [0.5, 0.0]]
+    for sample in samples:
+        assert set(sample) == {
+            "lambda",
+            "total",
+            "shift_part",
+            "defect",
+            "tensor_total",
+            "discrepancy",
+            "truncation_tail",
+        }
+        assert sample["discrepancy"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"lambda": ["a", 0]}, "lambda"),
+        ({"vector": [1.0]}, "vector"),
+    ],
+)
+def test_malformed_complex_values_exit_2(tmp_path, payload, field):
+    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "truncation": 16, **payload})
+    result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["kind"] == "validation" and error["field"] == field
+
+
+def test_truncation_override_is_range_checked(tmp_path, constant_frame_file):
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "out_dir": "out"})
+    result = run_cli(["curvature", "--config", str(cfg), "--truncation", "200000"], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert json.loads(result.stdout)["field"] == "truncation"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_missing_config_file(tmp_path):
     result = run_cli(["criteria", "--config", str(tmp_path / "nope.json")], cwd=tmp_path)
     assert result.returncode == 2

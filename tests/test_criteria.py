@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, field_from_function
-from diskbundle.calculus import build_grid
+from diskbundle.calculus import TWO_PI, build_grid
 from diskbundle.criteria import (
     Thresholds,
     carleson_check,
     default_probes,
     green_boundedness,
     green_potential,
+    green_sweep,
     pointwise_bound,
     similarity_verdict,
     write_probe_heatmap,
@@ -85,12 +86,34 @@ def test_green_boundedness_constant_field(grid):
     assert all(-1.02 <= v < 0.0 for v in values)
 
 
-def test_green_boundedness_threaded_matches_serial(grid, monkeypatch):
-    field = defect_field(one_lambda_frame(), grid)
-    probes = list(default_probes(grid, 4)[:8])
-    serial = green_boundedness(field, probes)
-    monkeypatch.setenv("TOOL_THREADS", "4")
-    assert green_boundedness(field, probes) == serial
+# --- batched sweep against the scalar reference ---
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8, 64), (20, 64)])
+def test_green_sweep_matches_scalar_potential(shape):
+    radial, angular = shape
+    sweep_grid = build_grid(radial, angular, 1e-3)
+    dt = TWO_PI / angular
+    # off-grid: the center, next to it, on a cell edge angle, near the rim
+    off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * dt), 0.998]
+    probes = list(sweep_grid.points) + off_grid
+    for field in (defect_field(one_lambda_frame(), sweep_grid), constant_field(sweep_grid, 1.0)):
+        swept = green_sweep(field, probes)
+        reference = np.array([green_potential(field, z) for z in probes])
+        assert swept.shape == (len(probes),)
+        assert np.all(np.abs(swept - reference) <= 1e-12 * np.abs(reference) + 1e-15)
+
+
+def test_green_sweep_refuses_probe_outside_grid(grid):
+    with pytest.raises(DomainError):
+        green_sweep(constant_field(grid, 1.0), [0.0, 0.5, 0.9995, 0.1])
+
+
+def test_green_sweep_refuses_partial_field(grid):
+    z0 = grid.points[3]
+    field = defect_field(AnalyticFrame([[RationalFunction([-z0, 1.0])]]), grid)
+    with pytest.raises(DataError):
+        green_sweep(field, [0.0])
 
 
 # --- pointwise bound ---
