@@ -14,15 +14,13 @@ by realizing the kernel-tensored frame on a truncated coefficient space.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
 from .calculus import ComplexGrid
 from .errors import AccuracyError, ConditioningError, DataError, ParameterError
-from .rational import RationalFunction
+from .rational import RationalFunction, RationalMatrix
 
 #: Gram matrices with a larger condition number are rejected, not regularized
 CONDITION_CAP = 1e12
@@ -31,83 +29,20 @@ CONDITION_CAP = 1e12
 _POLE_BUFFER = 1e-9
 
 
-class AnalyticFrame:
+class AnalyticFrame(RationalMatrix):
     """Matrix of rational functions with poles off the closed disk."""
 
-    def __init__(self, entries: List[List[RationalFunction]]):
-        if not entries or not entries[0]:
-            raise ParameterError("frame needs at least one row and one column")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ParameterError("frame rows must all have the same length")
-            for entry in row:
-                if not isinstance(entry, RationalFunction):
-                    raise ParameterError("frame entries must be RationalFunction instances")
-                poles = entry.poles()
-                if len(poles) and np.min(np.abs(poles)) <= 1.0 + _POLE_BUFFER:
-                    raise ParameterError("frame entry has a pole inside or near the closed unit disk")
-        self.entries = entries
+    noun = "frame"
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def eval(self, lam: complex) -> np.ndarray:
-        return np.array([[entry(lam) for entry in row] for row in self.entries], dtype=complex)
-
-    def eval_dz(self, lam: complex) -> np.ndarray:
-        """Exact entrywise derivative; never a finite difference."""
-        return np.array(
-            [[entry.eval_deriv(lam) for entry in row] for row in self.entries], dtype=complex
-        )
-
-    @classmethod
-    def constant(cls, matrix) -> "AnalyticFrame":
-        m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        return cls([[RationalFunction.constant(v) for v in row] for row in m])
+    def _check_pole_radii(self, radii: np.ndarray) -> None:
+        if len(radii) and np.min(radii) <= 1.0 + _POLE_BUFFER:
+            raise ParameterError("frame entry has a pole inside or near the closed unit disk")
 
     @classmethod
     def from_polynomials(cls, columns_of_coeffs) -> "AnalyticFrame":
         """Single-column frame from a list of polynomial coefficient lists."""
         rows = [[RationalFunction(c)] for c in columns_of_coeffs]
         return cls(rows)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[entry.to_jsonable() for entry in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "AnalyticFrame":
-        if not isinstance(obj, dict):
-            raise DataError("frame file must contain a JSON object", field="")
-        unknown = set(obj) - {"rows", "cols", "entries"}
-        if unknown:
-            raise DataError(f"unknown frame key {sorted(unknown)[0]!r}", field=sorted(unknown)[0])
-        for key in ("rows", "cols", "entries"):
-            if key not in obj:
-                raise DataError(f"frame file is missing {key!r}", field=key)
-        rows, cols = obj["rows"], obj["cols"]
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-            raise DataError("rows and cols must be positive integers", field="rows")
-        raw = obj["entries"]
-        if not isinstance(raw, list) or len(raw) != rows:
-            raise DataError(f"entries must be a list of {rows} rows", field="entries")
-        entries = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != cols:
-                raise DataError(f"entries[{i}] must list {cols} entries", field=f"entries[{i}]")
-            entries.append(
-                [RationalFunction.from_jsonable(e, field=f"entries[{i}][{j}]") for j, e in enumerate(row)]
-            )
-        return cls(entries)
 
 
 def hardy_line_frame(n_terms: int) -> AnalyticFrame:
@@ -120,18 +55,11 @@ def hardy_line_frame(n_terms: int) -> AnalyticFrame:
 
 
 def load_frame(path) -> AnalyticFrame:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"frame file is not valid JSON: {exc}") from exc
-    return AnalyticFrame.from_jsonable(obj)
+    return AnalyticFrame.load(path)
 
 
 def save_frame(frame: AnalyticFrame, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(frame.to_jsonable(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    frame.save(path)
 
 
 def gram(frame: AnalyticFrame, lam: complex) -> np.ndarray:

@@ -4,7 +4,8 @@ Provides the polar quadrature grid (geometric radial refinement toward the
 boundary), Wirtinger derivatives and the normalized Laplacian
 ``(1/4)(d^2/dx^2 + d^2/dy^2)`` by finite differences, the disk Green
 function ``ln|(z - a)/(1 - conj(a) z)|``, and the dyadic Carleson-box
-constant of a sampled measure density.
+constant of a sampled measure density. :func:`write_csv` writes every
+CSV dump of the package.
 
 All sup- and max-type quantities are taken over the grid, which covers
 ``|z| <= 1 - margin``; nothing here extrapolates to the full open disk.
@@ -88,11 +89,20 @@ class ComplexGrid:
 
     def to_csv(self, path) -> None:
         """Dump ``re,im,weight`` rows in radial-major order."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "weight"])
-            for z, w in zip(self.points, self.area_weights):
-                writer.writerow([repr(float(z.real)), repr(float(z.imag)), repr(float(w))])
+        rows = zip(self.points.real.tolist(), self.points.imag.tolist(), self.area_weights.tolist())
+        write_csv(path, ["re", "im", "weight"], rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """The one writer behind every CSV dump, with ``\\r\\n`` line ends.
+
+    ``csv`` writes a Python float as its ``repr``, so callers pass plain
+    floats (not numpy scalars) and every value reparses exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexGrid:

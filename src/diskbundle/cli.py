@@ -23,10 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .bundle import DefectField, defect_field, full_bundle_curvature, gram_bounds, load_frame
-from .calculus import build_grid
+from .calculus import build_grid, write_csv
 from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
 from .errors import DataError, NumericalError, ParameterError, ValidationError
-from .rational import RationalFunction
 from .toeplitz import (
     intertwining_check,
     kernel_action_check,
@@ -107,15 +106,19 @@ def _typed(obj, types, name):
     return obj
 
 
+def _float(obj, name) -> float:
+    """A JSON number as a float; an integer beyond float range is refused."""
+    try:
+        return float(_typed(obj, (int, float), name))
+    except OverflowError:
+        raise ParameterError(f"{name} is beyond the float range", field=name) from None
+
+
 def _complex_pair(obj, name) -> complex:
     """``[re, im]`` of two finite JSON numbers."""
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParameterError(f"{name} must be an [re, im] pair", field=name)
-    re, im = (_typed(x, (int, float), name) for x in obj)
-    try:
-        z = complex(float(re), float(im))
-    except OverflowError:
-        z = complex(np.inf)
+    z = complex(*(_float(x, name) for x in obj))
     if not np.isfinite(z):
         raise ParameterError(f"{name} must be finite", field=name)
     return z
@@ -150,15 +153,15 @@ def load_config(path: Path, command: str) -> RunConfig:
         cfg.grid = GridSpec(
             radial_count=int(_typed(raw["grid"].get("radial_count", 8), int, "grid.radial_count")),
             angular_count=int(_typed(raw["grid"].get("angular_count", 64), int, "grid.angular_count")),
-            margin=float(_typed(raw["grid"].get("margin", 1e-3), (int, float), "grid.margin")),
+            margin=_float(raw["grid"].get("margin", 1e-3), "grid.margin"),
         )
     if "truncation" in raw:
         cfg.truncation = int(_typed(raw["truncation"], int, "truncation"))
     if "thresholds" in raw:
         _check_keys(raw["thresholds"], _THRESHOLD_KEYS, "thresholds")
         cfg.thresholds = Thresholds(
-            M=float(_typed(raw["thresholds"].get("M", 1e3), (int, float), "thresholds.M")),
-            C=float(_typed(raw["thresholds"].get("C", 1e3), (int, float), "thresholds.C")),
+            M=_float(raw["thresholds"].get("M", 1e3), "thresholds.M"),
+            C=_float(raw["thresholds"].get("C", 1e3), "thresholds.C"),
         )
     if "out_dir" in raw:
         cfg.out_dir = base / str(_typed(raw["out_dir"], str, "out_dir"))
@@ -187,7 +190,7 @@ def load_config(path: Path, command: str) -> RunConfig:
         if not 0 <= cfg.max_depth <= 24:
             raise ParameterError("max_depth must be in 0..24", field="max_depth")
     if "epsilon" in raw:
-        cfg.epsilon = float(_typed(raw["epsilon"], (int, float), "epsilon"))
+        cfg.epsilon = _float(raw["epsilon"], "epsilon")
         if not 0.0 < cfg.epsilon <= 10.0:
             raise ParameterError("epsilon must lie in (0, 10]", field="epsilon")
     if "spike_count" in raw:
@@ -202,10 +205,9 @@ def load_config(path: Path, command: str) -> RunConfig:
         radii = raw["radii"]
         if not isinstance(radii, list) or not radii:
             raise ParameterError("radii must be a nonempty list", field="radii")
-        for r in radii:
-            if not isinstance(r, (int, float)) or not 0.0 <= float(r) < 1.0:
-                raise ParameterError("radii must lie in [0, 1)", field="radii")
-        cfg.radii = tuple(float(r) for r in radii)
+        cfg.radii = tuple(_float(r, "radii") for r in radii)
+        if not all(0.0 <= r < 1.0 for r in cfg.radii):
+            raise ParameterError("radii must lie in [0, 1)", field="radii")
 
     cfg.validate()
     return cfg
@@ -252,10 +254,9 @@ def emit_heatmap(field: DefectField, path) -> None:
     """CSV ``re,im,value`` in radial-major grid order; partial fields are refused."""
     if field.is_partial:
         raise NumericalError("refusing to dump a partial field")
-    with open(path, "w", newline="") as fh:
-        fh.write("re,im,value\n")
-        for z, v in zip(field.grid.points, field.values):
-            fh.write(f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n")
+    points = field.grid.points
+    rows = zip(points.real.tolist(), points.imag.tolist(), field.values.tolist())
+    write_csv(path, ["re", "im", "value"], rows)
 
 
 def _pair(z: complex) -> list:
@@ -354,22 +355,15 @@ def _cmd_toeplitz(cfg: RunConfig) -> dict:
             split = scalar_inner_outer(symbol.entries[0][0])
             doc["inner_outer"] = {
                 "disk_zeros": [_pair(a) for a in split.disk_zeros],
-                "inner": _rational_doc(split.inner),
-                "outer": _rational_doc(split.outer),
+                "inner": split.inner.to_jsonable(),
+                "outer": split.outer.to_jsonable(),
             }
     return doc
 
 
-def _rational_doc(fn: RationalFunction) -> dict:
-    return {
-        "num": [_pair(c) for c in fn.num],
-        "den": [_pair(c) for c in fn.den],
-    }
-
-
 def _cmd_counterexample(cfg: RunConfig) -> dict:
-    report = counterexample_report(cfg.epsilon, cfg.spike_count, cfg.length, cfg.radii)
     w = build_spike_weight(cfg.epsilon, cfg.spike_count, cfg.length)
+    report = counterexample_report(w, cfg.radii)
     weights_to_csv(w, cfg.out_dir / "weights.csv")
     return {
         "command": "counterexample",

@@ -17,14 +17,13 @@ many with the same arithmetic in the same order, batched in numpy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bundle import AnalyticFrame, DefectField, GramBounds, defect_field, gram_bounds
-from .calculus import TWO_PI, ComplexGrid, carleson_constant
+from .calculus import TWO_PI, ComplexGrid, carleson_constant, write_csv
 from .errors import DataError, DomainError, ParameterError
 
 #: near-singular detection: distance below this multiple of the cell diagonal;
@@ -344,33 +343,21 @@ def similarity_verdict(
 
 
 def write_probe_heatmap(
-    field: DefectField, probes: Sequence[complex], path, potentials: Optional[Sequence[float]] = None
+    field: DefectField, probes: Sequence[complex], path, potentials: Sequence[float]
 ) -> None:
     """CSV ``re,im,defect,green_potential`` per probe, in probe order.
 
-    ``potentials`` are the probes' Green potentials when the caller already
-    swept them (as :func:`similarity_verdict` does); otherwise they are
-    computed here with :func:`green_sweep`.
+    ``potentials`` are the probes' Green potentials as :func:`green_sweep`
+    returns them (:func:`similarity_verdict` keeps them on its report).
     """
     _require_complete(field)
-    if potentials is None:
-        potentials = green_sweep(field, probes)
     grid = field.grid
     lookup = {complex(z): v for z, v in zip(grid.points, field.values)}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "defect", "green_potential"])
-        for z, p in zip(probes, potentials, strict=True):
-            z = complex(z)
-            d = lookup.get(z)
-            if d is None:
-                idx = int(np.argmin(np.abs(grid.points - z)))
-                d = float(field.values[idx])
-            writer.writerow(
-                [
-                    repr(z.real),
-                    repr(z.imag),
-                    repr(float(d)),
-                    repr(float(p)),
-                ]
-            )
+    rows = []
+    for z, p in zip(probes, potentials, strict=True):
+        z = complex(z)
+        d = lookup.get(z)
+        if d is None:
+            d = field.values[int(np.argmin(np.abs(grid.points - z)))]
+        rows.append([z.real, z.imag, float(d), float(p)])
+    write_csv(path, ["re", "im", "defect", "green_potential"], rows)

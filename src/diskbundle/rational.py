@@ -3,14 +3,18 @@
 Coefficients are stored in ascending order (``c[0] + c[1] z + ...``) as
 complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation, differentiation, and the little
-algebra needed for symbol products all live here.
+algebra needed for symbol products all live here, as does
+:class:`RationalMatrix`, the matrix of such functions that frames and
+symbols both are.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 _ZERO_CUTOFF = 0.0  # exact: trailing zeros are trimmed, nothing else
 
@@ -153,8 +157,6 @@ class RationalFunction:
 
     @classmethod
     def from_jsonable(cls, obj, field="entry") -> "RationalFunction":
-        from .errors import DataError
-
         if not isinstance(obj, dict) or set(obj) - {"num", "den"}:
             raise DataError(f"{field}: expected an object with 'num' and 'den'", field=field)
         coeffs = {}
@@ -173,6 +175,121 @@ class RationalFunction:
                         f"{field}.{key}[{i}]: expected an [re, im] pair",
                         field=f"{field}.{key}[{i}]",
                     )
-                vals.append(complex(pair[0], pair[1]))
+                try:
+                    vals.append(complex(pair[0], pair[1]))
+                except OverflowError:
+                    where = f"{field}.{key}[{i}]"
+                    raise DataError(f"{where}: beyond the float range", field=where) from None
             coeffs[key] = vals
         return cls(coeffs["num"], coeffs["den"])
+
+
+class RationalMatrix:
+    """Matrix of rational functions: shape checks, evaluation and JSON I/O.
+
+    Subclasses name themselves in messages through ``noun``, screen each
+    entry's pole radii in ``_check_pole_radii``, and list in ``flags`` the
+    boolean constructor arguments their JSON form carries.
+    """
+
+    noun = "matrix"
+    flags: tuple = ()
+
+    def __init__(self, entries: list):
+        if not entries or not entries[0]:
+            raise ParameterError(f"{self.noun} needs at least one row and one column")
+        cols = len(entries[0])
+        for row in entries:
+            if len(row) != cols:
+                raise ParameterError(f"{self.noun} rows must all have the same length")
+            for entry in row:
+                if not isinstance(entry, RationalFunction):
+                    raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
+                self._check_pole_radii(np.abs(entry.poles()))
+        self.entries = entries
+
+    def _check_pole_radii(self, radii: np.ndarray) -> None:
+        """Reject an entry by the moduli of its poles; any pole is fine here."""
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    def _entrywise(self, z, fn) -> np.ndarray:
+        if np.ndim(z) == 0:
+            return np.array([[fn(e, z) for e in row] for row in self.entries], dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        out = np.empty((len(z), self.rows, self.cols), dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                out[:, i, j] = fn(e, z)
+        return out
+
+    def eval(self, z) -> np.ndarray:
+        """Value at a scalar (rows x cols) or at an array (n x rows x cols)."""
+        return self._entrywise(z, lambda e, z: e(z))
+
+    def eval_dz(self, z) -> np.ndarray:
+        """Exact entrywise derivative, shaped as :meth:`eval`; never a finite difference."""
+        return self._entrywise(z, lambda e, z: e.eval_deriv(z))
+
+    @classmethod
+    def constant(cls, matrix, **flags):
+        m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+        return cls([[RationalFunction.constant(v) for v in row] for row in m], **flags)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "rows": self.rows,
+            "cols": self.cols,
+            **{flag: getattr(self, flag) for flag in self.flags},
+            "entries": [[e.to_jsonable() for e in row] for row in self.entries],
+        }
+
+    @classmethod
+    def from_jsonable(cls, obj):
+        noun = cls.noun
+        keys = ("rows", "cols", *cls.flags, "entries")
+        if not isinstance(obj, dict):
+            raise DataError(f"{noun} file must contain a JSON object", field="")
+        unknown = set(obj) - set(keys)
+        if unknown:
+            raise DataError(f"unknown {noun} key {sorted(unknown)[0]!r}", field=sorted(unknown)[0])
+        for key in keys:
+            if key not in obj:
+                raise DataError(f"{noun} file is missing {key!r}", field=key)
+        for flag in cls.flags:
+            if not isinstance(obj[flag], bool):
+                raise DataError(f"{flag} flag must be a boolean", field=flag)
+        rows, cols = obj["rows"], obj["cols"]
+        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+            raise DataError("rows and cols must be positive integers", field="rows")
+        raw = obj["entries"]
+        if not isinstance(raw, list) or len(raw) != rows:
+            raise DataError(f"entries must be a list of {rows} rows", field="entries")
+        entries = []
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != cols:
+                raise DataError(f"entries[{i}] must list {cols} entries", field=f"entries[{i}]")
+            entries.append(
+                [RationalFunction.from_jsonable(e, field=f"entries[{i}][{j}]") for j, e in enumerate(row)]
+            )
+        return cls(entries, **{flag: obj[flag] for flag in cls.flags})
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{cls.noun} file is not valid JSON: {exc}") from exc
+        return cls.from_jsonable(obj)
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_jsonable(), fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -13,10 +13,8 @@ that witnesses left invertibility of a symbol over a grid.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -24,14 +22,11 @@ from .calculus import ComplexGrid
 from .errors import (
     AccuracyError,
     BoundaryZeroError,
-    DataError,
     NumericalError,
     ParameterError,
     SymbolError,
 )
-from .rational import RationalFunction, poly_mul
-
-logger = logging.getLogger(__name__)
+from .rational import RationalFunction, RationalMatrix, poly_from_roots, poly_mul
 
 #: zeros/poles this close to the unit circle are rejected as boundary cases
 _CIRCLE_TOL_POLE = 1e-8
@@ -48,7 +43,7 @@ def _next_pow2(n: int) -> int:
     return m
 
 
-class MatrixSymbol:
+class MatrixSymbol(RationalMatrix):
     """Rational matrix function on the circle with an analyticity flag.
 
     ``analytic=True`` requires all entry poles strictly outside the closed
@@ -56,33 +51,20 @@ class MatrixSymbol:
     in the general class only need their poles off the unit circle.
     """
 
+    noun = "symbol"
+    flags = ("analytic",)
+
     def __init__(self, entries: List[List[RationalFunction]], analytic: bool):
-        if not entries or not entries[0]:
-            raise ParameterError("symbol needs at least one row and one column")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ParameterError("symbol rows must all have the same length")
-            for entry in row:
-                poles = entry.poles()
-                if len(poles):
-                    radii = np.abs(poles)
-                    if np.any(np.abs(radii - 1.0) <= _CIRCLE_TOL_POLE):
-                        raise SymbolError("symbol has a pole on or near the unit circle")
-                    if analytic and np.any(radii < 1.0):
-                        raise SymbolError("analytic-flagged symbol has a pole inside the disk")
-        self.entries = entries
         self.analytic = bool(analytic)
+        super().__init__(entries)
         if self.analytic:
             self._verify_analytic()
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+    def _check_pole_radii(self, radii: np.ndarray) -> None:
+        if np.any(np.abs(radii - 1.0) <= _CIRCLE_TOL_POLE):
+            raise SymbolError("symbol has a pole on or near the unit circle")
+        if self.analytic and np.any(radii < 1.0):
+            raise SymbolError("analytic-flagged symbol has a pole inside the disk")
 
     @property
     def is_scalar(self) -> bool:
@@ -92,17 +74,6 @@ class MatrixSymbol:
         return max(
             len(e.num) - 1 + len(e.den) - 1 for row in self.entries for e in row
         )
-
-    def eval(self, z) -> np.ndarray:
-        """Value at a scalar (rows x cols) or at an array (n x rows x cols)."""
-        if np.ndim(z) == 0:
-            return np.array([[e(z) for e in row] for row in self.entries], dtype=complex)
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((len(z), self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[:, i, j] = e(z)
-        return out
 
     def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         if not isinstance(other, MatrixSymbol):
@@ -126,8 +97,7 @@ class MatrixSymbol:
 
     @classmethod
     def constant(cls, matrix, analytic: bool = True) -> "MatrixSymbol":
-        m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        return cls([[RationalFunction.constant(v) for v in row] for row in m], analytic=analytic)
+        return super().constant(matrix, analytic=analytic)
 
     def _verify_analytic(self) -> None:
         # the pole check above already settles analyticity for rational
@@ -141,55 +111,13 @@ class MatrixSymbol:
                 "symbol flagged analytic but has nonzero negative Fourier coefficients"
             )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "analytic": self.analytic,
-            "entries": [[e.to_jsonable() for e in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "MatrixSymbol":
-        if not isinstance(obj, dict):
-            raise DataError("symbol file must contain a JSON object", field="")
-        unknown = set(obj) - {"rows", "cols", "analytic", "entries"}
-        if unknown:
-            raise DataError(f"unknown symbol key {sorted(unknown)[0]!r}", field=sorted(unknown)[0])
-        for key in ("rows", "cols", "analytic", "entries"):
-            if key not in obj:
-                raise DataError(f"symbol file is missing {key!r}", field=key)
-        if not isinstance(obj["analytic"], bool):
-            raise DataError("analytic flag must be a boolean", field="analytic")
-        rows, cols = obj["rows"], obj["cols"]
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-            raise DataError("rows and cols must be positive integers", field="rows")
-        raw = obj["entries"]
-        if not isinstance(raw, list) or len(raw) != rows:
-            raise DataError(f"entries must be a list of {rows} rows", field="entries")
-        entries = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != cols:
-                raise DataError(f"entries[{i}] must list {cols} entries", field=f"entries[{i}]")
-            entries.append(
-                [RationalFunction.from_jsonable(e, field=f"entries[{i}][{j}]") for j, e in enumerate(row)]
-            )
-        return cls(entries, analytic=obj["analytic"])
-
 
 def load_symbol(path) -> MatrixSymbol:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"symbol file is not valid JSON: {exc}") from exc
-    return MatrixSymbol.from_jsonable(obj)
+    return MatrixSymbol.load(path)
 
 
 def save_symbol(symbol: MatrixSymbol, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(symbol.to_jsonable(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    symbol.save(path)
 
 
 def _fourier_blocks(symbol: MatrixSymbol, max_offset: int, n_samples: Optional[int] = None):
@@ -244,28 +172,8 @@ def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
 
 
-def _adjoint_section(symbol: MatrixSymbol, order: int) -> np.ndarray:
-    """Section of the adjoint symbol ``z -> F(z)*`` from F's blocks."""
-    blocks, _ = _fourier_blocks(symbol, order)
-    m = blocks.shape[0]
-    rows, cols = symbol.rows, symbol.cols
-    out = np.zeros((order * cols, order * rows), dtype=complex)
-    for j in range(order):
-        for k in range(order):
-            offset = k - j  # coeff of F* at (j - k) is conj-transpose of F at (k - j)
-            if symbol.analytic and offset < 0:
-                continue
-            out[j * cols : (j + 1) * cols, k * rows : (k + 1) * rows] = (
-                blocks[offset % m].conj().T
-            )
-    return out
-
-
 def _shift_down_section(block_dim: int, order: int) -> np.ndarray:
-    out = np.zeros((order * block_dim, order * block_dim))
-    for j in range(order - 1):
-        out[j * block_dim : (j + 1) * block_dim, (j + 1) * block_dim : (j + 2) * block_dim] = np.eye(block_dim)
-    return out
+    return np.kron(np.eye(order, k=1), np.eye(block_dim))
 
 
 def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> float:
@@ -300,7 +208,8 @@ def kernel_action_check(f: MatrixSymbol, lam: complex, e, order: int) -> float:
     if e.shape != (f.rows,):
         raise ParameterError(f"vector must have length {f.rows}")
     kvec = np.conj(lam) ** np.arange(order)
-    lhs = _adjoint_section(f, order) @ np.kron(kvec, e)
+    adj = np.ascontiguousarray(toeplitz_section(f, order).matrix.conj().T)
+    lhs = adj @ np.kron(kvec, e)
     rhs = np.kron(kvec, f.eval(lam).conj().T @ e)
     return float(np.linalg.norm(lhs - rhs))
 
@@ -315,7 +224,7 @@ def intertwining_check(f: MatrixSymbol, order: int) -> float:
         raise ParameterError("intertwining check requires an analytic symbol")
     if order < 2:
         raise ParameterError("section order must be >= 2")
-    adj = _adjoint_section(f, order)
+    adj = np.ascontiguousarray(toeplitz_section(f, order).matrix.conj().T)
     left = adj @ _shift_down_section(f.rows, order)
     right = _shift_down_section(f.cols, order) @ adj
     rows_keep = (order - 1) * f.cols
@@ -344,13 +253,6 @@ def _prod_blaschke_dens(roots) -> np.ndarray:
     return out
 
 
-def _prod_from_roots(roots, leading=1.0) -> np.ndarray:
-    out = np.array([complex(leading)])
-    for a in roots:
-        out = poly_mul(out, [-a, 1.0])
-    return out
-
-
 def scalar_inner_outer(f: RationalFunction) -> InnerOuterFactorization:
     """Split an analytic scalar rational function as inner times outer.
 
@@ -371,8 +273,8 @@ def scalar_inner_outer(f: RationalFunction) -> InnerOuterFactorization:
     disk = zeros[radii < 1.0]
     outside = zeros[radii > 1.0]
     leading = f.num[-1]
-    inner = RationalFunction(_prod_from_roots(disk), _prod_blaschke_dens(disk))
-    outer_num = poly_mul(_prod_from_roots(outside, leading), _prod_blaschke_dens(disk))
+    inner = RationalFunction(poly_from_roots(disk), _prod_blaschke_dens(disk))
+    outer_num = poly_mul(poly_from_roots(outside, leading), _prod_blaschke_dens(disk))
     outer = RationalFunction(outer_num, f.den)
 
     z = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -394,23 +296,19 @@ def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
 
     A margin bounded away from zero on a fine grid with small margin is
     numerical evidence of left invertibility; the sweep never extrapolates
-    beyond the grid.
+    beyond the grid. A point where the symbol has no finite value or no SVD
+    raises :class:`NumericalError` naming it, so the minimum is never taken
+    over part of the grid.
     """
     if theta.rows < theta.cols:
         raise ParameterError("need rows >= cols for a left-invertibility margin")
     margin = np.inf
-    failures = 0
     for z in grid.points:
         try:
             vals = theta.eval(z)
             if not np.all(np.isfinite(vals)):
                 raise FloatingPointError("non-finite symbol value")
             margin = min(margin, float(np.linalg.svd(vals, compute_uv=False)[-1]))
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            failures += 1
-            logger.warning("margin sweep failed at z=%s: %s", z, exc)
-    if not np.isfinite(margin):
-        raise NumericalError("symbol evaluation failed at every grid point")
-    if failures:
-        logger.warning("margin sweep skipped %d of %d points", failures, grid.n)
+        except (ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"margin sweep failed at z = {complex(z)!r}: {exc}") from exc
     return margin

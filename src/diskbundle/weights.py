@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .calculus import write_csv
 from .errors import AccuracyError, CapacityError, DataError, ParameterError
 from .kernels import weighted_kernel_diag_certified
 
@@ -248,10 +250,7 @@ def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
             required_length=top + 1,
         )
     absq = np.abs(a) ** 2
-    out = np.empty(n_max + 1, dtype=float)
-    for n in range(n_max + 1):
-        out[n] = float(np.sum(absq * w.values[n : n + len(a)]))
-    return out
+    return np.sum(absq * sliding_window_view(w.values[: len(a) + n_max], len(a)), axis=1)
 
 
 def almost_isometry_check(w: WeightSequence, epsilon: float, trial_coeffs) -> float:
@@ -285,11 +284,8 @@ def almost_isometry_check(w: WeightSequence, epsilon: float, trial_coeffs) -> fl
 
 def weights_to_csv(w: WeightSequence, path) -> None:
     """Dump ``n,w_n,ln_w_n`` rows for plotting; values round-trip exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "w_n", "ln_w_n"])
-        for n, v in enumerate(w.values):
-            writer.writerow([n, repr(float(v)), repr(float(np.log(v)))])
+    rows = zip(range(w.length), w.values.tolist(), np.log(w.values).tolist())
+    write_csv(path, ["n", "w_n", "ln_w_n"], rows)
 
 
 def weights_from_csv(path) -> WeightSequence:
@@ -312,20 +308,17 @@ def weights_from_csv(path) -> WeightSequence:
     return WeightSequence.from_values(values)
 
 
-def counterexample_report(
-    epsilon: float,
-    spike_count: int,
-    length: int,
-    radii: Sequence[float] = DEFAULT_RADII,
-) -> dict:
-    """Build the canonical spike weight and run every check on it.
+def counterexample_report(w: WeightSequence, radii: Sequence[float] = DEFAULT_RADII) -> dict:
+    """Run every check on a spike weight from :func:`build_spike_weight`.
 
     The report carries the construction constants, the per-spike extremal
     values against their bounds, the consecutive-ratio extreme, the
     kernel-diagonal ratio range over ``radii``, and the growth-witness
     maximum ``(1+epsilon)^(2 spike_count)``.
     """
-    w = build_spike_weight(epsilon, spike_count, length)
+    if not w.is_spike_built:
+        raise ParameterError("the counterexample report needs a spike-built weight")
+    epsilon = w.epsilon
     spikes = []
     for j, start in enumerate(w.spike_starts, start=1):
         sb = spike_peak_bound(start, j)

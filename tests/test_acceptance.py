@@ -244,7 +244,7 @@ def test_criterion_11_left_invertibility_margin():
 def test_criterion_12_counterexample_build():
     with criterion(12, "spike-weight counterexample build"):
         start = time.perf_counter()
-        report = counterexample_report(0.1, 2, 128, radii=(0.0, 0.5, 0.9, 0.99, 0.999))
+        report = counterexample_report(build_spike_weight(0.1, 2, 128), radii=(0.0, 0.5, 0.9, 0.99, 0.999))
         assert abs(report["alpha"] - 0.21 / 1.21) <= 1e-15
         assert report["spikes"][0]["N_j"] == 10
         assert report["spikes"][1]["N_j"] == 66

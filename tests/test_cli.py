@@ -241,3 +241,40 @@ def test_heatmap_matches_closed_form(tmp_path):
         re, im, value = (float(part) for part in row.split(","))
         assert complex(re, im) == z
         assert abs(value - (1 + abs(z) ** 2) ** -2) < 1e-12
+
+
+_HUGE = 10**400  # a JSON integer literal beyond float range
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("counterexample", {"epsilon": _HUGE}, "epsilon"),
+        ("counterexample", {"grid": {"margin": _HUGE}}, "grid.margin"),
+        ("counterexample", {"thresholds": {"M": _HUGE}}, "thresholds.M"),
+        ("counterexample", {"thresholds": {"C": _HUGE}}, "thresholds.C"),
+        ("counterexample", {"radii": [0.5, _HUGE]}, "radii"),
+        ("toeplitz", {"lambda": [_HUGE, 0]}, "lambda"),
+    ],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, command, payload, field):
+    base = {"counterexample": {"epsilon": 0.1, "spike_count": 1, "length": 64}, "toeplitz": {"symbol": "s.json"}}
+    cfg = write_config(tmp_path / "cfg.json", {**base[command], **payload})
+    result = run_cli([command, "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["kind"] == "validation" and error["field"] == field
+
+
+def test_toeplitz_margin_failure_exits_3(tmp_path):
+    grid = build_grid(4, 16, 0.01)
+    p = complex(grid.points[5])
+    save_symbol(MatrixSymbol.scalar(RationalFunction([1.0], [-p, 1.0]), analytic=False), tmp_path / "s.json")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"symbol": "s.json", "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01}},
+    )
+    result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 3, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["kind"] == "numerical" and repr(p) in error["message"]

@@ -231,7 +231,7 @@ def test_probe_heatmap(tmp_path, grid):
     field = defect_field(one_lambda_frame(), grid)
     probes = default_probes(grid, 4)
     path = tmp_path / "probes.csv"
-    write_probe_heatmap(field, probes, path)
+    write_probe_heatmap(field, probes, path, green_sweep(field, probes))
     lines = path.read_text().splitlines()
     assert lines[0] == "re,im,defect,green_potential"
     assert len(lines) == 1 + len(probes)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from diskbundle.bundle import AnalyticFrame
 from diskbundle.errors import DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_add, poly_from_roots, poly_mul, poly_roots
+from diskbundle.toeplitz import MatrixSymbol
 
 
 def test_polynomial_evaluation():
@@ -65,3 +67,47 @@ def test_json_validation_names_field():
     with pytest.raises(DataError) as err:
         RationalFunction.from_jsonable({"num": [[1.0, 0.0]], "den": [[1.0]]}, field="entries[0][1]")
     assert "entries[0][1].den" in str(err.value)
+
+
+_ENTRY = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "cls, flags", [(AnalyticFrame, {}), (MatrixSymbol, {"analytic": True})], ids=["frame", "symbol"]
+)
+def test_rational_matrix_json(tmp_path, cls, flags):
+    matrix = cls(
+        [
+            [RationalFunction([1.0, 0.5j], [1.0, 0.0, -0.2]), RationalFunction([0.25])],
+            [RationalFunction([0.0, 1.0]), RationalFunction([1.0], [1.0, -0.3])],
+        ],
+        **flags,
+    )
+    matrix.save(tmp_path / "m.json")
+    back = cls.load(tmp_path / "m.json")
+    assert back.to_jsonable() == matrix.to_jsonable()
+    z = np.array([0.0, 0.3 - 0.4j, 0.9j])
+    assert np.array_equal(back.eval(z), matrix.eval(z))
+    assert back.eval(z).shape == (3, 2, 2)
+    assert np.allclose(back.eval_dz(z)[1], matrix.eval_dz(z[1]), rtol=1e-14, atol=0.0)
+
+    def field_of(obj):
+        with pytest.raises(DataError) as err:
+            cls.from_jsonable(obj)
+        return err.value.field
+
+    good = {"rows": 1, "cols": 1, "entries": [[_ENTRY]], **flags}
+    assert field_of([good]) == ""
+    assert field_of({**good, "bogus": 1}) == "bogus"
+    for key in good:
+        assert field_of({k: v for k, v in good.items() if k != key}) == key
+    assert field_of({**good, "rows": 0}) == "rows"
+    assert field_of({**good, "cols": 1.0}) == "rows"
+    assert field_of({**good, "entries": [[_ENTRY], [_ENTRY]]}) == "entries"
+    assert field_of({**good, "cols": 2, "entries": [[_ENTRY]]}) == "entries[0]"
+    bad_entries = {
+        "entries[0][0].den[0]": {"num": [[1.0, 0.0]], "den": [["1", 0.0]]},
+        "entries[0][0].num[1]": {"num": [[1.0, 0.0], [10**400, 0.0]], "den": [[1.0, 0.0]]},
+    }
+    for field, entry in bad_entries.items():
+        assert field_of({**good, "entries": [[entry]]}) == field

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diskbundle.calculus import build_grid, ring_grid
-from diskbundle.errors import BoundaryZeroError, DataError, ParameterError, SymbolError
+from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, ParameterError, SymbolError
 from diskbundle.rational import RationalFunction, poly_mul
 from diskbundle.toeplitz import (
     MatrixSymbol,
@@ -237,6 +237,15 @@ def test_margin_monotone_under_refinement():
     m1 = left_invertibility_margin(blaschke_half(), g1)
     m2 = left_invertibility_margin(blaschke_half(), g2)
     assert m2 <= m1 + 1e-15
+
+
+def test_margin_refuses_a_partial_sweep():
+    grid = build_grid(4, 16, 0.01)
+    p = complex(grid.points[5])
+    pole_on_grid = MatrixSymbol.scalar(RationalFunction([1.0], [-p, 1.0]), analytic=False)
+    with pytest.raises(NumericalError) as err:
+        left_invertibility_margin(pole_on_grid, grid)
+    assert repr(p) in str(err.value)
 
 
 def test_margin_requires_tall_symbol():

@@ -201,6 +201,17 @@ def test_growth_witness_single_offset_coefficient():
     assert np.array_equal(values, w.values[m : m + 21])
 
 
+def test_growth_witness_matches_per_offset_loop():
+    w = build_spike_weight(0.1, 3, 1024)
+    rng = np.random.default_rng(3)
+    for length in (1, 2, 7, 50, 300):
+        coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        n_max = w.length - length
+        absq = np.abs(coeffs) ** 2
+        loop = [float(np.sum(absq * w.values[n : n + length])) for n in range(n_max + 1)]
+        assert np.array_equal(shift_growth_witness(w, coeffs, n_max), loop)
+
+
 def test_growth_witness_capacity_and_data_errors():
     w = WeightSequence.from_values(np.ones(4))
     with pytest.raises(CapacityError):
@@ -261,7 +272,7 @@ def test_weights_csv_round_trip(tmp_path):
 
 
 def test_counterexample_report_contents():
-    report = counterexample_report(0.1, 2, 128)
+    report = counterexample_report(build_spike_weight(0.1, 2, 128))
     assert report["spikes"][0]["N_j"] == 10
     assert report["spikes"][1]["N_j"] == 66
     assert report["ratio_check"] == (1.1) ** 2
