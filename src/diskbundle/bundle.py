@@ -10,6 +10,17 @@ derivative is the curvature defect tracked throughout the package, and
     |dP_full|^2 = n / (1 - |lam|^2)^2 + |dP_frame|^2
 
 by realizing the kernel-tensored frame on a truncated coefficient space.
+
+The grid sweeps (``defect_field``, ``gram_bounds``) evaluate the frame and
+its exact derivative once on the whole grid as ``(n, rows, cols)`` stacks.
+The condition check is a batched ``eigvalsh`` of the Grams ``F*F`` with
+the same cap as the scalar path; points that fail it are masked out before
+any factorization, because one singular matrix makes a whole stack raise.
+The defect then comes from the batched reduced QR ``F = QR`` as
+``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows projection and
+keeps its accuracy when ``|F'|`` dwarfs the defect. The scalar
+``projection``, ``projection_dz`` and ``curvature_defect`` stay as the
+reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -62,20 +73,29 @@ def save_frame(frame: AnalyticFrame, path) -> None:
     frame.save(path)
 
 
-def gram(frame: AnalyticFrame, lam: complex) -> np.ndarray:
-    """Hermitian Gram matrix ``F(lam)* F(lam)``."""
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def gram(frame: AnalyticFrame, lam) -> np.ndarray:
+    """Hermitian Gram matrix ``F(lam)* F(lam)``, or the stack of them for an array."""
     a = frame.eval(lam)
-    return a.conj().T @ a
+    return _adjoint(a) @ a
+
+
+def _condition_message(lo: float, hi: float) -> str:
+    return (
+        f"Gram matrix condition {hi / lo if lo > 0 else np.inf:.3e} exceeds cap {CONDITION_CAP:.0e}"
+        f" (eigenvalues in [{lo:.3e}, {hi:.3e}])"
+    )
 
 
 def _checked_gram(g: np.ndarray):
     eigs = np.linalg.eigvalsh(g)
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0 or hi / lo > CONDITION_CAP:
-        raise ConditioningError(
-            f"Gram matrix condition {hi / lo if lo > 0 else np.inf:.3e} exceeds cap {CONDITION_CAP:.0e}"
-            f" (eigenvalues in [{lo:.3e}, {hi:.3e}])"
-        )
+        raise ConditioningError(_condition_message(lo, hi))
     return g
 
 
@@ -137,15 +157,18 @@ def curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
 
 
 def _truncated_power_sums(x: float, n_terms: int):
-    n = np.arange(n_terms)
-    s00 = float(np.sum(np.power(x, n)))
-    if n_terms > 1:
-        k = n[1:]
-        sigma1 = float(np.sum(k * np.power(x, k - 1)))
-        a11 = float(np.sum(k * k * np.power(x, k - 1)))
-    else:
-        sigma1 = a11 = 0.0
-    return s00, sigma1, a11
+    """``sum x^k``, ``sum k x^(k-1)`` and ``sum k^2 x^(k-1)`` over ``k < n_terms``.
+
+    Returns the three sums and the three remainders the truncation drops.
+    Each remainder is a closed form with positive factors only, and each
+    sum is its series limit minus that remainder, so nothing cancels.
+    """
+    one = 1.0 - x
+    lead = x ** (n_terms - 1)
+    slope = n_terms - (n_terms - 1) * x
+    tails = (x * lead / one, lead * slope / one**2, lead * (slope * slope + x) / one**3)
+    limits = (1.0 / one, 1.0 / one**2, (1.0 + x) / one**3)
+    return tuple(lim - tail for lim, tail in zip(limits, tails)), tails
 
 
 @dataclass(frozen=True)
@@ -155,8 +178,8 @@ class BundleCurvature:
     ``total`` is ``shift_part + defect``; ``tensor_total`` recomputes the
     same quantity by differentiating the projection of the kernel-tensored
     frame on the truncated coefficient space, and ``discrepancy`` is the
-    gap between the two routes. ``truncation_tail`` bounds the coefficient
-    mass the truncation ignored.
+    gap between the two routes. ``truncation_tail`` is the largest of the
+    exact remainders of the three kernel sums the truncation ignored.
     """
 
     total: float
@@ -184,7 +207,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int = 
     total = shift_part + defect
 
     # tensored route: cross-Gram scalars of the truncated kernel vector
-    s00, sigma1, a11 = _truncated_power_sums(x, truncation)
+    (s00, sigma1, a11), tails = _truncated_power_sums(x, truncation)
     a01 = np.conj(lam) * sigma1
     f = frame.eval(lam)
     fp = frame.eval_dz(lam)
@@ -197,19 +220,13 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int = 
     inner = p - q.conj().T @ np.linalg.solve(s, q)
     tensor_total = float(np.trace(np.linalg.solve(s, inner)).real)
 
-    one = 1.0 - x
-    tail = max(
-        1.0 / one - s00,
-        1.0 / one ** 2 - sigma1,
-        (1.0 + x) / one ** 3 - a11,
-    )
     return BundleCurvature(
         total=total,
         shift_part=shift_part,
         defect=defect,
         tensor_total=tensor_total,
         discrepancy=abs(tensor_total - total),
-        truncation_tail=float(tail),
+        truncation_tail=float(max(tails)),
     )
 
 
@@ -223,12 +240,8 @@ class GramBounds:
 
 
 def gram_bounds(frame: AnalyticFrame, grid: ComplexGrid) -> GramBounds:
-    c_min, c_max = np.inf, -np.inf
-    for z in grid.points:
-        eigs = np.linalg.eigvalsh(gram(frame, z))
-        c_min = min(c_min, float(eigs[0]))
-        c_max = max(c_max, float(eigs[-1]))
-    return GramBounds(c_min=c_min, c_max=c_max)
+    eigs = np.linalg.eigvalsh(gram(frame, grid.points))
+    return GramBounds(c_min=float(np.min(eigs[:, 0])), c_max=float(np.max(eigs[:, -1])))
 
 
 @dataclass(frozen=True)
@@ -263,16 +276,33 @@ class DefectField:
 
 
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
-    """Per-point curvature defect; failures are collected, not fatal."""
-    values = np.empty(grid.n, dtype=float)
-    failures = []
-    for i, z in enumerate(grid.points):
-        try:
-            values[i] = curvature_defect(frame, z)
-        except (ConditioningError, FloatingPointError) as exc:
-            values[i] = np.nan
-            failures.append((i, str(exc)))
-    return DefectField(grid=grid, values=values, failures=tuple(failures))
+    """Curvature defect on the whole grid at once; failures are collected, not fatal.
+
+    A point whose Gram matrix fails the scalar path's condition check gets
+    NaN and the scalar path's message; a point where the frame, its
+    derivative or its Gram matrix is not finite gets NaN and says so.
+    """
+    f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _adjoint(f) @ f
+    ok = np.all(np.isfinite(g), axis=(1, 2)) & np.all(np.isfinite(fp), axis=(1, 2))
+    lo, hi = np.full((2, grid.n), np.nan)
+    eigs = np.linalg.eigvalsh(g[ok])
+    lo[ok], hi[ok] = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
+
+    q, r = np.linalg.qr(f[ok])
+    moved = fp[ok] - q @ (_adjoint(q) @ fp[ok])
+    # rows of (F' - QQ*F') R^-1, solved as R^T X^T = (F' - QQ*F')^T
+    x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(moved, 1, 2))
+    values = np.full(grid.n, np.nan)
+    values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    not_finite = "frame, derivative or Gram matrix is not finite"
+    failures = tuple(
+        (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
+    )
+    return DefectField(grid=grid, values=values, failures=failures)
 
 
 def constant_field(grid: ComplexGrid, value: float) -> DefectField:

@@ -169,7 +169,7 @@ class RationalFunction:
                 if (
                     not isinstance(pair, (list, tuple))
                     or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
                 ):
                     raise DataError(
                         f"{field}.{key}[{i}]: expected an [re, im] pair",
@@ -224,9 +224,11 @@ class RationalMatrix:
             return np.array([[fn(e, z) for e in row] for row in self.entries], dtype=complex)
         z = np.asarray(z, dtype=complex)
         out = np.empty((len(z), self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[:, i, j] = fn(e, z)
+        # a pole on a point gives inf or nan there; callers check finiteness
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, row in enumerate(self.entries):
+                for j, e in enumerate(row):
+                    out[:, i, j] = fn(e, z)
         return out
 
     def eval(self, z) -> np.ndarray:
@@ -266,7 +268,7 @@ class RationalMatrix:
             if not isinstance(obj[flag], bool):
                 raise DataError(f"{flag} flag must be a boolean", field=flag)
         rows, cols = obj["rows"], obj["cols"]
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
             raise DataError("rows and cols must be positive integers", field="rows")
         raw = obj["entries"]
         if not isinstance(raw, list) or len(raw) != rows:

@@ -296,19 +296,21 @@ def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
 
     A margin bounded away from zero on a fine grid with small margin is
     numerical evidence of left invertibility; the sweep never extrapolates
-    beyond the grid. A point where the symbol has no finite value or no SVD
-    raises :class:`NumericalError` naming it, so the minimum is never taken
-    over part of the grid.
+    beyond the grid. The symbol is evaluated on the whole grid at once and
+    its singular values come from one batched SVD. The first point in grid
+    order where the symbol has no finite value raises
+    :class:`NumericalError` naming it, and so does a failed SVD, so the
+    minimum is never taken over part of the grid.
     """
     if theta.rows < theta.cols:
         raise ParameterError("need rows >= cols for a left-invertibility margin")
-    margin = np.inf
-    for z in grid.points:
-        try:
-            vals = theta.eval(z)
-            if not np.all(np.isfinite(vals)):
-                raise FloatingPointError("non-finite symbol value")
-            margin = min(margin, float(np.linalg.svd(vals, compute_uv=False)[-1]))
-        except (ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"margin sweep failed at z = {complex(z)!r}: {exc}") from exc
-    return margin
+    vals = theta.eval(grid.points)
+    finite = np.all(np.isfinite(vals), axis=(1, 2))
+    if not np.all(finite):
+        z = complex(grid.points[np.argmin(finite)])
+        raise NumericalError(f"margin sweep failed at z = {z!r}: non-finite symbol value")
+    try:
+        sigma = np.linalg.svd(vals, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"margin sweep failed: {exc}") from exc
+    return float(np.min(sigma[:, -1]))

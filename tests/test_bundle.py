@@ -5,6 +5,7 @@ import pytest
 
 from diskbundle.bundle import (
     AnalyticFrame,
+    _truncated_power_sums,
     constant_field,
     curvature_defect,
     defect_field,
@@ -21,7 +22,7 @@ from diskbundle.bundle import (
 )
 from diskbundle.calculus import build_grid, laplacian, wirtinger_dz
 from diskbundle.errors import AccuracyError, ConditioningError, DataError, ParameterError
-from diskbundle.rational import RationalFunction
+from diskbundle.rational import RationalFunction, poly_from_roots
 
 
 def one_lambda_frame():
@@ -35,6 +36,66 @@ def quadratic_frame():
 def exp_taylor_frame(degree=12):
     coeffs = [1.0 / math.factorial(k) for k in range(degree + 1)]
     return AnalyticFrame.from_polynomials([[1.0], coeffs])
+
+
+def gauge_frame():
+    """``(1, lam)^T (1 - lam/1.05)^-6``: large ``|F'|``, defect ``(1 + |lam|^2)^-2``."""
+    den = poly_from_roots([1.05] * 6, leading=(-1 / 1.05) ** 6)
+    return AnalyticFrame([[RationalFunction([1.0], den)], [RationalFunction([0.0, 1.0], den)]])
+
+
+def seeded_rational_frame(rows, cols, seed):
+    """Orthonormal constant block plus ``c lam + b / (lam - p)`` with ``1.5 <= |p| <= 3``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    entries = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            p = rng.uniform(1.5, 3.0) * np.exp(2j * np.pi * rng.random())
+            b, c = 0.04 * np.exp(2j * np.pi * rng.random(2))
+            row.append(RationalFunction([b - q[i, j] * p, q[i, j] - c * p, c], [-p, 1.0]))
+        entries.append(row)
+    return AnalyticFrame(entries)
+
+
+def near_cap_frame(grid, passing, failing):
+    """Columns ``(1, lam, 0)`` and ``(0, 0, (lam - a)(lam - b))``.
+
+    ``a`` sits 3e-6 from grid point ``passing`` (Gram condition about 2e11,
+    under the cap) and ``b`` on grid point ``failing`` (singular Gram). The
+    columns stay orthogonal, so the scalar path is accurate next to the cap.
+    """
+    a, b = grid.points[passing] + 3e-6, grid.points[failing]
+    e = RationalFunction([0.0])
+    return AnalyticFrame(
+        [
+            [RationalFunction([1.0]), e],
+            [RationalFunction([0.0, 1.0]), e],
+            [e, RationalFunction(poly_from_roots([a, b]))],
+        ]
+    )
+
+
+def scalar_defect_field(frame, grid):
+    """The per-point loop the batched field replaced: values and failures."""
+    values = np.full(grid.n, np.nan)
+    failures = []
+    for i, z in enumerate(grid.points):
+        try:
+            values[i] = curvature_defect(frame, z)
+        except ConditioningError as exc:
+            failures.append((i, str(exc)))
+    return values, tuple(failures)
+
+
+def assert_matches_scalar(field, frame):
+    values, failures = scalar_defect_field(frame, field.grid)
+    assert field.failures == failures
+    ok = np.isfinite(values)
+    assert np.array_equal(ok, np.isfinite(field.values))
+    gap = np.abs(field.values[ok] - values[ok])
+    assert np.all(gap <= 1e-12 * np.abs(values[ok]) + 1e-14)
 
 
 def random_disk_points(count, radius, seed):
@@ -229,6 +290,25 @@ def test_full_curvature_examples():
     assert split.defect == 0.0
 
 
+def test_truncated_power_sums_closed_forms():
+    for x, n in ((0.0, 2), (0.25, 3), (0.25, 512), (0.81, 64), (0.9, 200)):
+        k = np.arange(n + 4000, dtype=float)
+        terms = (x**k, k * x ** np.maximum(k - 1, 0), k * k * x ** np.maximum(k - 1, 0))
+        sums, tails = _truncated_power_sums(x, n)
+        for total, tail, series in zip(sums, tails, terms):
+            assert abs(total - math.fsum(series[:n])) <= 1e-14 * total
+            assert tail >= 0.0
+            assert abs(tail - math.fsum(series[n:])) <= 1e-13 * tail
+
+
+def test_full_curvature_reports_the_exact_tail():
+    split = full_bundle_curvature(one_lambda_frame(), 0.9, 200)
+    x, n = 0.81, 200
+    k = np.arange(n, n + 4000, dtype=float)
+    assert abs(split.truncation_tail - math.fsum(k * k * x ** (k - 1))) <= 1e-13 * split.truncation_tail
+    assert full_bundle_curvature(one_lambda_frame(), 0.0, 512).truncation_tail == 0.0
+
+
 def test_full_curvature_truncation_guard():
     with pytest.raises(AccuracyError):
         full_bundle_curvature(one_lambda_frame(), 0.999, 128)
@@ -298,6 +378,68 @@ def test_defect_field_collects_failures():
     field = defect_field(frame, grid)
     assert field.is_partial
     assert any(i == 5 for i, _ in field.failures)
+    # same indices and messages as the scalar path, NaN only there
+    assert_matches_scalar(field, frame)
+    assert np.flatnonzero(np.isnan(field.values)).tolist() == [i for i, _ in field.failures]
+
+
+@pytest.mark.parametrize(
+    "make_frame, grid_shape",
+    [
+        (one_lambda_frame, (8, 64)),
+        (quadratic_frame, (8, 64)),
+        (exp_taylor_frame, (6, 32)),
+        (lambda: hardy_line_frame(64), (8, 32)),
+        (lambda: seeded_rational_frame(12, 2, seed=5), (16, 64)),
+        (gauge_frame, (8, 64)),
+    ],
+    ids=["one_lambda", "quadratic", "exp_taylor", "hardy_64", "rational_12x2", "gauge"],
+)
+def test_defect_field_matches_scalar_oracle(make_frame, grid_shape):
+    grid = build_grid(*grid_shape, 1e-3)
+    frame = make_frame()
+    field = defect_field(frame, grid)
+    assert not field.is_partial
+    assert_matches_scalar(field, frame)
+
+
+def test_defect_field_gauge_frame_closed_form():
+    grid = build_grid(8, 64, 1e-3)
+    field = defect_field(gauge_frame(), grid)
+    expected = (1 + np.abs(grid.points) ** 2) ** -2
+    assert np.max(np.abs(field.values - expected) / expected) <= 1e-12
+
+
+def test_defect_field_near_condition_cap():
+    grid = build_grid(4, 16, 0.01)
+    frame = near_cap_frame(grid, passing=21, failing=40)
+    eigs = np.linalg.eigvalsh(gram(frame, grid.points[21]))
+    assert 1e10 < eigs[-1] / eigs[0] < 1e12
+    field = defect_field(frame, grid)
+    assert [i for i, _ in field.failures] == [40]
+    assert_matches_scalar(field, frame)
+    ok = np.isfinite(field.values)
+    expected = (1 + np.abs(grid.points[ok]) ** 2) ** -2
+    assert np.max(np.abs(field.values[ok] - expected) / expected) <= 1e-12
+
+
+def test_defect_field_refuses_non_finite_values():
+    # the Gram matrix overflows although every entry is a finite float
+    grid = build_grid(2, 8, 0.01)
+    frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
+    field = defect_field(frame, grid)
+    assert [i for i, _ in field.failures] == list(range(grid.n))
+    assert "not finite" in field.failures[0][1]
+    assert np.all(np.isnan(field.values))
+
+
+def test_gram_bounds_match_pointwise_eigvalsh():
+    grid = build_grid(8, 32, 1e-3)
+    for frame in (quadratic_frame(), seeded_rational_frame(12, 2, seed=5), gauge_frame()):
+        eigs = np.array([np.linalg.eigvalsh(gram(frame, z)) for z in grid.points])
+        bounds = gram_bounds(frame, grid)
+        assert abs(bounds.c_min - eigs[:, 0].min()) <= 1e-12 * eigs[:, 0].min()
+        assert abs(bounds.c_max - eigs[:, -1].max()) <= 1e-12 * eigs[:, -1].max()
 
 
 def test_defect_field_rejects_negative_values():

@@ -278,3 +278,27 @@ def test_toeplitz_margin_failure_exits_3(tmp_path):
     assert result.returncode == 3, result.stdout + result.stderr
     error = json.loads(result.stdout)
     assert error["kind"] == "numerical" and repr(p) in error["message"]
+
+
+def test_boolean_frame_shape_exits_2(tmp_path):
+    (tmp_path / "frame.json").write_text(
+        '{"rows": true, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}]]}'
+    )
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+    result = run_cli(["curvature", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["kind"] == "validation" and error["field"] == "rows"
+
+
+def test_overflowing_gram_exits_3(tmp_path):
+    # finite entries whose Gram matrix overflows: every point fails, none is silently NaN
+    save_frame(AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]]), tmp_path / "frame.json")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 8, "margin": 0.01}},
+    )
+    result = run_cli(["curvature", "--config", str(cfg)], cwd=tmp_path)
+    assert result.returncode == 3, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["kind"] == "numerical" and "16 failures" in error["message"]

@@ -111,3 +111,24 @@ def test_rational_matrix_json(tmp_path, cls, flags):
     }
     for field, entry in bad_entries.items():
         assert field_of({**good, "entries": [[entry]]}) == field
+
+
+@pytest.mark.parametrize(
+    "cls, flags", [(AnalyticFrame, {}), (MatrixSymbol, {"analytic": True})], ids=["frame", "symbol"]
+)
+def test_json_booleans_are_not_numbers(cls, flags):
+    # bool is an int in Python; a JSON true must not read as 1
+    good = {"rows": 1, "cols": 1, "entries": [[_ENTRY]], **flags}
+    payloads = {
+        "rows": {**good, "rows": True},
+        "entries[0][0].num[0]": {**good, "entries": [[{"num": [[True, False]], "den": [[1.0, 0.0]]}]]},
+        "entries[0][0].den[0]": {**good, "entries": [[{"num": [[1.0, 0.0]], "den": [[1.0, False]]}]]},
+    }
+    for field, obj in payloads.items():
+        with pytest.raises(DataError) as err:
+            cls.from_jsonable(obj)
+        assert err.value.field == field
+    # rows and cols share one check and one field name
+    with pytest.raises(DataError) as err:
+        cls.from_jsonable({**good, "cols": True})
+    assert err.value.field == "rows"

@@ -248,6 +248,36 @@ def test_margin_refuses_a_partial_sweep():
     assert repr(p) in str(err.value)
 
 
+def test_margin_names_the_first_non_finite_point_in_grid_order():
+    grid = build_grid(4, 16, 0.01)
+    first, later = complex(grid.points[5]), complex(grid.points[30])
+    # poles exactly on two grid points; the later one sits in the first entry
+    two_poles = MatrixSymbol(
+        [[RationalFunction([1.0], [-later, 1.0])], [RationalFunction([1.0], [-first, 1.0])]], analytic=False
+    )
+    with pytest.raises(NumericalError) as err:
+        left_invertibility_margin(two_poles, grid)
+    assert repr(first) in str(err.value) and repr(later) not in str(err.value)
+
+
+def test_margin_maps_a_failed_svd_to_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError) as err:
+        left_invertibility_margin(shift_symbol(), build_grid(2, 8, 0.1))
+    assert "SVD did not converge" in str(err.value)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (4, 4)])
+def test_margin_matches_pointwise_svd(rows, cols):
+    grid = build_grid(6, 32, 1e-3)
+    symbol = random_poly_symbol(rows, cols, 3, seed=rows * 10 + cols)
+    pointwise = min(np.linalg.svd(symbol.eval(z), compute_uv=False)[-1] for z in grid.points)
+    assert abs(left_invertibility_margin(symbol, grid) - pointwise) <= 1e-12 * pointwise
+
+
 def test_margin_requires_tall_symbol():
     wide = MatrixSymbol.constant(np.ones((1, 2)))
     with pytest.raises(ParameterError):
