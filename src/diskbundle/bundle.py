@@ -293,9 +293,9 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
         ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
 
     q, r = np.linalg.qr(f[ok])
-    moved = fp[ok] - q @ (_adjoint(q) @ fp[ok])
+    normal = fp[ok] - q @ (_adjoint(q) @ fp[ok])
     # rows of (F' - QQ*F') R^-1, solved as R^T X^T = (F' - QQ*F')^T
-    x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(moved, 1, 2))
+    x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(normal, 1, 2))
     values = np.full(grid.n, np.nan)
     values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
     not_finite = "frame, derivative or Gram matrix is not finite"
