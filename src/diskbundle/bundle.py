@@ -91,10 +91,13 @@ def _condition_message(lo: float, hi: float) -> str:
     )
 
 
-def _checked_gram(g: np.ndarray):
+def _checked_gram(a: np.ndarray):
+    """Gram matrix ``a* a``, refused when it is not finite or too ill-conditioned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.conj().T @ a
     eigs = np.linalg.eigvalsh(g)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0 or hi / lo > CONDITION_CAP:
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0.0 or hi / lo > CONDITION_CAP:
         raise ConditioningError(_condition_message(lo, hi))
     return g
 
@@ -102,7 +105,7 @@ def _checked_gram(g: np.ndarray):
 def projection(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     """Orthogonal projection onto the column span of ``F(lam)``."""
     a = frame.eval(lam)
-    g = _checked_gram(a.conj().T @ a)
+    g = _checked_gram(a)
     return a @ np.linalg.solve(g, a.conj().T)
 
 
@@ -110,7 +113,7 @@ def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     """Holomorphic derivative ``(I - P) F' (F*F)^-1 F*`` of the projection."""
     a = frame.eval(lam)
     d = frame.eval_dz(lam)
-    g = _checked_gram(a.conj().T @ a)
+    g = _checked_gram(a)
     solve_at = np.linalg.solve(g, a.conj().T)
     p = a @ solve_at
     eye = np.eye(frame.rows, dtype=complex)
@@ -211,7 +214,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int = 
     a01 = np.conj(lam) * sigma1
     f = frame.eval(lam)
     fp = frame.eval_dz(lam)
-    gf = _checked_gram(f.conj().T @ f)
+    gf = _checked_gram(f)
     gc = f.conj().T @ fp
     gd = fp.conj().T @ fp
     s = s00 * gf
@@ -282,8 +285,8 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     NaN and the scalar path's message; a point where the frame, its
     derivative or its Gram matrix is not finite gets NaN and says so.
     """
-    f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):
+        f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
         g = _adjoint(f) @ f
     ok = np.all(np.isfinite(g), axis=(1, 2)) & np.all(np.isfinite(fp), axis=(1, 2))
     lo, hi = np.full((2, grid.n), np.nan)
@@ -292,12 +295,14 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     with np.errstate(divide="ignore", invalid="ignore"):
         ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
 
-    q, r = np.linalg.qr(f[ok])
-    normal = fp[ok] - q @ (_adjoint(q) @ fp[ok])
-    # rows of (F' - QQ*F') R^-1, solved as R^T X^T = (F' - QQ*F')^T
-    x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(normal, 1, 2))
     values = np.full(grid.n, np.nan)
-    values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    # a frame with more columns than rows fails everywhere, and its R is not square
+    if np.any(ok):
+        q, r = np.linalg.qr(f[ok])
+        normal = fp[ok] - q @ (_adjoint(q) @ fp[ok])
+        # rows of (F' - QQ*F') R^-1, solved as R^T X^T = (F' - QQ*F')^T
+        x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(normal, 1, 2))
+        values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
     not_finite = "frame, derivative or Gram matrix is not finite"
     failures = tuple(
         (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)

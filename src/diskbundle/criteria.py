@@ -11,8 +11,9 @@ logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
 (2.5) cell diagonals of the singular point are subdivided once, and the
 subcells whose closure holds the singular point are integrated exactly
 over an equal-area disk using the primitive of ``r ln r``.
-:func:`green_potential` evaluates one point; :func:`green_sweep` evaluates
-many with the same arithmetic in the same order, batched in numpy.
+:func:`green_potential` evaluates one point and is the reference;
+:func:`green_sweep` evaluates many, by one weight stencil per probe ring
+correlated over angle by FFT, to within 1e-12 relative plus 1e-15 absolute.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ from .errors import DataError, DomainError, ParameterError
 #: wide enough that the coarse inner cells get subdivided when the singular
 #: point sits among them (the pooled set is containment-bound regardless)
 _NEAR_SINGULAR = 2.5
-
-#: probes per batch in :func:`green_sweep`; each batch holds a few
-#: ``(block, grid.n)`` arrays, and larger blocks raise peak memory without
-#: making the sweep faster
-_PROBE_BLOCK = 8
 
 #: closure tolerance of :func:`_cell_contains`
 _CONTAINS_TOL = 1e-12
@@ -107,95 +103,90 @@ def green_potential(field: DefectField, lam: complex) -> float:
     return (2.0 / np.pi) * total
 
 
-def _in_order_sum(start: float, terms: np.ndarray) -> float:
-    """``start + terms[0] + terms[1] + ...`` added left to right, like a Python loop."""
-    return float(np.add.accumulate(np.append(start, terms))[-1])
+def _green_stencil(grid: ComplexGrid, lam: complex) -> np.ndarray:
+    """Weights ``w`` with ``green_potential(field, lam) ~= (2/pi) * (w @ field.values)``.
+
+    The same near-cell, subcell and pooled-disk arithmetic as
+    :func:`green_potential`, on whole arrays; the quadrature is linear in
+    the density, so the weights do not depend on it.
+    """
+    pts = grid.points
+    area = grid.area_weights
+    dtheta = TWO_PI / grid.angular_count
+    edges = grid.radial_edges
+    ring, sector = np.divmod(np.arange(grid.n), grid.angular_count)
+    w = area * -np.log(np.abs(1.0 - np.conj(lam) * pts))
+    dist = np.abs(pts - lam)
+    near = dist <= _NEAR_SINGULAR * np.hypot(np.diff(edges)[ring], np.abs(pts) * dtheta)
+    w[~near] += area[~near] * np.log(dist[~near])
+
+    # the four subcells of every near cell, as (cells, 4) arrays
+    cell = np.nonzero(near)[0]
+    r_lo, r_hi = edges[ring[cell]], edges[ring[cell] + 1]
+    t_lo, t_hi = sector[cell] * dtheta, (sector[cell] + 1) * dtheta
+    r_mid, t_mid = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
+    a = np.stack([r_lo, r_lo, r_mid, r_mid], axis=1)
+    b = np.stack([r_mid, r_mid, r_hi, r_hi], axis=1)
+    c = np.stack([t_lo, t_mid, t_lo, t_mid], axis=1)
+    d = np.stack([t_mid, t_hi, t_mid, t_hi], axis=1)
+    owner = np.repeat(cell, 4).reshape(-1, 4)
+    r_s = 0.5 * (a + b)
+    w_s = r_s * (b - a) * (d - c)
+
+    # _cell_contains, one subcell per entry
+    tol = _CONTAINS_TOL
+    r, t = abs(lam), float(np.angle(lam)) % TWO_PI
+    angular = ((c - tol <= t) & (t <= d + tol)) | ((c - tol <= t + TWO_PI) & (t + TWO_PI <= d + tol))
+    pooled = (a - tol <= r) & (r <= b + tol) & (a <= tol if r <= tol else angular)
+
+    kept = ~pooled
+    z_s = r_s[kept] * np.exp(1j * (0.5 * (c[kept] + d[kept])))
+    np.add.at(w, owner[kept], w_s[kept] * np.log(np.abs(z_s - lam)))
+    pooled_area = float(np.sum(w_s[pooled]))
+    if pooled_area > 0.0:
+        # exact log integral over the equal-area disk centered at lam
+        radius = np.sqrt(pooled_area / np.pi)
+        np.add.at(w, owner[pooled], w_s[pooled] * (float(np.log(radius)) - 0.5))
+    return w
 
 
 def green_sweep(field: DefectField, probes: Sequence[complex]) -> np.ndarray:
     """:func:`green_potential` at every probe, in probe order.
 
-    Probes run in blocks of ``_PROBE_BLOCK``: the whole-grid terms are
-    ``(block, n)`` arrays and the subdivided near cells are flat subcell
-    arrays instead of a Python loop. Every sum is taken in the scalar
-    path's order (row sums for the smooth part, a sum over the compacted
-    far cells, in-order accumulation for subcells and the pooled disk), and
-    subcell distances use ``hypot`` like the scalar ``abs``, so each value
-    equals :func:`green_potential` bit for bit. Raises :class:`DataError`
-    for a partial field and :class:`DomainError`, before any work, when a
-    probe lies outside the grid's covered disk.
+    The quadrature is linear in the density and, at grid points,
+    equivariant under rotation by the grid angle, so the weights of sector
+    ``k`` of a ring are those of its sector-0 point shifted by ``k``. Each
+    probed ring gets one :func:`_green_stencil` ``W``, and all its sectors
+    come from ``irfft(sum_q conj(rfft(W[q])) * rfft(rho[q]))`` over source
+    rings ``q``, within 1e-12 relative plus 1e-15 absolute of
+    :func:`green_potential`. Probes off the grid go through
+    :func:`green_potential` itself. Raises :class:`DataError` for a partial
+    field and :class:`DomainError`, before any work, for a probe outside
+    the grid's covered disk.
     """
     _require_complete(field)
     grid = field.grid
     outer = float(grid.radial_edges[-1])
     lams = np.array([complex(z) for z in probes], dtype=complex)
-    radii = [abs(lam) for lam in lams]
-    for r in radii:
-        if r >= outer:
-            raise DomainError(f"point |lam| = {r:.4f} outside grid coverage |z| < {outer:.4f}")
-    angles = [float(np.angle(lam)) % TWO_PI for lam in lams]
+    for lam in lams:
+        if abs(lam) >= outer:
+            raise DomainError(f"point |lam| = {abs(lam):.4f} outside grid coverage |z| < {outer:.4f}")
 
-    rho = field.values
-    pts = grid.points
-    rw = rho * grid.area_weights
     count = grid.angular_count
-    dtheta = TWO_PI / count
-    edges = grid.radial_edges
-    rings = np.arange(grid.n) // count
-    reach = _NEAR_SINGULAR * np.hypot(np.diff(edges)[rings], np.abs(pts) * dtheta)
-    tol = _CONTAINS_TOL
-
+    at = {complex(z): i for i, z in enumerate(grid.points)}
+    index = np.array([at.get(complex(lam), -1) for lam in lams], dtype=int)
     out = np.empty(len(lams))
-    for start in range(0, len(lams), _PROBE_BLOCK):
-        block = lams[start : start + _PROBE_BLOCK, None]
-        smooth = np.sum(rw * (-np.log(np.abs(1.0 - np.conj(block) * pts))), axis=1)
-        dist = np.abs(pts - block)
-        near = dist <= reach
-
-        # subcells of every near cell, probe-major and in the scalar loop's
-        # order: cells ascending, then (inner, outer) half x (lower, upper) half
-        owner, cell = np.nonzero(near)
-        ring, sector = np.divmod(cell, count)
-        r_lo, r_hi = edges[ring], edges[ring + 1]
-        t_lo, t_hi = sector * dtheta, (sector + 1) * dtheta
-        r_mid, t_mid = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
-        a = np.stack([r_lo, r_lo, r_mid, r_mid], axis=1).ravel()
-        b = np.stack([r_mid, r_mid, r_hi, r_hi], axis=1).ravel()
-        c = np.stack([t_lo, t_mid, t_lo, t_mid], axis=1).ravel()
-        d = np.stack([t_mid, t_hi, t_mid, t_hi], axis=1).ravel()
-        owner = np.repeat(owner, 4)
-        rho_s = np.repeat(rho[cell], 4)
-        r_s = 0.5 * (a + b)
-        w_s = r_s * (b - a) * (d - c)
-
-        # _cell_contains, one subcell per entry
-        r = np.array(radii[start : start + _PROBE_BLOCK])[owner]
-        t = np.array(angles[start : start + _PROBE_BLOCK])[owner]
-        angular = ((c - tol <= t) & (t <= d + tol)) | ((c - tol <= t + TWO_PI) & (t + TWO_PI <= d + tol))
-        pooled = (a - tol <= r) & (r <= b + tol) & np.where(r <= tol, a <= tol, angular)
-
-        kept = ~pooled
-        z_s = r_s[kept] * np.exp(1j * (0.5 * (c[kept] + d[kept])))
-        gap = z_s - lams[start + owner[kept]]
-        terms = rho_s[kept] * w_s[kept] * np.log(np.hypot(gap.real, gap.imag))
-        mass = rho_s[pooled] * w_s[pooled]
-        area = w_s[pooled]
-
-        term_end = np.searchsorted(owner[kept], np.arange(len(block)), side="right")
-        pool_end = np.searchsorted(owner[pooled], np.arange(len(block)), side="right")
-        term_lo = pool_lo = 0
-        for k in range(len(block)):
-            far = ~near[k]
-            total = float(smooth[k])
-            total += float(np.sum(rw[far] * np.log(dist[k, far])))
-            total = _in_order_sum(total, terms[term_lo : term_end[k]])
-            if pool_end[k] > pool_lo:
-                pooled_area = _in_order_sum(0.0, area[pool_lo : pool_end[k]])
-                pooled_mass = _in_order_sum(0.0, mass[pool_lo : pool_end[k]])
-                radius = np.sqrt(pooled_area / np.pi)
-                total += pooled_mass * (float(np.log(radius)) - 0.5)
-            out[start + k] = (2.0 / np.pi) * total
-            term_lo, pool_lo = term_end[k], pool_end[k]
+    for i in np.flatnonzero(index < 0):
+        out[i] = green_potential(field, lams[i])
+    on_grid = np.flatnonzero(index >= 0)
+    ring, sector = np.divmod(index[on_grid], count)
+    rho_hat = np.fft.rfft(field.values.reshape(-1, count), axis=1)
+    # a set, not np.unique, which imports numpy.ma on first use
+    for q in sorted(set(ring.tolist())):
+        stencil = _green_stencil(grid, grid.points[q * count]).reshape(-1, count)
+        spectrum = np.sum(np.conj(np.fft.rfft(stencil, axis=1)) * rho_hat, axis=0)
+        hit = ring == q
+        out[on_grid[hit]] = (2.0 / np.pi) * np.fft.irfft(spectrum, n=count)[sector[hit]]
     return out
 
 

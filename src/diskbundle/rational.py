@@ -268,8 +268,9 @@ class RationalMatrix:
             if not isinstance(obj[flag], bool):
                 raise DataError(f"{flag} flag must be a boolean", field=flag)
         rows, cols = obj["rows"], obj["cols"]
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
-            raise DataError("rows and cols must be positive integers", field="rows")
+        for key, n in (("rows", rows), ("cols", cols)):
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                raise DataError(f"{key} must be a positive integer", field=key)
         raw = obj["entries"]
         if not isinstance(raw, list) or len(raw) != rows:
             raise DataError(f"entries must be a list of {rows} rows", field="entries")

@@ -433,6 +433,14 @@ def test_defect_field_refuses_non_finite_values():
     assert np.all(np.isnan(field.values))
 
 
+def test_scalar_path_refuses_non_finite_gram():
+    # the Gram matrix overflows to inf, so hi / lo is NaN and no comparison with the cap fails
+    frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
+    for check in (projection, projection_dz, curvature_defect, full_bundle_curvature):
+        with pytest.raises(ConditioningError, match="exceeds cap"):
+            check(frame, 0.3)
+
+
 def test_gram_bounds_match_pointwise_eigvalsh():
     grid = build_grid(8, 32, 1e-3)
     for frame in (quadratic_frame(), seeded_rational_frame(12, 2, seed=5), gauge_frame()):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, field_from_function
-from diskbundle.calculus import TWO_PI, build_grid
+from diskbundle import criteria
+from diskbundle.calculus import TWO_PI, build_grid, ring_grid
 from diskbundle.criteria import (
     Thresholds,
     carleson_check,
@@ -86,34 +87,88 @@ def test_green_boundedness_constant_field(grid):
     assert all(-1.02 <= v < 0.0 for v in values)
 
 
-# --- batched sweep against the scalar reference ---
+# --- ring-stencil sweep against the scalar reference ---
 
 
-@pytest.mark.parametrize("shape", [(2, 8), (8, 64), (20, 64)])
+def assert_sweep_matches_scalar(field, probes):
+    swept = green_sweep(field, probes)
+    reference = np.array([green_potential(field, z) for z in probes])
+    assert swept.shape == (len(probes),)
+    assert np.all(np.abs(swept - reference) <= 1e-12 * np.abs(reference) + 1e-15)
+
+
+def sweep_fields(sweep_grid):
+    # the defect of (1, 0.3 + lam + 0.5i lam^2) is not radial, so a probe read
+    # from the wrong sector of its ring shows
+    skew = AnalyticFrame.from_polynomials([[1.0], [0.3, 1.0, 0.5j]])
+    return (defect_field(skew, sweep_grid), constant_field(sweep_grid, 1.0), constant_field(sweep_grid, 0.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8, 64), (20, 64), (1, 1), (7, 30)])
 def test_green_sweep_matches_scalar_potential(shape):
     radial, angular = shape
     sweep_grid = build_grid(radial, angular, 1e-3)
     dt = TWO_PI / angular
     # off-grid: the center, next to it, on a cell edge angle, near the rim
     off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * dt), 0.998]
-    probes = list(sweep_grid.points) + off_grid
-    for field in (defect_field(one_lambda_frame(), sweep_grid), constant_field(sweep_grid, 1.0)):
-        swept = green_sweep(field, probes)
-        reference = np.array([green_potential(field, z) for z in probes])
-        assert swept.shape == (len(probes),)
+    for field in sweep_fields(sweep_grid):
+        assert_sweep_matches_scalar(field, list(sweep_grid.points) + off_grid)
+
+
+def test_green_sweep_ring_grid_and_default_probes():
+    # ring_grid samples sit off their cells' radial midpoints
+    uneven = ring_grid([0.05, 0.2, 0.35, 0.6, 0.8, 0.9], 12)
+    for field in sweep_fields(uneven):
+        assert_sweep_matches_scalar(field, uneven.points)
+    sweep_grid = build_grid(7, 30, 1e-3)
+    for stride in (1, 3):
+        for field in sweep_fields(sweep_grid):
+            assert_sweep_matches_scalar(field, default_probes(sweep_grid, stride))
+
+
+@pytest.mark.parametrize("shape", [(12, 256), (16, 512)])
+def test_green_sweep_sampled_on_fine_grids(shape):
+    sweep_grid = build_grid(*shape, 1e-3)
+    sample = np.random.default_rng(7).choice(sweep_grid.n, size=10, replace=False)
+    for field in sweep_fields(sweep_grid)[:2]:
+        swept = green_sweep(field, sweep_grid.points)[sample]
+        reference = np.array([green_potential(field, sweep_grid.points[i]) for i in sample])
         assert np.all(np.abs(swept - reference) <= 1e-12 * np.abs(reference) + 1e-15)
 
 
-def test_green_sweep_refuses_probe_outside_grid(grid):
+def test_green_sweep_mixed_probe_list(grid):
+    field = sweep_fields(grid)[0]
+    dt = TWO_PI / grid.angular_count
+    off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * dt), 0.998]
+    on_grid = list(grid.points[::-37][:12])
+    probes = [on_grid[3], off_grid[0], *on_grid, off_grid[1], on_grid[3], off_grid[2], on_grid[0], off_grid[3]]
+    swept = green_sweep(field, probes)
+    for z, value in zip(probes, swept):
+        reference = green_potential(field, z)
+        if z in off_grid:
+            assert value == reference
+        else:
+            assert abs(value - reference) <= 1e-12 * abs(reference) + 1e-15
+    for z in (on_grid[3], on_grid[0]):
+        assert len({value for p, value in zip(probes, swept) if p == z}) == 1
+
+
+def test_green_sweep_refuses_probe_outside_grid(grid, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep started before validating its probes")
+
+    monkeypatch.setattr(criteria, "_green_stencil", no_work)
+    monkeypatch.setattr(criteria, "green_potential", no_work)
     with pytest.raises(DomainError):
-        green_sweep(constant_field(grid, 1.0), [0.0, 0.5, 0.9995, 0.1])
+        green_sweep(constant_field(grid, 1.0), [0.0, grid.points[5], 0.9995, 0.1])
 
 
-def test_green_sweep_refuses_partial_field(grid):
+def test_green_sweep_refuses_partial_field(grid, monkeypatch):
     z0 = grid.points[3]
     field = defect_field(AnalyticFrame([[RationalFunction([-z0, 1.0])]]), grid)
+    monkeypatch.setattr(criteria, "_green_stencil", lambda *args: pytest.fail("stencil built for a partial field"))
     with pytest.raises(DataError):
-        green_sweep(field, [0.0])
+        green_sweep(field, [0.0, grid.points[5]])
 
 
 # --- pointwise bound ---

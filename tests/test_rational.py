@@ -102,7 +102,8 @@ def test_rational_matrix_json(tmp_path, cls, flags):
     for key in good:
         assert field_of({k: v for k, v in good.items() if k != key}) == key
     assert field_of({**good, "rows": 0}) == "rows"
-    assert field_of({**good, "cols": 1.0}) == "rows"
+    assert field_of({**good, "cols": 1.0}) == "cols"
+    assert field_of({**good, "cols": 0}) == "cols"
     assert field_of({**good, "entries": [[_ENTRY], [_ENTRY]]}) == "entries"
     assert field_of({**good, "cols": 2, "entries": [[_ENTRY]]}) == "entries[0]"
     bad_entries = {
@@ -128,7 +129,6 @@ def test_json_booleans_are_not_numbers(cls, flags):
         with pytest.raises(DataError) as err:
             cls.from_jsonable(obj)
         assert err.value.field == field
-    # rows and cols share one check and one field name
     with pytest.raises(DataError) as err:
         cls.from_jsonable({**good, "cols": True})
-    assert err.value.field == "rows"
+    assert err.value.field == "cols"
