@@ -2,12 +2,13 @@
 
 The package computes the differential geometry of moving subspaces given
 by rational frames (projections, holomorphic derivatives, curvature
-defects), evaluates similarity-type diagnostics for the resulting defect
-fields (Green potential, dyadic Carleson constant, pointwise growth
-bound), verifies finite-section Toeplitz identities with rational matrix
-symbols including scalar inner-outer factorization, and builds the
-spike-weighted backward shift whose kernel ratios, ratio bounds, and
-growth witness it then certifies numerically.
+defects, Gram bounds), evaluates similarity-type diagnostics for the
+resulting defect fields (Green potential, dyadic Carleson constant,
+pointwise growth bound), verifies finite-section Toeplitz identities with
+rational matrix symbols including scalar inner-outer factorization, and
+builds the spike weight whose kernel ratios, ratio bounds and shift-orbit
+growth it then certifies numerically. Finite-difference and brute-force
+references live with the tests, not here.
 """
 
 from .bundle import (
@@ -15,11 +16,9 @@ from .bundle import (
     BundleCurvature,
     DefectField,
     GramBounds,
-    ProjectionSample,
     constant_field,
     curvature_defect,
     defect_field,
-    field_from_function,
     full_bundle_curvature,
     gram,
     gram_bounds,
@@ -28,26 +27,19 @@ from .bundle import (
     load_frame,
     projection,
     projection_dz,
-    projection_sample,
     save_frame,
 )
 from .calculus import (
-    CarlesonBox,
     ComplexGrid,
     build_grid,
     carleson_constant,
-    dyadic_boxes,
-    green_function,
-    laplacian,
     ring_grid,
-    wirtinger_dz,
 )
 from .criteria import (
     CriteriaReport,
     Thresholds,
     carleson_check,
     default_probes,
-    green_boundedness,
     green_potential,
     green_sweep,
     pointwise_bound,
@@ -62,22 +54,11 @@ from .errors import (
     DomainError,
     NumericalError,
     ParameterError,
-    SingularityError,
     SymbolError,
     ToolkitError,
     ValidationError,
 )
-from .kernels import (
-    DerivKernelPoint,
-    HardyKernelPoint,
-    KernelIdentities,
-    coefficient_inner,
-    h2w_norm_sq,
-    hardy_kernel,
-    kernel_identities,
-    weighted_kernel_diag,
-    weighted_kernel_diag_certified,
-)
+from .kernels import weighted_kernel_diag_certified
 from .rational import RationalFunction
 from .toeplitz import (
     InnerOuterFactorization,
@@ -97,8 +78,6 @@ from .weights import (
     KernelRatio,
     SpikeBound,
     WeightSequence,
-    almost_isometry_check,
-    backward_shift_apply,
     build_spike_weight,
     counterexample_report,
     kernel_ratio_check,

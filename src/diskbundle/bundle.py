@@ -11,11 +11,12 @@ derivative is the curvature defect tracked throughout the package, and
 
 by realizing the kernel-tensored frame on a truncated coefficient space.
 
-The grid sweeps (``defect_field``, ``gram_bounds``) evaluate the frame and
-its exact derivative once on the whole grid as ``(n, rows, cols)`` stacks.
-The condition check is a batched ``eigvalsh`` of the Grams ``F*F`` with
-the same cap as the scalar path; points that fail it are masked out before
-any factorization, because one singular matrix makes a whole stack raise.
+``defect_field`` evaluates the frame and its exact derivative once on the
+whole grid as ``(n, rows, cols)`` stacks. The condition check is a batched
+``eigvalsh`` of the Grams ``F*F`` with the same cap as the scalar path;
+the field keeps each point's extreme eigenvalues, which ``gram_bounds``
+reduces, and points that fail the check are masked out before any
+factorization, because one singular matrix makes a whole stack raise.
 The defect then comes from the batched reduced QR ``F = QR`` as
 ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows projection and
 keeps its accuracy when ``|F'|`` dwarfs the defect. The scalar
@@ -25,7 +26,8 @@ reference the sweeps are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -85,8 +87,10 @@ def gram(frame: AnalyticFrame, lam) -> np.ndarray:
 
 
 def _condition_message(lo: float, hi: float) -> str:
+    # an overflowed Gram matrix has inf eigenvalues, whose quotient would read nan
+    condition = hi / lo if lo > 0 and np.isfinite(lo) and np.isfinite(hi) else np.inf
     return (
-        f"Gram matrix condition {hi / lo if lo > 0 else np.inf:.3e} exceeds cap {CONDITION_CAP:.0e}"
+        f"Gram matrix condition {condition:.3e} exceeds cap {CONDITION_CAP:.0e}"
         f" (eigenvalues in [{lo:.3e}, {hi:.3e}])"
     )
 
@@ -118,35 +122,6 @@ def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     p = a @ solve_at
     eye = np.eye(frame.rows, dtype=complex)
     return (eye - p) @ d @ solve_at
-
-
-@dataclass(frozen=True)
-class ProjectionSample:
-    """Projection and its derivative at one parameter, with residual checks."""
-
-    lam: complex
-    pi: np.ndarray
-    pi_dz: np.ndarray
-    rank: int
-
-    def residuals(self) -> dict:
-        pi, dp = self.pi, self.pi_dz
-        eye = np.eye(pi.shape[0], dtype=complex)
-        return {
-            "hermitian": float(np.linalg.norm(pi - pi.conj().T)),
-            "idempotent": float(np.linalg.norm(pi @ pi - pi)),
-            "trace": abs(float(np.trace(pi).real) - self.rank) + abs(float(np.trace(pi).imag)),
-            "derivative_identity": float(np.linalg.norm((eye - pi) @ dp @ pi - dp)),
-        }
-
-
-def projection_sample(frame: AnalyticFrame, lam: complex) -> ProjectionSample:
-    return ProjectionSample(
-        lam=complex(lam),
-        pi=projection(frame, lam),
-        pi_dz=projection_dz(frame, lam),
-        rank=frame.cols,
-    )
 
 
 def hs_norm_sq(m) -> float:
@@ -242,22 +217,22 @@ class GramBounds:
     c_max: float
 
 
-def gram_bounds(frame: AnalyticFrame, grid: ComplexGrid) -> GramBounds:
-    eigs = np.linalg.eigvalsh(gram(frame, grid.points))
-    return GramBounds(c_min=float(np.min(eigs[:, 0])), c_max=float(np.max(eigs[:, -1])))
-
-
 @dataclass(frozen=True)
 class DefectField:
     """Curvature-defect samples on a grid.
 
     Failed evaluations are recorded in ``failures`` with NaN values; such a
     field is *partial* and refused by the quadrature consumers.
+    ``gram_lo`` and ``gram_hi`` are the smallest and largest Gram
+    eigenvalue at each point, kept by :func:`defect_field` for
+    :func:`gram_bounds`; a field built from bare values has none.
     """
 
     grid: ComplexGrid
     values: np.ndarray
     failures: tuple = ()
+    gram_lo: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+    gram_hi: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -275,7 +250,7 @@ class DefectField:
     def scaled(self, t: float) -> "DefectField":
         if t < 0:
             raise ParameterError("scale factor must be nonnegative")
-        return DefectField(grid=self.grid, values=self.values * t, failures=self.failures)
+        return replace(self, values=self.values * t)
 
 
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
@@ -307,13 +282,18 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     failures = tuple(
         (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
     )
-    return DefectField(grid=grid, values=values, failures=failures)
+    return DefectField(grid=grid, values=values, failures=failures, gram_lo=lo, gram_hi=hi)
+
+
+def gram_bounds(field: DefectField) -> GramBounds:
+    """Reduce the per-point Gram extremes that :func:`defect_field` kept."""
+    if field.gram_lo is None or field.gram_hi is None:
+        raise DataError("field carries no Gram extremes; build it with defect_field")
+    if field.is_partial:
+        raise DataError("field is partial; its Gram extremes do not cover the grid")
+    return GramBounds(c_min=float(np.min(field.gram_lo)), c_max=float(np.max(field.gram_hi)))
 
 
 def constant_field(grid: ComplexGrid, value: float) -> DefectField:
     """Uniform field, mainly for calibration and tests."""
     return DefectField(grid=grid, values=np.full(grid.n, float(value)))
-
-
-def field_from_function(grid: ComplexGrid, fn) -> DefectField:
-    return DefectField(grid=grid, values=np.array([float(fn(z)) for z in grid.points]))

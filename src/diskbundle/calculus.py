@@ -1,11 +1,8 @@
 """Numerical calculus on the open unit disk.
 
 Provides the polar quadrature grid (geometric radial refinement toward the
-boundary), Wirtinger derivatives and the normalized Laplacian
-``(1/4)(d^2/dx^2 + d^2/dy^2)`` by finite differences, the disk Green
-function ``ln|(z - a)/(1 - conj(a) z)|``, and the dyadic Carleson-box
-constant of a sampled measure density. :func:`write_csv` writes every
-CSV dump of the package.
+boundary) and the dyadic Carleson-box constant of a sampled measure
+density. :func:`write_csv` writes every CSV dump of the package.
 
 All sup- and max-type quantities are taken over the grid, which covers
 ``|z| <= 1 - margin``; nothing here extrapolates to the full open disk.
@@ -15,16 +12,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParameterError, SingularityError
+from .errors import DataError, ParameterError
 
 TWO_PI = 2.0 * np.pi
-
-#: default finite-difference step; balances truncation against roundoff
-DEFAULT_FD_STEP = 1e-4
 
 #: quadrature weights must reproduce the covered area to this relative error
 _AREA_RTOL = 0.02
@@ -73,9 +67,6 @@ class ComplexGrid:
     def ring_count(self) -> int:
         return len(self.radial_levels)
 
-    def ring_of(self, index: int) -> int:
-        return index // self.angular_count
-
     def cell_geometry(self, index: int):
         """Radial and angular extent (r_lo, r_hi, t_lo, t_hi) of cell ``index``."""
         ring, sector = divmod(index, self.angular_count)
@@ -86,11 +77,6 @@ class ComplexGrid:
             sector * dt,
             (sector + 1) * dt,
         )
-
-    def to_csv(self, path) -> None:
-        """Dump ``re,im,weight`` rows in radial-major order."""
-        rows = zip(self.points.real.tolist(), self.points.imag.tolist(), self.area_weights.tolist())
-        write_csv(path, ["re", "im", "weight"], rows)
 
 
 def write_csv(path, header, rows) -> None:
@@ -174,81 +160,13 @@ def ring_grid(radii: Sequence[float], angular_count: int) -> ComplexGrid:
     )
 
 
-def _check_stencil(z: complex, h: float) -> None:
-    if h <= 0.0:
-        raise ParameterError("step h must be positive")
-    if abs(z) + h >= 1.0:
-        raise DomainError("finite-difference stencil leaves the unit disk")
-
-
-def wirtinger_dz(f: Callable[[complex], complex], z: complex, h: float = DEFAULT_FD_STEP,
-                 richardson: bool = False) -> complex:
-    """d/dz by the 4-point central stencil, O(h^2) for C^3 integrands.
-
-    ``richardson=True`` combines steps ``h`` and ``h/2`` to cancel the
-    leading error term.
-    """
-    if richardson:
-        d1 = wirtinger_dz(f, z, h)
-        d2 = wirtinger_dz(f, z, h / 2)
-        return (4.0 * d2 - d1) / 3.0
-    _check_stencil(z, h)
-    dx = (f(z + h) - f(z - h)) / (2.0 * h)
-    dy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
-    return 0.5 * (dx - 1j * dy)
-
-
-def laplacian(f: Callable[[complex], float], z: complex, h: float = DEFAULT_FD_STEP) -> float:
-    """Normalized Laplacian (one quarter of the usual one) by 5-point stencil."""
-    _check_stencil(z, h)
-    s = f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
-    return 0.25 * float(s) / (h * h)
-
-
-def green_function(z: complex, lam: complex) -> float:
-    """Disk Green function ``ln|(z - lam)/(1 - conj(lam) z)|``; <= 0 inside."""
-    if abs(z) >= 1.0 or abs(lam) >= 1.0:
-        raise ParameterError("both arguments must lie in the open unit disk")
-    if z == lam:
-        raise SingularityError("green_function is singular on the diagonal z == lam")
-    return float(np.log(abs((z - lam) / (1.0 - np.conj(lam) * z))))
-
-
-@dataclass(frozen=True)
-class CarlesonBox:
-    """Dyadic boundary box: radii in ``[1 - side, 1)``, arc of length
-    ``2 pi side`` starting at angle ``theta0``."""
-
-    side: float
-    theta0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.side <= 1.0:
-            raise ParameterError("box side must lie in (0, 1]")
-
-    def contains(self, z: complex) -> bool:
-        if abs(z) < 1.0 - self.side:
-            return False
-        theta = np.angle(z) % TWO_PI
-        offset = (theta - self.theta0) % TWO_PI
-        return offset < TWO_PI * self.side
-
-
-def dyadic_boxes(max_depth: int) -> Iterator[CarlesonBox]:
-    """All dyadic boxes of depth 0..max_depth (2^k boxes of side 2^-k)."""
-    if max_depth < 0:
-        raise ParameterError("max_depth must be >= 0")
-    for k in range(max_depth + 1):
-        side = 2.0 ** (-k)
-        for a in range(2 ** k):
-            yield CarlesonBox(side=side, theta0=a * TWO_PI * side)
-
-
 def carleson_constant(density, grid: ComplexGrid, max_depth: int) -> float:
     """Largest box mass of ``density * (1 - |z|) dA`` divided by box side.
 
-    The boxes are the dyadic family of :func:`dyadic_boxes`; any comparable
-    box convention changes the constant by a bounded factor only.
+    The boxes are dyadic: depth ``k`` has ``2^k`` boxes of side ``2^-k``,
+    radii in ``[1 - 2^-k, 1)`` and arcs starting at multiples of
+    ``2 pi 2^-k``. Any comparable box convention changes the constant by a
+    bounded factor only.
     """
     if max_depth < 0:
         raise ParameterError("max_depth must be >= 0")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import DefectField, defect_field, full_bundle_curvature, gram_bounds, load_frame
 from .calculus import build_grid, write_csv
-from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
+from .criteria import Thresholds, grid_meta, similarity_verdict, write_probe_heatmap
 from .errors import DataError, NumericalError, ParameterError, ValidationError
 from .toeplitz import (
     intertwining_check,
@@ -271,7 +271,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
         raise NumericalError(
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
-    bounds = gram_bounds(frame, grid)
+    bounds = gram_bounds(field_)
     emit_heatmap(field_, cfg.out_dir / "defect_field.csv")
     samples = []
     for lam in (0.0 + 0.0j, 0.5 + 0.0j):
@@ -289,12 +289,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
         )
     return {
         "command": "curvature",
-        "grid": {
-            "points": grid.n,
-            "radial_count": grid.ring_count,
-            "angular_count": grid.angular_count,
-            "margin": grid.margin,
-        },
+        "grid": grid_meta(grid),
         "gram_bounds": {"c_min": bounds.c_min, "c_max": bounds.c_max},
         "defect": {
             "min": float(np.min(field_.values)),

@@ -198,14 +198,6 @@ def default_probes(grid: ComplexGrid, stride: int = 4) -> np.ndarray:
     return grid.points[rings % stride == 0]
 
 
-def green_boundedness(field: DefectField, probe_points: Sequence[complex]) -> float:
-    """Most negative Green potential over the probes."""
-    probes = list(probe_points)
-    if not probes:
-        raise ParameterError("at least one probe point is required")
-    return float(np.min(green_sweep(field, probes)))
-
-
 def pointwise_bound(field: DefectField) -> float:
     """Smallest admissible ``C`` in ``sqrt(defect) <= C / (1 - |z|)`` on the grid."""
     _require_complete(field)
@@ -269,7 +261,8 @@ class CriteriaReport:
         }
 
 
-def _grid_meta(grid: ComplexGrid) -> dict:
+def grid_meta(grid: ComplexGrid) -> dict:
+    """The ``grid`` block of the ``curvature`` and ``criteria`` reports."""
     return {
         "points": grid.n,
         "radial_count": int(grid.ring_count),
@@ -293,7 +286,7 @@ def similarity_verdict(
     """
     thresholds = thresholds or Thresholds()
     field = defect_field(frame, grid)
-    meta = _grid_meta(grid)
+    meta = grid_meta(grid)
     if field.is_partial:
         return CriteriaReport(
             gram_bounds=None,
@@ -306,7 +299,7 @@ def similarity_verdict(
             partial=True,
             failures=field.failures,
         )
-    bounds = gram_bounds(frame, grid)
+    bounds = gram_bounds(field)
     probes = default_probes(grid, probe_stride)
     potentials = green_sweep(field, probes)
     green_inf = float(np.min(potentials))

@@ -46,10 +46,6 @@ class BoundaryZeroError(ValidationError):
     """A zero sits on the unit circle, so no inner-outer split exists."""
 
 
-class SingularityError(ValidationError):
-    """Evaluation requested exactly at a singular point."""
-
-
 class NumericalError(ToolkitError):
     """A computation ran but could not meet its accuracy contract."""
 

@@ -1,117 +1,17 @@
-"""Reproducing kernels of the Hardy space and its weighted variants.
+"""Diagonal of the reproducing kernel of a weighted Hardy space.
 
-The Hardy kernel is ``k_a(z) = 1/(1 - conj(a) z)``; its parameter
-derivative reproduces derivatives of analytic functions. The weighted
-diagonal ``sum |a|^(2n) / w_n`` is evaluated with a certified geometric
-tail so that boundary radii up to 0.999 are safe.
+The weighted diagonal ``sum |a|^(2n) / w_n`` is evaluated with a certified
+geometric tail so that boundary radii up to 0.999 are safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DataError, ParameterError, SingularityError
+from .errors import DataError, ParameterError
 
 #: relative accuracy target for adaptive kernel sums
 KERNEL_REL_TOL = 1e-12
-
-
-def hardy_kernel(lam: complex, z: complex) -> complex:
-    """Evaluate ``1/(1 - conj(lam) z)`` exactly."""
-    if abs(lam) >= 1.0:
-        raise ParameterError("kernel parameter must lie in the open unit disk")
-    if abs(z) > 1.0:
-        raise ParameterError("evaluation point must satisfy |z| <= 1")
-    d = 1.0 - np.conj(lam) * z
-    if d == 0:
-        raise SingularityError("kernel pole: conj(lam) * z == 1")
-    return complex(1.0 / d)
-
-
-def coefficient_inner(a, b) -> complex:
-    """H^2 inner product of two coefficient sequences, ``sum a_n conj(b_n)``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = min(len(a), len(b))
-    return complex(np.sum(a[:n] * np.conj(b[:n])))
-
-
-@dataclass(frozen=True)
-class HardyKernelPoint:
-    """The kernel function at a fixed parameter, with its power series."""
-
-    lam: complex
-
-    def __post_init__(self):
-        if abs(self.lam) >= 1.0:
-            raise ParameterError("kernel parameter must lie in the open unit disk")
-
-    def __call__(self, z: complex) -> complex:
-        return hardy_kernel(self.lam, z)
-
-    @property
-    def self_value(self) -> float:
-        """``k_a(a) = (1 - |a|^2)^-1``, always positive."""
-        return 1.0 / (1.0 - abs(self.lam) ** 2)
-
-    def coefficients(self, n: int) -> np.ndarray:
-        """First ``n`` power-series coefficients, ``conj(lam)^k``."""
-        return np.conj(self.lam) ** np.arange(n)
-
-
-@dataclass(frozen=True)
-class DerivKernelPoint:
-    """``z / (1 - lam z)^2``; pairing a polynomial's coefficients against
-    ``coefficients(n)`` in the H^2 inner product yields ``p'(conj(lam))``."""
-
-    lam: complex
-
-    def __post_init__(self):
-        if abs(self.lam) >= 1.0:
-            raise ParameterError("kernel parameter must lie in the open unit disk")
-
-    def __call__(self, z: complex) -> complex:
-        d = 1.0 - self.lam * z
-        return complex(z / (d * d))
-
-    def coefficients(self, n: int) -> np.ndarray:
-        """First ``n`` power-series coefficients, ``k * lam^(k-1)``."""
-        k = np.arange(n)
-        out = np.zeros(n, dtype=complex)
-        if n > 1:
-            out[1:] = k[1:] * self.lam ** (k[1:] - 1)
-        return out
-
-
-@dataclass(frozen=True)
-class KernelIdentities:
-    """Closed forms attached to the kernel pair at one parameter."""
-
-    k_norm_sq: float
-    ktilde_norm_sq: float
-    mixed_inner: complex
-    combo_norm_sq: float
-
-
-def kernel_identities(lam: complex) -> KernelIdentities:
-    """The four closed forms for the kernel and its derivative at ``lam``:
-
-    ``|k|^2 = (1-x)^-1``, ``|kt|^2 = (1+x)(1-x)^-3``,
-    ``<kt, k> = conj(lam) (1-x)^-2`` and
-    ``|-conj(lam) k + (1-x) kt|^2 = (1-x)^-1`` with ``x = |lam|^2``.
-    """
-    if abs(lam) >= 1.0:
-        raise ParameterError("kernel parameter must lie in the open unit disk")
-    x = abs(lam) ** 2
-    one = 1.0 - x
-    return KernelIdentities(
-        k_norm_sq=1.0 / one,
-        ktilde_norm_sq=(1.0 + x) / one ** 3,
-        mixed_inner=complex(np.conj(lam) / one ** 2),
-        combo_norm_sq=1.0 / one,
-    )
 
 
 def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_TOL):
@@ -147,20 +47,3 @@ def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_
         return float(partials[i]), float(bounds[i])
     total = float(partials[-1]) + x ** len(values) / (1.0 - x)
     return total, 8.0 * np.finfo(float).eps * total
-
-
-def weighted_kernel_diag(w, lam: complex, rel_tol: float = KERNEL_REL_TOL) -> float:
-    """Value of ``sum_n |lam|^(2n) / w_n`` (see the certified variant)."""
-    value, _ = weighted_kernel_diag_certified(w, lam, rel_tol)
-    return value
-
-
-def h2w_norm_sq(coeffs, w) -> float:
-    """Weighted norm square ``sum |a_n|^2 w_n`` of a finite coefficient list."""
-    a = np.asarray(coeffs, dtype=complex)
-    values = np.asarray(w.values, dtype=float)
-    if len(a) > len(values):
-        raise DataError(
-            f"coefficient list of length {len(a)} exceeds stored weights ({len(values)})"
-        )
-    return float(np.sum(np.abs(a) ** 2 * values[: len(a)]))

@@ -129,10 +129,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return len(self.num) == 1 and self.num[0] == 0
 
-    @property
-    def is_polynomial(self) -> bool:
-        return len(self.den) == 1
-
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

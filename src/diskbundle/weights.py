@@ -1,4 +1,4 @@
-"""Spike-weight sequences and the weighted backward shift.
+"""Spike-weight sequences and the checks of the counterexample report.
 
 A spike weight equals 1 everywhere except on sparse intervals
 ``[N_j, N_j + 2j]`` where ``ln w_n`` rises linearly with slope
@@ -9,7 +9,9 @@ pinned at its extreme admissible value so the construction is canonical.
 
 The sequences store integer half-log exponents alongside the float
 weights; ratio checks use exponent differences, so the reported extreme
-ratio is bitwise ``(1+eps)**2`` rather than a rounded quotient.
+ratio is bitwise ``(1+eps)**2`` rather than a rounded quotient. The
+report adds the kernel-diagonal ratios, the per-spike extremal bounds and
+the growth of the shift orbit ``|S^n 1|_w^2 = w_n``.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ class WeightSequence:
     """Positive weights with ``w_0 = 1``.
 
     Beyond the stored range the sequence continues with the unit plateau
-    (``w_n = 1``); kernel sums rely on that convention, while the
-    coefficient-space operations below raise :class:`CapacityError` when
-    they would index past ``values``.
+    (``w_n = 1``); kernel sums rely on that convention, while
+    :func:`shift_growth_witness` raises :class:`CapacityError` when it
+    would index past ``values``.
     """
 
     values: np.ndarray
@@ -71,13 +73,6 @@ class WeightSequence:
     @property
     def is_spike_built(self) -> bool:
         return self.log_exponents is not None
-
-    def value_at(self, n: int) -> float:
-        """Weight at index ``n``; 1 past the stored range."""
-        if n < 0:
-            raise ParameterError("index must be nonnegative")
-        return float(self.values[n]) if n < len(self.values) else 1.0
-
 
 def _ceil_tol(x: float) -> int:
     # forgive upward float noise when x is an exact integer
@@ -222,20 +217,6 @@ def spike_peak_bound(n_start: int, j: int) -> SpikeBound:
     return SpikeBound(j=j, start=n_start, extremal=float(extremal), bound=float(bound))
 
 
-def backward_shift_apply(w: WeightSequence, coeffs) -> np.ndarray:
-    """Apply the weighted backward shift: ``out_n = (w_{n+1}/w_n) a_{n+1}``."""
-    a = np.asarray(coeffs, dtype=complex)
-    if len(a) > w.length:
-        raise CapacityError(
-            f"coefficients of length {len(a)} exceed stored weights ({w.length})",
-            required_length=len(a),
-        )
-    if len(a) <= 1:
-        return np.zeros(0, dtype=complex)
-    ratios = w.values[1:len(a)] / w.values[: len(a) - 1]
-    return ratios * a[1:]
-
-
 def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
     """Norm squares ``|S^n f|_w^2 = sum_j |a_j|^2 w_{j+n}`` for n = 0..n_max."""
     a = np.asarray(coeffs, dtype=complex)
@@ -251,35 +232,6 @@ def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
         )
     absq = np.abs(a) ** 2
     return np.sum(absq * sliding_window_view(w.values[: len(a) + n_max], len(a)), axis=1)
-
-
-def almost_isometry_check(w: WeightSequence, epsilon: float, trial_coeffs) -> float:
-    """Worst multiplicative distortion of the forward shift over the trials.
-
-    Returns ``max(r, 1/r)`` maximized over trials where
-    ``r = |S f|_w / |f|_w``; for weights obeying the two-sided ratio bound
-    the result lies in ``[1, 1 + epsilon]``.
-    """
-    worst = 1.0
-    seen = False
-    for coeffs in trial_coeffs:
-        a = np.asarray(coeffs, dtype=complex)
-        if len(a) + 1 > w.length:
-            raise CapacityError(
-                f"trial of length {len(a)} needs {len(a) + 1} stored weights",
-                required_length=len(a) + 1,
-            )
-        absq = np.abs(a) ** 2
-        nf = float(np.sum(absq * w.values[: len(a)]))
-        if nf == 0.0:
-            raise DataError("trial coefficients must be nonzero")
-        ns = float(np.sum(absq * w.values[1 : len(a) + 1]))
-        r = math.sqrt(ns / nf)
-        worst = max(worst, r, 1.0 / r)
-        seen = True
-    if not seen:
-        raise ParameterError("at least one trial is required")
-    return worst
 
 
 def weights_to_csv(w: WeightSequence, path) -> None:

@@ -26,12 +26,10 @@ from diskbundle.bundle import (
     hs_norm_sq,
     projection,
     projection_dz,
-    projection_sample,
     save_frame,
 )
-from diskbundle.calculus import build_grid, ring_grid, wirtinger_dz
+from diskbundle.calculus import build_grid, ring_grid
 from diskbundle.criteria import carleson_check, green_potential, pointwise_bound
-from diskbundle.kernels import kernel_identities
 from diskbundle.rational import RationalFunction, poly_mul
 from diskbundle.toeplitz import (
     MatrixSymbol,
@@ -41,11 +39,8 @@ from diskbundle.toeplitz import (
     multiplicativity_check,
     scalar_inner_outer,
 )
-from diskbundle.weights import (
-    backward_shift_apply,
-    build_spike_weight,
-    counterexample_report,
-)
+from diskbundle.weights import build_spike_weight, counterexample_report
+from oracles import backward_shift_apply, kernel_identities, projection_sample, wirtinger_dz
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -17,12 +17,12 @@ from diskbundle.bundle import (
     load_frame,
     projection,
     projection_dz,
-    projection_sample,
     save_frame,
 )
-from diskbundle.calculus import build_grid, laplacian, wirtinger_dz
+from diskbundle.calculus import build_grid
 from diskbundle.errors import AccuracyError, ConditioningError, DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_from_roots
+from oracles import laplacian, projection_sample, wirtinger_dz
 
 
 def one_lambda_frame():
@@ -330,13 +330,13 @@ def test_hardy_line_frame_curvature_converges():
 
 def test_gram_bounds_identity():
     grid = build_grid(3, 8, 0.1)
-    bounds = gram_bounds(AnalyticFrame.constant(np.eye(2)), grid)
+    bounds = gram_bounds(defect_field(AnalyticFrame.constant(np.eye(2)), grid))
     assert bounds.c_min == 1.0 and bounds.c_max == 1.0
 
 
 def test_gram_bounds_one_lambda():
     grid = build_grid(8, 64, 1e-3)
-    bounds = gram_bounds(one_lambda_frame(), grid)
+    bounds = gram_bounds(defect_field(one_lambda_frame(), grid))
     assert 1.0 <= bounds.c_min <= 1.1
     assert 1.9 <= bounds.c_max <= 2.0
 
@@ -344,7 +344,7 @@ def test_gram_bounds_one_lambda():
 def test_gram_bounds_degenerate_frame():
     grid = build_grid(8, 64, 1e-3)
     frame = AnalyticFrame([[RationalFunction([0.0, 1.0])], [RationalFunction([0.0])]])
-    bounds = gram_bounds(frame, grid)
+    bounds = gram_bounds(defect_field(frame, grid))
     min_r = np.min(np.abs(grid.points))
     assert abs(bounds.c_min - min_r**2) < 1e-12
 
@@ -437,17 +437,37 @@ def test_scalar_path_refuses_non_finite_gram():
     # the Gram matrix overflows to inf, so hi / lo is NaN and no comparison with the cap fails
     frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
     for check in (projection, projection_dz, curvature_defect, full_bundle_curvature):
-        with pytest.raises(ConditioningError, match="exceeds cap"):
+        with pytest.raises(ConditioningError, match="exceeds cap") as info:
             check(frame, 0.3)
+        assert "condition inf" in str(info.value)
+        assert "nan" not in str(info.value)
 
 
 def test_gram_bounds_match_pointwise_eigvalsh():
     grid = build_grid(8, 32, 1e-3)
     for frame in (quadratic_frame(), seeded_rational_frame(12, 2, seed=5), gauge_frame()):
         eigs = np.array([np.linalg.eigvalsh(gram(frame, z)) for z in grid.points])
-        bounds = gram_bounds(frame, grid)
+        bounds = gram_bounds(defect_field(frame, grid))
         assert abs(bounds.c_min - eigs[:, 0].min()) <= 1e-12 * eigs[:, 0].min()
         assert abs(bounds.c_max - eigs[:, -1].max()) <= 1e-12 * eigs[:, -1].max()
+
+
+def test_gram_bounds_refuse_fields_without_full_extremes():
+    grid = build_grid(4, 16, 0.01)
+    frame = AnalyticFrame([[RationalFunction([-grid.points[5], 1.0])]])  # vanishes at point 5
+    with pytest.raises(DataError, match="partial"):
+        gram_bounds(defect_field(frame, grid))
+    with pytest.raises(DataError, match="no Gram extremes"):
+        gram_bounds(constant_field(grid, 1.0))
+
+
+def test_scaled_field_keeps_gram_extremes():
+    grid = build_grid(4, 16, 0.01)
+    field = defect_field(one_lambda_frame(), grid)
+    scaled = field.scaled(2.0)
+    assert np.array_equal(scaled.values, 2.0 * field.values)
+    assert scaled.gram_lo is field.gram_lo and scaled.gram_hi is field.gram_hi
+    assert gram_bounds(scaled) == gram_bounds(field)
 
 
 def test_defect_field_rejects_negative_values():

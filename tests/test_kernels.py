@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from diskbundle.errors import DataError, ParameterError
-from diskbundle.kernels import (
-    DerivKernelPoint,
-    HardyKernelPoint,
-    coefficient_inner,
-    h2w_norm_sq,
-    hardy_kernel,
-    kernel_identities,
-    weighted_kernel_diag,
-    weighted_kernel_diag_certified,
-)
+from diskbundle.errors import ParameterError
+from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.weights import WeightSequence, build_spike_weight
+from oracles import kernel_identities
 
 
 def _series_identities(lam, n_terms=None):
@@ -35,29 +27,6 @@ def _series_identities(lam, n_terms=None):
         complex(np.sum(kt * np.conj(k))),
         float(np.sum(np.abs(combo) ** 2)),
     )
-
-
-def test_hardy_kernel_values():
-    for z in (0.0, 0.5, 0.3 + 0.2j):
-        assert hardy_kernel(0.0, z) == 1.0
-    assert abs(hardy_kernel(0.5, 0.5) - 4.0 / 3.0) < 1e-15
-    expected = (1 + 0.25j) / 1.0625
-    assert abs(hardy_kernel(0.5, 0.5j) - expected) < 1e-15
-
-
-def test_hardy_kernel_rejects_outside_disk():
-    with pytest.raises(ParameterError):
-        hardy_kernel(1.0, 0.5)
-    with pytest.raises(ParameterError):
-        hardy_kernel(0.5, 1.5)
-
-
-def test_kernel_point_self_value():
-    for lam in (0.0, 0.5, 0.7j, -0.3 + 0.4j):
-        pt = HardyKernelPoint(lam)
-        assert pt.self_value > 0
-        assert abs(pt.self_value - 1 / (1 - abs(lam) ** 2)) < 1e-14
-        assert abs(pt(lam) - pt.self_value) < 1e-12
 
 
 def test_identities_at_zero():
@@ -91,35 +60,10 @@ def test_identities_reject_boundary():
         kernel_identities(1.0)
 
 
-def test_reproducing_property_by_coefficients():
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    for lam in (0.0, 0.5, 0.3 - 0.6j, 0.9):
-        direct = np.polynomial.polynomial.polyval(lam, coeffs)
-        paired = coefficient_inner(coeffs, HardyKernelPoint(lam).coefficients(len(coeffs)))
-        assert abs(paired - direct) < 1e-12
-
-
-def test_derivative_reproducing_property():
-    rng = np.random.default_rng(6)
-    coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    for lam in (0.0, 0.4, 0.2 + 0.5j):
-        paired = coefficient_inner(coeffs, DerivKernelPoint(lam).coefficients(len(coeffs)))
-        expected = np.polynomial.polynomial.polyval(np.conj(lam), dcoeffs)
-        assert abs(paired - expected) < 1e-10
-
-
-def test_deriv_kernel_value_function():
-    pt = DerivKernelPoint(0.4)
-    z = 0.3 + 0.1j
-    assert abs(pt(z) - z / (1 - 0.4 * z) ** 2) < 1e-15
-
-
 def test_weighted_diag_unit_weights():
     ones = WeightSequence.from_values([1.0])
-    assert weighted_kernel_diag(ones, 0.0) == 1.0
-    assert abs(weighted_kernel_diag(ones, 0.5) - 4 / 3) < 1e-12
+    assert weighted_kernel_diag_certified(ones, 0.0)[0] == 1.0
+    assert abs(weighted_kernel_diag_certified(ones, 0.5)[0] - 4 / 3) < 1e-12
 
 
 def test_weighted_diag_matches_hardy_for_unit_weights():
@@ -133,28 +77,10 @@ def test_weighted_diag_spike_bracket():
     w = build_spike_weight(0.1, 1, 64)
     lam = 0.9
     hardy = 1 / (1 - lam**2)
-    value = weighted_kernel_diag(w, lam)
+    value = weighted_kernel_diag_certified(w, lam)[0]
     assert (1.1) ** -2 * hardy <= value <= hardy
 
 
 def test_weighted_diag_rejects_boundary():
     with pytest.raises(ParameterError):
-        weighted_kernel_diag(WeightSequence.from_values([1.0]), 1.0)
-
-
-def test_h2w_norm_sq():
-    assert h2w_norm_sq([1.0], WeightSequence.from_values([1.0])) == 1.0
-    assert h2w_norm_sq([1, 1, 1], WeightSequence.from_values([1.0, 2.0, 4.0])) == 7.0
-
-
-def test_h2w_norm_converges_to_kernel_diagonal():
-    n = 100
-    coeffs = HardyKernelPoint(0.5).coefficients(n)
-    w = WeightSequence.from_values(np.ones(n))
-    tail = 0.25**n / 0.75
-    assert abs(h2w_norm_sq(coeffs, w) - 4 / 3) <= tail + 1e-12
-
-
-def test_h2w_norm_length_mismatch():
-    with pytest.raises(DataError):
-        h2w_norm_sq([1, 1, 1], WeightSequence.from_values([1.0, 2.0]))
+        weighted_kernel_diag_certified(WeightSequence.from_values([1.0]), 1.0)

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from diskbundle.errors import AccuracyError, CapacityError, DataError, ParameterError
-from diskbundle.kernels import weighted_kernel_diag
+from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.weights import (
     WeightSequence,
-    almost_isometry_check,
-    backward_shift_apply,
     build_spike_weight,
     counterexample_report,
     kernel_ratio_check,
@@ -16,6 +14,7 @@ from diskbundle.weights import (
     weights_from_csv,
     weights_to_csv,
 )
+from oracles import backward_shift_apply
 
 
 # --- construction ---
@@ -63,9 +62,11 @@ def test_weight_sequence_validation():
 
 
 def test_unit_tail_convention():
+    # past the stored range w_n = 1, so the diagonal is 1 + x/2 + x^2/(1-x)
     w = WeightSequence.from_values([1.0, 2.0])
-    assert w.value_at(1) == 2.0
-    assert w.value_at(100) == 1.0
+    x = 0.25
+    value, bound = weighted_kernel_diag_certified(w, 0.5)
+    assert abs(value - (1.0 + x / 2 + x**2 / (1.0 - x))) <= bound + 1e-15
 
 
 # --- ratio bound ---
@@ -229,34 +230,6 @@ def test_unboundedness_witness_grows_with_spike_count():
     assert peaks[0] < peaks[1] < peaks[2]
 
 
-# --- almost isometry ---
-
-
-def test_almost_isometry_unit_weights():
-    w = WeightSequence.from_values(np.ones(16))
-    assert almost_isometry_check(w, 0.1, [np.ones(8)]) == 1.0
-
-
-def test_almost_isometry_basis_trials():
-    w = build_spike_weight(0.1, 1, 64)
-    trials = [np.eye(1, 20, k)[0] for k in range(19)]
-    worst = almost_isometry_check(w, 0.1, trials)
-    assert worst == pytest.approx(1.1, abs=1e-12)
-    assert worst <= 1.1 + 1e-12
-
-
-def test_almost_isometry_mixed_trial():
-    w = build_spike_weight(0.1, 1, 64)
-    worst = almost_isometry_check(w, 0.1, [np.ones(30)])
-    assert 1.0 <= worst <= 1.1
-
-
-def test_almost_isometry_rejects_zero_trial():
-    w = WeightSequence.from_values(np.ones(4))
-    with pytest.raises(DataError):
-        almost_isometry_check(w, 0.1, [np.zeros(2)])
-
-
 # --- reports and dumps ---
 
 
@@ -287,5 +260,6 @@ def test_weighted_diag_consistency_with_report():
     # spot check the kernel sum the report relies on
     w = build_spike_weight(0.1, 2, 128)
     r = 0.999
-    direct = sum(r ** (2 * n) / w.value_at(n) for n in range(60000))
-    assert abs(weighted_kernel_diag(w, r) - direct) < 1e-8 * direct
+    # past the stored weights the unit tail w_n = 1 takes over
+    direct = sum(r ** (2 * n) / (w.values[n] if n < w.length else 1.0) for n in range(60000))
+    assert abs(weighted_kernel_diag_certified(w, r)[0] - direct) < 1e-8 * direct
