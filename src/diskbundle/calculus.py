@@ -30,8 +30,10 @@ class ComplexGrid:
 
     ``points`` are ordered radial-major: all angles of the innermost ring
     first. ``radial_edges`` are the ring boundaries (``len(radial_levels)+1``
-    entries starting at 0), kept so that quadrature code can recover the
-    cell that owns each sample.
+    entries starting at 0). Sample ``i`` owns the polar cell of ring
+    ``i // angular_count`` between its two edges and of sector
+    ``k = i % angular_count``, angles ``[k, k + 1] * 2 pi / angular_count``;
+    the Green quadrature subdivides these cells.
     """
 
     points: np.ndarray
@@ -66,17 +68,6 @@ class ComplexGrid:
     @property
     def ring_count(self) -> int:
         return len(self.radial_levels)
-
-    def cell_geometry(self, index: int):
-        """Radial and angular extent (r_lo, r_hi, t_lo, t_hi) of cell ``index``."""
-        ring, sector = divmod(index, self.angular_count)
-        dt = TWO_PI / self.angular_count
-        return (
-            float(self.radial_edges[ring]),
-            float(self.radial_edges[ring + 1]),
-            sector * dt,
-            (sector + 1) * dt,
-        )
 
 
 def write_csv(path, header, rows) -> None:

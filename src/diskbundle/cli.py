@@ -132,13 +132,20 @@ def _check_keys(obj, allowed, where):
             raise ParameterError(f"unknown key {key!r} in {where}", field=f"{where}.{key}")
 
 
-def load_config(path: Path, command: str) -> RunConfig:
+def _with_file(action, path: Path, key: str):
+    """``action(path)``; a file the run cannot read or create exits 2 on ``key``."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"config file not found: {path}") from exc
+        return action(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{key} {path} cannot be used: {type(exc).__name__}: {exc}", field=key) from exc
+
+
+def load_config(path: Path, command: str) -> RunConfig:
+    text = _with_file(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"config file is not valid JSON: {exc}") from exc
+        raise DataError(f"config file is not valid JSON: {exc}", field="config") from exc
     allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
     _check_keys(raw, allowed, "config")
     missing = _REQUIRED_KEYS[command] - set(raw)
@@ -264,7 +271,7 @@ def _pair(z: complex) -> list:
 
 
 def _cmd_curvature(cfg: RunConfig) -> dict:
-    frame = load_frame(cfg.frame_path)
+    frame = _with_file(load_frame, cfg.frame_path, "frame")
     grid = cfg.grid.build()
     field_ = defect_field(frame, grid)
     if field_.is_partial:
@@ -303,7 +310,7 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
 
 
 def _cmd_criteria(cfg: RunConfig) -> dict:
-    frame = load_frame(cfg.frame_path)
+    frame = _with_file(load_frame, cfg.frame_path, "frame")
     grid = cfg.grid.build()
     report = similarity_verdict(frame, grid, cfg.thresholds, cfg.probe_stride, cfg.max_depth)
     doc = {"command": "criteria", **report.to_json_dict()}
@@ -317,7 +324,7 @@ def _cmd_criteria(cfg: RunConfig) -> dict:
 
 
 def _cmd_toeplitz(cfg: RunConfig) -> dict:
-    symbol = load_symbol(cfg.symbol_path)
+    symbol = _with_file(load_symbol, cfg.symbol_path, "symbol")
     grid = cfg.grid.build()
     order = min(cfg.truncation, 64)
     section = toeplitz_section(symbol, order)
@@ -334,7 +341,7 @@ def _cmd_toeplitz(cfg: RunConfig) -> dict:
         "inner_outer": None,
     }
     if cfg.second_symbol_path is not None:
-        other = load_symbol(cfg.second_symbol_path)
+        other = _with_file(load_symbol, cfg.second_symbol_path, "second_symbol")
         doc["multiplicativity"] = multiplicativity_check(symbol, other, order)
     if symbol.analytic:
         e = cfg.vector if cfg.vector is not None else [1.0] + [0.0] * (symbol.rows - 1)
@@ -416,7 +423,7 @@ def main(argv=None) -> int:
         if args.truncation is not None:
             cfg.truncation = args.truncation
         cfg.validate()
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg.out_dir, "out_dir")
         doc = _DISPATCH[args.command](cfg)
         report_path = cfg.out_dir / "report.json"
         write_report(doc, report_path)

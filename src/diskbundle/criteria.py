@@ -11,9 +11,11 @@ logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
 (2.5) cell diagonals of the singular point are subdivided once, and the
 subcells whose closure holds the singular point are integrated exactly
 over an equal-area disk using the primitive of ``r ln r``.
-:func:`green_potential` evaluates one point and is the reference;
-:func:`green_sweep` evaluates many, by one weight stencil per probe ring
-correlated over angle by FFT, to within 1e-12 relative plus 1e-15 absolute.
+:func:`_green_stencil` holds that quadrature as one weight per grid point.
+:func:`green_potential` applies it at any covered point; :func:`green_sweep`
+evaluates grid points by index, one stencil per probed ring correlated
+over angle by FFT, within 1e-12 relative plus 1e-15 absolute of the direct
+sum.
 """
 
 from __future__ import annotations
@@ -32,23 +34,13 @@ from .errors import DataError, DomainError, ParameterError
 #: point sits among them (the pooled set is containment-bound regardless)
 _NEAR_SINGULAR = 2.5
 
-#: closure tolerance of :func:`_cell_contains`
+#: closure tolerance of the subcells pooled around the singular point
 _CONTAINS_TOL = 1e-12
 
 
 def _require_complete(field: DefectField) -> None:
     if field.is_partial:
         raise DataError("field is partial; recompute the failing points first")
-
-
-def _cell_contains(r_lo, r_hi, t_lo, t_hi, lam, tol=_CONTAINS_TOL) -> bool:
-    r = abs(lam)
-    if not r_lo - tol <= r <= r_hi + tol:
-        return False
-    if r <= tol:
-        return r_lo <= tol  # the center belongs to every innermost sector
-    t = float(np.angle(lam)) % TWO_PI
-    return t_lo - tol <= t <= t_hi + tol or t_lo - tol <= t + TWO_PI <= t_hi + tol
 
 
 def green_potential(field: DefectField, lam: complex) -> float:
@@ -58,57 +50,18 @@ def green_potential(field: DefectField, lam: complex) -> float:
     ``lam`` is outside the grid's covered disk.
     """
     _require_complete(field)
-    grid = field.grid
-    outer = float(grid.radial_edges[-1])
+    outer = float(field.grid.radial_edges[-1])
     if abs(lam) >= outer:
         raise DomainError(f"point |lam| = {abs(lam):.4f} outside grid coverage |z| < {outer:.4f}")
-
-    rho = field.values
-    pts = grid.points
-    w = grid.area_weights
-    # smooth half of the kernel, ordinary midpoint everywhere
-    total = float(np.sum(rho * w * (-np.log(np.abs(1.0 - np.conj(lam) * pts)))))
-
-    dtheta = TWO_PI / grid.angular_count
-    rings = np.arange(grid.n) // grid.angular_count
-    dr = np.diff(grid.radial_edges)[rings]
-    diag = np.hypot(dr, np.abs(pts) * dtheta)
-    dist = np.abs(pts - lam)
-    near = dist <= _NEAR_SINGULAR * diag  # always catches the cell owning lam
-
-    total += float(np.sum(rho[~near] * w[~near] * np.log(dist[~near])))
-
-    # near cells are subdivided once; only the subcells whose closure holds
-    # lam are pooled into the exact-primitive disk, the rest use midpoints
-    pooled_area = 0.0
-    pooled_mass = 0.0
-    for i in np.nonzero(near)[0]:
-        r_lo, r_hi, t_lo, t_hi = grid.cell_geometry(int(i))
-        r_mid, t_mid = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
-        for a, b in ((r_lo, r_mid), (r_mid, r_hi)):
-            for c, d in ((t_lo, t_mid), (t_mid, t_hi)):
-                r_s = 0.5 * (a + b)
-                w_s = r_s * (b - a) * (d - c)
-                if _cell_contains(a, b, c, d, lam):
-                    pooled_area += w_s
-                    pooled_mass += rho[i] * w_s
-                else:
-                    z_s = r_s * np.exp(1j * 0.5 * (c + d))
-                    total += rho[i] * w_s * float(np.log(abs(z_s - lam)))
-    if pooled_area > 0.0:
-        # exact log integral over the equal-area disk centered at lam:
-        # integral of ln|u| over |u| < R equals pi R^2 (ln R - 1/2)
-        radius = np.sqrt(pooled_area / np.pi)
-        total += pooled_mass * (float(np.log(radius)) - 0.5)
-    return (2.0 / np.pi) * total
+    return (2.0 / np.pi) * float(_green_stencil(field.grid, lam) @ field.values)
 
 
 def _green_stencil(grid: ComplexGrid, lam: complex) -> np.ndarray:
-    """Weights ``w`` with ``green_potential(field, lam) ~= (2/pi) * (w @ field.values)``.
+    """Weights ``w`` with ``green_potential(field, lam) == (2/pi) * (w @ field.values)``.
 
-    The same near-cell, subcell and pooled-disk arithmetic as
-    :func:`green_potential`, on whole arrays; the quadrature is linear in
-    the density, so the weights do not depend on it.
+    The quadrature is linear in the density, so the weights do not depend
+    on it: far cells use their midpoint, each near cell its four subcells,
+    and the subcells whose closure holds ``lam`` share the pooled disk.
     """
     pts = grid.points
     area = grid.area_weights
@@ -133,7 +86,7 @@ def _green_stencil(grid: ComplexGrid, lam: complex) -> np.ndarray:
     r_s = 0.5 * (a + b)
     w_s = r_s * (b - a) * (d - c)
 
-    # _cell_contains, one subcell per entry
+    # the subcells whose closure holds lam, one subcell per entry
     tol = _CONTAINS_TOL
     r, t = abs(lam), float(np.angle(lam)) % TWO_PI
     angular = ((c - tol <= t) & (t <= d + tol)) | ((c - tol <= t + TWO_PI) & (t + TWO_PI <= d + tol))
@@ -150,52 +103,46 @@ def _green_stencil(grid: ComplexGrid, lam: complex) -> np.ndarray:
     return w
 
 
-def green_sweep(field: DefectField, probes: Sequence[complex]) -> np.ndarray:
-    """:func:`green_potential` at every probe, in probe order.
+def green_sweep(field: DefectField, index: Sequence[int]) -> np.ndarray:
+    """:func:`green_potential` at the grid points ``grid.points[index]``, in index order.
 
     The quadrature is linear in the density and, at grid points,
     equivariant under rotation by the grid angle, so the weights of sector
     ``k`` of a ring are those of its sector-0 point shifted by ``k``. Each
     probed ring gets one :func:`_green_stencil` ``W``, and all its sectors
     come from ``irfft(sum_q conj(rfft(W[q])) * rfft(rho[q]))`` over source
-    rings ``q``, within 1e-12 relative plus 1e-15 absolute of
-    :func:`green_potential`. Probes off the grid go through
-    :func:`green_potential` itself. Raises :class:`DataError` for a partial
-    field and :class:`DomainError`, before any work, for a probe outside
-    the grid's covered disk.
+    rings ``q``, within 1e-12 relative plus 1e-15 absolute of the direct
+    sum in :func:`green_potential`. Raises :class:`DataError` for a partial field and, before any
+    stencil is built, :class:`ParameterError` for indices that are not
+    integers and :class:`DomainError` for one outside ``0..n-1``.
     """
     _require_complete(field)
     grid = field.grid
-    outer = float(grid.radial_edges[-1])
-    lams = np.array([complex(z) for z in probes], dtype=complex)
-    for lam in lams:
-        if abs(lam) >= outer:
-            raise DomainError(f"point |lam| = {abs(lam):.4f} outside grid coverage |z| < {outer:.4f}")
+    index = np.asarray(index)
+    if index.ndim != 1 or (index.size and not np.issubdtype(index.dtype, np.integer)):
+        raise ParameterError("probes must be a sequence of integer grid indices")
+    if index.size and not 0 <= index.min() <= index.max() < grid.n:
+        raise DomainError(f"probe index outside the grid's points 0..{grid.n - 1}")
 
     count = grid.angular_count
-    at = {complex(z): i for i, z in enumerate(grid.points)}
-    index = np.array([at.get(complex(lam), -1) for lam in lams], dtype=int)
-    out = np.empty(len(lams))
-    for i in np.flatnonzero(index < 0):
-        out[i] = green_potential(field, lams[i])
-    on_grid = np.flatnonzero(index >= 0)
-    ring, sector = np.divmod(index[on_grid], count)
+    ring, sector = np.divmod(index, count)
+    out = np.empty(len(index))
     rho_hat = np.fft.rfft(field.values.reshape(-1, count), axis=1)
     # a set, not np.unique, which imports numpy.ma on first use
     for q in sorted(set(ring.tolist())):
         stencil = _green_stencil(grid, grid.points[q * count]).reshape(-1, count)
         spectrum = np.sum(np.conj(np.fft.rfft(stencil, axis=1)) * rho_hat, axis=0)
         hit = ring == q
-        out[on_grid[hit]] = (2.0 / np.pi) * np.fft.irfft(spectrum, n=count)[sector[hit]]
+        out[hit] = (2.0 / np.pi) * np.fft.irfft(spectrum, n=count)[sector[hit]]
     return out
 
 
 def default_probes(grid: ComplexGrid, stride: int = 4) -> np.ndarray:
-    """Probe points on every ``stride``-th radial level of the grid."""
+    """Indices of the grid points on every ``stride``-th radial level."""
     if stride < 1:
         raise ParameterError("stride must be >= 1")
     rings = np.arange(grid.n) // grid.angular_count
-    return grid.points[rings % stride == 0]
+    return np.flatnonzero(rings % stride == 0)
 
 
 def pointwise_bound(field: DefectField) -> float:
@@ -235,7 +182,8 @@ class CriteriaReport:
     checks: dict
     partial: bool
     failures: tuple = ()
-    #: what the verdict swept, kept for :func:`write_probe_heatmap`; not in the JSON
+    #: what the verdict swept (probe grid indices and their potentials), kept
+    #: for :func:`write_probe_heatmap`; not in the JSON
     field: Optional[DefectField] = dataclass_field(default=None, repr=False, compare=False)
     probes: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
     potentials: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
@@ -327,21 +275,15 @@ def similarity_verdict(
 
 
 def write_probe_heatmap(
-    field: DefectField, probes: Sequence[complex], path, potentials: Sequence[float]
+    field: DefectField, index: Sequence[int], path, potentials: Sequence[float]
 ) -> None:
-    """CSV ``re,im,defect,green_potential`` per probe, in probe order.
+    """CSV ``re,im,defect,green_potential`` per probed grid point, in probe order.
 
-    ``potentials`` are the probes' Green potentials as :func:`green_sweep`
-    returns them (:func:`similarity_verdict` keeps them on its report).
+    ``potentials`` are :func:`green_sweep`'s values at ``index``
+    (:func:`similarity_verdict` keeps both on its report).
     """
     _require_complete(field)
-    grid = field.grid
-    lookup = {complex(z): v for z, v in zip(grid.points, field.values)}
-    rows = []
-    for z, p in zip(probes, potentials, strict=True):
-        z = complex(z)
-        d = lookup.get(z)
-        if d is None:
-            d = field.values[int(np.argmin(np.abs(grid.points - z)))]
-        rows.append([z.real, z.imag, float(d), float(p)])
+    z = field.grid.points[index]
+    defect = field.values[index]
+    rows = list(zip(z.real.tolist(), z.imag.tolist(), defect.tolist(), map(float, potentials), strict=True))
     write_csv(path, ["re", "im", "defect", "green_potential"], rows)

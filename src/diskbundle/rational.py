@@ -281,7 +281,7 @@ class RationalMatrix:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as exc:

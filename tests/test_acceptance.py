@@ -15,7 +15,6 @@ from pathlib import Path
 import math
 
 import numpy as np
-import pytest
 
 from diskbundle.bundle import (
     AnalyticFrame,

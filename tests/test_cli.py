@@ -4,12 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
 from diskbundle.calculus import build_grid
-from diskbundle.cli import emit_heatmap
+from diskbundle.cli import emit_heatmap, main
 from diskbundle.errors import NumericalError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, save_symbol
@@ -302,3 +301,44 @@ def test_overflowing_gram_exits_3(tmp_path):
     assert result.returncode == 3, result.stdout + result.stderr
     error = json.loads(result.stdout)
     assert error["kind"] == "numerical" and "16 failures" in error["message"]
+
+
+
+@pytest.mark.parametrize(
+    "command, config, payload, out, field",
+    [
+        ("curvature", "cfg.json", {"frame": "nope.json"}, None, "frame"),
+        ("criteria", "cfg.json", {"frame": "folder"}, None, "frame"),
+        ("curvature", "cfg.json", {"frame": "latin1.json"}, None, "frame"),
+        ("toeplitz", "cfg.json", {"symbol": "nope.json"}, None, "symbol"),
+        ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "folder"}, None, "second_symbol"),
+        ("curvature", "cfg.json", {"frame": "frame.json", "out_dir": "taken"}, None, "out_dir"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "taken", "out_dir"),
+        ("criteria", "folder", {}, None, "config"),
+        ("criteria", "latin1.json", {}, None, "config"),
+    ],
+    ids=[
+        "frame_missing",
+        "frame_directory",
+        "frame_not_utf8",
+        "symbol_missing",
+        "second_symbol_directory",
+        "out_dir_is_a_file",
+        "out_option_is_a_file",
+        "config_directory",
+        "config_not_utf8",
+    ],
+)
+def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, field):
+    save_frame(AnalyticFrame.constant([[1.0], [0.0]]), tmp_path / "frame.json")
+    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    (tmp_path / "latin1.json").write_bytes(b'{"frame": "fr\xe9me.json"}')
+    write_config(tmp_path / "cfg.json", {**payload, "grid": {"radial_count": 1, "angular_count": 4}})
+    argv = [command, "--config", str(tmp_path / config)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "validation" and error["type"] == "DataError" and error["field"] == field

@@ -14,8 +14,10 @@ from diskbundle.criteria import (
     similarity_verdict,
     write_probe_heatmap,
 )
-from diskbundle.errors import DataError, DomainError
+from diskbundle.errors import DataError, DomainError, ParameterError
 from diskbundle.rational import RationalFunction
+
+from oracles import subcell_green_potential
 
 
 @pytest.fixture(scope="module")
@@ -80,20 +82,32 @@ def test_potential_refuses_partial_field(grid):
 
 def test_green_boundedness_constant_field(grid):
     field = constant_field(grid, 1.0)
-    worst = float(np.min(green_sweep(field, [0.0, 0.5, 0.9])))
-    values = [green_potential(field, p) for p in (0.0, 0.5, 0.9)]
+    index = [0, 2 * grid.angular_count + 5, grid.n - 1]
+    worst = float(np.min(green_sweep(field, index)))
+    values = [float(green_sweep(field, [i])[0]) for i in index]
     assert worst == min(values)
     assert all(-1.02 <= v < 0.0 for v in values)
+    assert all(-1.02 <= green_potential(field, p) < 0.0 for p in (0.0, 0.5, 0.9))
 
 
-# --- ring-stencil sweep against the scalar reference ---
+# --- one quadrature, held to the subcell loop ---
 
 
-def assert_sweep_matches_scalar(field, probes):
-    swept = green_sweep(field, probes)
-    reference = np.array([green_potential(field, z) for z in probes])
-    assert swept.shape == (len(probes),)
-    assert np.all(np.abs(swept - reference) <= 1e-12 * np.abs(reference) + 1e-15)
+def within_tolerance(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    return bool(np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference) + 1e-15))
+
+
+def assert_sweep_matches_oracle(field, index):
+    swept = green_sweep(field, index)
+    reference = np.array([subcell_green_potential(field, field.grid.points[i]) for i in index])
+    assert swept.shape == (len(index),)
+    assert within_tolerance(swept, reference)
+
+
+def off_grid_points(grid):
+    # the center, next to it, on a cell edge angle, near the rim
+    return [0.0, 1e-13, 0.5 * np.exp(1j * 3 * TWO_PI / grid.angular_count), 0.998]
 
 
 def sweep_fields(sweep_grid):
@@ -105,24 +119,26 @@ def sweep_fields(sweep_grid):
 
 @pytest.mark.parametrize("shape", [(2, 8), (8, 64), (20, 64), (1, 1), (7, 30)])
 def test_green_sweep_matches_scalar_potential(shape):
-    radial, angular = shape
-    sweep_grid = build_grid(radial, angular, 1e-3)
-    dt = TWO_PI / angular
-    # off-grid: the center, next to it, on a cell edge angle, near the rim
-    off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * dt), 0.998]
+    sweep_grid = build_grid(*shape, 1e-3)
     for field in sweep_fields(sweep_grid):
-        assert_sweep_matches_scalar(field, list(sweep_grid.points) + off_grid)
+        assert_sweep_matches_oracle(field, np.arange(sweep_grid.n))
+        for lam in off_grid_points(sweep_grid):
+            assert within_tolerance(green_potential(field, lam), subcell_green_potential(field, lam))
 
 
 def test_green_sweep_ring_grid_and_default_probes():
     # ring_grid samples sit off their cells' radial midpoints
     uneven = ring_grid([0.05, 0.2, 0.35, 0.6, 0.8, 0.9], 12)
     for field in sweep_fields(uneven):
-        assert_sweep_matches_scalar(field, uneven.points)
+        assert_sweep_matches_oracle(field, np.arange(uneven.n))
     sweep_grid = build_grid(7, 30, 1e-3)
     for stride in (1, 3):
+        probes = default_probes(sweep_grid, stride)
+        rings = probes // sweep_grid.angular_count
+        assert np.array_equal(np.unique(rings), np.arange(0, 7, stride))
+        assert len(probes) == len(np.unique(rings)) * sweep_grid.angular_count
         for field in sweep_fields(sweep_grid):
-            assert_sweep_matches_scalar(field, default_probes(sweep_grid, stride))
+            assert_sweep_matches_oracle(field, probes)
 
 
 @pytest.mark.parametrize("shape", [(12, 256), (16, 512)])
@@ -130,36 +146,36 @@ def test_green_sweep_sampled_on_fine_grids(shape):
     sweep_grid = build_grid(*shape, 1e-3)
     sample = np.random.default_rng(7).choice(sweep_grid.n, size=10, replace=False)
     for field in sweep_fields(sweep_grid)[:2]:
-        swept = green_sweep(field, sweep_grid.points)[sample]
-        reference = np.array([green_potential(field, sweep_grid.points[i]) for i in sample])
-        assert np.all(np.abs(swept - reference) <= 1e-12 * np.abs(reference) + 1e-15)
+        assert_sweep_matches_oracle(field, sample)
 
 
 def test_green_sweep_mixed_probe_list(grid):
     field = sweep_fields(grid)[0]
-    dt = TWO_PI / grid.angular_count
-    off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * dt), 0.998]
-    on_grid = list(grid.points[::-37][:12])
-    probes = [on_grid[3], off_grid[0], *on_grid, off_grid[1], on_grid[3], off_grid[2], on_grid[0], off_grid[3]]
-    swept = green_sweep(field, probes)
-    for z, value in zip(probes, swept):
-        reference = green_potential(field, z)
-        if z in off_grid:
-            assert value == reference
-        else:
-            assert abs(value - reference) <= 1e-12 * abs(reference) + 1e-15
-    for z in (on_grid[3], on_grid[0]):
-        assert len({value for p, value in zip(probes, swept) if p == z}) == 1
+    on_grid = list(range(grid.n - 1, -1, -37))[:12]
+    index = [on_grid[3], *on_grid, on_grid[3], on_grid[0], 0]
+    swept = green_sweep(field, index)
+    for i, value in zip(index, swept):
+        assert within_tolerance(value, subcell_green_potential(field, grid.points[i]))
+    for i in (on_grid[3], on_grid[0]):
+        assert len({value for j, value in zip(index, swept) if j == i}) == 1
+
+
+def no_stencil(*args):
+    raise AssertionError("the sweep started before validating its probes")
 
 
 def test_green_sweep_refuses_probe_outside_grid(grid, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the sweep started before validating its probes")
+    monkeypatch.setattr(criteria, "_green_stencil", no_stencil)
+    for index in ([0, 5, grid.n, 1], [0, -1]):
+        with pytest.raises(DomainError):
+            green_sweep(constant_field(grid, 1.0), index)
 
-    monkeypatch.setattr(criteria, "_green_stencil", no_work)
-    monkeypatch.setattr(criteria, "green_potential", no_work)
-    with pytest.raises(DomainError):
-        green_sweep(constant_field(grid, 1.0), [0.0, grid.points[5], 0.9995, 0.1])
+
+def test_green_sweep_refuses_non_integer_index(grid, monkeypatch):
+    monkeypatch.setattr(criteria, "_green_stencil", no_stencil)
+    for index in ([0.0, 5.0], [0, 5.5], [grid.points[5]], [True, False], [[0, 1]]):
+        with pytest.raises(ParameterError):
+            green_sweep(constant_field(grid, 1.0), index)
 
 
 def test_green_sweep_refuses_partial_field(grid, monkeypatch):
@@ -167,7 +183,7 @@ def test_green_sweep_refuses_partial_field(grid, monkeypatch):
     field = defect_field(AnalyticFrame([[RationalFunction([-z0, 1.0])]]), grid)
     monkeypatch.setattr(criteria, "_green_stencil", lambda *args: pytest.fail("stencil built for a partial field"))
     with pytest.raises(DataError):
-        green_sweep(field, [0.0, grid.points[5]])
+        green_sweep(field, [0, 5])
 
 
 # --- pointwise bound ---
@@ -284,8 +300,14 @@ def test_boundedness_follows_from_carleson_and_pointwise(grid):
 def test_probe_heatmap(tmp_path, grid):
     field = defect_field(one_lambda_frame(), grid)
     probes = default_probes(grid, 4)
+    swept = green_sweep(field, probes)
     path = tmp_path / "probes.csv"
-    write_probe_heatmap(field, probes, path, green_sweep(field, probes))
+    write_probe_heatmap(field, probes, path, swept)
     lines = path.read_text().splitlines()
     assert lines[0] == "re,im,defect,green_potential"
     assert len(lines) == 1 + len(probes)
+    for line, i, potential in zip(lines[1:], probes, swept, strict=True):
+        re, im, defect, green = (float(part) for part in line.split(","))
+        assert complex(re, im) == grid.points[i]
+        assert defect == field.values[i]
+        assert green == potential

@@ -1,0 +1,45 @@
+"""Every import in the package and the tests is used.
+
+An import counts as used when the module reads its name anywhere (a
+name, or the base of an attribute chain) or lists it in ``__all__``. The
+package ``__init__`` re-exports its names, so it is left out.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.zeros(1)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in files
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
 from diskbundle.calculus import build_grid
-from diskbundle.criteria import green_sweep
+from diskbundle.criteria import green_potential, green_sweep
 from diskbundle.rational import RationalFunction
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -113,8 +113,12 @@ def test_rotation_shifts_each_ring(frame, k):
     st.floats(0.0, 3.0),
 )
 def test_green_sweep_is_linear_in_the_density(densities, a, b):
-    probes = np.concatenate([GRID.points[::5], [0.0, 0.3 + 0.2j]])
-    g1, g2 = (green_sweep(DefectField(grid=GRID, values=d), probes) for d in densities)
-    mixed = green_sweep(DefectField(grid=GRID, values=a * densities[0] + b * densities[1]), probes)
+    def potentials(values):
+        field = DefectField(grid=GRID, values=values)
+        off_grid = [green_potential(field, lam) for lam in (0.0, 0.3 + 0.2j)]
+        return np.concatenate([green_sweep(field, np.arange(0, GRID.n, 5)), off_grid])
+
+    g1, g2 = (potentials(d) for d in densities)
+    mixed = potentials(a * densities[0] + b * densities[1])
     scale = a * np.abs(g1) + b * np.abs(g2)
     assert np.all(np.abs(mixed - (a * g1 + b * g2)) <= 1e-12 * np.max(scale))

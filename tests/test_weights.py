@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskbundle.errors import AccuracyError, CapacityError, DataError, ParameterError
+from diskbundle.errors import CapacityError, DataError, ParameterError
 from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.weights import (
     WeightSequence,
