@@ -105,11 +105,6 @@ def assert_sweep_matches_oracle(field, index):
     assert within_tolerance(swept, reference)
 
 
-def off_grid_points(grid):
-    # the center, next to it, on a cell edge angle, near the rim
-    return [0.0, 1e-13, 0.5 * np.exp(1j * 3 * TWO_PI / grid.angular_count), 0.998]
-
-
 def sweep_fields(sweep_grid):
     # the defect of (1, 0.3 + lam + 0.5i lam^2) is not radial, so a probe read
     # from the wrong sector of its ring shows
@@ -120,9 +115,11 @@ def sweep_fields(sweep_grid):
 @pytest.mark.parametrize("shape", [(2, 8), (8, 64), (20, 64), (1, 1), (7, 30)])
 def test_green_sweep_matches_scalar_potential(shape):
     sweep_grid = build_grid(*shape, 1e-3)
+    # off the grid: the center, next to it, on a cell edge angle, near the rim
+    off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * TWO_PI / shape[1]), 0.998]
     for field in sweep_fields(sweep_grid):
         assert_sweep_matches_oracle(field, np.arange(sweep_grid.n))
-        for lam in off_grid_points(sweep_grid):
+        for lam in off_grid:
             assert within_tolerance(green_potential(field, lam), subcell_green_potential(field, lam))
 
 
