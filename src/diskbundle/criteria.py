@@ -46,8 +46,10 @@ def _require_complete(field: DefectField) -> None:
 def green_potential(field: DefectField, lam: complex) -> float:
     """``(2/pi)`` times the integral of the Green function against the field.
 
-    Nonpositive for nonnegative fields; raises :class:`DomainError` when
-    ``lam`` is outside the grid's covered disk.
+    The exact potential of a nonnegative field is nonpositive, but the
+    quadrature is biased at the rim, where it can come out slightly
+    positive (up to about 1e-6 on a 20x64 grid; ROADMAP item 1). Raises
+    :class:`DomainError` when ``lam`` is outside the grid's covered disk.
     """
     _require_complete(field)
     outer = float(field.grid.radial_edges[-1])

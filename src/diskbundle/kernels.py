@@ -1,7 +1,12 @@
 """Diagonal of the reproducing kernel of a weighted Hardy space.
 
 The weighted diagonal ``sum |a|^(2n) / w_n`` is evaluated with a certified
-geometric tail so that boundary radii up to 0.999 are safe.
+geometric tail so that boundary radii up to 0.999 are safe. The sum runs
+over a growing prefix of the weights (64 terms, doubled until the
+certificate passes or the prefix is the whole sequence), so its cost is
+set by the stopping index, not by the stored length. A partial sum
+depends only on the terms before it, so where the prefix ends does not
+change the result.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from .errors import DataError, ParameterError
 
 #: relative accuracy target for adaptive kernel sums
 KERNEL_REL_TOL = 1e-12
+
+#: terms in the first prefix of an adaptive kernel sum; doubled until it stops
+_FIRST_PREFIX = 64
 
 
 def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_TOL):
@@ -28,22 +36,25 @@ def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_
     Returns ``(value, error_bound)``.
     """
     values = np.asarray(w.values, dtype=float)
-    if np.any(values <= 0.0):
-        raise DataError("weights must be positive")
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise DataError("weights must be finite and positive")
     x = abs(lam) ** 2
     if x >= 1.0:
         raise ParameterError("kernel parameter must lie in the open unit disk")
     if x == 0.0:
         return float(1.0 / values[0]), 0.0
     wmin = min(float(values.min()), 1.0)
-    n = np.arange(len(values))
-    terms = np.power(x, n) / values
-    partials = np.cumsum(terms)
-    bounds = np.power(x, n + 1) / ((1.0 - x) * wmin)
-    ok = bounds <= rel_tol * partials
-    hit = np.nonzero(ok)[0]
-    if hit.size and hit[0] < len(values) - 1:
-        i = int(hit[0])
-        return float(partials[i]), float(bounds[i])
+    size = _FIRST_PREFIX
+    while True:
+        n = np.arange(min(size, len(values)))
+        partials = np.cumsum(np.power(x, n) / values[: len(n)])
+        bounds = np.power(x, n + 1) / ((1.0 - x) * wmin)
+        hit = np.flatnonzero(bounds <= rel_tol * partials)
+        if hit.size and hit[0] < len(values) - 1:
+            i = int(hit[0])
+            return float(partials[i]), float(bounds[i])
+        if len(n) == len(values):
+            break
+        size *= 2
     total = float(partials[-1]) + x ** len(values) / (1.0 - x)
-    return total, 8.0 * np.finfo(float).eps * total
+    return total, float(8.0 * np.finfo(float).eps * total)

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calculus import write_csv
 from .errors import AccuracyError, CapacityError, DataError, ParameterError
 from .kernels import weighted_kernel_diag_certified
 
@@ -34,7 +33,7 @@ DEFAULT_RADII = (0.0, 0.5, 0.9, 0.99, 0.999)
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Positive weights with ``w_0 = 1``.
+    """Finite positive weights with ``w_0 = 1``.
 
     Beyond the stored range the sequence continues with the unit plateau
     (``w_n = 1``); kernel sums rely on that convention, while
@@ -53,8 +52,8 @@ class WeightSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("weights must form a nonempty sequence")
-        if np.any(vals <= 0.0):
-            raise DataError("weights must be positive")
+        if not np.all(np.isfinite(vals) & (vals > 0.0)):
+            raise DataError("weights must be finite and positive")
         if vals[0] != 1.0:
             raise DataError("w_0 must equal 1")
 
@@ -113,9 +112,8 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
             exponents[start + j + m] = j - m
     values = np.ones(length, dtype=float)
     base = 1.0 + epsilon
-    for i, e in enumerate(exponents):
-        if e:
-            values[i] = base ** (2 * int(e))
+    for i in np.flatnonzero(exponents):
+        values[i] = base ** (2 * int(exponents[i]))
     return WeightSequence(
         values=values,
         epsilon=float(epsilon),
@@ -235,9 +233,19 @@ def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
 
 
 def weights_to_csv(w: WeightSequence, path) -> None:
-    """Dump ``n,w_n,ln_w_n`` rows for plotting; values round-trip exactly."""
-    rows = zip(range(w.length), w.values.tolist(), np.log(w.values).tolist())
-    write_csv(path, ["n", "w_n", "ln_w_n"], rows)
+    """Dump ``n,w_n,ln_w_n`` rows for plotting; values round-trip exactly.
+
+    The bytes are those of ``calculus.write_csv`` (``\\r\\n`` line ends,
+    ``repr`` floats), written one run of equal weights at a time: the rows
+    of a run share one formatted tail.
+    """
+    logs = np.log(w.values)
+    cuts = [0, *(np.flatnonzero(w.values[1:] != w.values[:-1]) + 1).tolist(), w.length]
+    with open(path, "w", newline="") as fh:
+        fh.write("n,w_n,ln_w_n\r\n")
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            tail = f",{w.values[start].item()!r},{logs[start].item()!r}\r\n"
+            fh.write(tail.join(map(str, range(start, end))) + tail)
 
 
 def weights_from_csv(path) -> WeightSequence:
@@ -252,9 +260,13 @@ def weights_from_csv(path) -> WeightSequence:
         for row in reader:
             if len(row) != 3:
                 raise DataError(f"weight row {len(values)} must have three fields")
-            if int(row[0]) != len(values):
+            try:
+                index, value = int(row[0]), float(row[1])
+            except ValueError:
+                raise DataError(f"weight row {len(values)} must hold an integer and a number") from None
+            if index != len(values):
                 raise DataError(f"weight rows must be consecutively indexed from 0")
-            values.append(float(row[1]))
+            values.append(value)
     if not values:
         raise DataError("weight file has no rows")
     return WeightSequence.from_values(values)

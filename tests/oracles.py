@@ -3,11 +3,14 @@
 None of these is reached by a command: finite-difference Wirtinger
 derivatives and Laplacian, the brute-force dyadic Carleson boxes,
 projection residuals, the kernel closed forms, the weighted backward
-shift on coefficients and the Green quadrature written as a loop over
-cells and subcells. Every production derivative comes from exact
-rational calculus, ``carleson_constant`` bins the same boxes by sector,
-and the package's Green stencil computes the same quadrature on whole
-arrays.
+shift on coefficients, the Green quadrature written as a loop over
+cells and subcells, and the whole-sequence forms of the counterexample's
+three fast paths (the kernel sum over every stored weight, the spike
+values one slot at a time, the weight dump through the ``csv`` module).
+Every production derivative comes from exact rational calculus,
+``carleson_constant`` bins the same boxes by sector, the package's Green
+stencil computes the same quadrature on whole arrays, and the fast paths
+must match their forms here bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from diskbundle.bundle import projection, projection_dz
-from diskbundle.calculus import TWO_PI
-from diskbundle.errors import CapacityError, DomainError, ParameterError
+from diskbundle.calculus import TWO_PI, write_csv
+from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
+from diskbundle.kernels import KERNEL_REL_TOL
 
 #: default finite-difference step; balances truncation against roundoff
 DEFAULT_FD_STEP = 1e-4
@@ -152,6 +156,48 @@ def backward_shift_apply(w, coeffs) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     ratios = w.values[1:len(a)] / w.values[: len(a) - 1]
     return ratios * a[1:]
+
+
+def whole_array_kernel_diag(w, lam: complex, rel_tol: float = KERNEL_REL_TOL):
+    """``weighted_kernel_diag_certified`` with every term, partial sum and
+    tail bound built over all stored weights before the stop is chosen."""
+    values = np.asarray(w.values, dtype=float)
+    if np.any(values <= 0.0):
+        raise DataError("weights must be positive")
+    x = abs(lam) ** 2
+    if x >= 1.0:
+        raise ParameterError("kernel parameter must lie in the open unit disk")
+    if x == 0.0:
+        return float(1.0 / values[0]), 0.0
+    wmin = min(float(values.min()), 1.0)
+    n = np.arange(len(values))
+    terms = np.power(x, n) / values
+    partials = np.cumsum(terms)
+    bounds = np.power(x, n + 1) / ((1.0 - x) * wmin)
+    ok = bounds <= rel_tol * partials
+    hit = np.nonzero(ok)[0]
+    if hit.size and hit[0] < len(values) - 1:
+        i = int(hit[0])
+        return float(partials[i]), float(bounds[i])
+    total = float(partials[-1]) + x ** len(values) / (1.0 - x)
+    return total, 8.0 * np.finfo(float).eps * total
+
+
+def spike_values_loop(exponents, epsilon: float) -> np.ndarray:
+    """Spike weight values ``(1+epsilon)^(2e)`` from the half-log exponents,
+    one slot at a time."""
+    values = np.ones(len(exponents), dtype=float)
+    base = 1.0 + epsilon
+    for i, e in enumerate(exponents):
+        if e:
+            values[i] = base ** (2 * int(e))
+    return values
+
+
+def csv_module_weights(w, path) -> None:
+    """The ``n,w_n,ln_w_n`` dump written row by row through ``write_csv``."""
+    rows = zip(range(w.length), w.values.tolist(), np.log(w.values).tolist())
+    write_csv(path, ["n", "w_n", "ln_w_n"], rows)
 
 
 def _cell_contains(r_lo, r_hi, t_lo, t_hi, lam, tol=CONTAINS_TOL) -> bool:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
@@ -12,6 +13,7 @@ from diskbundle.cli import emit_heatmap, main
 from diskbundle.errors import NumericalError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, save_symbol
+from diskbundle.weights import weights_from_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,6 +68,25 @@ def test_counterexample_command(tmp_path):
     assert report["spikes"][1]["N_j"] == 66
     assert report["kernel_ratio"]["min"] >= 0.826446 - 1e-9
     assert (tmp_path / "out" / "weights.csv").exists()
+
+
+def test_counterexample_at_benchmark_length(tmp_path):
+    # the length the benchmark runs, checked against the reparsed dump the
+    # way the benchmark's output checks do
+    eps, radii = 0.1, [0.0, 0.6, 0.955, 0.999, 0.9999]
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": eps, "spike_count": 3, "length": 10**5, "radii": radii})
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    w = weights_from_csv(tmp_path / "out" / "weights.csv").values
+    assert len(w) == 10**5 and w[0] == 1.0
+    assert report["growth_max"] == float(w.max())
+    assert report["growth_max"] == pytest.approx((1.0 + eps) ** 6, rel=1e-15)
+    # kernel ratios from the reparsed weights, unit tail in closed form
+    n = np.arange(len(w))
+    ratios = [(1.0 - r * r) * (float(np.sum(np.power(r * r, n) / w)) + (r * r) ** len(w) / (1.0 - r * r)) for r in radii]
+    assert report["kernel_ratio"]["min"] == pytest.approx(min(ratios), rel=1e-10)
+    assert report["kernel_ratio"]["max"] == pytest.approx(max(ratios), rel=1e-10)
+    assert 1.0 - report["alpha"] - 1e-9 <= report["kernel_ratio"]["min"] <= report["kernel_ratio"]["max"] <= 1.0 + 1e-9
 
 
 def test_malformed_frame_exits_2(tmp_path):

@@ -1,7 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from diskbundle.errors import ParameterError
+from diskbundle.errors import DataError, ParameterError
 from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.weights import WeightSequence, build_spike_weight
 from oracles import kernel_identities
@@ -84,3 +87,20 @@ def test_weighted_diag_spike_bracket():
 def test_weighted_diag_rejects_boundary():
     with pytest.raises(ParameterError):
         weighted_kernel_diag_certified(WeightSequence.from_values([1.0]), 1.0)
+
+
+def test_weighted_diag_returns_plain_floats():
+    # the three branches: the origin, an early stop, the closed-form unit tail
+    w = build_spike_weight(0.1, 1, 64)
+    for lam in (0.0, 0.5, 0.999):
+        value, bound = weighted_kernel_diag_certified(w, lam)
+        assert type(value) is float and type(bound) is float
+    assert bound == 8.0 * np.finfo(float).eps * value  # 0.999 runs past 64 terms
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_weighted_diag_refuses_non_finite_or_nonpositive_weights(bad):
+    # any object with ``values`` is accepted, so the check cannot rely on
+    # WeightSequence having refused the sequence already
+    with pytest.raises(DataError, match="finite and positive"):
+        weighted_kernel_diag_certified(SimpleNamespace(values=[1.0, bad]), 0.5)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from diskbundle.errors import CapacityError, DataError, ParameterError
-from diskbundle.kernels import weighted_kernel_diag_certified
+from diskbundle.kernels import KERNEL_REL_TOL, weighted_kernel_diag_certified
 from diskbundle.weights import (
     WeightSequence,
     build_spike_weight,
@@ -14,7 +16,27 @@ from diskbundle.weights import (
     weights_from_csv,
     weights_to_csv,
 )
-from oracles import backward_shift_apply
+from oracles import backward_shift_apply, csv_module_weights, spike_values_loop, whole_array_kernel_diag
+
+#: (epsilon, spike_count, length) of the spike weights the fast paths are held to
+SPIKE_CASES = [(0.1, 1, 16), (0.3, 5, 4096), (0.05, 2, 777), (0.1, 3, 10**5)]
+RUN_LENGTHS = [1, 2, 3000]
+RADII = [0.0, 0.5, 0.955, 0.999, 0.9999]
+#: weight levels of at least 1, so the tail bound's min weight is 1 for every prefix
+LEVELS = (1.0, 1.1**2, 1.1**4, 1.5, 3.0)
+
+
+def _runs_weight(length: int, seed: int, levels=LEVELS) -> WeightSequence:
+    """Seeded weights made of runs of equal values, 1 to 7 slots long."""
+    rng = np.random.default_rng(seed)
+    values = np.repeat(rng.choice(levels, size=length), rng.integers(1, 8, size=length))[:length]
+    values[0] = 1.0
+    return WeightSequence.from_values(values)
+
+
+def _fast_path_weights():
+    spikes = [build_spike_weight(*case) for case in SPIKE_CASES]
+    return spikes + [_runs_weight(length, seed=length) for length in RUN_LENGTHS]
 
 
 # --- construction ---
@@ -57,6 +79,9 @@ def test_weight_sequence_validation():
         WeightSequence.from_values([2.0, 1.0])  # w_0 != 1
     with pytest.raises(DataError):
         WeightSequence.from_values([1.0, -1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="finite and positive"):
+            WeightSequence.from_values([1.0, bad])
     with pytest.raises(ParameterError):
         build_spike_weight(-0.1, 1, 64)
 
@@ -242,6 +267,68 @@ def test_weights_csv_round_trip(tmp_path):
     assert len(lines) == 17
     back = weights_from_csv(path)
     assert np.array_equal(back.values, w.values)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf"])
+def test_weights_from_csv_refuses_non_finite(tmp_path, field):
+    path = tmp_path / "weights.csv"
+    path.write_text(f"n,w_n,ln_w_n\r\n0,1.0,0.0\r\n1,{field},{field}\r\n")
+    with pytest.raises(DataError, match="finite and positive"):
+        weights_from_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,abc,0.0", "x,2.0,0.0"])
+def test_weights_from_csv_refuses_malformed_row(tmp_path, row):
+    path = tmp_path / "weights.csv"
+    path.write_text(f"n,w_n,ln_w_n\r\n0,1.0,0.0\r\n{row}\r\n")
+    with pytest.raises(DataError, match="weight row 1 "):
+        weights_from_csv(path)
+
+
+# --- fast paths against their whole-sequence oracles ---
+
+
+@pytest.mark.parametrize("case", SPIKE_CASES)
+def test_spike_values_match_per_slot_loop(case):
+    w = build_spike_weight(*case)
+    assert w.values.tobytes() == spike_values_loop(w.log_exponents, case[0]).tobytes()
+
+
+def test_kernel_sums_match_whole_array_oracle():
+    for w in _fast_path_weights():
+        for r in RADII:
+            assert weighted_kernel_diag_certified(w, r) == whole_array_kernel_diag(w, r)
+
+
+def test_kernel_sum_stopping_at_the_last_stored_index():
+    # with every weight >= 1 the certificate at index i does not depend on the
+    # stored length, so cutting the sequence right after the first passing
+    # index makes that index the last one, which defers to the closed-form tail;
+    # the radii put the first passing index on both sides of the first two
+    # prefix ends
+    long = _runs_weight(3000, seed=5)
+    for r, expected in ((0.5, 20), (0.801, 63), (0.804, 64), (0.896, 128), (0.955, 305)):
+        x = r * r
+        n = np.arange(long.length)
+        partials = np.cumsum(np.power(x, n) / long.values)
+        first = int(np.flatnonzero(np.power(x, n + 1) / (1.0 - x) <= KERNEL_REL_TOL * partials)[0])
+        assert first == expected
+        for length in (first, first + 1, first + 2):
+            w = WeightSequence.from_values(long.values[:length])
+            value, bound = weighted_kernel_diag_certified(w, r)
+            assert (value, bound) == whole_array_kernel_diag(w, r)
+            closed_form = bound == 8.0 * np.finfo(float).eps * value
+            assert closed_form == (length <= first + 1)
+
+
+@pytest.mark.parametrize(
+    "w",
+    _fast_path_weights() + [_runs_weight(3000, seed=9, levels=(1.0, 0.5, 1 / 3, 7.0, 1e-300, 1e300))],
+)
+def test_weights_csv_matches_csv_module_bytes(tmp_path, w):
+    weights_to_csv(w, tmp_path / "fast.csv")
+    csv_module_weights(w, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_counterexample_report_contents():
