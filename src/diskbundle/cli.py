@@ -4,11 +4,13 @@
 [--grid-angular M] [--margin X] [--truncation N]``
 
 Commands: ``curvature``, ``criteria``, ``toeplitz``, ``counterexample``.
-Each run writes ``report.json`` (floats at 17 significant digits, sorted
-keys, fixed row orders) plus the command's CSV dumps, so identical inputs
-produce byte-identical artifacts. Validation problems exit with code 2,
-numerical failures with code 3, both with a machine-readable error JSON on
-stdout.
+Every config key is one row of ``_KEYS``; the four overrides name a row
+each, and their text is read as JSON and checked by that row like a config
+value. Each run writes ``report.json`` (floats at 17 significant digits,
+sorted keys, fixed row orders) plus the command's CSV dumps, so identical
+inputs produce byte-identical artifacts. Validation problems exit with
+code 2, numerical failures with code 3, both with a machine-readable error
+JSON on stdout.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,71 +41,15 @@ from .weights import build_spike_weight, counterexample_report, weights_to_csv, 
 
 COMMANDS = ("curvature", "criteria", "toeplitz", "counterexample")
 
-_GRID_KEYS = {"radial_count", "angular_count", "margin"}
-_THRESHOLD_KEYS = {"M", "C"}
-_COMMON_KEYS = {"grid", "truncation", "thresholds", "out_dir"}
-_COMMAND_KEYS = {
-    "curvature": {"frame"},
-    "criteria": {"frame", "probe_stride", "max_depth"},
-    "toeplitz": {"symbol", "second_symbol", "lambda", "vector"},
-    "counterexample": {"epsilon", "spike_count", "length", "radii"},
-}
-_REQUIRED_KEYS = {
-    "curvature": {"frame"},
-    "criteria": {"frame"},
-    "toeplitz": {"symbol"},
-    "counterexample": {"epsilon", "spike_count", "length"},
-}
-
-
-@dataclass
-class GridSpec:
-    radial_count: int = 8
-    angular_count: int = 64
-    margin: float = 1e-3
-
-    def validate(self):
-        if not 1 <= self.radial_count <= 48:
-            raise ParameterError("grid.radial_count must be in 1..48", field="grid.radial_count")
-        if not 1 <= self.angular_count <= 65536:
-            raise ParameterError("grid.angular_count must be in 1..65536", field="grid.angular_count")
-        if not 0.0 < self.margin < 1.0:
-            raise ParameterError("grid.margin must lie in (0, 1)", field="grid.margin")
-
-    def build(self):
-        return build_grid(self.radial_count, self.angular_count, self.margin)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    grid: GridSpec = field(default_factory=GridSpec)
-    truncation: int = 512
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    out_dir: Path = Path(".")
-    frame_path: Optional[Path] = None
-    symbol_path: Optional[Path] = None
-    second_symbol_path: Optional[Path] = None
-    lam: complex = 0.5 + 0.0j
-    vector: Optional[list] = None
-    probe_stride: int = 4
-    max_depth: int = 8
-    epsilon: float = 0.1
-    spike_count: int = 1
-    length: int = 64
-    radii: tuple = DEFAULT_RADII
-
-    def validate(self):
-        """Range checks shared by config keys and command-line overrides."""
-        self.grid.validate()
-        if not 2 <= self.truncation <= 100000:
-            raise ParameterError("truncation must be in 2..100000", field="truncation")
-
 
 def _typed(obj, types, name):
     if not isinstance(obj, types) or isinstance(obj, bool):
         raise ParameterError(f"{name} has the wrong type", field=name)
     return obj
+
+
+def _int(obj, name) -> int:
+    return int(_typed(obj, int, name))
 
 
 def _float(obj, name) -> float:
@@ -114,6 +60,10 @@ def _float(obj, name) -> float:
         raise ParameterError(f"{name} is beyond the float range", field=name) from None
 
 
+def _path(obj, name) -> Path:
+    return Path(_typed(obj, str, name))
+
+
 def _complex_pair(obj, name) -> complex:
     """``[re, im]`` of two finite JSON numbers."""
     if not isinstance(obj, list) or len(obj) != 2:
@@ -122,6 +72,80 @@ def _complex_pair(obj, name) -> complex:
     if not np.isfinite(z):
         raise ParameterError(f"{name} must be finite", field=name)
     return z
+
+
+def _nonempty_list(item, what: str):
+    """A parser for a nonempty JSON list whose elements ``item`` parses."""
+
+    def parse(obj, name) -> tuple:
+        if not isinstance(obj, list) or not obj:
+            raise ParameterError(f"{name} must be {what}", field=name)
+        return tuple(item(x, name) for x in obj)
+
+    return parse
+
+
+#: the default of a key that the config must give
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: the commands that take it, its parser, default and range."""
+
+    commands: tuple
+    parse: Callable
+    default: object = None
+    ok: Optional[Callable] = None  # range test of a parsed value
+    rule: str = ""  # what ``ok`` demands, as the error message says it
+
+
+_POSITIVE = "must be positive and finite"
+
+#: every config key by dotted name, in the order values are parsed
+_KEYS = {
+    "grid.radial_count": _Key(COMMANDS, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48"),
+    "grid.angular_count": _Key(COMMANDS, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536"),
+    "grid.margin": _Key(COMMANDS, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
+    "truncation": _Key(COMMANDS, _int, 512, lambda n: 2 <= n <= 100000, "must be in 2..100000"),
+    "thresholds.M": _Key(COMMANDS, _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
+    "thresholds.C": _Key(COMMANDS, _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
+    "out_dir": _Key(COMMANDS, _path, Path(".")),
+    "frame": _Key(("curvature", "criteria"), _path, _REQUIRED),
+    "symbol": _Key(("toeplitz",), _path, _REQUIRED),
+    "second_symbol": _Key(("toeplitz",), _path),
+    "lambda": _Key(("toeplitz",), _complex_pair, 0.5 + 0.0j, lambda z: abs(z) < 1.0, "must lie in the open unit disk"),
+    "vector": _Key(("toeplitz",), _nonempty_list(_complex_pair, "a list of [re, im] pairs")),
+    "probe_stride": _Key(("criteria",), _int, 4, lambda n: n >= 1, "must be >= 1"),
+    "max_depth": _Key(("criteria",), _int, 8, lambda n: 0 <= n <= 24, "must be in 0..24"),
+    "epsilon": _Key(("counterexample",), _float, _REQUIRED, lambda x: 0.0 < x <= 10.0, "must lie in (0, 10]"),
+    "spike_count": _Key(("counterexample",), _int, _REQUIRED, lambda n: 1 <= n <= 64, "must be in 1..64"),
+    "length": _Key(("counterexample",), _int, _REQUIRED, lambda n: 1 <= n <= 10**7, "must be in 1..10^7"),
+    "radii": _Key(
+        ("counterexample",), _nonempty_list(_float, "a nonempty list"), DEFAULT_RADII,
+        lambda radii: all(0.0 <= r < 1.0 for r in radii), "must lie in [0, 1)",
+    ),
+}
+
+#: the command-line options that override a config key
+_OVERRIDES = {
+    "--grid-radial": "grid.radial_count",
+    "--grid-angular": "grid.angular_count",
+    "--margin": "grid.margin",
+    "--truncation": "truncation",
+}
+
+
+def _check(key: str, value):
+    row = _KEYS[key]
+    if row.ok is not None and not row.ok(value):
+        raise ParameterError(f"{key} {row.rule}", field=key)
+    return value
+
+
+def _parse(key: str, obj):
+    """A config value or decoded override as its row's type, inside its row's range."""
+    return _check(key, _KEYS[key].parse(obj, key))
 
 
 def _check_keys(obj, allowed, where):
@@ -140,83 +164,43 @@ def _with_file(action, path: Path, key: str):
         raise DataError(f"{key} {path} cannot be used: {type(exc).__name__}: {exc}", field=key) from exc
 
 
-def load_config(path: Path, command: str) -> RunConfig:
+def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> dict:
+    """The command's settings by dotted key: the config's values, the table's
+    defaults for the rest, then ``overrides`` (dotted key to JSON text)."""
     text = _with_file(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
         raise DataError(f"config file is not valid JSON: {exc}", field="config") from exc
-    allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
-    _check_keys(raw, allowed, "config")
-    missing = _REQUIRED_KEYS[command] - set(raw)
+    keys = {key: row for key, row in _KEYS.items() if command in row.commands}
+    _check_keys(raw, {key.partition(".")[0] for key in keys}, "config")
+    missing = [key for key, row in keys.items() if row.default is _REQUIRED and key not in raw]
     if missing:
-        raise ParameterError(f"config is missing {sorted(missing)[0]!r}", field=sorted(missing)[0])
+        raise ParameterError(f"config is missing {min(missing)!r}", field=min(missing))
+    given = {key: raw[key] for key in keys if key in raw}
+    for section in dict.fromkeys(key.partition(".")[0] for key in keys if "." in key):
+        if section in raw:
+            inner = {key.partition(".")[2] for key in keys if key.startswith(section + ".")}
+            _check_keys(raw[section], inner, section)
+            given.update((f"{section}.{sub}", obj) for sub, obj in raw[section].items())
 
-    cfg = RunConfig(command=command)
     base = Path(path).resolve().parent
-
-    if "grid" in raw:
-        _check_keys(raw["grid"], _GRID_KEYS, "grid")
-        cfg.grid = GridSpec(
-            radial_count=int(_typed(raw["grid"].get("radial_count", 8), int, "grid.radial_count")),
-            angular_count=int(_typed(raw["grid"].get("angular_count", 64), int, "grid.angular_count")),
-            margin=_float(raw["grid"].get("margin", 1e-3), "grid.margin"),
-        )
-    if "truncation" in raw:
-        cfg.truncation = int(_typed(raw["truncation"], int, "truncation"))
-    if "thresholds" in raw:
-        _check_keys(raw["thresholds"], _THRESHOLD_KEYS, "thresholds")
-        cfg.thresholds = Thresholds(
-            M=_float(raw["thresholds"].get("M", 1e3), "thresholds.M"),
-            C=_float(raw["thresholds"].get("C", 1e3), "thresholds.C"),
-        )
-    if "out_dir" in raw:
-        cfg.out_dir = base / str(_typed(raw["out_dir"], str, "out_dir"))
-
-    if "frame" in raw:
-        cfg.frame_path = base / str(_typed(raw["frame"], str, "frame"))
-    if "symbol" in raw:
-        cfg.symbol_path = base / str(_typed(raw["symbol"], str, "symbol"))
-    if "second_symbol" in raw:
-        cfg.second_symbol_path = base / str(_typed(raw["second_symbol"], str, "second_symbol"))
-    if "lambda" in raw:
-        cfg.lam = _complex_pair(raw["lambda"], "lambda")
-        if abs(cfg.lam) >= 1.0:
-            raise ParameterError("lambda must lie in the open unit disk", field="lambda")
-    if "vector" in raw:
-        vec = raw["vector"]
-        if not isinstance(vec, list) or not vec:
-            raise ParameterError("vector must be a list of [re, im] pairs", field="vector")
-        cfg.vector = [_complex_pair(p, "vector") for p in vec]
-    if "probe_stride" in raw:
-        cfg.probe_stride = int(_typed(raw["probe_stride"], int, "probe_stride"))
-        if cfg.probe_stride < 1:
-            raise ParameterError("probe_stride must be >= 1", field="probe_stride")
-    if "max_depth" in raw:
-        cfg.max_depth = int(_typed(raw["max_depth"], int, "max_depth"))
-        if not 0 <= cfg.max_depth <= 24:
-            raise ParameterError("max_depth must be in 0..24", field="max_depth")
-    if "epsilon" in raw:
-        cfg.epsilon = _float(raw["epsilon"], "epsilon")
-        if not 0.0 < cfg.epsilon <= 10.0:
-            raise ParameterError("epsilon must lie in (0, 10]", field="epsilon")
-    if "spike_count" in raw:
-        cfg.spike_count = int(_typed(raw["spike_count"], int, "spike_count"))
-        if not 1 <= cfg.spike_count <= 64:
-            raise ParameterError("spike_count must be in 1..64", field="spike_count")
-    if "length" in raw:
-        cfg.length = int(_typed(raw["length"], int, "length"))
-        if not 1 <= cfg.length <= 10**7:
-            raise ParameterError("length must be in 1..10^7", field="length")
-    if "radii" in raw:
-        radii = raw["radii"]
-        if not isinstance(radii, list) or not radii:
-            raise ParameterError("radii must be a nonempty list", field="radii")
-        cfg.radii = tuple(_float(r, "radii") for r in radii)
-        if not all(0.0 <= r < 1.0 for r in cfg.radii):
-            raise ParameterError("radii must lie in [0, 1)", field="radii")
-
-    cfg.validate()
+    cfg = {key: row.default for key, row in keys.items()}
+    # the overridable keys are range-checked after all others: the order in which a config's faults are reported
+    late = _OVERRIDES.values()
+    for key in keys:
+        if key in given:
+            value = _KEYS[key].parse(given[key], key) if key in late else _parse(key, given[key])
+            cfg[key] = base / value if isinstance(value, Path) else value
+    for key in late:
+        if key in given:
+            _check(key, cfg[key])
+    for key, text in (overrides or {}).items():
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError):
+            raise ParameterError(f"{key} override {text!r} is not a JSON number", field=key) from None
+        cfg[key] = _parse(key, obj)
     return cfg
 
 
@@ -270,30 +254,24 @@ def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _cmd_curvature(cfg: RunConfig) -> dict:
-    frame = _with_file(load_frame, cfg.frame_path, "frame")
-    grid = cfg.grid.build()
+def _grid(cfg: dict):
+    return build_grid(cfg["grid.radial_count"], cfg["grid.angular_count"], cfg["grid.margin"])
+
+
+def _cmd_curvature(cfg: dict) -> dict:
+    frame = _with_file(load_frame, cfg["frame"], "frame")
+    grid = _grid(cfg)
     field_ = defect_field(frame, grid)
     if field_.is_partial:
         raise NumericalError(
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
     bounds = gram_bounds(field_)
-    emit_heatmap(field_, cfg.out_dir / "defect_field.csv")
-    samples = []
-    for lam in (0.0 + 0.0j, 0.5 + 0.0j):
-        split = full_bundle_curvature(frame, lam, cfg.truncation)
-        samples.append(
-            {
-                "lambda": _pair(lam),
-                "total": split.total,
-                "shift_part": split.shift_part,
-                "defect": split.defect,
-                "tensor_total": split.tensor_total,
-                "discrepancy": split.discrepancy,
-                "truncation_tail": split.truncation_tail,
-            }
-        )
+    emit_heatmap(field_, cfg["out_dir"] / "defect_field.csv")
+    samples = [
+        {"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam, cfg["truncation"]))}
+        for lam in (0.0 + 0.0j, 0.5 + 0.0j)
+    ]
     return {
         "command": "curvature",
         "grid": grid_meta(grid),
@@ -304,18 +282,18 @@ def _cmd_curvature(cfg: RunConfig) -> dict:
             "mean": float(np.mean(field_.values)),
         },
         "samples": samples,
-        "truncation": cfg.truncation,
+        "truncation": cfg["truncation"],
         "heatmap_csv": "defect_field.csv",
     }
 
 
-def _cmd_criteria(cfg: RunConfig) -> dict:
-    frame = _with_file(load_frame, cfg.frame_path, "frame")
-    grid = cfg.grid.build()
-    report = similarity_verdict(frame, grid, cfg.thresholds, cfg.probe_stride, cfg.max_depth)
+def _cmd_criteria(cfg: dict) -> dict:
+    frame = _with_file(load_frame, cfg["frame"], "frame")
+    thresholds = Thresholds(M=cfg["thresholds.M"], C=cfg["thresholds.C"])
+    report = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
     doc = {"command": "criteria", **report.to_json_dict()}
     if not report.partial:
-        write_probe_heatmap(report.field, report.probes, cfg.out_dir / "criteria_probes.csv", report.potentials)
+        write_probe_heatmap(report.field, report.probes, cfg["out_dir"] / "criteria_probes.csv", report.potentials)
         doc["heatmap_csv"] = "criteria_probes.csv"
     else:
         doc["heatmap_csv"] = None
@@ -323,10 +301,10 @@ def _cmd_criteria(cfg: RunConfig) -> dict:
     return doc
 
 
-def _cmd_toeplitz(cfg: RunConfig) -> dict:
-    symbol = _with_file(load_symbol, cfg.symbol_path, "symbol")
-    grid = cfg.grid.build()
-    order = min(cfg.truncation, 64)
+def _cmd_toeplitz(cfg: dict) -> dict:
+    symbol = _with_file(load_symbol, cfg["symbol"], "symbol")
+    grid = _grid(cfg)
+    order = min(cfg["truncation"], 64)
     section = toeplitz_section(symbol, order)
     doc = {
         "command": "toeplitz",
@@ -340,16 +318,16 @@ def _cmd_toeplitz(cfg: RunConfig) -> dict:
         "intertwining": None,
         "inner_outer": None,
     }
-    if cfg.second_symbol_path is not None:
-        other = _with_file(load_symbol, cfg.second_symbol_path, "second_symbol")
+    if cfg["second_symbol"] is not None:
+        other = _with_file(load_symbol, cfg["second_symbol"], "second_symbol")
         doc["multiplicativity"] = multiplicativity_check(symbol, other, order)
     if symbol.analytic:
-        e = cfg.vector if cfg.vector is not None else [1.0] + [0.0] * (symbol.rows - 1)
+        e = cfg["vector"] or [1.0] + [0.0] * (symbol.rows - 1)
         if len(e) != symbol.rows:
             raise ParameterError(f"vector must have length {symbol.rows}", field="vector")
         doc["kernel_action"] = {
-            "lambda": _pair(cfg.lam),
-            "discrepancy": kernel_action_check(symbol, cfg.lam, e, order),
+            "lambda": _pair(cfg["lambda"]),
+            "discrepancy": kernel_action_check(symbol, cfg["lambda"], e, order),
         }
         if order >= 2:
             doc["intertwining"] = intertwining_check(symbol, order)
@@ -363,14 +341,14 @@ def _cmd_toeplitz(cfg: RunConfig) -> dict:
     return doc
 
 
-def _cmd_counterexample(cfg: RunConfig) -> dict:
-    w = build_spike_weight(cfg.epsilon, cfg.spike_count, cfg.length)
-    report = counterexample_report(w, cfg.radii)
-    weights_to_csv(w, cfg.out_dir / "weights.csv")
+def _cmd_counterexample(cfg: dict) -> dict:
+    w = build_spike_weight(cfg["epsilon"], cfg["spike_count"], cfg["length"])
+    report = counterexample_report(w, cfg["radii"])
+    weights_to_csv(w, cfg["out_dir"] / "weights.csv")
     return {
         "command": "counterexample",
-        "length": cfg.length,
-        "radii": list(cfg.radii),
+        "length": cfg["length"],
+        "radii": list(cfg["radii"]),
         "weights_csv": "weights.csv",
         **report,
     }
@@ -391,48 +369,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--grid-radial", type=int, default=None)
-        p.add_argument("--grid-angular", type=int, default=None)
-        p.add_argument("--margin", type=float, default=None)
-        p.add_argument("--truncation", type=int, default=None)
+        for flag, key in _OVERRIDES.items():
+            p.add_argument(flag, dest=key, metavar="JSON", help=f"override {key}")
     return parser
-
-
-def _error_doc(exc: Exception, kind: str) -> dict:
-    return {
-        "status": "error",
-        "kind": kind,
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "field": getattr(exc, "field", None),
-    }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for key in _OVERRIDES.values() if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config, args.command)
+        cfg = load_config(args.config, args.command, overrides)
         if args.out is not None:
-            cfg.out_dir = args.out
-        if args.grid_radial is not None:
-            cfg.grid.radial_count = args.grid_radial
-        if args.grid_angular is not None:
-            cfg.grid.angular_count = args.grid_angular
-        if args.margin is not None:
-            cfg.grid.margin = args.margin
-        if args.truncation is not None:
-            cfg.truncation = args.truncation
-        cfg.validate()
-        _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg.out_dir, "out_dir")
+            cfg["out_dir"] = args.out
+        _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg["out_dir"], "out_dir")
         doc = _DISPATCH[args.command](cfg)
-        report_path = cfg.out_dir / "report.json"
+        report_path = cfg["out_dir"] / "report.json"
         write_report(doc, report_path)
-    except ValidationError as exc:
-        print(_json_text(_error_doc(exc, "validation")))
-        return 2
-    except NumericalError as exc:
-        print(_json_text(_error_doc(exc, "numerical")))
-        return 3
+    except (ValidationError, NumericalError) as exc:
+        kind, code = ("validation", 2) if isinstance(exc, ValidationError) else ("numerical", 3)
+        error = {"status": "error", "kind": kind, "type": type(exc).__name__, "message": str(exc)}
+        print(_json_text({**error, "field": getattr(exc, "field", None)}))
+        return code
     print(_json_text({"status": "ok", "report": str(report_path)}))
     return 0
 

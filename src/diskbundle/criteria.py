@@ -169,8 +169,9 @@ class Thresholds:
     C: float = 1e3
 
     def __post_init__(self):
-        if self.M <= 0 or self.C <= 0:
-            raise ParameterError("thresholds must be positive")
+        for name in ("M", "C"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"thresholds.{name} must be positive and finite", field=f"thresholds.{name}")
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,13 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 
-_ZERO_CUTOFF = 0.0  # exact: trailing zeros are trimmed, nothing else
-
 
 def as_coeffs(c) -> np.ndarray:
     """Coerce to a trimmed ascending complex coefficient array."""
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1:
         raise ParameterError("coefficients must be one-dimensional")
-    nz = np.nonzero(np.abs(arr) > _ZERO_CUTOFF)[0]
+    nz = np.nonzero(np.abs(arr) > 0.0)[0]  # exact: trailing zeros are trimmed, nothing else
     if nz.size == 0:
         return np.zeros(1, dtype=complex)
     return arr[: nz[-1] + 1].copy()
@@ -59,10 +57,6 @@ def poly_add(a, b) -> np.ndarray:
     return as_coeffs(out)
 
 
-def poly_sub(a, b) -> np.ndarray:
-    return poly_add(a, -as_coeffs(b))
-
-
 def poly_from_roots(roots, leading=1.0) -> np.ndarray:
     out = np.array([complex(leading)])
     for r in roots:
@@ -75,7 +69,12 @@ def poly_roots(coeffs) -> np.ndarray:
     c = as_coeffs(coeffs)
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
-    return np.roots(c[::-1])
+    try:
+        # a leading coefficient tiny next to the others overflows the companion matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.roots(c[::-1])
+    except np.linalg.LinAlgError:
+        raise DataError("roots cannot be located: the companion matrix overflows") from None
 
 
 class RationalFunction:
@@ -111,13 +110,6 @@ class RationalFunction:
         np_ = poly_eval(poly_deriv(self.num), z)
         dp = poly_eval(poly_deriv(self.den), z)
         return (np_ * d - n * dp) / (d * d)
-
-    def deriv(self) -> "RationalFunction":
-        n, d = self.num, self.den
-        return RationalFunction(
-            poly_sub(poly_mul(poly_deriv(n), d), poly_mul(n, poly_deriv(d))),
-            poly_mul(d, d),
-        )
 
     def poles(self) -> np.ndarray:
         return poly_roots(self.den)
@@ -162,20 +154,19 @@ class RationalFunction:
                 raise DataError(f"{field}.{key}: expected a nonempty coefficient list", field=f"{field}.{key}")
             vals = []
             for i, pair in enumerate(raw):
+                where = f"{field}.{key}[{i}]"
                 if (
                     not isinstance(pair, (list, tuple))
                     or len(pair) != 2
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
                 ):
-                    raise DataError(
-                        f"{field}.{key}[{i}]: expected an [re, im] pair",
-                        field=f"{field}.{key}[{i}]",
-                    )
+                    raise DataError(f"{where}: expected an [re, im] pair", field=where)
                 try:
                     vals.append(complex(pair[0], pair[1]))
                 except OverflowError:
-                    where = f"{field}.{key}[{i}]"
                     raise DataError(f"{where}: beyond the float range", field=where) from None
+                if not np.isfinite(vals[-1]):
+                    raise DataError(f"{where}: not finite", field=where)
             coeffs[key] = vals
         return cls(coeffs["num"], coeffs["den"])
 
@@ -195,13 +186,18 @@ class RationalMatrix:
         if not entries or not entries[0]:
             raise ParameterError(f"{self.noun} needs at least one row and one column")
         cols = len(entries[0])
-        for row in entries:
+        for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ParameterError(f"{self.noun} rows must all have the same length")
-            for entry in row:
+            for j, entry in enumerate(row):
                 if not isinstance(entry, RationalFunction):
                     raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
-                self._check_pole_radii(np.abs(entry.poles()))
+                try:
+                    poles = entry.poles()
+                except DataError as exc:
+                    where = f"entries[{i}][{j}]"
+                    raise DataError(f"{where}: {exc}", field=where) from None
+                self._check_pole_radii(np.abs(poles))
         self.entries = entries
 
     def _check_pole_radii(self, radii: np.ndarray) -> None:
@@ -282,10 +278,11 @@ class RationalMatrix:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{cls.noun} file is not valid JSON: {exc}") from exc
+            text = fh.read()
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
+            raise DataError(f"{cls.noun} file is not valid JSON: {exc}") from exc
         return cls.from_jsonable(obj)
 
     def save(self, path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -250,26 +251,32 @@ def weights_to_csv(w: WeightSequence, path) -> None:
 
 def weights_from_csv(path) -> WeightSequence:
     """Reparse a dump written by :func:`weights_to_csv` (values only; the
-    spike metadata is not part of the file format)."""
+    spike metadata is not part of the file format). Each ``ln_w_n`` must be
+    ``np.log(w_n)`` exactly, as the writer wrote it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["n", "w_n", "ln_w_n"]:
             raise DataError("weight file must start with the header n,w_n,ln_w_n")
-        values = []
+        values, logs = array("d"), array("d")  # 8 bytes a row, not a float object
         for row in reader:
             if len(row) != 3:
                 raise DataError(f"weight row {len(values)} must have three fields")
             try:
-                index, value = int(row[0]), float(row[1])
+                index, value, log = int(row[0]), float(row[1]), float(row[2])
             except ValueError:
-                raise DataError(f"weight row {len(values)} must hold an integer and a number") from None
+                raise DataError(f"weight row {len(values)} must hold an integer and two numbers") from None
             if index != len(values):
                 raise DataError(f"weight rows must be consecutively indexed from 0")
             values.append(value)
+            logs.append(log)
     if not values:
         raise DataError("weight file has no rows")
-    return WeightSequence.from_values(values)
+    w = WeightSequence.from_values(values)
+    wrong = np.flatnonzero(np.log(w.values) != np.frombuffer(logs))
+    if wrong.size:
+        raise DataError(f"weight row {wrong[0]}: ln_w_n is not the log of w_n")
+    return w
 
 
 def counterexample_report(w: WeightSequence, radii: Sequence[float] = DEFAULT_RADII) -> dict:

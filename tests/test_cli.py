@@ -9,7 +9,7 @@ import pytest
 
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
 from diskbundle.calculus import build_grid
-from diskbundle.cli import emit_heatmap, main
+from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, emit_heatmap, main
 from diskbundle.errors import NumericalError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, save_symbol
@@ -363,3 +363,102 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["kind"] == "validation" and error["type"] == "DataError" and error["field"] == field
+
+
+@pytest.mark.parametrize(
+    "thresholds, field",
+    [({"M": float("inf")}, "thresholds.M"), ({"C": float("nan")}, "thresholds.C"), ({"M": 0.0}, "thresholds.M")],
+    ids=["M_infinite", "C_nan", "M_zero"],
+)
+def test_threshold_not_positive_and_finite_exits_2(tmp_path, capsys, constant_frame_file, thresholds, field):
+    # json writes inf and nan as Infinity and NaN, which the config reader accepts
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "thresholds": thresholds})
+    assert main(["criteria", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["field"] == field and error["message"] == f"{field} must be positive and finite"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option, text, field",
+    [
+        ("--grid-radial", "abc", "grid.radial_count"),
+        ("--margin", "x", "grid.margin"),
+        ("--truncation", "8.5", "truncation"),
+    ],
+)
+def test_override_that_is_not_a_valid_number_exits_2(tmp_path, capsys, constant_frame_file, option, text, field):
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out"), option, text]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "validation" and error["field"] == field
+
+
+@pytest.mark.parametrize(
+    "den, field",
+    [
+        ([[1.0, 0.0], [float("nan"), 0.0]], "entries[0][0].den[1]"),
+        ([[float("nan"), 0.0], [1.0, 0.0]], "entries[0][0].den[0]"),
+        ([[1.0, 0.0], [1e-320, 0.0]], "entries[0][0]"),
+    ],
+    ids=["trailing_nan", "leading_nan", "subnormal_leading"],
+)
+@pytest.mark.parametrize("command", ["curvature", "toeplitz"])
+def test_non_finite_or_extreme_coefficient_exits_2(tmp_path, capsys, command, den, field):
+    doc = {"rows": 1, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": den}]]}
+    name = "frame" if command == "curvature" else "symbol"
+    if name == "symbol":
+        doc["analytic"] = False
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", {name: "m.json", "grid": {"radial_count": 2, "angular_count": 4}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "DataError" and error["field"] == field
+
+
+def test_readme_key_table_matches_config_table():
+    """The README lists every config key with the table's commands, default and range."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme[readme.index("| key ") :].split("\n\n")[0].splitlines()[2:]:
+        key, commands, default, allowed = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = (commands, default, allowed)
+    assert set(rows) == set(_KEYS)
+    for key, row in _KEYS.items():
+        commands, default, allowed = rows[key]
+        assert commands == ("all" if row.commands == COMMANDS else ", ".join(f"`{c}`" for c in row.commands)), key
+        assert (default == "required") == (row.default is _REQUIRED), key
+        assert allowed.endswith(row.rule), key
+        value = row.default
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        if value is not None and value is not _REQUIRED:
+            assert default.startswith(f"`{list(value) if isinstance(value, tuple) else value}`"), key
+
+
+@pytest.mark.parametrize(
+    "config, frame, field",
+    [
+        ('{"frame": ' + "1" * 5000 + "}", None, "config"),
+        ("[" * 10000 + "]" * 10000, None, "config"),
+        ('{"frame": "frame.json"}', '{"rows": ' + "1" * 5000 + "}", None),
+    ],
+    ids=["config_integer_too_long", "config_nested_too_deep", "frame_integer_too_long"],
+)
+def test_json_beyond_the_reader_limits_exits_2(tmp_path, capsys, config, frame, field):
+    (tmp_path / "cfg.json").write_text(config)
+    if frame is not None:
+        (tmp_path / "frame.json").write_text(frame)
+    assert main(["curvature", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "DataError" and error["field"] == field and "not valid JSON" in error["message"]
+
+
+def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys):
+    # the inner-outer split needs the zeros; a subnormal leading coefficient overflows their companion matrix
+    save_symbol(MatrixSymbol.scalar(RationalFunction([1.0, 1e-320]), analytic=True), tmp_path / "s.json")
+    grid = {"radial_count": 2, "angular_count": 4}
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "truncation": 8, "grid": grid})
+    assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "DataError" and "roots cannot be located" in error["message"]

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from diskbundle import cli
@@ -121,11 +121,44 @@ FILES = {
 }
 
 
+class Fixed:
+    """An explicit input in place of ``st.data()``: each draw returns the value kept under its label."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
+def fixed_case(thresholds=None, den=((1.0, 0.0),)):
+    """Every command's config on a 2x4 grid, and frame and symbol files with one entry ``1/den``."""
+    extra = {"grid": {"radial_count": 2, "angular_count": 4}, "thresholds": thresholds or {}}
+    doc = {"rows": 1, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": den}]]}
+    return Fixed(
+        **{
+            "curvature config": {"frame": "frame.json", **extra},
+            "criteria config": {"frame": "frame.json", **extra},
+            "toeplitz config": {"symbol": "symbol.json", **extra},
+            "counterexample config": {"epsilon": 0.1, "spike_count": 1, "length": 16, **extra},
+            "frame.json": doc,
+            "symbol.json": {**doc, "analytic": False},
+        }
+    )
+
+
 @pytest.mark.parametrize("command", cli.COMMANDS)
 @FUZZ
 @given(data=st.data())
+# inputs the derandomized draws miss: infinite or NaN thresholds, and a
+# denominator with a NaN (trailing or not) or a subnormal leading coefficient
+@example(data=fixed_case(thresholds={"M": float("inf")}))
+@example(data=fixed_case(thresholds={"C": float("nan")}))
+@example(data=fixed_case(den=[[1.0, 0.0], [float("nan"), 0.0]]))
+@example(data=fixed_case(den=[[float("nan"), 0.0], [1.0, 0.0]]))
+@example(data=fixed_case(den=[[1.0, 0.0], [1e-320, 0.0]]))
 def test_fuzzed_config_exits_cleanly(command, data):
-    config = data.draw(CONFIGS[command], label="config")
+    config = data.draw(CONFIGS[command], label=f"{command} config")
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         for name, doc in FILES.items():

@@ -277,12 +277,25 @@ def test_weights_from_csv_refuses_non_finite(tmp_path, field):
         weights_from_csv(path)
 
 
-@pytest.mark.parametrize("row", ["1,abc,0.0", "x,2.0,0.0"])
+@pytest.mark.parametrize("row", ["1,abc,0.0", "x,2.0,0.0", "1,2.0,abc", "1,2.0,5.0"])
 def test_weights_from_csv_refuses_malformed_row(tmp_path, row):
     path = tmp_path / "weights.csv"
     path.write_text(f"n,w_n,ln_w_n\r\n0,1.0,0.0\r\n{row}\r\n")
-    with pytest.raises(DataError, match="weight row 1 "):
+    with pytest.raises(DataError, match="weight row 1[ :]"):
         weights_from_csv(path)
+
+
+def test_weights_csv_round_trip_checks_every_log(tmp_path):
+    # the spike weight the benchmark dumps: every ln_w_n reparses to np.log(w_n) bit for bit
+    w = build_spike_weight(0.1, 3, 10**5)
+    weights_to_csv(w, tmp_path / "weights.csv")
+    assert weights_from_csv(tmp_path / "weights.csv").values.tobytes() == w.values.tobytes()
+    lines = (tmp_path / "weights.csv").read_text().splitlines()
+    n, value, _ = lines[-1].split(",")
+    lines[-1] = f"{n},{value},{float(np.nextafter(np.log(float(value)), 1.0))!r}"
+    (tmp_path / "weights.csv").write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(DataError, match=f"weight row {10**5 - 1}: ln_w_n"):
+        weights_from_csv(tmp_path / "weights.csv")
 
 
 # --- fast paths against their whole-sequence oracles ---
