@@ -9,83 +9,54 @@ rational matrix symbols including scalar inner-outer factorization, and
 builds the spike weight whose kernel ratios, ratio bounds and shift-orbit
 growth it then certifies numerically. Finite-difference and brute-force
 references live with the tests, not here.
+
+``import diskbundle`` loads no submodule (and so no numpy): each name of
+``_EXPORTS`` imports its module the first time it is read (PEP 562), so a
+command pays only for the layers it runs.
 """
 
-from .bundle import (
-    AnalyticFrame,
-    BundleCurvature,
-    DefectField,
-    GramBounds,
-    constant_field,
-    curvature_defect,
-    defect_field,
-    full_bundle_curvature,
-    gram,
-    gram_bounds,
-    hardy_line_frame,
-    hs_norm_sq,
-    load_frame,
-    projection,
-    projection_dz,
-    save_frame,
-)
-from .calculus import (
-    ComplexGrid,
-    build_grid,
-    carleson_constant,
-    ring_grid,
-)
-from .criteria import (
-    CriteriaReport,
-    Thresholds,
-    carleson_check,
-    default_probes,
-    green_potential,
-    green_sweep,
-    pointwise_bound,
-    similarity_verdict,
-)
-from .errors import (
-    AccuracyError,
-    BoundaryZeroError,
-    CapacityError,
-    ConditioningError,
-    DataError,
-    DomainError,
-    NumericalError,
-    ParameterError,
-    SymbolError,
-    ToolkitError,
-    ValidationError,
-)
-from .kernels import weighted_kernel_diag_certified
-from .rational import RationalFunction
-from .toeplitz import (
-    InnerOuterFactorization,
-    MatrixSymbol,
-    ToeplitzSection,
-    fourier_block,
-    intertwining_check,
-    kernel_action_check,
-    left_invertibility_margin,
-    load_symbol,
-    multiplicativity_check,
-    save_symbol,
-    scalar_inner_outer,
-    toeplitz_section,
-)
-from .weights import (
-    KernelRatio,
-    SpikeBound,
-    WeightSequence,
-    build_spike_weight,
-    counterexample_report,
-    kernel_ratio_check,
-    ratio_bound_check,
-    shift_growth_witness,
-    spike_peak_bound,
-    weights_from_csv,
-    weights_to_csv,
-)
+import importlib
+
+#: the public names, by the submodule that defines them
+_EXPORTS = {
+    "bundle": (
+        "AnalyticFrame", "BundleCurvature", "DefectField", "GramBounds", "constant_field", "curvature_defect",
+        "defect_field", "full_bundle_curvature", "gram", "gram_bounds", "hardy_line_frame", "hs_norm_sq",
+        "load_frame", "projection", "projection_dz", "save_frame",
+    ),
+    "calculus": ("ComplexGrid", "build_grid", "carleson_constant", "ring_grid"),
+    "criteria": (
+        "CriteriaReport", "Thresholds", "carleson_check", "default_probes", "green_potential", "green_sweep",
+        "pointwise_bound", "similarity_verdict",
+    ),
+    "errors": (
+        "AccuracyError", "BoundaryZeroError", "CapacityError", "ConditioningError", "DataError", "DomainError",
+        "NumericalError", "ParameterError", "SymbolError", "ToolkitError", "ValidationError",
+    ),
+    "kernels": ("weighted_kernel_diag_certified",),
+    "rational": ("RationalFunction",),
+    "toeplitz": (
+        "InnerOuterFactorization", "MatrixSymbol", "ToeplitzSection", "fourier_block", "intertwining_check",
+        "kernel_action_check", "left_invertibility_margin", "load_symbol", "multiplicativity_check", "save_symbol",
+        "scalar_inner_outer", "toeplitz_section",
+    ),
+    "weights": (
+        "KernelRatio", "SpikeBound", "WeightSequence", "build_spike_weight", "counterexample_report",
+        "kernel_ratio_check", "ratio_bound_check", "shift_growth_witness", "spike_peak_bound", "weights_from_csv",
+        "weights_to_csv",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """An exported name, read from its submodule (imported on first use)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

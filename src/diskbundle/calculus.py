@@ -116,6 +116,16 @@ def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexG
     )
 
 
+def grid_meta(grid: ComplexGrid) -> dict:
+    """The ``grid`` block of the ``curvature`` and ``criteria`` reports."""
+    return {
+        "points": grid.n,
+        "radial_count": int(grid.ring_count),
+        "angular_count": int(grid.angular_count),
+        "margin": float(grid.margin),
+    }
+
+
 def ring_grid(radii: Sequence[float], angular_count: int) -> ComplexGrid:
     """Grid with caller-chosen ring radii (for sup-type sweeps).
 

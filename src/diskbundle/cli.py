@@ -10,7 +10,8 @@ value. Each run writes ``report.json`` (floats at 17 significant digits,
 sorted keys, fixed row orders) plus the command's CSV dumps, so identical
 inputs produce byte-identical artifacts. Validation problems exit with
 code 2, numerical failures with code 3, both with a machine-readable error
-JSON on stdout.
+JSON on stdout. Each ``_cmd_*`` imports the layers its command runs, so a
+run loads no other layer.
 """
 
 from __future__ import annotations
@@ -20,24 +21,14 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .bundle import DefectField, defect_field, full_bundle_curvature, gram_bounds, load_frame
-from .calculus import build_grid, write_csv
-from .criteria import Thresholds, grid_meta, similarity_verdict, write_probe_heatmap
 from .errors import DataError, NumericalError, ParameterError, ValidationError
-from .toeplitz import (
-    intertwining_check,
-    kernel_action_check,
-    left_invertibility_margin,
-    load_symbol,
-    multiplicativity_check,
-    scalar_inner_outer,
-    toeplitz_section,
-)
-from .weights import build_spike_weight, counterexample_report, weights_to_csv, DEFAULT_RADII
+
+if TYPE_CHECKING:
+    from .bundle import DefectField
 
 COMMANDS = ("curvature", "criteria", "toeplitz", "counterexample")
 
@@ -122,7 +113,7 @@ _KEYS = {
     "spike_count": _Key(("counterexample",), _int, _REQUIRED, lambda n: 1 <= n <= 64, "must be in 1..64"),
     "length": _Key(("counterexample",), _int, _REQUIRED, lambda n: 1 <= n <= 10**7, "must be in 1..10^7"),
     "radii": _Key(
-        ("counterexample",), _nonempty_list(_float, "a nonempty list"), DEFAULT_RADII,
+        ("counterexample",), _nonempty_list(_float, "a nonempty list"), (0.0, 0.5, 0.9, 0.99, 0.999),
         lambda radii: all(0.0 <= r < 1.0 for r in radii), "must lie in [0, 1)",
     ),
 }
@@ -157,11 +148,17 @@ def _check_keys(obj, allowed, where):
 
 
 def _with_file(action, path: Path, key: str):
-    """``action(path)``; a file the run cannot read or create exits 2 on ``key``."""
+    """``action(path)``; a file the run cannot read or create, or a data fault
+    of the whole file (text that is not JSON, no top-level object), exits 2
+    on ``key``."""
     try:
         return action(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{key} {path} cannot be used: {type(exc).__name__}: {exc}", field=key) from exc
+    except DataError as exc:
+        if exc.field:  # a field inside the file
+            raise
+        raise DataError(str(exc), field=key) from exc
 
 
 def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> dict:
@@ -243,6 +240,8 @@ def write_report(doc: dict, path: Path) -> None:
 
 def emit_heatmap(field: DefectField, path) -> None:
     """CSV ``re,im,value`` in radial-major grid order; partial fields are refused."""
+    from .calculus import write_csv
+
     if field.is_partial:
         raise NumericalError("refusing to dump a partial field")
     points = field.grid.points
@@ -255,10 +254,15 @@ def _pair(z: complex) -> list:
 
 
 def _grid(cfg: dict):
+    from .calculus import build_grid
+
     return build_grid(cfg["grid.radial_count"], cfg["grid.angular_count"], cfg["grid.margin"])
 
 
 def _cmd_curvature(cfg: dict) -> dict:
+    from .bundle import defect_field, full_bundle_curvature, gram_bounds, load_frame
+    from .calculus import grid_meta
+
     frame = _with_file(load_frame, cfg["frame"], "frame")
     grid = _grid(cfg)
     field_ = defect_field(frame, grid)
@@ -288,6 +292,9 @@ def _cmd_curvature(cfg: dict) -> dict:
 
 
 def _cmd_criteria(cfg: dict) -> dict:
+    from .bundle import load_frame
+    from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
+
     frame = _with_file(load_frame, cfg["frame"], "frame")
     thresholds = Thresholds(M=cfg["thresholds.M"], C=cfg["thresholds.C"])
     report = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
@@ -302,6 +309,16 @@ def _cmd_criteria(cfg: dict) -> dict:
 
 
 def _cmd_toeplitz(cfg: dict) -> dict:
+    from .toeplitz import (
+        intertwining_check,
+        kernel_action_check,
+        left_invertibility_margin,
+        load_symbol,
+        multiplicativity_check,
+        scalar_inner_outer,
+        toeplitz_section,
+    )
+
     symbol = _with_file(load_symbol, cfg["symbol"], "symbol")
     grid = _grid(cfg)
     order = min(cfg["truncation"], 64)
@@ -332,7 +349,10 @@ def _cmd_toeplitz(cfg: dict) -> dict:
         if order >= 2:
             doc["intertwining"] = intertwining_check(symbol, order)
         if symbol.is_scalar:
-            split = scalar_inner_outer(symbol.entries[0][0])
+            try:
+                split = scalar_inner_outer(symbol.entries[0][0])
+            except DataError as exc:  # its one DataError: the numerator's zeros cannot be located
+                raise DataError(f"entries[0][0].num: {exc}", field="entries[0][0].num") from None
             doc["inner_outer"] = {
                 "disk_zeros": [_pair(a) for a in split.disk_zeros],
                 "inner": split.inner.to_jsonable(),
@@ -342,6 +362,8 @@ def _cmd_toeplitz(cfg: dict) -> dict:
 
 
 def _cmd_counterexample(cfg: dict) -> dict:
+    from .weights import build_spike_weight, counterexample_report, weights_to_csv
+
     w = build_spike_weight(cfg["epsilon"], cfg["spike_count"], cfg["length"])
     report = counterexample_report(w, cfg["radii"])
     weights_to_csv(w, cfg["out_dir"] / "weights.csv")

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import AnalyticFrame, DefectField, GramBounds, defect_field, gram_bounds
-from .calculus import TWO_PI, ComplexGrid, carleson_constant, write_csv
+from .calculus import TWO_PI, ComplexGrid, carleson_constant, grid_meta, write_csv
 from .errors import DataError, DomainError, ParameterError
 
 #: near-singular detection: distance below this multiple of the cell diagonal;
@@ -210,16 +210,6 @@ class CriteriaReport:
             "grid": self.grid_meta,
             "thresholds": {"M": self.thresholds.M, "C": self.thresholds.C},
         }
-
-
-def grid_meta(grid: ComplexGrid) -> dict:
-    """The ``grid`` block of the ``curvature`` and ``criteria`` reports."""
-    return {
-        "points": grid.n,
-        "radial_count": int(grid.ring_count),
-        "angular_count": int(grid.angular_count),
-        "margin": float(grid.margin),
-    }
 
 
 def similarity_verdict(

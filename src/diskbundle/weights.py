@@ -28,10 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import AccuracyError, CapacityError, DataError, ParameterError
 from .kernels import weighted_kernel_diag_certified
 
-#: default probe radii for kernel-ratio sweeps
-DEFAULT_RADII = (0.0, 0.5, 0.9, 0.99, 0.999)
-
-
 @dataclass(frozen=True)
 class WeightSequence:
     """Finite positive weights with ``w_0 = 1``.
@@ -279,7 +275,7 @@ def weights_from_csv(path) -> WeightSequence:
     return w
 
 
-def counterexample_report(w: WeightSequence, radii: Sequence[float] = DEFAULT_RADII) -> dict:
+def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
     """Run every check on a spike weight from :func:`build_spike_weight`.
 
     The report carries the construction constants, the per-spike extremal

@@ -337,6 +337,12 @@ def test_overflowing_gram_exits_3(tmp_path):
         ("curvature", "cfg.json", {"frame": "frame.json"}, "taken", "out_dir"),
         ("criteria", "folder", {}, None, "config"),
         ("criteria", "latin1.json", {}, None, "config"),
+        ("curvature", "cfg.json", {"frame": "not_json.json"}, None, "frame"),
+        ("criteria", "cfg.json", {"frame": "list.json"}, None, "frame"),
+        ("toeplitz", "cfg.json", {"symbol": "not_json.json"}, None, "symbol"),
+        ("toeplitz", "cfg.json", {"symbol": "list.json"}, None, "symbol"),
+        ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "not_json.json"}, None, "second_symbol"),
+        ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "list.json"}, None, "second_symbol"),
     ],
     ids=[
         "frame_missing",
@@ -348,6 +354,12 @@ def test_overflowing_gram_exits_3(tmp_path):
         "out_option_is_a_file",
         "config_directory",
         "config_not_utf8",
+        "frame_not_json",
+        "frame_not_an_object",
+        "symbol_not_json",
+        "symbol_not_an_object",
+        "second_symbol_not_json",
+        "second_symbol_not_an_object",
     ],
 )
 def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, field):
@@ -356,6 +368,8 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     (tmp_path / "folder").mkdir()
     (tmp_path / "taken").write_text("a file, not a directory\n")
     (tmp_path / "latin1.json").write_bytes(b'{"frame": "fr\xe9me.json"}')
+    (tmp_path / "not_json.json").write_text('{"rows": 1,')
+    (tmp_path / "list.json").write_text("[1]")
     write_config(tmp_path / "cfg.json", {**payload, "grid": {"radial_count": 1, "angular_count": 4}})
     argv = [command, "--config", str(tmp_path / config)]
     if out is not None:
@@ -441,7 +455,7 @@ def test_readme_key_table_matches_config_table():
     [
         ('{"frame": ' + "1" * 5000 + "}", None, "config"),
         ("[" * 10000 + "]" * 10000, None, "config"),
-        ('{"frame": "frame.json"}', '{"rows": ' + "1" * 5000 + "}", None),
+        ('{"frame": "frame.json"}', '{"rows": ' + "1" * 5000 + "}", "frame"),
     ],
     ids=["config_integer_too_long", "config_nested_too_deep", "frame_integer_too_long"],
 )
@@ -462,3 +476,4 @@ def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys):
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["type"] == "DataError" and "roots cannot be located" in error["message"]
+    assert error["field"] == "entries[0][0].num"

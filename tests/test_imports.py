@@ -1,8 +1,7 @@
 """Every import in the package and the tests is used.
 
 An import counts as used when the module reads its name anywhere (a
-name, or the base of an attribute chain) or lists it in ``__all__``. The
-package ``__init__`` re-exports its names, so it is left out.
+name, or the base of an attribute chain) or lists it in ``__all__``.
 """
 
 import ast
@@ -39,7 +38,6 @@ def test_no_unused_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in files
-        if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)

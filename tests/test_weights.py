@@ -345,7 +345,7 @@ def test_weights_csv_matches_csv_module_bytes(tmp_path, w):
 
 
 def test_counterexample_report_contents():
-    report = counterexample_report(build_spike_weight(0.1, 2, 128))
+    report = counterexample_report(build_spike_weight(0.1, 2, 128), (0.0, 0.5, 0.9, 0.99, 0.999))
     assert report["spikes"][0]["N_j"] == 10
     assert report["spikes"][1]["N_j"] == 66
     assert report["ratio_check"] == (1.1) ** 2
