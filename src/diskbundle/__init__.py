@@ -36,9 +36,9 @@ _EXPORTS = {
     "kernels": ("weighted_kernel_diag_certified",),
     "rational": ("RationalFunction",),
     "toeplitz": (
-        "InnerOuterFactorization", "MatrixSymbol", "ToeplitzSection", "fourier_block", "intertwining_check",
-        "kernel_action_check", "left_invertibility_margin", "load_symbol", "multiplicativity_check", "save_symbol",
-        "scalar_inner_outer", "toeplitz_section",
+        "InnerOuterFactorization", "MatrixSymbol", "ToeplitzSection", "intertwining_check", "kernel_action_check",
+        "left_invertibility_margin", "load_symbol", "multiplicativity_check", "save_symbol", "scalar_inner_outer",
+        "toeplitz_section",
     ),
     "weights": (
         "KernelRatio", "SpikeBound", "WeightSequence", "build_spike_weight", "counterexample_report",

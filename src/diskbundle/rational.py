@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, ValidationError
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -175,8 +175,9 @@ class RationalMatrix:
     """Matrix of rational functions: shape checks, evaluation and JSON I/O.
 
     Subclasses name themselves in messages through ``noun``, screen each
-    entry's pole radii in ``_check_pole_radii``, and list in ``flags`` the
-    boolean constructor arguments their JSON form carries.
+    entry's pole radii in ``_check_pole_radii`` (a refusal is re-raised
+    naming the entry, ``entries[i][j]``), and list in ``flags`` the boolean
+    constructor arguments their JSON form carries.
     """
 
     noun = "matrix"
@@ -193,11 +194,10 @@ class RationalMatrix:
                 if not isinstance(entry, RationalFunction):
                     raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
                 try:
-                    poles = entry.poles()
-                except DataError as exc:
+                    self._check_pole_radii(np.abs(entry.poles()))
+                except ValidationError as exc:  # unlocatable poles, or poles the subclass refuses
                     where = f"entries[{i}][{j}]"
-                    raise DataError(f"{where}: {exc}", field=where) from None
-                self._check_pole_radii(np.abs(poles))
+                    raise type(exc)(f"{where}: {exc}", field=where) from None
         self.entries = entries
 
     def _check_pole_radii(self, radii: np.ndarray) -> None:

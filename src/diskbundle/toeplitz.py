@@ -1,10 +1,13 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
 Fourier blocks come from FFT sampling on the circle (exact for rational
-symbols up to a reported aliasing level). Analytic symbols yield block
-lower-triangular sections by construction, multiplication of analytic
-sections is exact, and the kernel-action / shift-intertwining identities
-are verified on interior sections where truncation cannot break them.
+symbols up to a reported aliasing level). A section is one gather from
+that table by the offset index ``j - k``; analytic symbols zero the
+offsets below zero, so their sections are block lower-triangular by
+construction and multiplication of analytic sections is exact. The
+kernel-action and shift-intertwining identities are verified on interior
+sections where truncation cannot break them; the backward shift acts on
+a section as a slice by one block.
 
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
@@ -14,7 +17,7 @@ that witnesses left invertibility of a symbol over a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -101,8 +104,9 @@ class MatrixSymbol(RationalMatrix):
 
     def _verify_analytic(self) -> None:
         # the pole check above already settles analyticity for rational
-        # entries; this cross-checks the evaluation path at the aliasing floor
-        blocks, edge = _fourier_blocks(self, 1, n_samples=max(256, 4 * (self.degree_hint() + 1)))
+        # entries; this cross-checks the evaluation path at the aliasing floor,
+        # on at least 256 samples (offsets up to 63)
+        blocks, edge = _fourier_blocks(self, 63)
         m = blocks.shape[0]
         scale = max(1.0, float(np.max(np.abs(blocks))))
         neg = blocks[m // 2 + 1 :]  # offsets -(m/2 - 1) .. -1
@@ -120,28 +124,18 @@ def save_symbol(symbol: MatrixSymbol, path) -> None:
     symbol.save(path)
 
 
-def _fourier_blocks(symbol: MatrixSymbol, max_offset: int, n_samples: Optional[int] = None):
+def _fourier_blocks(symbol: MatrixSymbol, max_offset: int):
     """All Fourier blocks by one FFT; returns (blocks, aliasing_estimate).
 
     ``blocks[k]`` is the coefficient at offset ``k`` for ``k < n/2`` and at
     ``k - n`` beyond, the usual FFT layout.
     """
-    need = max(64, 4 * (symbol.degree_hint() + 1), 4 * (max_offset + 1))
-    m = _next_pow2(need if n_samples is None else max(n_samples, 2 * max_offset + 2))
+    m = _next_pow2(4 * (max(symbol.degree_hint(), max_offset) + 1))
     z = np.exp(2j * np.pi * np.arange(m) / m)
     vals = symbol.eval(z)
     blocks = np.fft.fft(vals, axis=0) / m
     edge = np.abs(blocks[m // 2 - 1 : m // 2 + 2])
     return blocks, float(np.max(edge))
-
-
-def fourier_block(symbol: MatrixSymbol, k: int, n_samples: Optional[int] = None) -> np.ndarray:
-    """The ``k``-th Fourier coefficient block of the symbol."""
-    blocks, _ = _fourier_blocks(symbol, abs(k), n_samples)
-    m = blocks.shape[0]
-    if symbol.analytic and k < 0:
-        return np.zeros((symbol.rows, symbol.cols), dtype=complex)
-    return np.array(blocks[k % m])
 
 
 @dataclass(frozen=True)
@@ -158,22 +152,12 @@ def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     if order < 1:
         raise ParameterError("section order must be >= 1")
     blocks, aliasing = _fourier_blocks(symbol, order)
-    m = blocks.shape[0]
-    rows, cols = symbol.rows, symbol.cols
-    out = np.zeros((order * rows, order * cols), dtype=complex)
-    for offset in range(-(order - 1), order):
-        if symbol.analytic and offset < 0:
-            continue  # exact zeros above the block diagonal
-        block = blocks[offset % m]
-        for j in range(order):
-            k = j - offset
-            if 0 <= k < order:
-                out[j * rows : (j + 1) * rows, k * cols : (k + 1) * cols] = block
+    offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
+    tiles = blocks[offsets % blocks.shape[0]]
+    if symbol.analytic:
+        tiles[offsets < 0] = 0.0  # exact zeros above the block diagonal
+    out = tiles.transpose(0, 2, 1, 3).reshape(order * symbol.rows, order * symbol.cols)
     return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
-
-
-def _shift_down_section(block_dim: int, order: int) -> np.ndarray:
-    return np.kron(np.eye(order, k=1), np.eye(block_dim))
 
 
 def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> float:
@@ -219,17 +203,21 @@ def intertwining_check(f: MatrixSymbol, order: int) -> float:
 
     The last block row is where truncation breaks the identity, so the two
     compositions are compared on the leading ``order - 1`` blocks only.
+    ``S*`` moves the adjoint section one block column right (the first
+    block column becomes zero) on one side and one block row up on the
+    other, so both are slices of the one section.
     """
     if not f.analytic:
         raise ParameterError("intertwining check requires an analytic symbol")
     if order < 2:
         raise ParameterError("section order must be >= 2")
-    adj = np.ascontiguousarray(toeplitz_section(f, order).matrix.conj().T)
-    left = adj @ _shift_down_section(f.rows, order)
-    right = _shift_down_section(f.cols, order) @ adj
+    adj = toeplitz_section(f, order).matrix.conj().T
     rows_keep = (order - 1) * f.cols
     cols_keep = (order - 1) * f.rows
-    return float(np.linalg.norm(left[:rows_keep, :cols_keep] - right[:rows_keep, :cols_keep]))
+    left = np.zeros((rows_keep, cols_keep), dtype=complex)
+    left[:, f.rows :] = adj[:rows_keep, : cols_keep - f.rows]
+    right = adj[f.cols :, :cols_keep]
+    return float(np.linalg.norm(left - right))
 
 
 @dataclass(frozen=True)

@@ -120,16 +120,17 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
     )
 
 
-def ratio_bound_check(w: WeightSequence, epsilon: float) -> float:
+def ratio_bound_check(w: WeightSequence) -> float:
     """Extreme consecutive ratio ``max_n max(w_{n+1}/w_n, w_n/w_{n+1})``.
 
     For spike-built sequences this is computed from the integer exponent
-    steps and equals ``(1+epsilon)**2`` exactly whenever a spike exists.
+    steps and the weight's own ``epsilon``, and equals ``(1+epsilon)**2``
+    exactly whenever a spike exists.
     """
     if w.is_spike_built:
         steps = np.abs(np.diff(w.log_exponents))
         dmax = int(steps.max()) if len(steps) else 0
-        return (1.0 + epsilon) ** (2 * dmax)
+        return (1.0 + w.epsilon) ** (2 * dmax)
     if w.length < 2:
         return 1.0
     r = w.values[1:] / w.values[:-1]
@@ -142,7 +143,7 @@ class KernelRatio:
     max_ratio: float
 
 
-def kernel_ratio_check(w: WeightSequence, radii: Sequence[float], epsilon: float) -> KernelRatio:
+def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> KernelRatio:
     """Weighted-to-unweighted kernel diagonal ratio over the given radii.
 
     Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``; for a spike-built
@@ -285,7 +286,6 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
     """
     if not w.is_spike_built:
         raise ParameterError("the counterexample report needs a spike-built weight")
-    epsilon = w.epsilon
     spikes = []
     for j, start in enumerate(w.spike_starts, start=1):
         sb = spike_peak_bound(start, j)
@@ -293,12 +293,12 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
             raise AccuracyError("spike bound exceeds alpha / 2^j; construction is inconsistent")
         spikes.append({"j": j, "N_j": int(start), "A_j": sb.extremal, "bound": sb.bound})
     growth = shift_growth_witness(w, [1.0], w.length - 1)
-    ratio = kernel_ratio_check(w, radii, epsilon)
+    ratio = kernel_ratio_check(w, radii)
     return {
-        "epsilon": float(epsilon),
+        "epsilon": float(w.epsilon),
         "alpha": float(w.alpha),
         "spikes": spikes,
-        "ratio_check": ratio_bound_check(w, epsilon),
+        "ratio_check": ratio_bound_check(w),
         "kernel_ratio": {"min": ratio.min_ratio, "max": ratio.max_ratio},
         "growth_max": float(np.max(growth)),
     }

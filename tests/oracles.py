@@ -4,13 +4,15 @@ None of these is reached by a command: finite-difference Wirtinger
 derivatives and Laplacian, the brute-force dyadic Carleson boxes,
 projection residuals, the kernel closed forms, the weighted backward
 shift on coefficients, the Green quadrature written as a loop over
-cells and subcells, and the whole-sequence forms of the counterexample's
+cells and subcells, the whole-sequence forms of the counterexample's
 three fast paths (the kernel sum over every stored weight, the spike
-values one slot at a time, the weight dump through the ``csv`` module).
-Every production derivative comes from exact rational calculus,
-``carleson_constant`` bins the same boxes by sector, the package's Green
-stencil computes the same quadrature on whole arrays, and the fast paths
-must match their forms here bit for bit.
+values one slot at a time, the weight dump through the ``csv`` module),
+and the Toeplitz section filled block by block with its shift-intertwining
+gap taken through Kronecker shift matrices. Every production derivative
+comes from exact rational calculus, ``carleson_constant`` bins the same
+boxes by sector, the package's Green stencil computes the same quadrature
+on whole arrays, and the fast paths and the section gather must match
+their forms here bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from diskbundle.bundle import projection, projection_dz
 from diskbundle.calculus import TWO_PI, write_csv
 from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
 from diskbundle.kernels import KERNEL_REL_TOL
+from diskbundle.toeplitz import _fourier_blocks
 
 #: default finite-difference step; balances truncation against roundoff
 DEFAULT_FD_STEP = 1e-4
@@ -198,6 +201,37 @@ def csv_module_weights(w, path) -> None:
     """The ``n,w_n,ln_w_n`` dump written row by row through ``write_csv``."""
     rows = zip(range(w.length), w.values.tolist(), np.log(w.values).tolist())
     write_csv(path, ["n", "w_n", "ln_w_n"], rows)
+
+
+def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
+    """The section with block ``coeff(j - k)`` at ``(j, k)``, written one
+    offset and one block row at a time; analytic symbols skip the offsets
+    below zero."""
+    blocks, _ = _fourier_blocks(symbol, order)
+    m = blocks.shape[0]
+    rows, cols = symbol.rows, symbol.cols
+    out = np.zeros((order * rows, order * cols), dtype=complex)
+    for offset in range(-(order - 1), order):
+        if symbol.analytic and offset < 0:
+            continue
+        block = blocks[offset % m]
+        for j in range(order):
+            k = j - offset
+            if 0 <= k < order:
+                out[j * rows : (j + 1) * rows, k * cols : (k + 1) * cols] = block
+    return out
+
+
+def kron_intertwining_gap(f, order: int) -> float:
+    """``T_{F*} S*`` against ``S* T_{F*}`` on the leading ``order - 1``
+    blocks, with ``S*`` a Kronecker shift matrix and both sides dense
+    products."""
+    adj = np.ascontiguousarray(loop_toeplitz_section(f, order).conj().T)
+    left = adj @ np.kron(np.eye(order, k=1), np.eye(f.rows))
+    right = np.kron(np.eye(order, k=1), np.eye(f.cols)) @ adj
+    rows_keep = (order - 1) * f.cols
+    cols_keep = (order - 1) * f.rows
+    return float(np.linalg.norm(left[:rows_keep, :cols_keep] - right[:rows_keep, :cols_keep]))
 
 
 def _cell_contains(r_lo, r_hi, t_lo, t_hi, lam, tol=CONTAINS_TOL) -> bool:

@@ -120,10 +120,13 @@ def test_partial_field_exits_3(tmp_path):
     assert json.loads(result.stdout)["kind"] == "numerical"
 
 
-def test_reports_are_deterministic(tmp_path, constant_frame_file):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+@pytest.mark.parametrize("command", ["criteria", "toeplitz"])
+def test_reports_are_deterministic(tmp_path, constant_frame_file, command):
+    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    payload = {"frame": "frame.json"} if command == "criteria" else {"symbol": "s.json", "truncation": 16}
+    cfg = write_config(tmp_path / "cfg.json", payload)
     for out in ("a", "b"):
-        result = run_cli(["criteria", "--config", str(cfg), "--out", str(tmp_path / out)], cwd=tmp_path)
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / out)], cwd=tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
     first = (tmp_path / "a" / "report.json").read_bytes()
     second = (tmp_path / "b" / "report.json").read_bytes()
@@ -428,6 +431,28 @@ def test_non_finite_or_extreme_coefficient_exits_2(tmp_path, capsys, command, de
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["type"] == "DataError" and error["field"] == field
+
+
+@pytest.mark.parametrize(
+    "command, den, analytic, kind",
+    [
+        ("curvature", [[1.0, 0.0], [-2.0, 0.0]], None, "ParameterError"),
+        ("toeplitz", [[1.0, 0.0], [-1.0, 0.0]], False, "SymbolError"),
+        ("toeplitz", [[-0.5, 0.0], [1.0, 0.0]], True, "SymbolError"),
+    ],
+    ids=["frame_pole_in_disk", "symbol_pole_on_circle", "analytic_symbol_pole_in_disk"],
+)
+def test_refused_pole_names_its_entry(tmp_path, capsys, command, den, analytic, kind):
+    doc = {"rows": 1, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": den}]]}
+    name = "frame" if command == "curvature" else "symbol"
+    if analytic is not None:
+        doc["analytic"] = analytic
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", {name: "m.json", "grid": {"radial_count": 2, "angular_count": 4}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == kind and error["field"] == "entries[0][0]"
+    assert error["message"].startswith("entries[0][0]: ")
 
 
 def test_readme_key_table_matches_config_table():

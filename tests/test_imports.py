@@ -1,7 +1,12 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and every private
+module-level name in the package is read.
 
 An import counts as used when the module reads its name anywhere (a
-name, or the base of an attribute chain) or lists it in ``__all__``.
+name, or the base of an attribute chain) or lists it in ``__all__``. A
+private name (``_x``, not a dunder) defined at module level by ``def``,
+``class`` or assignment counts as read when some module of the package
+loads it as a name or as an attribute, so a helper whose last caller is
+gone is found.
 """
 
 import ast
@@ -41,3 +46,45 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict) -> list:
+    """``(module, line, name)`` of the private module-level names no source reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stores = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = [n.id for n in stores if isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a": "_X = 1\n_y, _z = 2, 3\ndef _f():\n    return _y\nclass _C:\n    _hidden = 0\n",
+        "b": "import a\na._f()\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == [("a", 1, "_X"), ("a", 2, "_z"), ("a", 5, "_C")]
+
+
+def test_no_unread_private_names():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = [f"{module}:{line}: {name}" for module, line, name in unread_private_names(sources)]
+    assert not found, "private names nothing reads:\n" + "\n".join(found)

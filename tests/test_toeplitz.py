@@ -6,7 +6,6 @@ from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, Para
 from diskbundle.rational import RationalFunction, poly_mul
 from diskbundle.toeplitz import (
     MatrixSymbol,
-    fourier_block,
     intertwining_check,
     kernel_action_check,
     left_invertibility_margin,
@@ -16,6 +15,8 @@ from diskbundle.toeplitz import (
     scalar_inner_outer,
     toeplitz_section,
 )
+
+from oracles import kron_intertwining_gap, loop_toeplitz_section
 
 
 def shift_symbol():
@@ -42,6 +43,29 @@ def random_poly_symbol(rows, cols, degree, seed):
     return MatrixSymbol(entries, analytic=True)
 
 
+def random_rational_symbol(rows, cols, analytic, seed):
+    """Quadratic numerators over a pole outside the disk, and for a general
+    symbol a second pole inside it."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            p, q = rng.uniform(0.2, 0.7, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            den = [1.0, -p] if analytic else poly_mul([1.0, -p], [-q, 1.0])
+            row.append(RationalFunction(rng.standard_normal(3) + 1j * rng.standard_normal(3), den))
+        entries.append(row)
+    return MatrixSymbol(entries, analytic=analytic)
+
+
+def coefficient(symbol, k):
+    """Fourier coefficient ``k`` read off a section: block ``(k, 0)``, or
+    block ``(0, 1)`` for ``k = -1``."""
+    sec = toeplitz_section(symbol, max(k, 1) + 1).matrix
+    j, col = (0, 1) if k == -1 else (k, 0)
+    return sec[j * symbol.rows : (j + 1) * symbol.rows, col * symbol.cols : (col + 1) * symbol.cols]
+
+
 # --- symbol validation ---
 
 
@@ -57,8 +81,8 @@ def test_analytic_flag_with_inside_pole_rejected():
 
 def test_general_symbol_has_negative_coefficients():
     gen = MatrixSymbol.scalar(RationalFunction([0.0, 1.0], [-0.5, 1.0]), analytic=False)
-    assert abs(fourier_block(gen, -1)[0, 0] - 0.5) < 1e-13
-    assert abs(fourier_block(gen, 0)[0, 0] - 1.0) < 1e-13
+    assert abs(coefficient(gen, -1)[0, 0] - 0.5) < 1e-13
+    assert abs(coefficient(gen, 0)[0, 0] - 1.0) < 1e-13
 
 
 # --- Fourier blocks ---
@@ -66,15 +90,15 @@ def test_general_symbol_has_negative_coefficients():
 
 def test_fourier_of_shift():
     s = shift_symbol()
-    assert abs(fourier_block(s, 1)[0, 0] - 1.0) < 1e-14
+    assert abs(coefficient(s, 1)[0, 0] - 1.0) < 1e-14
     for k in (0, 2, 3, -1):
-        assert abs(fourier_block(s, k)[0, 0]) < 1e-14
+        assert abs(coefficient(s, k)[0, 0]) < 1e-14
 
 
 def test_fourier_geometric_series():
     c = MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.5]), analytic=True)
     for k in range(9):
-        assert abs(fourier_block(c, k)[0, 0] - 0.5**k) < 1e-13
+        assert abs(coefficient(c, k)[0, 0] - 0.5**k) < 1e-13
 
 
 # --- sections ---
@@ -108,6 +132,17 @@ def test_section_constant_along_block_diagonals():
     for off in range(6):
         vals = [sec[j + off, j] for j in range(6 - off)]
         assert len(set(vals)) == 1
+
+
+SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "general"])
+def test_section_gather_matches_loop_oracle(rows, cols, analytic):
+    sym = random_rational_symbol(rows, cols, analytic, seed=10 * rows + cols)
+    for order in (1, 2, 5, 64):
+        assert np.array_equal(toeplitz_section(sym, order).matrix, loop_toeplitz_section(sym, order)), order
 
 
 # --- multiplicativity (analytic symbols only) ---
@@ -166,6 +201,13 @@ def test_intertwining_shift():
 
 def test_intertwining_matrix_polynomial():
     assert intertwining_check(random_poly_symbol(2, 2, 3, seed=4), 16) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_intertwining_slices_match_kron_oracle(rows, cols):
+    f = random_rational_symbol(rows, cols, True, seed=10 * rows + cols)
+    for order in (2, 5, 64):
+        assert np.array_equal(intertwining_check(f, order), kron_intertwining_gap(f, order)), order
 
 
 def test_intertwining_needs_order_two():

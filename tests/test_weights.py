@@ -98,43 +98,43 @@ def test_unit_tail_convention():
 
 
 def test_ratio_bound_unit_weights():
-    assert ratio_bound_check(WeightSequence.from_values(np.ones(16)), 0.1) == 1.0
+    assert ratio_bound_check(WeightSequence.from_values(np.ones(16))) == 1.0
 
 
 def test_ratio_bound_spike_exact():
     w = build_spike_weight(0.1, 1, 64)
-    assert ratio_bound_check(w, 0.1) == (1.1) ** 2
+    assert ratio_bound_check(w) == (1.1) ** 2
 
 
 def test_ratio_bound_hand_sequence():
-    assert ratio_bound_check(WeightSequence.from_values([1.0, 2.0]), 0.5) == 2.0
+    assert ratio_bound_check(WeightSequence.from_values([1.0, 2.0])) == 2.0
 
 
 # --- kernel ratio ---
 
 
 def test_kernel_ratio_unit_weights():
-    kr = kernel_ratio_check(WeightSequence.from_values([1.0]), [0.0, 0.5, 0.9], 0.1)
+    kr = kernel_ratio_check(WeightSequence.from_values([1.0]), [0.0, 0.5, 0.9])
     assert abs(kr.min_ratio - 1.0) < 1e-12
     assert abs(kr.max_ratio - 1.0) < 1e-12
 
 
 def test_kernel_ratio_spike_bracket():
     w = build_spike_weight(0.1, 1, 64)
-    kr = kernel_ratio_check(w, [0.0, 0.5, 0.9, 0.99, 0.999], 0.1)
+    kr = kernel_ratio_check(w, [0.0, 0.5, 0.9, 0.99, 0.999])
     assert 1.0 - w.alpha - 1e-9 <= kr.min_ratio
     assert kr.max_ratio <= 1.0 + 1e-9
 
 
 def test_kernel_ratio_hand_spike_at_origin():
     w = WeightSequence.from_values([1.0, 2.0, 1.0, 1.0])
-    kr = kernel_ratio_check(w, [0.0], 0.5)
+    kr = kernel_ratio_check(w, [0.0])
     assert kr.min_ratio == kr.max_ratio == 1.0
 
 
 def test_kernel_ratio_rejects_radius_one():
     with pytest.raises(ParameterError):
-        kernel_ratio_check(WeightSequence.from_values([1.0]), [1.0], 0.1)
+        kernel_ratio_check(WeightSequence.from_values([1.0]), [1.0])
 
 
 # --- extremal spike bound ---
