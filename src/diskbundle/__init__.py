@@ -24,7 +24,7 @@ _EXPORTS = {
         "defect_field", "full_bundle_curvature", "gram", "gram_bounds", "hardy_line_frame", "hs_norm_sq",
         "load_frame", "projection", "projection_dz", "save_frame",
     ),
-    "calculus": ("ComplexGrid", "build_grid", "carleson_constant", "ring_grid"),
+    "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (
         "CriteriaReport", "Thresholds", "carleson_check", "default_probes", "green_potential", "green_sweep",
         "pointwise_bound", "similarity_verdict",

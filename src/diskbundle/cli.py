@@ -337,7 +337,11 @@ def _cmd_toeplitz(cfg: dict) -> dict:
     }
     if cfg["second_symbol"] is not None:
         other = _with_file(load_symbol, cfg["second_symbol"], "second_symbol")
-        doc["multiplicativity"] = multiplicativity_check(symbol, other, order)
+        try:
+            doc["multiplicativity"] = multiplicativity_check(symbol, other, order)
+        except ParameterError as exc:  # a symbol is not analytic, or the shapes do not compose
+            exc.field = "second_symbol"
+            raise
     if symbol.analytic:
         e = cfg["vector"] or [1.0] + [0.0] * (symbol.rows - 1)
         if len(e) != symbol.rows:
@@ -346,8 +350,7 @@ def _cmd_toeplitz(cfg: dict) -> dict:
             "lambda": _pair(cfg["lambda"]),
             "discrepancy": kernel_action_check(symbol, cfg["lambda"], e, order),
         }
-        if order >= 2:
-            doc["intertwining"] = intertwining_check(symbol, order)
+        doc["intertwining"] = intertwining_check(symbol, order)
         if symbol.is_scalar:
             try:
                 split = scalar_inner_outer(symbol.entries[0][0])

@@ -33,8 +33,8 @@ class DataError(ValidationError):
 class CapacityError(ValidationError):
     """A finite sequence is too short for the requested operation."""
 
-    def __init__(self, message, required_length=None):
-        super().__init__(message)
+    def __init__(self, message, required_length=None, field=None):
+        super().__init__(message, field)
         self.required_length = required_length
 
 

@@ -22,14 +22,14 @@ KERNEL_REL_TOL = 1e-12
 _FIRST_PREFIX = 64
 
 
-def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_TOL):
+def weighted_kernel_diag_certified(w, lam: complex):
     """Weighted kernel diagonal with a certified absolute error bound.
 
     ``w`` is a weight sequence object exposing ``values`` (stored positive
     weights, ``w_0 = 1``) and the documented unit-tail convention
     ``w_n = 1`` for ``n >= len(values)``. Within the stored range the sum
     stops early once the geometric remainder bound
-    ``x^(N+1) / ((1-x) min w)`` drops below ``rel_tol`` times the partial
+    ``x^(N+1) / ((1-x) min w)`` drops below ``KERNEL_REL_TOL`` times the partial
     sum; past the stored range the unit tail is summed in closed form, so
     the returned bound is then pure roundoff.
 
@@ -49,7 +49,7 @@ def weighted_kernel_diag_certified(w, lam: complex, rel_tol: float = KERNEL_REL_
         n = np.arange(min(size, len(values)))
         partials = np.cumsum(np.power(x, n) / values[: len(n)])
         bounds = np.power(x, n + 1) / ((1.0 - x) * wmin)
-        hit = np.flatnonzero(bounds <= rel_tol * partials)
+        hit = np.flatnonzero(bounds <= KERNEL_REL_TOL * partials)
         if hit.size and hit[0] < len(values) - 1:
             i = int(hit[0])
             return float(partials[i]), float(bounds[i])

@@ -38,6 +38,9 @@ _CIRCLE_TOL_ZERO = 1e-10
 #: numeric verification level for "no negative Fourier coefficients"
 _ANALYTIC_TOL = 1e-12
 
+#: circle samples on which a winding number is counted
+_WINDING_SAMPLES = 1024
+
 
 def _next_pow2(n: int) -> int:
     m = 64
@@ -227,8 +230,8 @@ class InnerOuterFactorization:
     disk_zeros: tuple
 
 
-def _winding_number(fn, samples: int = 1024) -> int:
-    z = np.exp(2j * np.pi * np.arange(samples) / samples)
+def _winding_number(fn) -> int:
+    z = np.exp(2j * np.pi * np.arange(_WINDING_SAMPLES) / _WINDING_SAMPLES)
     vals = np.asarray(fn(z), dtype=complex)
     ratios = vals / np.roll(vals, 1)
     return int(round(float(np.sum(np.angle(ratios))) / (2 * np.pi)))

@@ -28,6 +28,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import AccuracyError, CapacityError, DataError, ParameterError
 from .kernels import weighted_kernel_diag_certified
 
+#: samples per pass and zoom passes after the first of the spike-peak grid search
+_GRID_SAMPLES = 4097
+_GRID_ZOOMS = 3
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Finite positive weights with ``w_0 = 1``.
@@ -78,8 +83,8 @@ def _ceil_tol(x: float) -> int:
 def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightSequence:
     """Canonical spike weight with ``spike_count`` spikes in ``length`` slots.
 
-    Raises :class:`CapacityError` carrying the required length when the
-    spikes do not fit.
+    Raises :class:`CapacityError` carrying the required length, on field
+    ``length``, when the spikes do not fit.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
@@ -101,6 +106,7 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
         raise CapacityError(
             f"length {length} cannot hold {spike_count} spikes; need {needed}",
             required_length=needed,
+            field="length",
         )
     exponents = np.zeros(length, dtype=int)
     for j, start in enumerate(starts, start=1):
@@ -176,15 +182,15 @@ class SpikeBound:
             raise DataError("extremal value exceeds its bound")
 
 
-def _grid_max(fn, lo: float, hi: float, n: int = 4097, zooms: int = 3) -> float:
+def _grid_max(fn, lo: float, hi: float) -> float:
     """Dense grid maximization with a few zoom passes; fn must be unimodal-ish."""
     best = -np.inf
-    for _ in range(zooms + 1):
-        xs = np.linspace(lo, hi, n)
+    for _ in range(_GRID_ZOOMS + 1):
+        xs = np.linspace(lo, hi, _GRID_SAMPLES)
         ys = fn(xs)
         i = int(np.argmax(ys))
         best = max(best, float(ys[i]))
-        step = (hi - lo) / (n - 1)
+        step = (hi - lo) / (_GRID_SAMPLES - 1)
         lo, hi = max(lo, xs[i] - 2 * step), min(hi, xs[i] + 2 * step)
     return best
 
@@ -264,7 +270,7 @@ def weights_from_csv(path) -> WeightSequence:
             except ValueError:
                 raise DataError(f"weight row {len(values)} must hold an integer and two numbers") from None
             if index != len(values):
-                raise DataError(f"weight rows must be consecutively indexed from 0")
+                raise DataError("weight rows must be consecutively indexed from 0")
             values.append(value)
             logs.append(log)
     if not values:

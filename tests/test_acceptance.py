@@ -27,7 +27,7 @@ from diskbundle.bundle import (
     projection_dz,
     save_frame,
 )
-from diskbundle.calculus import build_grid, ring_grid
+from diskbundle.calculus import build_grid
 from diskbundle.criteria import carleson_check, green_potential, pointwise_bound
 from diskbundle.rational import RationalFunction, poly_mul
 from diskbundle.toeplitz import (
@@ -229,7 +229,7 @@ def test_criterion_11_left_invertibility_margin():
     with criterion(11, "left-invertibility margin"):
         unitary = MatrixSymbol.constant([[0.0, 1.0], [1.0, 0.0]])
         assert left_invertibility_margin(unitary, build_grid(4, 16, 0.05)) == 1.0
-        grid = ring_grid(np.linspace(0.1, 0.9, 41), 256)
+        grid = build_grid(3, 256, 0.2)
         assert np.min(np.abs(grid.points - 0.5)) <= 1e-2  # grid reaches z = 0.5
         blaschke = MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True)
         assert left_invertibility_margin(blaschke, grid) <= 1e-2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskbundle.calculus import build_grid, carleson_constant, ring_grid
+from diskbundle.calculus import build_grid, carleson_constant
 from diskbundle.errors import DataError, DomainError, ParameterError
 from oracles import CarlesonBox, dyadic_boxes, laplacian, wirtinger_dz
 
@@ -31,19 +31,12 @@ def test_grid_points_stay_inside_margin():
     assert np.all(grid.area_weights > 0)
 
 
-@pytest.mark.parametrize("bad", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, 0.0), (4, 4, 1.0), (4, 4, -0.1)])
+@pytest.mark.parametrize(
+    "bad", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, 0.0), (4, 4, 1.0), (4, 4, -0.1), (2.5, 4, 0.1), (2, 4.5, 0.1)]
+)
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ParameterError):
         build_grid(*bad)
-
-
-def test_ring_grid_pins_radii():
-    grid = ring_grid([0.25, 0.5, 0.75], 8)
-    assert set(np.round(np.unique(np.abs(grid.points)), 12)) == {0.25, 0.5, 0.75}
-    with pytest.raises(ParameterError):
-        ring_grid([0.5, 0.999], 8)  # outer boundary would cross the circle
-    with pytest.raises(ParameterError):
-        ring_grid([], 8)
 
 
 # --- Wirtinger derivative ---

@@ -120,17 +120,25 @@ def test_partial_field_exits_3(tmp_path):
     assert json.loads(result.stdout)["kind"] == "numerical"
 
 
-@pytest.mark.parametrize("command", ["criteria", "toeplitz"])
-def test_reports_are_deterministic(tmp_path, constant_frame_file, command):
+@pytest.mark.parametrize(
+    "command, payload, written",
+    [
+        ("curvature", {"frame": "frame.json"}, {"report.json", "defect_field.csv"}),
+        ("criteria", {"frame": "frame.json"}, {"report.json", "criteria_probes.csv"}),
+        ("toeplitz", {"symbol": "s.json", "truncation": 16}, {"report.json"}),
+        ("counterexample", {"epsilon": 0.1, "spike_count": 2, "length": 128}, {"report.json", "weights.csv"}),
+    ],
+    ids=COMMANDS,
+)
+def test_reports_are_deterministic(tmp_path, constant_frame_file, command, payload, written):
     save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
-    payload = {"frame": "frame.json"} if command == "criteria" else {"symbol": "s.json", "truncation": 16}
     cfg = write_config(tmp_path / "cfg.json", payload)
     for out in ("a", "b"):
         result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / out)], cwd=tmp_path)
         assert result.returncode == 0, result.stdout + result.stderr
-    first = (tmp_path / "a" / "report.json").read_bytes()
-    second = (tmp_path / "b" / "report.json").read_bytes()
-    assert first == second
+        assert {path.name for path in (tmp_path / out).iterdir()} == written
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_cli_grid_overrides(tmp_path, constant_frame_file):
@@ -223,10 +231,18 @@ def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
     [
         ({"lambda": ["a", 0]}, "lambda"),
         ({"vector": [1.0]}, "vector"),
+        ({"second_symbol": "tall.json"}, "second_symbol"),
+        ({"second_symbol": "not_analytic.json"}, "second_symbol"),
     ],
 )
 def test_malformed_complex_values_exit_2(tmp_path, payload, field):
     save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    # the faults of the multiplicativity check: a 2x1 symbol does not compose with the 1x1 one, and a
+    # symbol with a pole in the disk is not analytic
+    tall = MatrixSymbol([[RationalFunction([1.0])], [RationalFunction([0.0, 1.0])]], analytic=True)
+    save_symbol(tall, tmp_path / "tall.json")
+    not_analytic = MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -2.0]), analytic=False)
+    save_symbol(not_analytic, tmp_path / "not_analytic.json")
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "truncation": 16, **payload})
     result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
     assert result.returncode == 2, result.stdout + result.stderr
@@ -278,6 +294,7 @@ _HUGE = 10**400  # a JSON integer literal beyond float range
         ("counterexample", {"thresholds": {"C": _HUGE}}, "thresholds.C"),
         ("counterexample", {"radii": [0.5, _HUGE]}, "radii"),
         ("toeplitz", {"lambda": [_HUGE, 0]}, "lambda"),
+        ("counterexample", {"spike_count": 5, "length": 100}, "length"),  # the five spikes need 1661 slots
     ],
 )
 def test_integer_beyond_float_range_exits_2(tmp_path, command, payload, field):

@@ -1,12 +1,14 @@
-"""Every import in the package and the tests is used, and every private
-module-level name in the package is read.
+"""Every import in the package and the tests is used, every private
+module-level name in the package is read, and every f-string has a
+placeholder.
 
 An import counts as used when the module reads its name anywhere (a
 name, or the base of an attribute chain) or lists it in ``__all__``. A
 private name (``_x``, not a dunder) defined at module level by ``def``,
 ``class`` or assignment counts as read when some module of the package
 loads it as a name or as an attribute, so a helper whose last caller is
-gone is found.
+gone is found. An f-string counts as having a placeholder when some
+``{...}`` field of it, not only its format specs, holds an expression.
 """
 
 import ast
@@ -88,3 +90,29 @@ def test_no_unread_private_names():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
     found = [f"{module}:{line}: {name}" for module, line, name in unread_private_names(sources)]
     assert not found, "private names nothing reads:\n" + "\n".join(found)
+
+
+def placeholderless_fstrings(source: str) -> list:
+    """Lines of the f-strings with no ``{...}`` field (a format spec is not one)."""
+    tree = ast.parse(source)
+    specs = {id(node.format_spec) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(part, ast.FormattedValue) for part in node.values)
+    )
+
+
+def test_placeholderless_fstrings_are_found():
+    source = 'a = f"plain"\nb = f"{a:.6g} {a!r:>{9}}"\nc = "x" f"y"\nd = f"x" "{y}"\n'
+    assert placeholderless_fstrings(source) == [1, 3, 4]
+
+
+def test_no_placeholderless_fstrings():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}" for path in files for line in placeholderless_fstrings(path.read_text())
+    ]
+    assert not found, "f-strings with no placeholder:\n" + "\n".join(found)
