@@ -168,7 +168,7 @@ class BundleCurvature:
     truncation_tail: float
 
 
-def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int = 512) -> BundleCurvature:
+def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int) -> BundleCurvature:
     """Split ``n/(1-|lam|^2)^2 + defect`` and its tensored cross-check."""
     if truncation < 2:
         raise ParameterError("truncation must be >= 2")

@@ -25,7 +25,8 @@ class ComplexGrid:
     """Polar quadrature sampling of the disk ``|z| <= 1 - margin``.
 
     The three parameters are its only fields; construction checks them and
-    derives ``radial_edges``, ``points`` and ``area_weights`` once. The ring
+    derives ``radial_edges``, ``points`` and ``area_weights`` once, as
+    read-only arrays, so a grid cannot drift from its parameters. The ring
     boundaries ``(1 - margin) * (1 - 2^-k)`` refine geometrically toward
     ``1 - margin``, where the last one closes. ``points`` are radial-major:
     sample ``i`` sits at the midpoint of the polar cell of ring
@@ -55,9 +56,9 @@ class ComplexGrid:
         ring_phase = np.exp(1j * angles)
         points = (radii[:, None] * ring_phase[None, :]).ravel()
         weights = (radii * dr)[:, None].repeat(self.angular_count, axis=1).ravel() * dt
-        object.__setattr__(self, "radial_edges", edges)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "area_weights", weights)
+        for name, array in (("radial_edges", edges), ("points", points), ("area_weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:

@@ -1,17 +1,18 @@
 """Config-driven command line front end.
 
-``diskbundle <command> --config cfg.json [--out DIR] [--grid-radial K]
-[--grid-angular M] [--margin X] [--truncation N]``
+``diskbundle <command> --config cfg.json [--out DIR] [override flags]``
 
 Commands: ``curvature``, ``criteria``, ``toeplitz``, ``counterexample``.
-Every config key is one row of ``_KEYS``; the four overrides name a row
-each, and their text is read as JSON and checked by that row like a config
-value. Each run writes ``report.json`` (floats at 17 significant digits,
-sorted keys, fixed row orders) plus the command's CSV dumps, so identical
-inputs produce byte-identical artifacts. Validation problems exit with
-code 2, numerical failures with code 3, both with a machine-readable error
-JSON on stdout. Each ``_cmd_*`` imports the layers its command runs, so a
-run loads no other layer.
+Every config key is one row of ``_KEYS``, which lists the commands that
+read it; a command refuses every other key. A row with a ``flag`` is
+overridden by that option, on its commands only: the option's text is read
+as JSON and checked by the row like a config value. Each run writes
+``report.json`` (floats at 17 significant digits, sorted keys, fixed row
+orders) plus the command's CSV dumps, so identical inputs produce
+byte-identical artifacts. Validation problems exit with code 2, numerical
+failures with code 3, both with a machine-readable error JSON on stdout.
+Each ``_cmd_*`` imports the layers its command runs, so a run loads no
+other layer.
 """
 
 from __future__ import annotations
@@ -82,32 +83,37 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: the commands that take it, its parser, default and range."""
+    """One config key: the commands that read it, its parser, default, range and override flag."""
 
     commands: tuple
     parse: Callable
     default: object = None
     ok: Optional[Callable] = None  # range test of a parsed value
     rule: str = ""  # what ``ok`` demands, as the error message says it
+    flag: Optional[str] = None  # the command-line option that overrides the key
 
 
 _POSITIVE = "must be positive and finite"
+_GRID = ("curvature", "criteria", "toeplitz")
 
 #: every config key by dotted name, in the order values are parsed
 _KEYS = {
-    "grid.radial_count": _Key(COMMANDS, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48"),
-    "grid.angular_count": _Key(COMMANDS, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536"),
-    "grid.margin": _Key(COMMANDS, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
-    "truncation": _Key(COMMANDS, _int, 512, lambda n: 2 <= n <= 100000, "must be in 2..100000"),
-    "thresholds.M": _Key(COMMANDS, _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
-    "thresholds.C": _Key(COMMANDS, _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
+    "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48", "--grid-radial"),
+    "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536", "--grid-angular"),
+    "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)", "--margin"),
+    "truncation": _Key(
+        ("curvature", "toeplitz"), _int, 512, lambda n: 2 <= n <= 100000, "must be in 2..100000", "--truncation"
+    ),
+    "thresholds.M": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
+    "thresholds.C": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
     "out_dir": _Key(COMMANDS, _path, Path(".")),
     "frame": _Key(("curvature", "criteria"), _path, _REQUIRED),
     "symbol": _Key(("toeplitz",), _path, _REQUIRED),
     "second_symbol": _Key(("toeplitz",), _path),
     "lambda": _Key(("toeplitz",), _complex_pair, 0.5 + 0.0j, lambda z: abs(z) < 1.0, "must lie in the open unit disk"),
     "vector": _Key(("toeplitz",), _nonempty_list(_complex_pair, "a list of [re, im] pairs")),
-    "probe_stride": _Key(("criteria",), _int, 4, lambda n: n >= 1, "must be >= 1"),
+    # grid.radial_count <= 48, so a stride of 48 or more probes ring 0 only
+    "probe_stride": _Key(("criteria",), _int, 4, lambda n: 1 <= n <= 48, "must be in 1..48"),
     "max_depth": _Key(("criteria",), _int, 8, lambda n: 0 <= n <= 24, "must be in 0..24"),
     "epsilon": _Key(("counterexample",), _float, _REQUIRED, lambda x: 0.0 < x <= 10.0, "must lie in (0, 10]"),
     "spike_count": _Key(("counterexample",), _int, _REQUIRED, lambda n: 1 <= n <= 64, "must be in 1..64"),
@@ -118,25 +124,14 @@ _KEYS = {
     ),
 }
 
-#: the command-line options that override a config key
-_OVERRIDES = {
-    "--grid-radial": "grid.radial_count",
-    "--grid-angular": "grid.angular_count",
-    "--margin": "grid.margin",
-    "--truncation": "truncation",
-}
-
-
-def _check(key: str, value):
-    row = _KEYS[key]
-    if row.ok is not None and not row.ok(value):
-        raise ParameterError(f"{key} {row.rule}", field=key)
-    return value
-
 
 def _parse(key: str, obj):
     """A config value or decoded override as its row's type, inside its row's range."""
-    return _check(key, _KEYS[key].parse(obj, key))
+    row = _KEYS[key]
+    value = row.parse(obj, key)
+    if row.ok is not None and not row.ok(value):
+        raise ParameterError(f"{key} {row.rule}", field=key)
+    return value
 
 
 def _check_keys(obj, allowed, where):
@@ -182,22 +177,19 @@ def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> d
             given.update((f"{section}.{sub}", obj) for sub, obj in raw[section].items())
 
     base = Path(path).resolve().parent
-    cfg = {key: row.default for key, row in keys.items()}
-    # the overridable keys are range-checked after all others: the order in which a config's faults are reported
-    late = _OVERRIDES.values()
-    for key in keys:
+    overrides = overrides or {}
+    cfg = {}
+    for key, row in keys.items():
+        cfg[key] = row.default
         if key in given:
-            value = _KEYS[key].parse(given[key], key) if key in late else _parse(key, given[key])
+            value = _parse(key, given[key])
             cfg[key] = base / value if isinstance(value, Path) else value
-    for key in late:
-        if key in given:
-            _check(key, cfg[key])
-    for key, text in (overrides or {}).items():
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError):
-            raise ParameterError(f"{key} override {text!r} is not a JSON number", field=key) from None
-        cfg[key] = _parse(key, obj)
+        if key in overrides:
+            try:
+                obj = json.loads(overrides[key])
+            except (ValueError, RecursionError):
+                raise ParameterError(f"{key} override {overrides[key]!r} is not a JSON number", field=key) from None
+            cfg[key] = _parse(key, obj)
     return cfg
 
 
@@ -271,7 +263,7 @@ def _cmd_curvature(cfg: dict) -> dict:
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
     bounds = gram_bounds(field_)
-    emit_heatmap(field_, cfg["out_dir"] / "defect_field.csv")
+    _with_file(lambda p: emit_heatmap(field_, p), cfg["out_dir"] / "defect_field.csv", "out_dir")
     samples = [
         {"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam, cfg["truncation"]))}
         for lam in (0.0 + 0.0j, 0.5 + 0.0j)
@@ -300,7 +292,8 @@ def _cmd_criteria(cfg: dict) -> dict:
     report = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
     doc = {"command": "criteria", **report.to_json_dict()}
     if not report.partial:
-        write_probe_heatmap(report.field, report.probes, cfg["out_dir"] / "criteria_probes.csv", report.potentials)
+        path = cfg["out_dir"] / "criteria_probes.csv"
+        _with_file(lambda p: write_probe_heatmap(report.field, report.probes, p, report.potentials), path, "out_dir")
         doc["heatmap_csv"] = "criteria_probes.csv"
     else:
         doc["heatmap_csv"] = None
@@ -369,7 +362,7 @@ def _cmd_counterexample(cfg: dict) -> dict:
 
     w = build_spike_weight(cfg["epsilon"], cfg["spike_count"], cfg["length"])
     report = counterexample_report(w, cfg["radii"])
-    weights_to_csv(w, cfg["out_dir"] / "weights.csv")
+    _with_file(lambda p: weights_to_csv(w, p), cfg["out_dir"] / "weights.csv", "out_dir")
     return {
         "command": "counterexample",
         "length": cfg["length"],
@@ -394,14 +387,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", type=Path, default=None)
-        for flag, key in _OVERRIDES.items():
-            p.add_argument(flag, dest=key, metavar="JSON", help=f"override {key}")
+        for key, row in _KEYS.items():
+            if row.flag is not None and name in row.commands:
+                p.add_argument(row.flag, dest=key, metavar="JSON", help=f"override {key}")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _OVERRIDES.values() if getattr(args, key) is not None}
+    overrides = {key: text for key, text in vars(args).items() if key in _KEYS and text is not None}
     try:
         cfg = load_config(args.config, args.command, overrides)
         if args.out is not None:
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
         _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg["out_dir"], "out_dir")
         doc = _DISPATCH[args.command](cfg)
         report_path = cfg["out_dir"] / "report.json"
-        write_report(doc, report_path)
+        _with_file(lambda p: write_report(doc, p), report_path, "out_dir")
     except (ValidationError, NumericalError) as exc:
         kind, code = ("validation", 2) if isinstance(exc, ValidationError) else ("numerical", 3)
         error = {"status": "error", "kind": kind, "type": type(exc).__name__, "message": str(exc)}

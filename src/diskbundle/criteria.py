@@ -139,7 +139,7 @@ def green_sweep(field: DefectField, index: Sequence[int]) -> np.ndarray:
     return out
 
 
-def default_probes(grid: ComplexGrid, stride: int = 4) -> np.ndarray:
+def default_probes(grid: ComplexGrid, stride: int) -> np.ndarray:
     """Indices of the grid points on every ``stride``-th radial level."""
     if stride < 1:
         raise ParameterError("stride must be >= 1")

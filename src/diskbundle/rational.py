@@ -93,11 +93,11 @@ class RationalFunction:
         return cls([complex(value)])
 
     @classmethod
-    def monomial(cls, degree: int, coefficient=1.0) -> "RationalFunction":
+    def monomial(cls, degree: int) -> "RationalFunction":
         if degree < 0:
             raise ParameterError("monomial degree must be nonnegative")
         num = np.zeros(degree + 1, dtype=complex)
-        num[degree] = coefficient
+        num[degree] = 1.0
         return cls(num)
 
     def __call__(self, z):

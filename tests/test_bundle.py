@@ -436,7 +436,7 @@ def test_defect_field_refuses_non_finite_values():
 def test_scalar_path_refuses_non_finite_gram():
     # the Gram matrix overflows to inf, so hi / lo is NaN and no comparison with the cap fails
     frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
-    for check in (projection, projection_dz, curvature_defect, full_bundle_curvature):
+    for check in (projection, projection_dz, curvature_defect, lambda f, lam: full_bundle_curvature(f, lam, 512)):
         with pytest.raises(ConditioningError, match="exceeds cap") as info:
             check(frame, 0.3)
         assert "condition inf" in str(info.value)

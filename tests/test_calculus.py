@@ -39,6 +39,15 @@ def test_grid_rejects_bad_parameters(bad):
         build_grid(*bad)
 
 
+@pytest.mark.parametrize("name", ["radial_edges", "points", "area_weights"])
+def test_grid_arrays_are_read_only(name):
+    # a grid that compares equal to an untouched one cannot sweep other points
+    grid = build_grid(2, 4, 0.1)
+    with pytest.raises(ValueError):
+        getattr(grid, name)[0] = 0
+    assert grid == build_grid(2, 4, 0.1) and np.array_equal(grid.points, build_grid(2, 4, 0.1).points)
+
+
 # --- Wirtinger derivative ---
 
 

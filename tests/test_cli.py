@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diskbundle import cli
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
 from diskbundle.calculus import build_grid
-from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, emit_heatmap, main
+from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, _int, emit_heatmap, main
 from diskbundle.errors import NumericalError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, save_symbol
@@ -289,16 +291,24 @@ _HUGE = 10**400  # a JSON integer literal beyond float range
     "command, payload, field",
     [
         ("counterexample", {"epsilon": _HUGE}, "epsilon"),
-        ("counterexample", {"grid": {"margin": _HUGE}}, "grid.margin"),
-        ("counterexample", {"thresholds": {"M": _HUGE}}, "thresholds.M"),
-        ("counterexample", {"thresholds": {"C": _HUGE}}, "thresholds.C"),
+        ("criteria", {"grid": {"margin": _HUGE}}, "grid.margin"),
+        ("criteria", {"thresholds": {"M": _HUGE}}, "thresholds.M"),
+        ("criteria", {"thresholds": {"C": _HUGE}}, "thresholds.C"),
         ("counterexample", {"radii": [0.5, _HUGE]}, "radii"),
         ("toeplitz", {"lambda": [_HUGE, 0]}, "lambda"),
         ("counterexample", {"spike_count": 5, "length": 100}, "length"),  # the five spikes need 1661 slots
+        # counterexample reads no grid and no thresholds: they are unknown keys there
+        ("counterexample", {"grid": {"margin": _HUGE}}, "config.grid"),
+        ("counterexample", {"thresholds": {"M": _HUGE}}, "config.thresholds"),
+        ("criteria", {"probe_stride": 10**20}, "probe_stride"),  # an integer beyond int64
     ],
 )
 def test_integer_beyond_float_range_exits_2(tmp_path, command, payload, field):
-    base = {"counterexample": {"epsilon": 0.1, "spike_count": 1, "length": 64}, "toeplitz": {"symbol": "s.json"}}
+    base = {
+        "counterexample": {"epsilon": 0.1, "spike_count": 1, "length": 64},
+        "toeplitz": {"symbol": "s.json"},
+        "criteria": {"frame": "frame.json"},
+    }
     cfg = write_config(tmp_path / "cfg.json", {**base[command], **payload})
     result = run_cli([command, "--config", str(cfg)], cwd=tmp_path)
     assert result.returncode == 2, result.stdout + result.stderr
@@ -363,6 +373,10 @@ def test_overflowing_gram_exits_3(tmp_path):
         ("toeplitz", "cfg.json", {"symbol": "list.json"}, None, "symbol"),
         ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "not_json.json"}, None, "second_symbol"),
         ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "list.json"}, None, "second_symbol"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "report_taken", "out_dir"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
+        ("criteria", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
+        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "csv_taken", "out_dir"),
     ],
     ids=[
         "frame_missing",
@@ -380,6 +394,10 @@ def test_overflowing_gram_exits_3(tmp_path):
         "symbol_not_an_object",
         "second_symbol_not_json",
         "second_symbol_not_an_object",
+        "report_is_a_directory",
+        "defect_field_is_a_directory",
+        "criteria_probes_is_a_directory",
+        "weights_is_a_directory",
     ],
 )
 def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, field):
@@ -390,7 +408,11 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     (tmp_path / "latin1.json").write_bytes(b'{"frame": "fr\xe9me.json"}')
     (tmp_path / "not_json.json").write_text('{"rows": 1,')
     (tmp_path / "list.json").write_text("[1]")
-    write_config(tmp_path / "cfg.json", {**payload, "grid": {"radial_count": 1, "angular_count": 4}})
+    (tmp_path / "report_taken" / "report.json").mkdir(parents=True)
+    for name in ("defect_field.csv", "criteria_probes.csv", "weights.csv"):
+        (tmp_path / "csv_taken" / name).mkdir(parents=True)
+    grid = {} if command == "counterexample" else {"grid": {"radial_count": 1, "angular_count": 4}}
+    write_config(tmp_path / "cfg.json", {**payload, **grid})
     argv = [command, "--config", str(tmp_path / config)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
@@ -470,6 +492,61 @@ def test_refused_pole_names_its_entry(tmp_path, capsys, command, den, analytic, 
     error = json.loads(capsys.readouterr().out)
     assert error["type"] == kind and error["field"] == "entries[0][0]"
     assert error["message"].startswith("entries[0][0]: ")
+
+
+def test_each_command_takes_the_keys_it_reads():
+    """The ``cfg["..."]`` keys each ``_cmd_*`` reads, through the helpers it hands ``cfg`` to,
+    plus the ``out_dir`` that ``main`` writes the report to, are the command's rows of ``_KEYS``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def read(name):
+        keys = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+                keys.add(node.slice.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+                if any(isinstance(arg, ast.Name) and arg.id == "cfg" for arg in node.args):
+                    keys |= read(node.func.id)
+        return keys
+
+    for command in COMMANDS:
+        table = {key for key, row in _KEYS.items() if command in row.commands}
+        assert read(f"_cmd_{command}") | {"out_dir"} == table, command
+
+
+@pytest.mark.parametrize("key", [key for key, row in _KEYS.items() if row.parse is _int])
+def test_integer_rows_refuse_beyond_int64(key):
+    # numpy would raise OverflowError on such a value; every integer key needs an upper bound
+    assert not _KEYS[key].ok(2**63)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("counterexample", "--grid-radial"), ("counterexample", "--margin"), ("criteria", "--truncation")],
+)
+def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "cfg.json"), option, "40"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("curvature", {"frame": "frame.json", "thresholds": {"M": -1}}, "config.thresholds"),
+        ("criteria", {"frame": "frame.json", "truncation": 8}, "config.truncation"),
+        ("counterexample", {"epsilon": 0.1, "spike_count": 1, "length": 16, "truncation": 8}, "config.truncation"),
+    ],
+)
+def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_file, command, payload, field):
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "ParameterError" and error["field"] == field
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_key_table_matches_config_table():

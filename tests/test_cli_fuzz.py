@@ -82,17 +82,18 @@ grid = corrupted(
     )
 )
 
-COMMON = {
-    "truncation": st.integers(2, 32),
-    "thresholds": st.fixed_dictionaries({}, optional={"M": number, "C": number}),
-}
+truncation = st.integers(2, 32)
+thresholds = st.fixed_dictionaries({}, optional={"M": number, "C": number})
 
+# each command draws only the keys it reads; corrupted() adds the unknown ones
 CONFIGS = {
-    "curvature": corrupted(st.fixed_dictionaries({"grid": grid, "frame": st.just("frame.json")}, optional=COMMON)),
+    "curvature": corrupted(
+        st.fixed_dictionaries({"grid": grid, "frame": st.just("frame.json")}, optional={"truncation": truncation})
+    ),
     "criteria": corrupted(
         st.fixed_dictionaries(
             {"grid": grid, "frame": st.just("frame.json")},
-            optional={"probe_stride": st.integers(1, 4), "max_depth": st.integers(0, 6), **COMMON},
+            optional={"probe_stride": st.integers(1, 4), "max_depth": st.integers(0, 6), "thresholds": thresholds},
         )
     ),
     "toeplitz": corrupted(
@@ -102,14 +103,14 @@ CONFIGS = {
                 "second_symbol": st.just("symbol2.json"),
                 "lambda": pair,
                 "vector": st.lists(pair, min_size=1, max_size=3),
-                **COMMON,
+                "truncation": truncation,
             },
         )
     ),
     "counterexample": corrupted(
         st.fixed_dictionaries(
             {"length": st.integers(1, 200), "epsilon": st.floats(0.01, 10.0), "spike_count": st.integers(1, 4)},
-            optional={"radii": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3), "grid": grid, **COMMON},
+            optional={"radii": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3)},
         )
     ),
 }
@@ -131,16 +132,17 @@ class Fixed:
         return self.values[label]
 
 
-def fixed_case(thresholds=None, den=((1.0, 0.0),)):
-    """Every command's config on a 2x4 grid, and frame and symbol files with one entry ``1/den``."""
-    extra = {"grid": {"radial_count": 2, "angular_count": 4}, "thresholds": thresholds or {}}
+def fixed_case(den=((1.0, 0.0),), **criteria):
+    """Every command's config, on a 2x4 grid where it reads one, with the keys ``criteria`` for
+    ``criteria``, and frame and symbol files with one entry ``1/den``."""
+    grid = {"grid": {"radial_count": 2, "angular_count": 4}}
     doc = {"rows": 1, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": den}]]}
     return Fixed(
         **{
-            "curvature config": {"frame": "frame.json", **extra},
-            "criteria config": {"frame": "frame.json", **extra},
-            "toeplitz config": {"symbol": "symbol.json", **extra},
-            "counterexample config": {"epsilon": 0.1, "spike_count": 1, "length": 16, **extra},
+            "curvature config": {"frame": "frame.json", **grid},
+            "criteria config": {"frame": "frame.json", **grid, **criteria},
+            "toeplitz config": {"symbol": "symbol.json", **grid},
+            "counterexample config": {"epsilon": 0.1, "spike_count": 1, "length": 16},
             "frame.json": doc,
             "symbol.json": {**doc, "analytic": False},
         }
@@ -150,10 +152,12 @@ def fixed_case(thresholds=None, den=((1.0, 0.0),)):
 @pytest.mark.parametrize("command", cli.COMMANDS)
 @FUZZ
 @given(data=st.data())
-# inputs the derandomized draws miss: infinite or NaN thresholds, and a
-# denominator with a NaN (trailing or not) or a subnormal leading coefficient
+# inputs the derandomized draws miss: infinite or NaN thresholds, a probe
+# stride beyond int64, and a denominator with a NaN (trailing or not) or a
+# subnormal leading coefficient
 @example(data=fixed_case(thresholds={"M": float("inf")}))
 @example(data=fixed_case(thresholds={"C": float("nan")}))
+@example(data=fixed_case(probe_stride=10**20))
 @example(data=fixed_case(den=[[1.0, 0.0], [float("nan"), 0.0]]))
 @example(data=fixed_case(den=[[float("nan"), 0.0], [1.0, 0.0]]))
 @example(data=fixed_case(den=[[1.0, 0.0], [1e-320, 0.0]]))
