@@ -9,7 +9,8 @@ derivative is the curvature defect tracked throughout the package, and
 
     |dP_full|^2 = n / (1 - |lam|^2)^2 + |dP_frame|^2
 
-by realizing the kernel-tensored frame on a truncated coefficient space.
+by differentiating the projection of the kernel-tensored frame, whose Gram
+scalars are closed-form kernel sums.
 
 ``defect_field`` evaluates the frame and its exact derivative once on the
 whole grid as ``(n, rows, cols)`` stacks. The condition check is a batched
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import ComplexGrid
-from .errors import AccuracyError, ConditioningError, DataError, ParameterError
+from .errors import ConditioningError, DataError, ParameterError
 from .rational import RationalFunction, RationalMatrix
 
 #: Gram matrices with a larger condition number are rejected, not regularized
@@ -134,30 +135,14 @@ def curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
     return hs_norm_sq(projection_dz(frame, lam))
 
 
-def _truncated_power_sums(x: float, n_terms: int):
-    """``sum x^k``, ``sum k x^(k-1)`` and ``sum k^2 x^(k-1)`` over ``k < n_terms``.
-
-    Returns the three sums and the three remainders the truncation drops.
-    Each remainder is a closed form with positive factors only, and each
-    sum is its series limit minus that remainder, so nothing cancels.
-    """
-    one = 1.0 - x
-    lead = x ** (n_terms - 1)
-    slope = n_terms - (n_terms - 1) * x
-    tails = (x * lead / one, lead * slope / one**2, lead * (slope * slope + x) / one**3)
-    limits = (1.0 / one, 1.0 / one**2, (1.0 + x) / one**3)
-    return tuple(lim - tail for lim, tail in zip(limits, tails)), tails
-
-
 @dataclass(frozen=True)
 class BundleCurvature:
     """Curvature split at one parameter.
 
     ``total`` is ``shift_part + defect``; ``tensor_total`` recomputes the
     same quantity by differentiating the projection of the kernel-tensored
-    frame on the truncated coefficient space, and ``discrepancy`` is the
-    gap between the two routes. ``truncation_tail`` is the largest of the
-    exact remainders of the three kernel sums the truncation ignored.
+    frame, whose Gram scalars are the kernel sums in closed form, and
+    ``discrepancy`` is the gap between the two routes.
     """
 
     total: float
@@ -165,27 +150,22 @@ class BundleCurvature:
     defect: float
     tensor_total: float
     discrepancy: float
-    truncation_tail: float
 
 
-def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int) -> BundleCurvature:
+def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature:
     """Split ``n/(1-|lam|^2)^2 + defect`` and its tensored cross-check."""
-    if truncation < 2:
-        raise ParameterError("truncation must be >= 2")
     x = abs(lam) ** 2
     if x >= 1.0:
         raise ParameterError("lam must lie in the open unit disk")
-    if x ** truncation > 1e-9:
-        raise AccuracyError(
-            f"truncation {truncation} cannot certify |lam| = {abs(lam):.4f}; increase it"
-        )
     n = frame.cols
     shift_part = n / (1.0 - x) ** 2
     defect = curvature_defect(frame, lam)
     total = shift_part + defect
 
-    # tensored route: cross-Gram scalars of the truncated kernel vector
-    (s00, sigma1, a11), tails = _truncated_power_sums(x, truncation)
+    # tensored route: cross-Gram scalars of the kernel vector (x^k) and its
+    # derivative, the sums of x^k, k x^(k-1) and k^2 x^(k-1) over k >= 0
+    one = 1.0 - x
+    s00, sigma1, a11 = 1.0 / one, 1.0 / one**2, (1.0 + x) / one**3
     a01 = np.conj(lam) * sigma1
     f = frame.eval(lam)
     fp = frame.eval_dz(lam)
@@ -204,7 +184,6 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex, truncation: int) -
         defect=defect,
         tensor_total=tensor_total,
         discrepancy=abs(tensor_total - total),
-        truncation_tail=float(max(tails)),
     )
 
 

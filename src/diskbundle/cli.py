@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 
 COMMANDS = ("curvature", "criteria", "toeplitz", "counterexample")
 
+#: the order of the Toeplitz sections ``toeplitz`` builds and reports
+TOEPLITZ_ORDER = 64
+
 
 def _typed(obj, types, name):
     if not isinstance(obj, types) or isinstance(obj, bool):
@@ -101,9 +104,6 @@ _KEYS = {
     "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48", "--grid-radial"),
     "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536", "--grid-angular"),
     "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)", "--margin"),
-    "truncation": _Key(
-        ("curvature", "toeplitz"), _int, 512, lambda n: 2 <= n <= 100000, "must be in 2..100000", "--truncation"
-    ),
     "thresholds.M": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
     "thresholds.C": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
     "out_dir": _Key(COMMANDS, _path, Path(".")),
@@ -263,11 +263,8 @@ def _cmd_curvature(cfg: dict) -> dict:
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
     bounds = gram_bounds(field_)
+    samples = [{"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam))} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
     _with_file(lambda p: emit_heatmap(field_, p), cfg["out_dir"] / "defect_field.csv", "out_dir")
-    samples = [
-        {"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam, cfg["truncation"]))}
-        for lam in (0.0 + 0.0j, 0.5 + 0.0j)
-    ]
     return {
         "command": "curvature",
         "grid": grid_meta(grid),
@@ -278,7 +275,6 @@ def _cmd_curvature(cfg: dict) -> dict:
             "mean": float(np.mean(field_.values)),
         },
         "samples": samples,
-        "truncation": cfg["truncation"],
         "heatmap_csv": "defect_field.csv",
     }
 
@@ -314,11 +310,10 @@ def _cmd_toeplitz(cfg: dict) -> dict:
 
     symbol = _with_file(load_symbol, cfg["symbol"], "symbol")
     grid = _grid(cfg)
-    order = min(cfg["truncation"], 64)
-    section = toeplitz_section(symbol, order)
+    section = toeplitz_section(symbol, TOEPLITZ_ORDER)
     doc = {
         "command": "toeplitz",
-        "order": order,
+        "order": TOEPLITZ_ORDER,
         "analytic": symbol.analytic,
         "aliasing_estimate": section.aliasing_estimate,
         "margin": left_invertibility_margin(symbol, grid) if symbol.rows >= symbol.cols else None,
@@ -331,7 +326,7 @@ def _cmd_toeplitz(cfg: dict) -> dict:
     if cfg["second_symbol"] is not None:
         other = _with_file(load_symbol, cfg["second_symbol"], "second_symbol")
         try:
-            doc["multiplicativity"] = multiplicativity_check(symbol, other, order)
+            doc["multiplicativity"] = multiplicativity_check(symbol, other, TOEPLITZ_ORDER)
         except ParameterError as exc:  # a symbol is not analytic, or the shapes do not compose
             exc.field = "second_symbol"
             raise
@@ -341,9 +336,9 @@ def _cmd_toeplitz(cfg: dict) -> dict:
             raise ParameterError(f"vector must have length {symbol.rows}", field="vector")
         doc["kernel_action"] = {
             "lambda": _pair(cfg["lambda"]),
-            "discrepancy": kernel_action_check(symbol, cfg["lambda"], e, order),
+            "discrepancy": kernel_action_check(symbol, cfg["lambda"], e, TOEPLITZ_ORDER),
         }
-        doc["intertwining"] = intertwining_check(symbol, order)
+        doc["intertwining"] = intertwining_check(symbol, TOEPLITZ_ORDER)
         if symbol.is_scalar:
             try:
                 split = scalar_inner_outer(symbol.entries[0][0])

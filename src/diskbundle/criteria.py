@@ -165,8 +165,8 @@ class Thresholds:
     """User pass/fail levels: ``M`` bounds the potential magnitude, ``C``
     bounds the Carleson and pointwise constants."""
 
-    M: float = 1e3
-    C: float = 1e3
+    M: float
+    C: float
 
     def __post_init__(self):
         for name in ("M", "C"):
@@ -215,9 +215,9 @@ class CriteriaReport:
 def similarity_verdict(
     frame: AnalyticFrame,
     grid: ComplexGrid,
-    thresholds: Optional[Thresholds] = None,
-    probe_stride: int = 4,
-    max_depth: int = 8,
+    thresholds: Thresholds,
+    probe_stride: int,
+    max_depth: int,
 ) -> CriteriaReport:
     """Aggregate the measurable criteria for one frame on one grid.
 
@@ -225,7 +225,6 @@ def similarity_verdict(
     partial defect field produces a partial report with the failures
     attached instead of raising.
     """
-    thresholds = thresholds or Thresholds()
     field = defect_field(frame, grid)
     meta = grid_meta(grid)
     if field.is_partial:

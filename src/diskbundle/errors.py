@@ -55,4 +55,4 @@ class ConditioningError(NumericalError):
 
 
 class AccuracyError(NumericalError):
-    """Requested truncation or tolerance cannot be certified."""
+    """A result cannot be certified to its stated tolerance."""

@@ -5,7 +5,6 @@ import pytest
 
 from diskbundle.bundle import (
     AnalyticFrame,
-    _truncated_power_sums,
     constant_field,
     curvature_defect,
     defect_field,
@@ -20,7 +19,7 @@ from diskbundle.bundle import (
     save_frame,
 )
 from diskbundle.calculus import build_grid
-from diskbundle.errors import AccuracyError, ConditioningError, DataError, ParameterError
+from diskbundle.errors import ConditioningError, DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_from_roots
 from oracles import laplacian, projection_sample, wirtinger_dz
 
@@ -274,44 +273,20 @@ def test_curvature_equals_laplacian_of_log_det_gram():
 
 def test_full_curvature_examples():
     const1 = AnalyticFrame.constant([[1.0], [0.0]])
-    split = full_bundle_curvature(const1, 0.0, 128)
+    split = full_bundle_curvature(const1, 0.0)
     assert (split.total, split.shift_part, split.defect) == (1.0, 1.0, 0.0)
     assert split.discrepancy < 1e-12
 
-    split = full_bundle_curvature(one_lambda_frame(), 0.5, 512)
+    split = full_bundle_curvature(one_lambda_frame(), 0.5)
     assert abs(split.shift_part - 16 / 9) < 1e-14
     assert abs(split.defect - 0.64) < 1e-14
     assert abs(split.total - (16 / 9 + 0.64)) < 1e-13
     assert split.discrepancy < 1e-12
 
     const2 = AnalyticFrame.constant(np.eye(2))
-    split = full_bundle_curvature(const2, 0.5, 512)
+    split = full_bundle_curvature(const2, 0.5)
     assert abs(split.total - 32 / 9) < 1e-13
     assert split.defect == 0.0
-
-
-def test_truncated_power_sums_closed_forms():
-    for x, n in ((0.0, 2), (0.25, 3), (0.25, 512), (0.81, 64), (0.9, 200)):
-        k = np.arange(n + 4000, dtype=float)
-        terms = (x**k, k * x ** np.maximum(k - 1, 0), k * k * x ** np.maximum(k - 1, 0))
-        sums, tails = _truncated_power_sums(x, n)
-        for total, tail, series in zip(sums, tails, terms):
-            assert abs(total - math.fsum(series[:n])) <= 1e-14 * total
-            assert tail >= 0.0
-            assert abs(tail - math.fsum(series[n:])) <= 1e-13 * tail
-
-
-def test_full_curvature_reports_the_exact_tail():
-    split = full_bundle_curvature(one_lambda_frame(), 0.9, 200)
-    x, n = 0.81, 200
-    k = np.arange(n, n + 4000, dtype=float)
-    assert abs(split.truncation_tail - math.fsum(k * k * x ** (k - 1))) <= 1e-13 * split.truncation_tail
-    assert full_bundle_curvature(one_lambda_frame(), 0.0, 512).truncation_tail == 0.0
-
-
-def test_full_curvature_truncation_guard():
-    with pytest.raises(AccuracyError):
-        full_bundle_curvature(one_lambda_frame(), 0.999, 128)
 
 
 def test_hardy_line_frame_curvature_converges():
@@ -436,7 +411,7 @@ def test_defect_field_refuses_non_finite_values():
 def test_scalar_path_refuses_non_finite_gram():
     # the Gram matrix overflows to inf, so hi / lo is NaN and no comparison with the cap fails
     frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
-    for check in (projection, projection_dz, curvature_defect, lambda f, lam: full_bundle_curvature(f, lam, 512)):
+    for check in (projection, projection_dz, curvature_defect, full_bundle_curvature):
         with pytest.raises(ConditioningError, match="exceeds cap") as info:
             check(frame, 0.3)
         assert "condition inf" in str(info.value)

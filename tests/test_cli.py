@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,12 +123,21 @@ def test_partial_field_exits_3(tmp_path):
     assert json.loads(result.stdout)["kind"] == "numerical"
 
 
+def test_failing_sample_leaves_no_heatmap(tmp_path, capsys):
+    # the frame (lam) is nondegenerate on the grid but not at the sample lam = 0
+    save_frame(AnalyticFrame.from_polynomials([[0.0, 1.0]]), tmp_path / "frame.json")
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 8}})
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().out)["type"] == "ConditioningError"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, payload, written",
     [
         ("curvature", {"frame": "frame.json"}, {"report.json", "defect_field.csv"}),
         ("criteria", {"frame": "frame.json"}, {"report.json", "criteria_probes.csv"}),
-        ("toeplitz", {"symbol": "s.json", "truncation": 16}, {"report.json"}),
+        ("toeplitz", {"symbol": "s.json"}, {"report.json"}),
         ("counterexample", {"epsilon": 0.1, "spike_count": 2, "length": 128}, {"report.json", "weights.csv"}),
     ],
     ids=COMMANDS,
@@ -172,7 +182,6 @@ def test_toeplitz_command_scalar_symbol(tmp_path):
             "second_symbol": "second.json",
             "lambda": [0.3, 0.0],
             "out_dir": "out",
-            "truncation": 32,
         },
     )
     result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
@@ -223,7 +232,6 @@ def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
             "defect",
             "tensor_total",
             "discrepancy",
-            "truncation_tail",
         }
         assert sample["discrepancy"] <= 1e-6
 
@@ -245,19 +253,11 @@ def test_malformed_complex_values_exit_2(tmp_path, payload, field):
     save_symbol(tall, tmp_path / "tall.json")
     not_analytic = MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -2.0]), analytic=False)
     save_symbol(not_analytic, tmp_path / "not_analytic.json")
-    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "truncation": 16, **payload})
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", **payload})
     result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
     assert result.returncode == 2, result.stdout + result.stderr
     error = json.loads(result.stdout)
     assert error["kind"] == "validation" and error["field"] == field
-
-
-def test_truncation_override_is_range_checked(tmp_path, constant_frame_file):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "out_dir": "out"})
-    result = run_cli(["curvature", "--config", str(cfg), "--truncation", "200000"], cwd=tmp_path)
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert json.loads(result.stdout)["field"] == "truncation"
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -440,7 +440,6 @@ def test_threshold_not_positive_and_finite_exits_2(tmp_path, capsys, constant_fr
     [
         ("--grid-radial", "abc", "grid.radial_count"),
         ("--margin", "x", "grid.margin"),
-        ("--truncation", "8.5", "truncation"),
     ],
 )
 def test_override_that_is_not_a_valid_number_exits_2(tmp_path, capsys, constant_frame_file, option, text, field):
@@ -523,7 +522,13 @@ def test_integer_rows_refuse_beyond_int64(key):
 
 @pytest.mark.parametrize(
     "command, option",
-    [("counterexample", "--grid-radial"), ("counterexample", "--margin"), ("criteria", "--truncation")],
+    [
+        ("counterexample", "--grid-radial"),
+        ("counterexample", "--margin"),
+        ("criteria", "--truncation"),
+        ("curvature", "--truncation"),
+        ("toeplitz", "--truncation"),
+    ],
 )
 def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
     with pytest.raises(SystemExit) as exc:
@@ -539,6 +544,8 @@ def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
         ("curvature", {"frame": "frame.json", "thresholds": {"M": -1}}, "config.thresholds"),
         ("criteria", {"frame": "frame.json", "truncation": 8}, "config.truncation"),
         ("counterexample", {"epsilon": 0.1, "spike_count": 1, "length": 16, "truncation": 8}, "config.truncation"),
+        ("curvature", {"frame": "frame.json", "truncation": 512}, "config.truncation"),
+        ("toeplitz", {"symbol": "s.json", "truncation": 64}, "config.truncation"),
     ],
 )
 def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_file, command, payload, field):
@@ -550,8 +557,17 @@ def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_
 
 
 def test_readme_key_table_matches_config_table():
-    """The README lists every config key with the table's commands, default and range."""
+    """The README lists every config key with the table's commands, default and range,
+    and its usage block lists every override flag with the commands that take it."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```\n", readme.index("## Command line")) + len("```\n")
+    flags = {}
+    for line in readme[start : readme.index("```", start)].splitlines():
+        commands = re.search(r"\(([a-z, ]+)\)$", line)
+        for flag in set(re.findall(r"--[a-z-]+", line)) - {"--config", "--out"}:
+            flags[flag] = tuple(commands.group(1).split(", "))
+    assert flags == {row.flag: row.commands for row in _KEYS.values() if row.flag is not None}
+
     rows = {}
     for line in readme[readme.index("| key ") :].split("\n\n")[0].splitlines()[2:]:
         key, commands, default, allowed = (cell.strip() for cell in line.strip("|").split("|"))
@@ -591,7 +607,7 @@ def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys):
     # the inner-outer split needs the zeros; a subnormal leading coefficient overflows their companion matrix
     save_symbol(MatrixSymbol.scalar(RationalFunction([1.0, 1e-320]), analytic=True), tmp_path / "s.json")
     grid = {"radial_count": 2, "angular_count": 4}
-    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "truncation": 8, "grid": grid})
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "grid": grid})
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["type"] == "DataError" and "roots cannot be located" in error["message"]

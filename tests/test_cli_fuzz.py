@@ -4,7 +4,7 @@ Every input has to end with exit code 0 (report written), 2 (validation)
 or 3 (numerical failure) and one JSON document on stdout, never with a
 traceback. Hypothesis draws the config, the frame or symbol file it names,
 and junk in place of any value; sizes stay small (grids at most 4x16,
-lengths and truncations in the tens).
+lengths in the hundreds).
 """
 
 import contextlib
@@ -82,14 +82,11 @@ grid = corrupted(
     )
 )
 
-truncation = st.integers(2, 32)
 thresholds = st.fixed_dictionaries({}, optional={"M": number, "C": number})
 
 # each command draws only the keys it reads; corrupted() adds the unknown ones
 CONFIGS = {
-    "curvature": corrupted(
-        st.fixed_dictionaries({"grid": grid, "frame": st.just("frame.json")}, optional={"truncation": truncation})
-    ),
+    "curvature": corrupted(st.fixed_dictionaries({"grid": grid, "frame": st.just("frame.json")})),
     "criteria": corrupted(
         st.fixed_dictionaries(
             {"grid": grid, "frame": st.just("frame.json")},
@@ -103,7 +100,6 @@ CONFIGS = {
                 "second_symbol": st.just("symbol2.json"),
                 "lambda": pair,
                 "vector": st.lists(pair, min_size=1, max_size=3),
-                "truncation": truncation,
             },
         )
     ),

@@ -4,6 +4,7 @@ import pytest
 from diskbundle.bundle import AnalyticFrame, DefectField, constant_field, defect_field
 from diskbundle import criteria
 from diskbundle.calculus import TWO_PI, build_grid
+from diskbundle.cli import _KEYS
 from diskbundle.criteria import (
     Thresholds,
     carleson_check,
@@ -234,9 +235,16 @@ def test_scaling_covariance(grid):
 
 # --- verdict ---
 
+#: thresholds, probe stride and Carleson depth at the command line's defaults
+CLI_DEFAULTS = (
+    Thresholds(M=_KEYS["thresholds.M"].default, C=_KEYS["thresholds.C"].default),
+    _KEYS["probe_stride"].default,
+    _KEYS["max_depth"].default,
+)
+
 
 def test_verdict_constant_frame(grid):
-    report = similarity_verdict(AnalyticFrame.constant([[1.0], [0.0]]), grid)
+    report = similarity_verdict(AnalyticFrame.constant([[1.0], [0.0]]), grid, *CLI_DEFAULTS)
     assert report.green_inf == 0.0
     assert report.carleson_const == 0.0
     assert report.pointwise_const == 0.0
@@ -254,7 +262,7 @@ def test_verdict_constant_frame(grid):
 
 
 def test_verdict_one_lambda(grid):
-    report = similarity_verdict(one_lambda_frame(), grid, Thresholds(M=100.0, C=100.0))
+    report = similarity_verdict(one_lambda_frame(), grid, Thresholds(M=100.0, C=100.0), *CLI_DEFAULTS[1:])
     assert report.similar_at_grid_scale
     assert report.gram_bounds.c_min > 0
     assert np.isfinite(report.green_inf)
@@ -265,7 +273,7 @@ def test_verdict_one_lambda(grid):
 def test_verdict_partial_field(grid):
     z0 = grid.points[3]
     frame = AnalyticFrame([[RationalFunction([-z0, 1.0])]])
-    report = similarity_verdict(frame, grid)
+    report = similarity_verdict(frame, grid, *CLI_DEFAULTS)
     assert report.partial
     assert not report.similar_at_grid_scale
     assert report.green_inf is None
@@ -274,7 +282,7 @@ def test_verdict_partial_field(grid):
 
 def test_verdict_lacunary_exploratory(grid):
     # no ground-truth claim here: the report just has to exist and be finite
-    report = similarity_verdict(lacunary_frame(), grid)
+    report = similarity_verdict(lacunary_frame(), grid, *CLI_DEFAULTS)
     assert not report.partial
     for value in (report.green_inf, report.carleson_const, report.pointwise_const):
         assert np.isfinite(value)
@@ -284,7 +292,7 @@ def test_boundedness_follows_from_carleson_and_pointwise(grid):
     # regression property over the fixture frames: whenever the Carleson and
     # pointwise constants are finite, the probe minimum is finite as well
     for frame in (AnalyticFrame.constant([[1.0], [0.0]]), one_lambda_frame(), lacunary_frame()):
-        report = similarity_verdict(frame, grid)
+        report = similarity_verdict(frame, grid, *CLI_DEFAULTS)
         assert np.isfinite(report.carleson_const)
         assert np.isfinite(report.pointwise_const)
         assert np.isfinite(report.green_inf)

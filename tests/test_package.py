@@ -51,9 +51,9 @@ def command_configs(tmp_path: Path) -> dict:
     save_symbol(MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True), tmp_path / "s2.json")
     grid = {"radial_count": 2, "angular_count": 8}
     payloads = {
-        "curvature": {"frame": "frame.json", "grid": grid, "truncation": 64},
+        "curvature": {"frame": "frame.json", "grid": grid},
         "criteria": {"frame": "frame.json", "grid": grid},
-        "toeplitz": {"symbol": "s.json", "second_symbol": "s2.json", "grid": grid, "truncation": 16},
+        "toeplitz": {"symbol": "s.json", "second_symbol": "s2.json", "grid": grid},
         "counterexample": {"epsilon": 0.1, "spike_count": 2, "length": 128},
     }
     configs = {}
