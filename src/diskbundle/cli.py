@@ -10,7 +10,9 @@ as JSON and checked by the row like a config value. Each run writes
 ``report.json`` (floats at 17 significant digits, sorted keys, fixed row
 orders) plus the command's CSV dumps, so identical inputs produce
 byte-identical artifacts. Validation problems exit with code 2, numerical
-failures with code 3, both with a machine-readable error JSON on stdout.
+failures with code 3, both with a machine-readable error JSON on stdout;
+a run that fails removes every file it wrote. Each ``_cmd_*`` computes its
+report and hands back its files' writers, and ``main`` writes them all.
 Each ``_cmd_*`` imports the layers its command runs, so a run loads no
 other layer.
 """
@@ -226,6 +228,37 @@ def _json_text(value, indent=0):
     raise ParameterError(f"cannot serialize {type(value).__name__} into a report")
 
 
+def _stamp(path: Path):
+    """What writing ``path`` changes: its inode, mtime and size; None if it is not there."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _write_outputs(out_dir: Path, outputs: dict) -> None:
+    """Run each ``name: writer`` on ``out_dir / name`` in order. If one
+    fails, the files written before it and any part it wrote are removed
+    before the error goes on; a file it did not touch stays."""
+    written = []
+    for name, writer in outputs.items():
+        path = out_dir / name
+        before = _stamp(path)
+        try:
+            _with_file(writer, path, "out_dir")
+        except BaseException:
+            if _stamp(path) != before:
+                written.append(path)
+            for done in written:
+                try:
+                    done.unlink()
+                except OSError:
+                    pass
+            raise
+        written.append(path)
+
+
 def write_report(doc: dict, path: Path) -> None:
     Path(path).write_text(_json_text(doc) + "\n")
 
@@ -251,7 +284,7 @@ def _grid(cfg: dict):
     return build_grid(cfg["grid.radial_count"], cfg["grid.angular_count"], cfg["grid.margin"])
 
 
-def _cmd_curvature(cfg: dict) -> dict:
+def _cmd_curvature(cfg: dict) -> tuple:
     from .bundle import defect_field, full_bundle_curvature, gram_bounds, load_frame
     from .calculus import grid_meta
 
@@ -264,8 +297,7 @@ def _cmd_curvature(cfg: dict) -> dict:
         )
     bounds = gram_bounds(field_)
     samples = [{"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam))} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
-    _with_file(lambda p: emit_heatmap(field_, p), cfg["out_dir"] / "defect_field.csv", "out_dir")
-    return {
+    doc = {
         "command": "curvature",
         "grid": grid_meta(grid),
         "gram_bounds": {"c_min": bounds.c_min, "c_max": bounds.c_max},
@@ -277,9 +309,10 @@ def _cmd_curvature(cfg: dict) -> dict:
         "samples": samples,
         "heatmap_csv": "defect_field.csv",
     }
+    return doc, {"defect_field.csv": lambda p: emit_heatmap(field_, p)}
 
 
-def _cmd_criteria(cfg: dict) -> dict:
+def _cmd_criteria(cfg: dict) -> tuple:
     from .bundle import load_frame
     from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
 
@@ -287,17 +320,15 @@ def _cmd_criteria(cfg: dict) -> dict:
     thresholds = Thresholds(M=cfg["thresholds.M"], C=cfg["thresholds.C"])
     report = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
     doc = {"command": "criteria", **report.to_json_dict()}
-    if not report.partial:
-        path = cfg["out_dir"] / "criteria_probes.csv"
-        _with_file(lambda p: write_probe_heatmap(report.field, report.probes, p, report.potentials), path, "out_dir")
-        doc["heatmap_csv"] = "criteria_probes.csv"
-    else:
+    if report.partial:
         doc["heatmap_csv"] = None
         doc["failures"] = [[int(i), msg] for i, msg in report.failures]
-    return doc
+        return doc, {}
+    doc["heatmap_csv"] = "criteria_probes.csv"
+    return doc, {"criteria_probes.csv": lambda p: write_probe_heatmap(report.field, report.probes, p, report.potentials)}
 
 
-def _cmd_toeplitz(cfg: dict) -> dict:
+def _cmd_toeplitz(cfg: dict) -> tuple:
     from .toeplitz import (
         intertwining_check,
         kernel_action_check,
@@ -349,22 +380,22 @@ def _cmd_toeplitz(cfg: dict) -> dict:
                 "inner": split.inner.to_jsonable(),
                 "outer": split.outer.to_jsonable(),
             }
-    return doc
+    return doc, {}
 
 
-def _cmd_counterexample(cfg: dict) -> dict:
+def _cmd_counterexample(cfg: dict) -> tuple:
     from .weights import build_spike_weight, counterexample_report, weights_to_csv
 
     w = build_spike_weight(cfg["epsilon"], cfg["spike_count"], cfg["length"])
     report = counterexample_report(w, cfg["radii"])
-    _with_file(lambda p: weights_to_csv(w, p), cfg["out_dir"] / "weights.csv", "out_dir")
-    return {
+    doc = {
         "command": "counterexample",
         "length": cfg["length"],
         "radii": list(cfg["radii"]),
         "weights_csv": "weights.csv",
         **report,
     }
+    return doc, {"weights.csv": lambda p: weights_to_csv(w, p)}
 
 
 _DISPATCH = {
@@ -396,15 +427,14 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["out_dir"] = args.out
         _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg["out_dir"], "out_dir")
-        doc = _DISPATCH[args.command](cfg)
-        report_path = cfg["out_dir"] / "report.json"
-        _with_file(lambda p: write_report(doc, p), report_path, "out_dir")
+        doc, outputs = _DISPATCH[args.command](cfg)
+        _write_outputs(cfg["out_dir"], {**outputs, "report.json": lambda p: write_report(doc, p)})
     except (ValidationError, NumericalError) as exc:
         kind, code = ("validation", 2) if isinstance(exc, ValidationError) else ("numerical", 3)
         error = {"status": "error", "kind": kind, "type": type(exc).__name__, "message": str(exc)}
         print(_json_text({**error, "field": getattr(exc, "field", None)}))
         return code
-    print(_json_text({"status": "ok", "report": str(report_path)}))
+    print(_json_text({"status": "ok", "report": str(cfg["out_dir"] / "report.json")}))
     return 0
 
 

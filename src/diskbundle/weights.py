@@ -33,6 +33,13 @@ _GRID_SAMPLES = 4097
 _GRID_ZOOMS = 3
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``, which keeps its own flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Finite positive weights with ``w_0 = 1``.
@@ -40,7 +47,8 @@ class WeightSequence:
     Beyond the stored range the sequence continues with the unit plateau
     (``w_n = 1``); kernel sums rely on that convention, while
     :func:`shift_growth_witness` raises :class:`CapacityError` when it
-    would index past ``values``.
+    would index past ``values``. ``values`` and ``log_exponents`` are
+    read-only.
     """
 
     values: np.ndarray
@@ -50,8 +58,10 @@ class WeightSequence:
     log_exponents: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _read_only(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
+        if self.log_exponents is not None:
+            object.__setattr__(self, "log_exponents", _read_only(np.asarray(self.log_exponents)))
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("weights must form a nonempty sequence")
         if not np.all(np.isfinite(vals) & (vals > 0.0)):
@@ -236,20 +246,49 @@ def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
     return np.sum(absq * sliding_window_view(w.values[: len(a) + n_max], len(a)), axis=1)
 
 
+def _index_text(n: int) -> bytes:
+    """``b"0\\n1\\n...\\n"`` for the indices below ``n``, built one decimal
+    width at a time: each digit column is one ``% 10`` pass plus ASCII ``0``."""
+    blocks = []
+    lo, width = 0, 1
+    while lo < n:
+        hi = min(n, 10**width)
+        k = np.arange(lo, hi, dtype=np.min_scalar_type(hi - 1))
+        block = np.empty((hi - lo, width + 1), dtype=np.uint8)
+        block[:, width] = ord("\n")
+        for col in range(width - 1, -1, -1):
+            block[:, col] = k % 10 + ord("0")
+            k //= 10
+        blocks.append(block.tobytes())
+        lo, width = hi, width + 1
+    return b"".join(blocks)
+
+
 def weights_to_csv(w: WeightSequence, path) -> None:
     """Dump ``n,w_n,ln_w_n`` rows for plotting; values round-trip exactly.
 
     The bytes are those of ``calculus.write_csv`` (``\\r\\n`` line ends,
-    ``repr`` floats), written one run of equal weights at a time: the rows
-    of a run share one formatted tail.
+    ``repr`` floats). The index text of all rows is formatted once by
+    numpy; each run of equal weights then writes its slice of that text
+    with every ``\\n`` replaced by the run's one formatted tail, so a run
+    costs a fixed number of calls, however long it is.
     """
-    logs = np.log(w.values)
-    cuts = [0, *(np.flatnonzero(w.values[1:] != w.values[:-1]) + 1).tolist(), w.length]
-    with open(path, "w", newline="") as fh:
-        fh.write("n,w_n,ln_w_n\r\n")
-        for start, end in zip(cuts[:-1], cuts[1:]):
-            tail = f",{w.values[start].item()!r},{logs[start].item()!r}\r\n"
-            fh.write(tail.join(map(str, range(start, end))) + tail)
+    n = w.length
+    cuts = np.concatenate(([0], np.flatnonzero(w.values[1:] != w.values[:-1]) + 1, [n]))
+    # row i starts 2i bytes into the index text, plus i - 10^k for each power 10^k < i
+    offsets = 2 * cuts
+    power = 10
+    while power < n:
+        offsets += np.maximum(cuts - power, 0)
+        power *= 10
+    starts = cuts[:-1]
+    tails = zip(w.values[starts].tolist(), np.log(w.values)[starts].tolist())
+    text = _index_text(n)
+    bounds = offsets.tolist()
+    with open(path, "wb") as fh:
+        fh.write(b"n,w_n,ln_w_n\r\n")
+        for lo, hi, (value, log) in zip(bounds[:-1], bounds[1:], tails):
+            fh.write(text[lo:hi].replace(b"\n", f",{value!r},{log!r}\r\n".encode()))
 
 
 def weights_from_csv(path) -> WeightSequence:

@@ -132,6 +132,35 @@ def test_failing_sample_leaves_no_heatmap(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_report_failing_after_the_csv_removes_only_this_runs_files(tmp_path, capsys, monkeypatch):
+    # exit 3 from the report writer, which fails before it opens report.json
+    def refuse(doc, path):
+        raise NumericalError("non-finite value in report")
+
+    monkeypatch.setattr(cli, "write_report", refuse)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "report.json").write_text("an earlier report\n")
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16})
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().out)["type"] == "NumericalError"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+    assert (tmp_path / "out" / "report.json").read_text() == "an earlier report\n"
+
+
+def test_writer_failing_midway_leaves_no_part(tmp_path, capsys, monkeypatch):
+    def disk_full(w, path):
+        with open(path, "w") as fh:
+            fh.write("n,w_n,ln_w_n\r\n0,1.0")
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("diskbundle.weights.weights_to_csv", disk_full)
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16})
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["field"] == "out_dir"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, payload, written",
     [
@@ -377,6 +406,8 @@ def test_overflowing_gram_exits_3(tmp_path):
         ("curvature", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
         ("criteria", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
         ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "csv_taken", "out_dir"),
+        ("criteria", "cfg.json", {"frame": "frame.json"}, "report_taken", "out_dir"),
+        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "report_taken", "out_dir"),
     ],
     ids=[
         "frame_missing",
@@ -398,6 +429,8 @@ def test_overflowing_gram_exits_3(tmp_path):
         "defect_field_is_a_directory",
         "criteria_probes_is_a_directory",
         "weights_is_a_directory",
+        "report_is_a_directory_after_criteria_probes",
+        "report_is_a_directory_after_weights",
     ],
 )
 def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, field):
@@ -416,9 +449,12 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     argv = [command, "--config", str(tmp_path / config)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["kind"] == "validation" and error["type"] == "DataError" and error["field"] == field
+    # a CSV written before the report failed is removed again; nothing that was there goes
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(

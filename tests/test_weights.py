@@ -34,6 +34,32 @@ def _runs_weight(length: int, seed: int, levels=LEVELS) -> WeightSequence:
     return WeightSequence.from_values(values)
 
 
+def _stepped_weight(length: int, cuts) -> WeightSequence:
+    """Weights ``1, 2, 1, 2, ...``, one run between consecutive ``cuts``."""
+    values = np.ones(length)
+    for i, (start, end) in enumerate(zip(cuts, [*cuts[1:], length])):
+        values[start:end] = 1.0 + i % 2
+    return WeightSequence.from_values(values)
+
+
+def _distinct_weight(length: int, seed: int) -> WeightSequence:
+    """Seeded weights, every entry different from every other."""
+    values = np.exp(np.random.default_rng(seed).normal(size=length))
+    values[0] = 1.0
+    assert np.unique(values).size == length
+    return WeightSequence.from_values(values)
+
+
+#: weights whose runs sit on the seams of the index widths: runs across 9|10,
+#: 99|100 and 999|1000, runs starting at 10, 100, 1000 and 10^4, and single
+#: runs ending at a width change
+SEAM_WEIGHTS = [
+    _stepped_weight(1200, [0, 5, 15, 95, 105, 995, 1005]),
+    _stepped_weight(10**4 + 1, [0, 10, 11, 100, 101, 1000, 1001, 10**4]),
+    *(WeightSequence.from_values(np.ones(length)) for length in (1, 10, 100, 10**4, 10**4 + 1)),
+]
+
+
 def _fast_path_weights():
     spikes = [build_spike_weight(*case) for case in SPIKE_CASES]
     return spikes + [_runs_weight(length, seed=length) for length in RUN_LENGTHS]
@@ -336,12 +362,32 @@ def test_kernel_sum_stopping_at_the_last_stored_index():
 
 @pytest.mark.parametrize(
     "w",
-    _fast_path_weights() + [_runs_weight(3000, seed=9, levels=(1.0, 0.5, 1 / 3, 7.0, 1e-300, 1e300))],
+    _fast_path_weights()
+    + [_runs_weight(3000, seed=9, levels=(1.0, 0.5, 1 / 3, 7.0, 1e-300, 1e300))]
+    + SEAM_WEIGHTS
+    + [_distinct_weight(2000, seed=3)],
 )
 def test_weights_csv_matches_csv_module_bytes(tmp_path, w):
     weights_to_csv(w, tmp_path / "fast.csv")
     csv_module_weights(w, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, index, value", [("values", 40, 7.0), ("values", 0, -1.0), ("log_exponents", 40, 3)])
+def test_weight_arrays_are_read_only(tmp_path, name, index, value):
+    # a weight cannot drift from the checks of its construction, nor from its spike exponents
+    w = build_spike_weight(0.1, 2, 128)
+    with pytest.raises(ValueError):
+        getattr(w, name)[index] = value
+    assert counterexample_report(w, (0.0, 0.5))["growth_max"] == 1.1**4
+    weights_to_csv(w, tmp_path / "weights.csv")
+    assert np.array_equal(weights_from_csv(tmp_path / "weights.csv").values, w.values)
+
+
+def test_read_only_weights_are_views_of_the_callers_array():
+    values = np.array([1.0, 2.0, 3.0])
+    w = WeightSequence.from_values(values)
+    assert np.shares_memory(w.values, values) and values.flags.writeable
 
 
 def test_counterexample_report_contents():
