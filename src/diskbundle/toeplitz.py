@@ -9,9 +9,14 @@ kernel-action and shift-intertwining identities are verified on interior
 sections where truncation cannot break them; the backward shift acts on
 a section as a slice by one block.
 
+The multiplicativity check samples both factors once and takes the
+blocks of their product from the pointwise products, so it builds no
+product symbol.
+
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
-that witnesses left invertibility of a symbol over a grid.
+that witnesses left invertibility of a symbol over a grid, in closed form
+for symbols with one or two columns.
 """
 
 from __future__ import annotations
@@ -81,22 +86,6 @@ class MatrixSymbol(RationalMatrix):
             len(e.num) - 1 + len(e.den) - 1 for row in self.entries for e in row
         )
 
-    def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        if not isinstance(other, MatrixSymbol):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ParameterError("symbol shapes do not compose")
-        entries = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RationalFunction([0.0])
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            entries.append(row)
-        return MatrixSymbol(entries, analytic=self.analytic and other.analytic)
-
     @classmethod
     def scalar(cls, fn: RationalFunction, analytic: bool) -> "MatrixSymbol":
         return cls([[fn]], analytic=analytic)
@@ -127,18 +116,37 @@ def save_symbol(symbol: MatrixSymbol, path) -> None:
     symbol.save(path)
 
 
-def _fourier_blocks(symbol: MatrixSymbol, max_offset: int):
-    """All Fourier blocks by one FFT; returns (blocks, aliasing_estimate).
+def _circle(degree: int, max_offset: int) -> np.ndarray:
+    """The FFT circle for a symbol of this degree hint, read up to ``max_offset``."""
+    m = _next_pow2(4 * (max(degree, max_offset) + 1))
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def _blocks_of(vals: np.ndarray):
+    """Fourier blocks of circle samples; returns (blocks, aliasing_estimate).
 
     ``blocks[k]`` is the coefficient at offset ``k`` for ``k < n/2`` and at
     ``k - n`` beyond, the usual FFT layout.
     """
-    m = _next_pow2(4 * (max(symbol.degree_hint(), max_offset) + 1))
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    vals = symbol.eval(z)
+    m = vals.shape[0]
     blocks = np.fft.fft(vals, axis=0) / m
     edge = np.abs(blocks[m // 2 - 1 : m // 2 + 2])
     return blocks, float(np.max(edge))
+
+
+def _fourier_blocks(symbol: MatrixSymbol, max_offset: int):
+    """All Fourier blocks by one FFT; returns (blocks, aliasing_estimate)."""
+    return _blocks_of(symbol.eval(_circle(symbol.degree_hint(), max_offset)))
+
+
+def _lay_out(blocks: np.ndarray, order: int, analytic: bool) -> np.ndarray:
+    """The ``order x order`` block section with block ``blocks[j - k]`` at ``(j, k)``."""
+    offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
+    tiles = blocks[offsets % blocks.shape[0]]
+    if analytic:
+        tiles[offsets < 0] = 0.0  # exact zeros above the block diagonal
+    _, rows, cols = blocks.shape
+    return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
 
 
 @dataclass(frozen=True)
@@ -155,12 +163,27 @@ def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     if order < 1:
         raise ParameterError("section order must be >= 1")
     blocks, aliasing = _fourier_blocks(symbol, order)
-    offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
-    tiles = blocks[offsets % blocks.shape[0]]
-    if symbol.analytic:
-        tiles[offsets < 0] = 0.0  # exact zeros above the block diagonal
-    out = tiles.transpose(0, 2, 1, 3).reshape(order * symbol.rows, order * symbol.cols)
+    out = _lay_out(blocks, order, symbol.analytic)
     return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
+
+
+def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
+    """Sections of ``f``, ``g`` and ``fg`` of analytic symbols, from one
+    sampling of each on a circle fine enough for the product's degree;
+    the blocks of ``fg`` come from the pointwise products ``f(z) g(z)``."""
+    z = _circle(f.degree_hint() + g.degree_hint(), order)
+    fv, gv = f.eval(z), g.eval(z)
+    return tuple(_lay_out(_blocks_of(v)[0], order, True) for v in (fv, gv, fv @ gv))
+
+
+def _spectral_norm(x: np.ndarray) -> float:
+    """``|x|_2`` as the square root of the largest eigenvalue of ``x* x``,
+    after scaling ``x`` by its largest entry so the squares stay normal."""
+    scale = float(np.max(np.abs(x)))
+    if scale == 0.0:
+        return 0.0
+    y = x / scale
+    return scale * float(np.sqrt(max(0.0, np.linalg.eigvalsh(y.conj().T @ y)[-1])))
 
 
 def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> float:
@@ -173,9 +196,8 @@ def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> floa
         raise ParameterError("multiplicativity requires analytic symbols on both sides")
     if f.cols != g.rows:
         raise ParameterError("symbol shapes do not compose")
-    left = toeplitz_section(f, order).matrix @ toeplitz_section(g, order).matrix
-    right = toeplitz_section(f @ g, order).matrix
-    return float(np.linalg.norm(left - right, 2))
+    left, right, product = _product_sections(f, g, order)
+    return _spectral_norm(left @ right - product)
 
 
 def kernel_action_check(f: MatrixSymbol, lam: complex, e, order: int) -> float:
@@ -282,16 +304,53 @@ def scalar_inner_outer(f: RationalFunction) -> InnerOuterFactorization:
     return InnerOuterFactorization(inner=inner, outer=outer, disk_zeros=tuple(disk))
 
 
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    return np.sum(v.real * v.real + v.imag * v.imag, axis=0)
+
+
+def _smallest_singular_values(vals: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each ``rows x cols`` matrix, ``cols <= 2``.
+
+    Each matrix is first scaled by a power of two of its largest entry,
+    which is exact and keeps the squares below from overflowing or
+    underflowing. Gram-Schmidt with one reorthogonalization gives
+    ``R = [[r11, r12], [0, r22]]``; one column has ``sigma = r11``, two
+    have ``sigma = r11 r22 / sigma_max`` with ``sigma_max^2`` the larger
+    eigenvalue of ``R* R``. A zero matrix gives 0. The points run along
+    the last axis, so every sum over a column is a sum of whole arrays.
+    """
+    n, rows, cols = vals.shape
+    parts = np.ascontiguousarray(vals.transpose(1, 2, 0)).view(np.float64).reshape(rows * cols, n, 2)
+    peak = np.abs(parts).max(axis=0)
+    _, exp = np.frexp(np.maximum(peak[:, 0], peak[:, 1]))
+    a = np.ldexp(parts, -exp[:, None]).view(complex).reshape(rows, cols, n)
+    r11 = np.sqrt(_squared_norms(a[:, 0]))
+    if cols == 1:
+        return np.ldexp(r11, exp)
+    q = a[:, 0] / np.where(r11 > 0.0, r11, 1.0)
+    b, r12 = a[:, 1], 0.0
+    for _ in range(2):
+        c = np.einsum("in,in->n", q.conj(), b)
+        b = b - q * c
+        r12 = r12 + c
+    r22 = np.sqrt(_squared_norms(b))
+    p, s = r11 * r11, r12.real * r12.real + r12.imag * r12.imag + r22 * r22
+    sigma_max = np.sqrt(0.5 * (p + s) + np.hypot(0.5 * (p - s), r11 * np.abs(r12)))
+    sigma = np.divide(r11 * r22, sigma_max, out=np.zeros_like(sigma_max), where=sigma_max > 0.0)
+    return np.ldexp(sigma, exp)
+
+
 def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
     """Minimum over the grid of the smallest singular value of the symbol.
 
     A margin bounded away from zero on a fine grid with small margin is
     numerical evidence of left invertibility; the sweep never extrapolates
-    beyond the grid. The symbol is evaluated on the whole grid at once and
-    its singular values come from one batched SVD. The first point in grid
-    order where the symbol has no finite value raises
-    :class:`NumericalError` naming it, and so does a failed SVD, so the
-    minimum is never taken over part of the grid.
+    beyond the grid. The symbol is evaluated on the whole grid at once.
+    Symbols with one or two columns take their singular values in closed
+    form, wider ones from one batched SVD. The first point in grid order
+    where the symbol has no finite value raises :class:`NumericalError`
+    naming it, and so does a failed SVD, so the minimum is never taken
+    over part of the grid.
     """
     if theta.rows < theta.cols:
         raise ParameterError("need rows >= cols for a left-invertibility margin")
@@ -300,6 +359,8 @@ def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
     if not np.all(finite):
         z = complex(grid.points[np.argmin(finite)])
         raise NumericalError(f"margin sweep failed at z = {z!r}: non-finite symbol value")
+    if theta.cols <= 2:
+        return float(np.min(_smallest_singular_values(vals)))
     try:
         sigma = np.linalg.svd(vals, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -16,9 +16,7 @@ the growth of the shift orbit ``|S^n 1|_w^2 = w_n``.
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -291,31 +289,51 @@ def weights_to_csv(w: WeightSequence, path) -> None:
             fh.write(text[lo:hi].replace(b"\n", f",{value!r},{log!r}\r\n".encode()))
 
 
+#: one row of a weight dump: the index and two floats
+_ROW = np.dtype([("n", np.int64), ("w_n", np.float64), ("ln_w_n", np.float64)])
+
+
+def _row_fault(fh, start: int) -> DataError:
+    """The refusal of the first row from ``start`` on that is not
+    ``i,<number>,<number>``."""
+    fh.seek(start)
+    for i, line in enumerate(fh):
+        fields = line.rstrip("\r\n").split(",")
+        if len(fields) != 3:
+            return DataError(f"weight row {i} must have three fields")
+        try:
+            index, _, _ = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            return DataError(f"weight row {i} must hold an integer and two numbers")
+        if index != i:
+            return DataError("weight rows must be consecutively indexed from 0")
+    return DataError("weight rows must each hold an integer and two numbers")
+
+
 def weights_from_csv(path) -> WeightSequence:
     """Reparse a dump written by :func:`weights_to_csv` (values only; the
     spike metadata is not part of the file format). Each ``ln_w_n`` must be
-    ``np.log(w_n)`` exactly, as the writer wrote it."""
+    ``np.log(w_n)`` exactly, as the writer wrote it. The rows are parsed in
+    one streaming numpy pass; only a file that fails it is read again row
+    by row, to name the first bad row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["n", "w_n", "ln_w_n"]:
+        if fh.readline().rstrip("\r\n") != "n,w_n,ln_w_n":
             raise DataError("weight file must start with the header n,w_n,ln_w_n")
-        values, logs = array("d"), array("d")  # 8 bytes a row, not a float object
-        for row in reader:
-            if len(row) != 3:
-                raise DataError(f"weight row {len(values)} must have three fields")
-            try:
-                index, value, log = int(row[0]), float(row[1]), float(row[2])
-            except ValueError:
-                raise DataError(f"weight row {len(values)} must hold an integer and two numbers") from None
-            if index != len(values):
-                raise DataError("weight rows must be consecutively indexed from 0")
-            values.append(value)
-            logs.append(log)
-    if not values:
-        raise DataError("weight file has no rows")
-    w = WeightSequence.from_values(values)
-    wrong = np.flatnonzero(np.log(w.values) != np.frombuffer(logs))
+        start = fh.tell()
+        blank = [not line.strip() for line in fh]  # loadtxt would skip these rows
+        if not blank:
+            raise DataError("weight file has no rows")
+        if any(blank):
+            raise _row_fault(fh, start)
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=_ROW, ndmin=1)
+        except ValueError:
+            raise _row_fault(fh, start) from None
+    if not np.array_equal(rows["n"], np.arange(len(rows))):
+        raise DataError("weight rows must be consecutively indexed from 0")
+    w = WeightSequence.from_values(rows["w_n"])
+    wrong = np.flatnonzero(np.log(w.values) != rows["ln_w_n"])
     if wrong.size:
         raise DataError(f"weight row {wrong[0]}: ln_w_n is not the log of w_n")
     return w

@@ -7,12 +7,14 @@ shift on coefficients, the Green quadrature written as a loop over
 cells and subcells, the whole-sequence forms of the counterexample's
 three fast paths (the kernel sum over every stored weight, the spike
 values one slot at a time, the weight dump through the ``csv`` module),
-and the Toeplitz section filled block by block with its shift-intertwining
-gap taken through Kronecker shift matrices. Every production derivative
-comes from exact rational calculus, ``carleson_constant`` bins the same
-boxes by sector, the package's Green stencil computes the same quadrature
-on whole arrays, and the fast paths and the section gather must match
-their forms here bit for bit.
+the Toeplitz section filled block by block with its shift-intertwining
+gap taken through Kronecker shift matrices, and the product of two
+symbols built entry by entry in rational arithmetic. Every production
+derivative comes from exact rational calculus, ``carleson_constant`` bins
+the same boxes by sector, the package's Green stencil computes the same
+quadrature on whole arrays, the fast paths and the section gather must
+match their forms here bit for bit, and the multiplicativity check takes
+the blocks of a product from pointwise products of circle samples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from diskbundle.bundle import projection, projection_dz
 from diskbundle.calculus import TWO_PI, write_csv
 from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
 from diskbundle.kernels import KERNEL_REL_TOL
-from diskbundle.toeplitz import _fourier_blocks
+from diskbundle.rational import RationalFunction
+from diskbundle.toeplitz import MatrixSymbol, _fourier_blocks
 
 #: default finite-difference step; balances truncation against roundoff
 DEFAULT_FD_STEP = 1e-4
@@ -220,6 +223,23 @@ def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
             if 0 <= k < order:
                 out[j * rows : (j + 1) * rows, k * cols : (k + 1) * cols] = block
     return out
+
+
+def symbol_product(f, g):
+    """The symbol ``fg``, each entry summed from rational products; analytic
+    when both factors are."""
+    if f.cols != g.rows:
+        raise ParameterError("symbol shapes do not compose")
+    entries = []
+    for i in range(f.rows):
+        row = []
+        for j in range(g.cols):
+            acc = RationalFunction([0.0])
+            for k in range(f.cols):
+                acc = acc + f.entries[i][k] * g.entries[k][j]
+            row.append(acc)
+        entries.append(row)
+    return MatrixSymbol(entries, analytic=f.analytic and g.analytic)
 
 
 def kron_intertwining_gap(f, order: int) -> float:

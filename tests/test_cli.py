@@ -223,6 +223,29 @@ def test_toeplitz_command_scalar_symbol(tmp_path):
     assert "grid" in report["margin_scope"]
 
 
+def test_toeplitz_command_runs_no_svd_for_two_columns(tmp_path, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD called")
+
+    # numpy's own norm(x, 2) reaches svd through its implementation module
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+    first = [
+        [RationalFunction([1.0, 0.2]), RationalFunction([0.0, 0.5])],
+        [RationalFunction([0.3]), RationalFunction([1.0], [1.0, -0.4])],
+    ]
+    second = [
+        [RationalFunction([0.5, -0.25]), RationalFunction([1.0])],
+        [RationalFunction([0.0, 0.0, 1.0]), RationalFunction([2.0])],
+    ]
+    save_symbol(MatrixSymbol(first, analytic=True), tmp_path / "symbol.json")
+    save_symbol(MatrixSymbol(second, analytic=True), tmp_path / "second.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "symbol.json", "second_symbol": "second.json"})
+    assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["margin"] > 0.0 and report["multiplicativity"] <= 1e-12
+
+
 def test_criteria_probe_csv_minimum_is_green_inf(tmp_path):
     save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
     cfg = write_config(

@@ -4,8 +4,10 @@ The curvature defect depends only on the projection onto the frame's
 range, so it is unchanged by a gauge ``F -> F A`` (``A`` analytic and
 invertible on the closed disk) and by a constant unitary ``F -> U F``; a
 rotation of the argument by a grid angle shifts it cyclically within each
-ring. The Green quadrature is linear in the density. Hypothesis draws the
-coefficients; frames are at most 4x3 and grids 4x16.
+ring. The Green quadrature is linear in the density. The Toeplitz
+margin is a minimum of singular values, so constant unitaries on either
+side of the symbol leave it alone. Hypothesis draws the coefficients;
+frames and symbols are at most 4x3 and grids 4x16.
 """
 
 import operator
@@ -20,6 +22,7 @@ from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
 from diskbundle.calculus import build_grid
 from diskbundle.criteria import green_potential, green_sweep
 from diskbundle.rational import RationalFunction
+from diskbundle.toeplitz import MatrixSymbol, left_invertibility_margin
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
@@ -38,16 +41,18 @@ def scaled(m, size):
 
 
 @st.composite
-def frames(draw):
+def frame_entries(draw, min_rows=2):
     """``[I; 0] + lam B1 + lam^2 B2`` with ``|B1| + |B2| <= 0.5``: rank ``cols`` on the closed disk."""
-    rows = draw(st.integers(2, 4))
+    rows = draw(st.integers(min_rows, 4))
     cols = draw(st.integers(1, min(rows, 3)))
     b1 = scaled(draw(complex_array((rows, cols))), 0.3)
     b2 = scaled(draw(complex_array((rows, cols))), 0.2)
     e = np.eye(rows, cols)
-    return AnalyticFrame(
-        [[RationalFunction([e[i, j], b1[i, j], b2[i, j]]) for j in range(cols)] for i in range(rows)]
-    )
+    return [[RationalFunction([e[i, j], b1[i, j], b2[i, j]]) for j in range(cols)] for i in range(rows)]
+
+
+def frames():
+    return frame_entries().map(AnalyticFrame)
 
 
 def product(left, right):
@@ -56,6 +61,11 @@ def product(left, right):
         [reduce(operator.add, (a * right[k][j] for k, a in enumerate(row))) for j in range(len(right[0]))]
         for row in left
     ]
+
+
+def unitary(data, n):
+    u, _ = np.linalg.qr(data.draw(complex_array((n, n))) + 2.0 * np.eye(n))
+    return u
 
 
 def constant(m):
@@ -85,8 +95,7 @@ def test_gauge_invariance(frame, data):
 @PROPERTY
 @given(frames(), st.data())
 def test_unitary_invariance(frame, data):
-    u, _ = np.linalg.qr(data.draw(complex_array((frame.rows, frame.rows))) + 2.0 * np.eye(frame.rows))
-    moved = AnalyticFrame(product(constant(u), frame.entries))
+    moved = AnalyticFrame(product(constant(unitary(data, frame.rows)), frame.entries))
     assert_same_field(defect_field(frame, GRID), defect_field(moved, GRID))
 
 
@@ -122,3 +131,13 @@ def test_green_sweep_is_linear_in_the_density(densities, a, b):
     mixed = potentials(a * densities[0] + b * densities[1])
     scale = a * np.abs(g1) + b * np.abs(g2)
     assert np.all(np.abs(mixed - (a * g1 + b * g2)) <= 1e-12 * np.max(scale))
+
+
+@PROPERTY
+@given(frame_entries(min_rows=1), st.data())
+def test_margin_unitary_invariance(entries, data):
+    rows, cols = len(entries), len(entries[0])
+    moved = product(product(constant(unitary(data, rows)), entries), constant(unitary(data, cols)))
+    base = left_invertibility_margin(MatrixSymbol(entries, analytic=True), GRID)
+    turned = left_invertibility_margin(MatrixSymbol(moved, analytic=True), GRID)
+    assert abs(turned - base) <= 1e-13 * base

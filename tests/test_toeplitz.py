@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,9 @@ from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, Para
 from diskbundle.rational import RationalFunction, poly_mul
 from diskbundle.toeplitz import (
     MatrixSymbol,
+    _product_sections,
+    _smallest_singular_values,
+    _spectral_norm,
     intertwining_check,
     kernel_action_check,
     left_invertibility_margin,
@@ -16,7 +24,9 @@ from diskbundle.toeplitz import (
     toeplitz_section,
 )
 
-from oracles import kron_intertwining_gap, loop_toeplitz_section
+from oracles import kron_intertwining_gap, loop_toeplitz_section, symbol_product
+
+EPS = np.finfo(float).eps
 
 
 def shift_symbol():
@@ -162,6 +172,48 @@ def test_multiplicativity_matrix_pair():
     assert multiplicativity_check(f, g, 12) <= 1e-12
 
 
+def sweeps_seed1_pair(directory):
+    """The two symbols of the benchmark's ``sweeps`` workload, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cfg = json.loads(inputs.write_inputs("sweeps", 1, directory)["toeplitz"].read_text())
+    return load_symbol(directory / cfg["symbol"]), load_symbol(directory / cfg["second_symbol"])
+
+
+PRODUCT_PAIRS = {
+    "shift-shift": (lambda _: (shift_symbol(), shift_symbol()), 5),
+    "blaschke-cauchy": (lambda _: (blaschke_half(), cauchy_03()), 16),
+    "matrix-pair": (lambda _: (random_poly_symbol(2, 2, 3, seed=2), random_poly_symbol(2, 2, 2, seed=3)), 12),
+    "sweeps-seed1": (sweeps_seed1_pair, 64),
+}
+
+
+@pytest.mark.parametrize("pair", PRODUCT_PAIRS)
+def test_product_section_matches_symbolic_product(pair, tmp_path):
+    make, order = PRODUCT_PAIRS[pair]
+    f, g = make(tmp_path)
+    left, right, product = _product_sections(f, g, order)
+    assert np.array_equal(left, toeplitz_section(f, order).matrix)
+    assert np.array_equal(right, toeplitz_section(g, order).matrix)
+    oracle = toeplitz_section(symbol_product(f, g), order).matrix
+    assert np.max(np.abs(product - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (6, 3), (3, 6)])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_spectral_norm_matches_the_svd_norm(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    reference = np.linalg.norm(x, 2)
+    assert abs(_spectral_norm(x) - reference) <= 1e-13 * reference
+
+
+def test_spectral_norm_of_a_zero_gap_is_zero():
+    assert _spectral_norm(np.zeros((128, 128), dtype=complex)) == 0.0
+
+
 def test_multiplicativity_requires_analytic():
     gen = MatrixSymbol.scalar(RationalFunction([0.0, 1.0], [-0.5, 1.0]), analytic=False)
     with pytest.raises(ParameterError):
@@ -298,8 +350,8 @@ def test_margin_maps_a_failed_svd_to_numerical_error(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    with pytest.raises(NumericalError) as err:
-        left_invertibility_margin(shift_symbol(), build_grid(2, 8, 0.1))
+    with pytest.raises(NumericalError) as err:  # three columns: the closed form does not apply
+        left_invertibility_margin(random_poly_symbol(3, 3, 1, seed=5), build_grid(2, 8, 0.1))
     assert "SVD did not converge" in str(err.value)
 
 
@@ -309,6 +361,59 @@ def test_margin_matches_pointwise_svd(rows, cols):
     symbol = random_poly_symbol(rows, cols, 3, seed=rows * 10 + cols)
     pointwise = min(np.linalg.svd(symbol.eval(z), compute_uv=False)[-1] for z in grid.points)
     assert abs(left_invertibility_margin(symbol, grid) - pointwise) <= 1e-12 * pointwise
+
+
+def conditioned_batch(rows, cols, seed):
+    """Matrices ``U diag(1, .., 1/kappa) V*`` with ``kappa`` from 1 to 1e8
+    (1 for one column), and their condition numbers."""
+    rng = np.random.default_rng(seed)
+    kappa = np.logspace(0.0, 8.0, 97)
+    out = np.empty((len(kappa), rows, cols), dtype=complex)
+    for i, k in enumerate(kappa):
+        u, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))
+        out[i] = (u * np.geomspace(1.0, 1.0 / k, cols)) @ v.conj().T
+    return out, kappa if cols > 1 else np.ones_like(kappa)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (12, 2)])
+def test_closed_form_matches_pointwise_svd(rows, cols):
+    vals, kappa = conditioned_batch(rows, cols, seed=rows * 10 + cols)
+    reference = np.array([np.linalg.svd(v, compute_uv=False)[-1] for v in vals])
+    closed = _smallest_singular_values(vals)
+    assert np.all(np.abs(closed - reference) <= 8.0 * EPS * kappa * reference)
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_margin_is_zero_where_the_symbol_vanishes(cols):
+    grid = build_grid(4, 16, 0.01)
+    p = complex(grid.points[5])
+    m = np.arange(1.0, 2.0 * cols + 1.0).reshape(2, cols)
+    vanishing = MatrixSymbol([[RationalFunction([-p * v, v]) for v in row] for row in m], analytic=False)
+    assert not np.any(vanishing.eval(grid.points[5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert left_invertibility_margin(vanishing, grid) == 0.0
+        assert np.array_equal(_smallest_singular_values(np.zeros((3, 2, cols), dtype=complex)), np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (12, 2)])
+def test_closed_form_keeps_extreme_scales(scale, rows, cols):
+    vals, _ = conditioned_batch(rows, cols, seed=7)
+    vals = scale * vals[:9]  # kappa up to 10
+    reference = np.array([np.linalg.svd(v, compute_uv=False)[-1] for v in vals])
+    assert np.all(np.abs(_smallest_singular_values(vals) - reference) <= 1e-14 * reference)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 12])
+def test_closed_form_of_a_rank_one_symbol(rows):
+    rng = np.random.default_rng(rows)
+    u = rng.standard_normal((50, rows, 1)) + 1j * rng.standard_normal((50, rows, 1))
+    v = rng.standard_normal((50, 1, 2)) + 1j * rng.standard_normal((50, 1, 2))
+    vals = u @ v
+    sigma_max = np.linalg.norm(u, axis=(1, 2)) * np.linalg.norm(v, axis=(1, 2))
+    assert np.all(_smallest_singular_values(vals) <= 1e-15 * sigma_max)
 
 
 def test_margin_requires_tall_symbol():

@@ -303,11 +303,18 @@ def test_weights_from_csv_refuses_non_finite(tmp_path, field):
         weights_from_csv(path)
 
 
-@pytest.mark.parametrize("row", ["1,abc,0.0", "x,2.0,0.0", "1,2.0,abc", "1,2.0,5.0"])
+@pytest.mark.parametrize("row", ["1,abc,0.0", "x,2.0,0.0", "1,2.0,abc", "1,2.0,5.0", "1,2.0", "1.0,2.0,0.0"])
 def test_weights_from_csv_refuses_malformed_row(tmp_path, row):
     path = tmp_path / "weights.csv"
     path.write_text(f"n,w_n,ln_w_n\r\n0,1.0,0.0\r\n{row}\r\n")
     with pytest.raises(DataError, match="weight row 1[ :]"):
+        weights_from_csv(path)
+
+
+def test_weights_from_csv_refuses_a_blank_row(tmp_path):
+    path = tmp_path / "weights.csv"
+    path.write_text("n,w_n,ln_w_n\r\n0,1.0,0.0\r\n\r\n1,1.0,0.0\r\n")
+    with pytest.raises(DataError, match="weight row 1 must have three fields"):
         weights_from_csv(path)
 
 
