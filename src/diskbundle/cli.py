@@ -7,14 +7,14 @@ Every config key is one row of ``_KEYS``, which lists the commands that
 read it; a command refuses every other key. A row with a ``flag`` is
 overridden by that option, on its commands only: the option's text is read
 as JSON and checked by the row like a config value. Each run writes
-``report.json`` (floats at 17 significant digits, sorted keys, fixed row
-orders) plus the command's CSV dumps, so identical inputs produce
-byte-identical artifacts. Validation problems exit with code 2, numerical
-failures with code 3, both with a machine-readable error JSON on stdout;
-a run that fails removes every file it wrote. Each ``_cmd_*`` computes its
-report and hands back its files' writers, and ``main`` writes them all.
-Each ``_cmd_*`` imports the layers its command runs, so a run loads no
-other layer.
+``report.json`` (floats as their shortest round-trip ``repr``, as in the
+CSVs; sorted keys, fixed row orders) plus the command's CSV dumps, so
+identical inputs produce byte-identical artifacts. Validation problems
+exit with code 2, numerical failures with code 3, both with a
+machine-readable error JSON on stdout; a run that fails removes every
+file it wrote. Each ``_cmd_*`` computes its report and hands back its
+files' writers, and ``main`` writes them all. Each ``_cmd_*`` imports the
+layers its command runs, so a run loads no other layer.
 """
 
 from __future__ import annotations
@@ -195,37 +195,21 @@ def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> d
     return cfg
 
 
-# --- deterministic JSON with 17-significant-digit floats ---
+# --- deterministic JSON: sorted keys, floats by their shortest round-trip repr ---
 
 
-def _json_text(value, indent=0):
-    pad = " " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not np.isfinite(x):
-            raise NumericalError("non-finite value in report")
-        return format(x, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _json_text(v, indent + 2) for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            items.append(pad + "  " + json.dumps(str(key)) + ": " + _json_text(value[key], indent + 2))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+def _python_scalar(value):
+    """A numpy scalar as its Python value; any other type has no JSON form."""
+    if isinstance(value, np.generic):
+        return value.item()
     raise ParameterError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def _json_text(value) -> str:
+    try:
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=_python_scalar)
+    except ValueError:  # json's refusal of NaN and infinity
+        raise NumericalError("non-finite value in report") from None
 
 
 def _stamp(path: Path):
@@ -367,14 +351,15 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
             raise ParameterError(f"vector must have length {symbol.rows}", field="vector")
         doc["kernel_action"] = {
             "lambda": _pair(cfg["lambda"]),
-            "discrepancy": kernel_action_check(symbol, cfg["lambda"], e, TOEPLITZ_ORDER),
+            "discrepancy": kernel_action_check(section, cfg["lambda"], e),
         }
-        doc["intertwining"] = intertwining_check(symbol, TOEPLITZ_ORDER)
+        doc["intertwining"] = intertwining_check(section)
         if symbol.is_scalar:
             try:
                 split = scalar_inner_outer(symbol.entries[0][0])
-            except DataError as exc:  # its one DataError: the numerator's zeros cannot be located
-                raise DataError(f"entries[0][0].num: {exc}", field="entries[0][0].num") from None
+            except ValidationError as exc:  # a zero numerator, a zero on the circle, unlocatable zeros
+                exc.field = "entries[0][0].num"
+                raise
             doc["inner_outer"] = {
                 "disk_zeros": [_pair(a) for a in split.disk_zeros],
                 "inner": split.inner.to_jsonable(),

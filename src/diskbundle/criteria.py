@@ -48,8 +48,9 @@ def green_potential(field: DefectField, lam: complex) -> float:
 
     The exact potential of a nonnegative field is nonpositive, but the
     quadrature is biased at the rim, where it can come out slightly
-    positive (up to about 1e-6 on a 20x64 grid; ROADMAP item 1). Raises
-    :class:`DomainError` when ``lam`` is outside the grid's covered disk.
+    positive (up to about 1e-6 on a 20x64 grid; see the ROADMAP item on the
+    Green potential by Green's identity). Raises :class:`DomainError` when
+    ``lam`` is outside the grid's covered disk.
     """
     _require_complete(field)
     outer = float(field.grid.radial_edges[-1])

@@ -2,10 +2,11 @@
 
 Coefficients are stored in ascending order (``c[0] + c[1] z + ...``) as
 complex numpy arrays. This is the common representation for frame entries
-and Toeplitz symbols, so evaluation, differentiation, and the little
-algebra needed for symbol products all live here, as does
+and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
-symbols both are.
+symbols both are. Sums and products (``__add__``, ``__mul__``,
+``poly_add``) have no caller in the package: the tests use them for the
+reference product symbol (``tests/oracles.symbol_product``) and for gauges.
 """
 
 from __future__ import annotations

@@ -200,30 +200,29 @@ def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> floa
     return _spectral_norm(left @ right - product)
 
 
-def kernel_action_check(f: MatrixSymbol, lam: complex, e, order: int) -> float:
+def kernel_action_check(section: ToeplitzSection, lam: complex, e) -> float:
     """Discrepancy in the kernel eigen-action of the adjoint section.
 
     Applies the section of ``F*`` to the truncated coefficient vector of
     ``k_lam e`` and compares with the coefficients of ``k_lam (F(lam)* e)``;
     the gap decays like ``|lam|^order``.
     """
+    f = section.symbol
     if not f.analytic:
         raise ParameterError("kernel action check requires an analytic symbol")
     if abs(lam) >= 1.0:
         raise ParameterError("lam must lie in the open unit disk")
-    if order < 1:
-        raise ParameterError("section order must be >= 1")
     e = np.asarray(e, dtype=complex)
     if e.shape != (f.rows,):
         raise ParameterError(f"vector must have length {f.rows}")
-    kvec = np.conj(lam) ** np.arange(order)
-    adj = np.ascontiguousarray(toeplitz_section(f, order).matrix.conj().T)
+    kvec = np.conj(lam) ** np.arange(section.order)
+    adj = np.ascontiguousarray(section.matrix.conj().T)
     lhs = adj @ np.kron(kvec, e)
     rhs = np.kron(kvec, f.eval(lam).conj().T @ e)
     return float(np.linalg.norm(lhs - rhs))
 
 
-def intertwining_check(f: MatrixSymbol, order: int) -> float:
+def intertwining_check(section: ToeplitzSection) -> float:
     """Gap between ``T_{F*} S*`` and ``S* T_{F*}`` on interior sections.
 
     The last block row is where truncation breaks the identity, so the two
@@ -232,11 +231,12 @@ def intertwining_check(f: MatrixSymbol, order: int) -> float:
     block column becomes zero) on one side and one block row up on the
     other, so both are slices of the one section.
     """
+    f, order = section.symbol, section.order
     if not f.analytic:
         raise ParameterError("intertwining check requires an analytic symbol")
     if order < 2:
         raise ParameterError("section order must be >= 2")
-    adj = toeplitz_section(f, order).matrix.conj().T
+    adj = section.matrix.conj().T
     rows_keep = (order - 1) * f.cols
     cols_keep = (order - 1) * f.rows
     left = np.zeros((rows_keep, cols_keep), dtype=complex)

@@ -13,9 +13,9 @@ from diskbundle import cli
 from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
 from diskbundle.calculus import build_grid
 from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, _int, emit_heatmap, main
-from diskbundle.errors import NumericalError
+from diskbundle.errors import NumericalError, ParameterError
 from diskbundle.rational import RationalFunction
-from diskbundle.toeplitz import MatrixSymbol, save_symbol
+from diskbundle.toeplitz import MatrixSymbol, save_symbol, toeplitz_section
 from diskbundle.weights import weights_from_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,6 +145,59 @@ def test_report_failing_after_the_csv_removes_only_this_runs_files(tmp_path, cap
     assert json.loads(capsys.readouterr().out)["type"] == "NumericalError"
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
     assert (tmp_path / "out" / "report.json").read_text() == "an earlier report\n"
+
+
+def test_non_finite_report_value_exits_3_and_leaves_no_files(tmp_path, capsys, monkeypatch):
+    # the serializer refuses the NaN after weights.csv is written; the run removes it
+    monkeypatch.setattr("diskbundle.weights.counterexample_report", lambda w, radii: {"alpha": float("nan")})
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16})
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "NumericalError" and error["message"] == "non-finite value in report"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "x", [float("nan"), float("inf"), -float("inf"), np.float32("inf")], ids=["nan", "inf", "-inf", "float32-inf"]
+)
+def test_non_finite_report_value_is_numerical(x):
+    with pytest.raises(NumericalError, match="non-finite value in report"):
+        cli._json_text({"a": [1.0, x]})
+
+
+def test_numpy_scalars_are_written_as_plain_json_values():
+    doc = {"i": np.int64(3), "b": np.bool_(True), "f": np.float32(0.5), "g": np.float64(0.1)}
+    assert cli._json_text(doc) == '{\n  "b": true,\n  "f": 0.5,\n  "g": 0.1,\n  "i": 3\n}'
+
+
+def test_value_with_no_json_form_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="cannot serialize complex"):
+        cli._json_text({"z": [1j]})
+
+
+def float_tokens(text: str) -> list:
+    """The float tokens of a JSON text, as written."""
+    tokens = []
+    json.loads(text, parse_float=lambda token: tokens.append(token) or float(token))
+    return tokens
+
+
+def test_report_floats_are_written_as_their_repr(tmp_path, capsys):
+    save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
+    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    grid = {"radial_count": 4, "angular_count": 16}
+    payloads = {
+        "curvature": {"frame": "frame.json", "grid": grid},
+        "criteria": {"frame": "frame.json", "grid": grid},
+        "toeplitz": {"symbol": "s.json", "second_symbol": "s.json", "grid": grid},
+        "counterexample": {"epsilon": 0.1, "spike_count": 2, "length": 128},
+    }
+    for command, payload in payloads.items():
+        cfg = write_config(tmp_path / f"{command}.json", payload)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        tokens = float_tokens((tmp_path / command / "report.json").read_text())
+        assert tokens and all(token == repr(float(token)) for token in tokens), command
+    assert '"M": 1000.0\n' in (tmp_path / "criteria" / "report.json").read_text()
 
 
 def test_writer_failing_midway_leaves_no_part(tmp_path, capsys, monkeypatch):
@@ -662,12 +715,37 @@ def test_json_beyond_the_reader_limits_exits_2(tmp_path, capsys, config, frame, 
     assert error["type"] == "DataError" and error["field"] == field and "not valid JSON" in error["message"]
 
 
-def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys):
-    # the inner-outer split needs the zeros; a subnormal leading coefficient overflows their companion matrix
-    save_symbol(MatrixSymbol.scalar(RationalFunction([1.0, 1e-320]), analytic=True), tmp_path / "s.json")
+@pytest.mark.parametrize(
+    "num, kind, message",
+    [
+        # the inner-outer split needs the zeros; a subnormal leading coefficient overflows their companion matrix
+        ([1.0, 1e-320], "DataError", "roots cannot be located"),
+        ([0.0], "ParameterError", "cannot factor the zero function"),
+        ([1.0, -1.0], "BoundaryZeroError", "zero on the unit circle"),
+    ],
+    ids=["unlocatable", "zero", "boundary-zero"],
+)
+def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys, num, kind, message):
+    save_symbol(MatrixSymbol.scalar(RationalFunction(num), analytic=True), tmp_path / "s.json")
     grid = {"radial_count": 2, "angular_count": 4}
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "grid": grid})
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().out)
-    assert error["type"] == "DataError" and "roots cannot be located" in error["message"]
+    assert error["type"] == kind and message in error["message"]
     assert error["field"] == "entries[0][0].num"
+
+
+def test_toeplitz_run_builds_one_section(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return toeplitz_section(*args)
+
+    monkeypatch.setattr("diskbundle.toeplitz.toeplitz_section", counted)
+    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "second_symbol": "s.json"})
+    assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["kernel_action"] is not None and report["intertwining"] is not None
+    assert len(calls) == 1

@@ -9,9 +9,12 @@ private name (``_x``, not a dunder) defined at module level by ``def``,
 loads it as a name or as an attribute, so a helper whose last caller is
 gone is found. An f-string counts as having a placeholder when some
 ``{...}`` field of it, not only its format specs, holds an expression.
+No file of the package and not the README cites a ROADMAP item by its
+number, which changes when the ROADMAP is renumbered.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,3 +119,17 @@ def test_no_placeholderless_fstrings():
         f"{path.relative_to(ROOT)}:{line}" for path in files for line in placeholderless_fstrings(path.read_text())
     ]
     assert not found, "f-strings with no placeholder:\n" + "\n".join(found)
+
+
+ROADMAP_NUMBER = re.compile(r"ROADMAP\s+items?\s+\d", re.IGNORECASE)
+
+
+def test_roadmap_number_citations_are_found():
+    text = "see ROADMAP\n    item 2; ROADMAP items 3 and 4; the ROADMAP item on Green's identity"
+    assert len(ROADMAP_NUMBER.findall(text)) == 2
+
+
+def test_no_roadmap_item_cited_by_number():
+    files = sorted((ROOT / "src").rglob("*.py")) + [ROOT / "README.md"]
+    found = [str(path.relative_to(ROOT)) for path in files if ROADMAP_NUMBER.search(path.read_text(encoding="utf-8"))]
+    assert not found, "ROADMAP items cited by number in:\n" + "\n".join(found)

@@ -7,19 +7,23 @@ rotation of the argument by a grid angle shifts it cyclically within each
 ring. The Green quadrature is linear in the density. The Toeplitz
 margin is a minimum of singular values, so constant unitaries on either
 side of the symbol leave it alone. Hypothesis draws the coefficients;
-frames and symbols are at most 4x3 and grids 4x16.
+frames and symbols are at most 4x3 and grids 4x16. A report writes every
+finite float so that it reads back bit for bit.
 """
 
+import json
 import operator
+import struct
 from functools import reduce
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
 from diskbundle.calculus import build_grid
+from diskbundle.cli import _json_text
 from diskbundle.criteria import green_potential, green_sweep
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, left_invertibility_margin
@@ -141,3 +145,12 @@ def test_margin_unitary_invariance(entries, data):
     base = left_invertibility_margin(MatrixSymbol(entries, analytic=True), GRID)
     turned = left_invertibility_margin(MatrixSymbol(moved, analytic=True), GRID)
     assert abs(turned - base) <= 1e-13 * base
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+def test_report_floats_read_back_bit_for_bit(x):
+    y = json.loads(_json_text({"x": x}))["x"]
+    assert type(y) is float and struct.pack("<d", y) == struct.pack("<d", x)

@@ -224,22 +224,22 @@ def test_multiplicativity_requires_analytic():
 
 
 def test_kernel_action_shift():
-    d = kernel_action_check(shift_symbol(), 0.5, [1.0], 32)
+    d = kernel_action_check(toeplitz_section(shift_symbol(), 32), 0.5, [1.0])
     assert d <= 1e-8
 
 
 def test_kernel_action_constant_unitary():
     u = MatrixSymbol.constant([[0.0, 1.0], [1.0, 0.0]])
-    assert kernel_action_check(u, 0.4 + 0.2j, [1.0, 0.0], 16) <= 1e-14
+    assert kernel_action_check(toeplitz_section(u, 16), 0.4 + 0.2j, [1.0, 0.0]) <= 1e-14
 
 
 def test_kernel_action_blaschke():
-    assert kernel_action_check(blaschke_half(), 0.3, [1.0], 64) <= 1e-10
+    assert kernel_action_check(toeplitz_section(blaschke_half(), 64), 0.3, [1.0]) <= 1e-10
 
 
 def test_kernel_action_geometric_decay():
     lam = 0.5
-    values = [kernel_action_check(blaschke_half(), lam, [1.0], n) for n in (24, 25, 26)]
+    values = [kernel_action_check(toeplitz_section(blaschke_half(), n), lam, [1.0]) for n in (24, 25, 26)]
     for a, b in zip(values, values[1:]):
         assert abs(b / a - lam) <= 0.1 * lam
 
@@ -248,23 +248,23 @@ def test_kernel_action_geometric_decay():
 
 
 def test_intertwining_shift():
-    assert intertwining_check(shift_symbol(), 8) <= 1e-14
+    assert intertwining_check(toeplitz_section(shift_symbol(), 8)) <= 1e-14
 
 
 def test_intertwining_matrix_polynomial():
-    assert intertwining_check(random_poly_symbol(2, 2, 3, seed=4), 16) <= 1e-12
+    assert intertwining_check(toeplitz_section(random_poly_symbol(2, 2, 3, seed=4), 16)) <= 1e-12
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
 def test_intertwining_slices_match_kron_oracle(rows, cols):
     f = random_rational_symbol(rows, cols, True, seed=10 * rows + cols)
     for order in (2, 5, 64):
-        assert np.array_equal(intertwining_check(f, order), kron_intertwining_gap(f, order)), order
+        assert np.array_equal(intertwining_check(toeplitz_section(f, order)), kron_intertwining_gap(f, order)), order
 
 
 def test_intertwining_needs_order_two():
     with pytest.raises(ParameterError):
-        intertwining_check(shift_symbol(), 1)
+        intertwining_check(toeplitz_section(shift_symbol(), 1))
 
 
 # --- inner-outer ---
