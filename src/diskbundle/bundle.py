@@ -28,7 +28,7 @@ reference the sweeps are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -114,15 +114,18 @@ def projection(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     return a @ np.linalg.solve(g, a.conj().T)
 
 
+def _projection_dz(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``(I - P) F' (F*F)^-1 F*`` from ``F``, ``F'`` and the checked Gram ``F*F`` at one point."""
+    solve_at = np.linalg.solve(g, a.conj().T)
+    p = a @ solve_at
+    eye = np.eye(a.shape[0], dtype=complex)
+    return (eye - p) @ d @ solve_at
+
+
 def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     """Holomorphic derivative ``(I - P) F' (F*F)^-1 F*`` of the projection."""
     a = frame.eval(lam)
-    d = frame.eval_dz(lam)
-    g = _checked_gram(a)
-    solve_at = np.linalg.solve(g, a.conj().T)
-    p = a @ solve_at
-    eye = np.eye(frame.rows, dtype=complex)
-    return (eye - p) @ d @ solve_at
+    return _projection_dz(a, frame.eval_dz(lam), _checked_gram(a))
 
 
 def hs_norm_sq(m) -> float:
@@ -135,8 +138,7 @@ def curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
     return hs_norm_sq(projection_dz(frame, lam))
 
 
-@dataclass(frozen=True)
-class BundleCurvature:
+class BundleCurvature(NamedTuple):
     """Curvature split at one parameter.
 
     ``total`` is ``shift_part + defect``; ``tensor_total`` recomputes the
@@ -159,7 +161,11 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature
         raise ParameterError("lam must lie in the open unit disk")
     n = frame.cols
     shift_part = n / (1.0 - x) ** 2
-    defect = curvature_defect(frame, lam)
+    # one evaluation and one Gram check serve both routes
+    f = frame.eval(lam)
+    fp = frame.eval_dz(lam)
+    gf = _checked_gram(f)
+    defect = hs_norm_sq(_projection_dz(f, fp, gf))
     total = shift_part + defect
 
     # tensored route: cross-Gram scalars of the kernel vector (x^k) and its
@@ -167,9 +173,6 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature
     one = 1.0 - x
     s00, sigma1, a11 = 1.0 / one, 1.0 / one**2, (1.0 + x) / one**3
     a01 = np.conj(lam) * sigma1
-    f = frame.eval(lam)
-    fp = frame.eval_dz(lam)
-    gf = _checked_gram(f)
     gc = f.conj().T @ fp
     gd = fp.conj().T @ fp
     s = s00 * gf
@@ -187,8 +190,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature
     )
 
 
-@dataclass(frozen=True)
-class GramBounds:
+class GramBounds(NamedTuple):
     """Extreme Gram eigenvalues over a grid; ``c_min > 0`` certifies the
     frame is uniformly nondegenerate at grid resolution."""
 

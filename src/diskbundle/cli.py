@@ -22,9 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,8 +85,7 @@ def _nonempty_list(item, what: str):
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     """One config key: the commands that read it, its parser, default, range and override flag."""
 
     commands: tuple
@@ -280,7 +278,7 @@ def _cmd_curvature(cfg: dict) -> tuple:
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
     bounds = gram_bounds(field_)
-    samples = [{"lambda": _pair(lam), **asdict(full_bundle_curvature(frame, lam))} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
+    samples = [{"lambda": _pair(lam), **full_bundle_curvature(frame, lam)._asdict()} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
     doc = {
         "command": "curvature",
         "grid": grid_meta(grid),

@@ -21,8 +21,7 @@ for symbols with one or two columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -149,8 +148,7 @@ def _lay_out(blocks: np.ndarray, order: int, analytic: bool) -> np.ndarray:
     return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
 
 
-@dataclass(frozen=True)
-class ToeplitzSection:
+class ToeplitzSection(NamedTuple):
     """Leading ``N x N`` block section with blocks ``coeff(j - k)``."""
 
     symbol: MatrixSymbol
@@ -245,8 +243,7 @@ def intertwining_check(section: ToeplitzSection) -> float:
     return float(np.linalg.norm(left - right))
 
 
-@dataclass(frozen=True)
-class InnerOuterFactorization:
+class InnerOuterFactorization(NamedTuple):
     inner: RationalFunction
     outer: RationalFunction
     disk_zeros: tuple

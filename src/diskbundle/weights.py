@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,6 +101,8 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
     if length < 1:
         raise ParameterError("length must be >= 1")
     alpha = 1.0 - (1.0 + epsilon) ** -2
+    if alpha == 0.0:  # (1 + epsilon)^-2 rounds to 1 below epsilon of about 1.1e-16
+        raise ParameterError(f"epsilon {epsilon!r} is too small: 1 - (1 + epsilon)^-2 rounds to 0", field="epsilon")
     starts = []
     prev = None
     for j in range(1, spike_count + 1):
@@ -151,8 +153,7 @@ def ratio_bound_check(w: WeightSequence) -> float:
     return float(np.max(np.maximum(r, 1.0 / r)))
 
 
-@dataclass(frozen=True)
-class KernelRatio:
+class KernelRatio(NamedTuple):
     min_ratio: float
     max_ratio: float
 

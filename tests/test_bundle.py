@@ -289,6 +289,21 @@ def test_full_curvature_examples():
     assert split.defect == 0.0
 
 
+def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
+    """Both routes share one ``eval``, one ``eval_dz`` and one Gram check, and
+    the defect is the scalar path's value to the bit."""
+    frame = seeded_rational_frame(3, 2, seed=7)
+    calls = []
+    for name in ("eval", "eval_dz"):
+        method = getattr(frame, name)
+        monkeypatch.setattr(frame, name, lambda lam, name=name, method=method: calls.append(name) or method(lam))
+    for lam in (0.0, 0.5, 0.3 - 0.6j):
+        calls.clear()
+        split = full_bundle_curvature(frame, lam)
+        assert sorted(calls) == ["eval", "eval_dz"]
+        assert split.defect == curvature_defect(frame, lam)
+
+
 def test_hardy_line_frame_curvature_converges():
     lam = 0.9
     expected = (1 - lam**2) ** -2

@@ -73,6 +73,18 @@ def test_counterexample_command(tmp_path):
     assert (tmp_path / "out" / "weights.csv").exists()
 
 
+@pytest.mark.parametrize("epsilon", [1e-17, 5e-324])
+def test_counterexample_epsilon_below_alpha_resolution_exits_2(tmp_path, epsilon):
+    # alpha = 1 - (1 + epsilon)^-2 rounds to 0, and the spike starts divide by it
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": epsilon, "spike_count": 1, "length": 100})
+    result = run_cli(["counterexample", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["type"] == "ParameterError" and error["field"] == "epsilon"
+    assert result.stderr == ""
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_counterexample_at_benchmark_length(tmp_path):
     # the length the benchmark runs, checked against the reparsed dump the
     # way the benchmark's output checks do

@@ -105,7 +105,12 @@ CONFIGS = {
     ),
     "counterexample": corrupted(
         st.fixed_dictionaries(
-            {"length": st.integers(1, 200), "epsilon": st.floats(0.01, 10.0), "spike_count": st.integers(1, 4)},
+            {
+                "length": st.integers(1, 200),
+                # tiny values too: below about 1.1e-16, 1 - (1 + epsilon)^-2 rounds to 0
+                "epsilon": st.one_of(st.floats(0.01, 10.0), st.floats(0.0, 1e-15, exclude_min=True)),
+                "spike_count": st.integers(1, 4),
+            },
             optional={"radii": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3)},
         )
     ),

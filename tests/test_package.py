@@ -1,9 +1,12 @@
-"""The top-level package: lazy exports, per-command imports, the README tour.
+"""The top-level package: lazy exports, per-command imports, the BLAS
+thread pin of the entry module, the README tour.
 
 ``import diskbundle`` loads no submodule, each exported name loads its
 module on first use, and each command imports only the layers it runs.
-Every check runs in a fresh interpreter, because this test session has
-long since imported every module.
+The entry module pins OpenBLAS to one thread unless the caller chose a
+thread count; library imports leave the environment alone. Every check
+runs in a fresh interpreter, because this test session has long since
+imported every module.
 """
 
 import importlib
@@ -11,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,9 +43,18 @@ print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules if m.sta
 """
 
 
-def python(*args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+#: OpenBLAS's thread-count variables, in its order of precedence
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**extra) -> dict:
+    """This environment without the thread variables, plus ``extra``, with the sources on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return {**env, **extra, "PYTHONPATH": str(ROOT / "src")}
+
+
+def python(*args, **extra):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env(**extra))
 
 
 def command_configs(tmp_path: Path) -> dict:
@@ -99,3 +112,58 @@ def test_readme_library_tour_runs():
     assert "import diskbundle as db" in code
     result = python("-W", "error", "-c", code)
     assert result.returncode == 0, result.stderr
+
+
+#: prints the thread variables after importing the entry module, which does not run ``main`` on import
+_THREAD_PROBE = f"""
+import json, os
+import diskbundle.__main__
+print(json.dumps([os.environ.get(name) for name in {THREAD_VARS!r}]))
+"""
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [
+        ({}, ["1", None, None]),
+        ({"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["3", None, None]),
+        ({"GOTO_NUM_THREADS": "2"}, [None, "2", None]),
+    ],
+)
+def test_entry_module_pins_blas_unless_the_caller_chose(given, expected):
+    result = python("-c", _THREAD_PROBE, **given)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == expected
+
+
+def test_library_imports_leave_the_environment_alone():
+    modules = ["diskbundle", "diskbundle.cli", *(f"diskbundle.{m}" for m in diskbundle._EXPORTS)]
+    code = f"""
+import importlib, os
+before = dict(os.environ)
+for name in {modules!r}:
+    importlib.import_module(name)
+print(dict(os.environ) == before)
+"""
+    result = python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="an idle BLAS worker thread can only show on a Linux host with two or more CPUs",
+)
+def test_command_uses_no_more_cpu_than_wall_time(tmp_path):
+    """With one BLAS thread a run is single-threaded, so its CPU time stays
+    within its wall time; an idle OpenBLAS worker would spin beyond it."""
+    config = command_configs(tmp_path)["counterexample"]
+    argv = [sys.executable, "-m", "diskbundle", "counterexample", "--config", str(config), "--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=child_env())
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_utime + usage.ru_stime <= wall
