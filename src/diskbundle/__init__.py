@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (
-        "CriteriaReport", "Thresholds", "carleson_check", "default_probes", "green_potential", "green_sweep",
-        "pointwise_bound", "similarity_verdict",
+        "Thresholds", "carleson_check", "default_probes", "green_potential", "green_sweep", "pointwise_bound",
+        "similarity_verdict",
     ),
     "errors": (
         "AccuracyError", "BoundaryZeroError", "CapacityError", "ConditioningError", "DataError", "DomainError",

@@ -282,7 +282,7 @@ def _cmd_curvature(cfg: dict) -> tuple:
     doc = {
         "command": "curvature",
         "grid": grid_meta(grid),
-        "gram_bounds": {"c_min": bounds.c_min, "c_max": bounds.c_max},
+        "gram_bounds": bounds._asdict(),
         "defect": {
             "min": float(np.min(field_.values)),
             "max": float(np.max(field_.values)),
@@ -300,14 +300,12 @@ def _cmd_criteria(cfg: dict) -> tuple:
 
     frame = _with_file(load_frame, cfg["frame"], "frame")
     thresholds = Thresholds(M=cfg["thresholds.M"], C=cfg["thresholds.C"])
-    report = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
-    doc = {"command": "criteria", **report.to_json_dict()}
-    if report.partial:
-        doc["heatmap_csv"] = None
-        doc["failures"] = [[int(i), msg] for i, msg in report.failures]
-        return doc, {}
-    doc["heatmap_csv"] = "criteria_probes.csv"
-    return doc, {"criteria_probes.csv": lambda p: write_probe_heatmap(report.field, report.probes, p, report.potentials)}
+    report, probed = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
+    if probed is None:  # a partial field: the report lists its failures, and no sweep ran
+        return {"command": "criteria", **report, "heatmap_csv": None}, {}
+    field_, probes, potentials = probed
+    doc = {"command": "criteria", **report, "heatmap_csv": "criteria_probes.csv"}
+    return doc, {"criteria_probes.csv": lambda p: write_probe_heatmap(field_, probes, p, potentials)}
 
 
 def _cmd_toeplitz(cfg: dict) -> tuple:

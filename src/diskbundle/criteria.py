@@ -5,6 +5,9 @@ defect (uniform boundedness is the integrability-type criterion), the
 dyadic Carleson constant of ``defect * (1 - |z|) dA``, and the pointwise
 constant ``sup sqrt(defect) * (1 - |z|)``. All three are reported over the
 grid; the tool never claims anything about the full open disk.
+:func:`similarity_verdict` measures them with the Gram bounds and returns
+the report as the plain dict that the ``criteria`` command writes, plus
+the swept probes for :func:`write_probe_heatmap`.
 
 The potential quadrature follows the grid's midpoint rule except near the
 logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
@@ -20,12 +23,12 @@ sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .bundle import AnalyticFrame, DefectField, GramBounds, defect_field, gram_bounds
+from .bundle import AnalyticFrame, DefectField, defect_field, gram_bounds
 from .calculus import TWO_PI, ComplexGrid, carleson_constant, grid_meta, write_csv
 from .errors import DataError, DomainError, ParameterError
 
@@ -175,71 +178,34 @@ class Thresholds:
                 raise ParameterError(f"thresholds.{name} must be positive and finite", field=f"thresholds.{name}")
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
-    gram_bounds: Optional[GramBounds]
-    green_inf: Optional[float]
-    carleson_const: Optional[float]
-    pointwise_const: Optional[float]
-    thresholds: Thresholds
-    grid_meta: dict
-    checks: dict
-    partial: bool
-    failures: tuple = ()
-    #: what the verdict swept (probe grid indices and their potentials), kept
-    #: for :func:`write_probe_heatmap`; not in the JSON
-    field: Optional[DefectField] = dataclass_field(default=None, repr=False, compare=False)
-    probes: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
-    potentials: Optional[np.ndarray] = dataclass_field(default=None, repr=False, compare=False)
-
-    @property
-    def similar_at_grid_scale(self) -> bool:
-        return bool(self.checks) and all(self.checks.values()) and not self.partial
-
-    def to_json_dict(self) -> dict:
-        verdict = dict(self.checks)
-        verdict["similar_at_grid_scale"] = self.similar_at_grid_scale
-        verdict["partial"] = self.partial
-        return {
-            "gram_bounds": None
-            if self.gram_bounds is None
-            else {"c_min": self.gram_bounds.c_min, "c_max": self.gram_bounds.c_max},
-            "green_inf": self.green_inf,
-            "carleson_const": self.carleson_const,
-            "pointwise_const": self.pointwise_const,
-            "verdict": verdict,
-            "grid": self.grid_meta,
-            "thresholds": {"M": self.thresholds.M, "C": self.thresholds.C},
-        }
-
-
 def similarity_verdict(
     frame: AnalyticFrame,
     grid: ComplexGrid,
     thresholds: Thresholds,
     probe_stride: int,
     max_depth: int,
-) -> CriteriaReport:
+) -> tuple:
     """Aggregate the measurable criteria for one frame on one grid.
 
-    The report states measured constants and grid-scale pass/fail flags; a
-    partial defect field produces a partial report with the failures
-    attached instead of raising.
+    Returns ``(report, probed)``. ``report`` is the plain dict that the
+    ``criteria`` command writes as ``report.json``, less the command's own
+    keys: the measured constants and grid-scale pass/fail flags.
+    ``probed`` is ``(field, probes, potentials)``, what the sweep covered,
+    for :func:`write_probe_heatmap`. A partial defect field does not
+    raise: its report has the constants ``None``, the ``failures`` as
+    ``[index, message]`` pairs and a partial verdict, and ``probed`` is
+    ``None``.
     """
     field = defect_field(frame, grid)
-    meta = grid_meta(grid)
+    report = {
+        "grid": grid_meta(grid),
+        "thresholds": {"M": thresholds.M, "C": thresholds.C},
+        **dict.fromkeys(("gram_bounds", "green_inf", "carleson_const", "pointwise_const")),
+    }
     if field.is_partial:
-        return CriteriaReport(
-            gram_bounds=None,
-            green_inf=None,
-            carleson_const=None,
-            pointwise_const=None,
-            thresholds=thresholds,
-            grid_meta=meta,
-            checks={},
-            partial=True,
-            failures=field.failures,
-        )
+        report["failures"] = [[int(i), msg] for i, msg in field.failures]
+        report["verdict"] = {"partial": True, "similar_at_grid_scale": False}
+        return report, None
     bounds = gram_bounds(field)
     probes = default_probes(grid, probe_stride)
     potentials = green_sweep(field, probes)
@@ -252,19 +218,14 @@ def similarity_verdict(
         "carleson": carleson <= thresholds.C,
         "pointwise": pointwise <= thresholds.C,
     }
-    return CriteriaReport(
-        gram_bounds=bounds,
+    report.update(
+        gram_bounds=bounds._asdict(),
         green_inf=green_inf,
         carleson_const=carleson,
         pointwise_const=pointwise,
-        thresholds=thresholds,
-        grid_meta=meta,
-        checks=checks,
-        partial=False,
-        field=field,
-        probes=probes,
-        potentials=potentials,
+        verdict={**checks, "similar_at_grid_scale": all(checks.values()), "partial": False},
     )
+    return report, (field, probes, potentials)
 
 
 def write_probe_heatmap(
@@ -273,7 +234,7 @@ def write_probe_heatmap(
     """CSV ``re,im,defect,green_potential`` per probed grid point, in probe order.
 
     ``potentials`` are :func:`green_sweep`'s values at ``index``
-    (:func:`similarity_verdict` keeps both on its report).
+    (:func:`similarity_verdict` returns all three as ``probed``).
     """
     _require_complete(field)
     z = field.grid.points[index]

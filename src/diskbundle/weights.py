@@ -67,17 +67,9 @@ class WeightSequence:
         if vals[0] != 1.0:
             raise DataError("w_0 must equal 1")
 
-    @classmethod
-    def from_values(cls, values) -> "WeightSequence":
-        return cls(values=np.asarray(values, dtype=float))
-
     @property
     def length(self) -> int:
         return len(self.values)
-
-    @property
-    def spike_count(self) -> int:
-        return len(self.spike_starts)
 
     @property
     def is_spike_built(self) -> bool:
@@ -333,7 +325,7 @@ def weights_from_csv(path) -> WeightSequence:
             raise _row_fault(fh, start) from None
     if not np.array_equal(rows["n"], np.arange(len(rows))):
         raise DataError("weight rows must be consecutively indexed from 0")
-    w = WeightSequence.from_values(rows["w_n"])
+    w = WeightSequence(rows["w_n"])
     wrong = np.flatnonzero(np.log(w.values) != rows["ln_w_n"])
     if wrong.size:
         raise DataError(f"weight row {wrong[0]}: ln_w_n is not the log of w_n")

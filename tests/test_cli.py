@@ -135,6 +135,28 @@ def test_partial_field_exits_3(tmp_path):
     assert json.loads(result.stdout)["kind"] == "numerical"
 
 
+def test_criteria_partial_field_reports_failures_and_writes_no_csv(tmp_path, capsys):
+    # the field that makes curvature exit 3 gives criteria a partial report
+    grid = build_grid(4, 16, 0.01)
+    z0 = grid.points[5]
+    save_frame(AnalyticFrame([[RationalFunction([-z0, 1.0])]]), tmp_path / "frame.json")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"frame": "frame.json", "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01}},
+    )
+    assert main(["criteria", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["heatmap_csv"] is None
+    for key in ("gram_bounds", "green_inf", "carleson_const", "pointwise_const"):
+        assert report[key] is None
+    assert report["verdict"] == {"partial": True, "similar_at_grid_scale": False}
+    assert report["failures"] == [
+        [5, "Gram matrix condition inf exceeds cap 1e+12 (eigenvalues in [0.000e+00, 0.000e+00])"]
+    ]
+
+
 def test_failing_sample_leaves_no_heatmap(tmp_path, capsys):
     # the frame (lam) is nondegenerate on the grid but not at the sample lam = 0
     save_frame(AnalyticFrame.from_polynomials([[0.0, 1.0]]), tmp_path / "frame.json")

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from diskbundle.bundle import AnalyticFrame, DefectField, constant_field, defect_field
+from diskbundle.bundle import AnalyticFrame, DefectField, constant_field, defect_field, save_frame
 from diskbundle import criteria
 from diskbundle.calculus import TWO_PI, build_grid
-from diskbundle.cli import _KEYS
+from diskbundle.cli import _KEYS, main
 from diskbundle.criteria import (
     Thresholds,
     carleson_check,
@@ -244,13 +246,12 @@ CLI_DEFAULTS = (
 
 
 def test_verdict_constant_frame(grid):
-    report = similarity_verdict(AnalyticFrame.constant([[1.0], [0.0]]), grid, *CLI_DEFAULTS)
-    assert report.green_inf == 0.0
-    assert report.carleson_const == 0.0
-    assert report.pointwise_const == 0.0
-    assert report.similar_at_grid_scale
-    doc = report.to_json_dict()
-    assert set(doc) == {
+    report, _ = similarity_verdict(AnalyticFrame.constant([[1.0], [0.0]]), grid, *CLI_DEFAULTS)
+    assert report["green_inf"] == 0.0
+    assert report["carleson_const"] == 0.0
+    assert report["pointwise_const"] == 0.0
+    assert report["verdict"]["similar_at_grid_scale"]
+    assert set(report) == {
         "gram_bounds",
         "green_inf",
         "carleson_const",
@@ -262,40 +263,55 @@ def test_verdict_constant_frame(grid):
 
 
 def test_verdict_one_lambda(grid):
-    report = similarity_verdict(one_lambda_frame(), grid, Thresholds(M=100.0, C=100.0), *CLI_DEFAULTS[1:])
-    assert report.similar_at_grid_scale
-    assert report.gram_bounds.c_min > 0
-    assert np.isfinite(report.green_inf)
-    assert np.isfinite(report.carleson_const)
-    assert np.isfinite(report.pointwise_const)
+    report, _ = similarity_verdict(one_lambda_frame(), grid, Thresholds(M=100.0, C=100.0), *CLI_DEFAULTS[1:])
+    assert report["verdict"]["similar_at_grid_scale"]
+    assert report["gram_bounds"]["c_min"] > 0
+    assert np.isfinite(report["green_inf"])
+    assert np.isfinite(report["carleson_const"])
+    assert np.isfinite(report["pointwise_const"])
 
 
 def test_verdict_partial_field(grid):
     z0 = grid.points[3]
     frame = AnalyticFrame([[RationalFunction([-z0, 1.0])]])
-    report = similarity_verdict(frame, grid, *CLI_DEFAULTS)
-    assert report.partial
-    assert not report.similar_at_grid_scale
-    assert report.green_inf is None
-    assert report.failures
+    report, probed = similarity_verdict(frame, grid, *CLI_DEFAULTS)
+    assert report["verdict"]["partial"]
+    assert not report["verdict"]["similar_at_grid_scale"]
+    assert report["green_inf"] is None
+    assert report["failures"]
+    assert probed is None
 
 
 def test_verdict_lacunary_exploratory(grid):
     # no ground-truth claim here: the report just has to exist and be finite
-    report = similarity_verdict(lacunary_frame(), grid, *CLI_DEFAULTS)
-    assert not report.partial
-    for value in (report.green_inf, report.carleson_const, report.pointwise_const):
-        assert np.isfinite(value)
+    report, _ = similarity_verdict(lacunary_frame(), grid, *CLI_DEFAULTS)
+    assert not report["verdict"]["partial"]
+    for key in ("green_inf", "carleson_const", "pointwise_const"):
+        assert np.isfinite(report[key])
 
 
 def test_boundedness_follows_from_carleson_and_pointwise(grid):
     # regression property over the fixture frames: whenever the Carleson and
     # pointwise constants are finite, the probe minimum is finite as well
     for frame in (AnalyticFrame.constant([[1.0], [0.0]]), one_lambda_frame(), lacunary_frame()):
-        report = similarity_verdict(frame, grid, *CLI_DEFAULTS)
-        assert np.isfinite(report.carleson_const)
-        assert np.isfinite(report.pointwise_const)
-        assert np.isfinite(report.green_inf)
+        report, _ = similarity_verdict(frame, grid, *CLI_DEFAULTS)
+        assert np.isfinite(report["carleson_const"])
+        assert np.isfinite(report["pointwise_const"])
+        assert np.isfinite(report["green_inf"])
+
+
+def test_library_report_is_the_command_report(tmp_path, capsys):
+    # what the library returns is what criteria writes, less the command's own keys
+    frame = one_lambda_frame()
+    save_frame(frame, tmp_path / "frame.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"frame": "frame.json"}))
+    assert main(["criteria", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (written.pop("command"), written.pop("heatmap_csv")) == ("criteria", "criteria_probes.csv")
+    grid = build_grid(*(_KEYS[f"grid.{key}"].default for key in ("radial_count", "angular_count", "margin")))
+    report, _ = similarity_verdict(frame, grid, *CLI_DEFAULTS)
+    assert report == written
 
 
 def test_probe_heatmap(tmp_path, grid):

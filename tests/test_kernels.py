@@ -64,13 +64,13 @@ def test_identities_reject_boundary():
 
 
 def test_weighted_diag_unit_weights():
-    ones = WeightSequence.from_values([1.0])
+    ones = WeightSequence([1.0])
     assert weighted_kernel_diag_certified(ones, 0.0)[0] == 1.0
     assert abs(weighted_kernel_diag_certified(ones, 0.5)[0] - 4 / 3) < 1e-12
 
 
 def test_weighted_diag_matches_hardy_for_unit_weights():
-    ones = WeightSequence.from_values(np.ones(4))
+    ones = WeightSequence(np.ones(4))
     for lam in (0.1, 0.5, 0.9, 0.99):
         value, bound = weighted_kernel_diag_certified(ones, lam)
         assert abs(value - 1 / (1 - lam**2)) <= bound + 1e-12 * value
@@ -86,7 +86,7 @@ def test_weighted_diag_spike_bracket():
 
 def test_weighted_diag_rejects_boundary():
     with pytest.raises(ParameterError):
-        weighted_kernel_diag_certified(WeightSequence.from_values([1.0]), 1.0)
+        weighted_kernel_diag_certified(WeightSequence([1.0]), 1.0)
 
 
 def test_weighted_diag_returns_plain_floats():

@@ -31,7 +31,7 @@ def _runs_weight(length: int, seed: int, levels=LEVELS) -> WeightSequence:
     rng = np.random.default_rng(seed)
     values = np.repeat(rng.choice(levels, size=length), rng.integers(1, 8, size=length))[:length]
     values[0] = 1.0
-    return WeightSequence.from_values(values)
+    return WeightSequence(values)
 
 
 def _stepped_weight(length: int, cuts) -> WeightSequence:
@@ -39,7 +39,7 @@ def _stepped_weight(length: int, cuts) -> WeightSequence:
     values = np.ones(length)
     for i, (start, end) in enumerate(zip(cuts, [*cuts[1:], length])):
         values[start:end] = 1.0 + i % 2
-    return WeightSequence.from_values(values)
+    return WeightSequence(values)
 
 
 def _distinct_weight(length: int, seed: int) -> WeightSequence:
@@ -47,7 +47,7 @@ def _distinct_weight(length: int, seed: int) -> WeightSequence:
     values = np.exp(np.random.default_rng(seed).normal(size=length))
     values[0] = 1.0
     assert np.unique(values).size == length
-    return WeightSequence.from_values(values)
+    return WeightSequence(values)
 
 
 #: weights whose runs sit on the seams of the index widths: runs across 9|10,
@@ -56,7 +56,7 @@ def _distinct_weight(length: int, seed: int) -> WeightSequence:
 SEAM_WEIGHTS = [
     _stepped_weight(1200, [0, 5, 15, 95, 105, 995, 1005]),
     _stepped_weight(10**4 + 1, [0, 10, 11, 100, 101, 1000, 1001, 10**4]),
-    *(WeightSequence.from_values(np.ones(length)) for length in (1, 10, 100, 10**4, 10**4 + 1)),
+    *(WeightSequence(np.ones(length)) for length in (1, 10, 100, 10**4, 10**4 + 1)),
 ]
 
 
@@ -102,19 +102,19 @@ def test_spike_pattern_invariants():
 
 def test_weight_sequence_validation():
     with pytest.raises(DataError):
-        WeightSequence.from_values([2.0, 1.0])  # w_0 != 1
+        WeightSequence([2.0, 1.0])  # w_0 != 1
     with pytest.raises(DataError):
-        WeightSequence.from_values([1.0, -1.0])
+        WeightSequence([1.0, -1.0])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DataError, match="finite and positive"):
-            WeightSequence.from_values([1.0, bad])
+            WeightSequence([1.0, bad])
     with pytest.raises(ParameterError):
         build_spike_weight(-0.1, 1, 64)
 
 
 def test_unit_tail_convention():
     # past the stored range w_n = 1, so the diagonal is 1 + x/2 + x^2/(1-x)
-    w = WeightSequence.from_values([1.0, 2.0])
+    w = WeightSequence([1.0, 2.0])
     x = 0.25
     value, bound = weighted_kernel_diag_certified(w, 0.5)
     assert abs(value - (1.0 + x / 2 + x**2 / (1.0 - x))) <= bound + 1e-15
@@ -124,7 +124,7 @@ def test_unit_tail_convention():
 
 
 def test_ratio_bound_unit_weights():
-    assert ratio_bound_check(WeightSequence.from_values(np.ones(16))) == 1.0
+    assert ratio_bound_check(WeightSequence(np.ones(16))) == 1.0
 
 
 def test_ratio_bound_spike_exact():
@@ -133,14 +133,14 @@ def test_ratio_bound_spike_exact():
 
 
 def test_ratio_bound_hand_sequence():
-    assert ratio_bound_check(WeightSequence.from_values([1.0, 2.0])) == 2.0
+    assert ratio_bound_check(WeightSequence([1.0, 2.0])) == 2.0
 
 
 # --- kernel ratio ---
 
 
 def test_kernel_ratio_unit_weights():
-    kr = kernel_ratio_check(WeightSequence.from_values([1.0]), [0.0, 0.5, 0.9])
+    kr = kernel_ratio_check(WeightSequence([1.0]), [0.0, 0.5, 0.9])
     assert abs(kr.min_ratio - 1.0) < 1e-12
     assert abs(kr.max_ratio - 1.0) < 1e-12
 
@@ -153,14 +153,14 @@ def test_kernel_ratio_spike_bracket():
 
 
 def test_kernel_ratio_hand_spike_at_origin():
-    w = WeightSequence.from_values([1.0, 2.0, 1.0, 1.0])
+    w = WeightSequence([1.0, 2.0, 1.0, 1.0])
     kr = kernel_ratio_check(w, [0.0])
     assert kr.min_ratio == kr.max_ratio == 1.0
 
 
 def test_kernel_ratio_rejects_radius_one():
     with pytest.raises(ParameterError):
-        kernel_ratio_check(WeightSequence.from_values([1.0]), [1.0])
+        kernel_ratio_check(WeightSequence([1.0]), [1.0])
 
 
 # --- extremal spike bound ---
@@ -204,20 +204,20 @@ def test_spike_peak_bound_rejects_bad_input():
 
 
 def test_backward_shift_plain():
-    w = WeightSequence.from_values(np.ones(3))
+    w = WeightSequence(np.ones(3))
     out = backward_shift_apply(w, [0.0, 1.0, 0.0])
     assert np.allclose(out, [1.0, 0.0])
 
 
 def test_backward_shift_weighted_ratio():
-    w = WeightSequence.from_values([1.0, 2.0, 1.0])
+    w = WeightSequence([1.0, 2.0, 1.0])
     out = backward_shift_apply(w, [0.0, 0.0, 1.0])
     assert np.allclose(out, [0.0, 0.5])
 
 
 def test_backward_shift_capacity():
     with pytest.raises(CapacityError):
-        backward_shift_apply(WeightSequence.from_values([1.0, 2.0]), [1.0, 2.0, 3.0])
+        backward_shift_apply(WeightSequence([1.0, 2.0]), [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 0.9])
@@ -234,7 +234,7 @@ def test_backward_shift_eigenvector(lam):
 
 
 def test_growth_witness_isometric_case():
-    w = WeightSequence.from_values(np.ones(8))
+    w = WeightSequence(np.ones(8))
     assert np.all(shift_growth_witness(w, [1.0], 7) == 1.0)
 
 
@@ -265,7 +265,7 @@ def test_growth_witness_matches_per_offset_loop():
 
 
 def test_growth_witness_capacity_and_data_errors():
-    w = WeightSequence.from_values(np.ones(4))
+    w = WeightSequence(np.ones(4))
     with pytest.raises(CapacityError):
         shift_growth_witness(w, [1.0], 10)
     with pytest.raises(DataError):
@@ -360,7 +360,7 @@ def test_kernel_sum_stopping_at_the_last_stored_index():
         first = int(np.flatnonzero(np.power(x, n + 1) / (1.0 - x) <= KERNEL_REL_TOL * partials)[0])
         assert first == expected
         for length in (first, first + 1, first + 2):
-            w = WeightSequence.from_values(long.values[:length])
+            w = WeightSequence(long.values[:length])
             value, bound = weighted_kernel_diag_certified(w, r)
             assert (value, bound) == whole_array_kernel_diag(w, r)
             closed_form = bound == 8.0 * np.finfo(float).eps * value
@@ -393,7 +393,7 @@ def test_weight_arrays_are_read_only(tmp_path, name, index, value):
 
 def test_read_only_weights_are_views_of_the_callers_array():
     values = np.array([1.0, 2.0, 3.0])
-    w = WeightSequence.from_values(values)
+    w = WeightSequence(values)
     assert np.shares_memory(w.values, values) and values.flags.writeable
 
 
