@@ -267,6 +267,7 @@ def _grid(cfg: dict):
 
 
 def _cmd_curvature(cfg: dict) -> tuple:
+    """Curvature defect and Gram bounds of an analytic frame."""
     from .bundle import defect_field, full_bundle_curvature, gram_bounds, load_frame
     from .calculus import grid_meta
 
@@ -295,6 +296,7 @@ def _cmd_curvature(cfg: dict) -> tuple:
 
 
 def _cmd_criteria(cfg: dict) -> tuple:
+    """Green potential, Carleson and pointwise similarity tests."""
     from .bundle import load_frame
     from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
 
@@ -309,6 +311,7 @@ def _cmd_criteria(cfg: dict) -> tuple:
 
 
 def _cmd_toeplitz(cfg: dict) -> tuple:
+    """Toeplitz sections of a matrix symbol and their checks."""
     from .toeplitz import (
         intertwining_check,
         kernel_action_check,
@@ -365,6 +368,7 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
 
 
 def _cmd_counterexample(cfg: dict) -> tuple:
+    """The spike-weighted shift counterexample."""
     from .weights import build_spike_weight, counterexample_report, weights_to_csv
 
     w = build_spike_weight(cfg["epsilon"], cfg["spike_count"], cfg["length"])
@@ -387,13 +391,22 @@ _DISPATCH = {
 }
 
 
+#: what ``diskbundle --help`` says above the commands
+_DESCRIPTION = (
+    "Similarity diagnostics of analytic frame bundles on the unit disk. Each command reads a JSON config, "
+    "writes report.json and its CSV files to the config's out_dir (or --out), and prints one JSON status line. "
+    "Exit codes: 0 success, 2 invalid input, 3 numerical failure. "
+    "'diskbundle COMMAND --help' lists a command's options."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="diskbundle", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = argparse.ArgumentParser(prog="diskbundle", description=_DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--out", type=Path, default=None)
+        p = sub.add_parser(name, help=_DISPATCH[name].__doc__)
+        p.add_argument("--config", required=True, type=Path, help="the run's JSON config file")
+        p.add_argument("--out", type=Path, default=None, help="output directory, in place of out_dir")
         for key, row in _KEYS.items():
             if row.flag is not None and name in row.commands:
                 p.add_argument(row.flag, dest=key, metavar="JSON", help=f"override {key}")
@@ -410,13 +423,16 @@ def main(argv=None) -> int:
         _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg["out_dir"], "out_dir")
         doc, outputs = _DISPATCH[args.command](cfg)
         _write_outputs(cfg["out_dir"], {**outputs, "report.json": lambda p: write_report(doc, p)})
+        status, code = {"status": "ok", "report": str(cfg["out_dir"] / "report.json")}, 0
     except (ValidationError, NumericalError) as exc:
         kind, code = ("validation", 2) if isinstance(exc, ValidationError) else ("numerical", 3)
         error = {"status": "error", "kind": kind, "type": type(exc).__name__, "message": str(exc)}
-        print(_json_text({**error, "field": getattr(exc, "field", None)}))
-        return code
-    print(_json_text({"status": "ok", "report": str(cfg["out_dir"] / "report.json")}))
-    return 0
+        status = {**error, "field": getattr(exc, "field", None)}
+    try:
+        print(_json_text(status))
+    except BrokenPipeError:  # the reader closed stdout; the run's files and code stand
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -684,6 +684,17 @@ def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+def test_help_describes_each_command_and_the_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for command in COMMANDS:
+        assert f"{command} {cli._DISPATCH[command].__doc__}" in text, command
+    assert "Exit codes: 0 success, 2 invalid input, 3 numerical failure." in text
+    assert "_KEYS" not in text and "_cmd_" not in text and "``" not in text
+
+
 @pytest.mark.parametrize(
     "command, payload, field",
     [

@@ -1,12 +1,14 @@
-"""The top-level package: lazy exports, per-command imports, the BLAS
-thread pin of the entry module, the README tour.
+"""The top-level package: lazy exports, per-command imports, the entry
+module's BLAS thread pin and collector freeze, the README tour.
 
 ``import diskbundle`` loads no submodule, each exported name loads its
 module on first use, and each command imports only the layers it runs.
 The entry module pins OpenBLAS to one thread unless the caller chose a
-thread count; library imports leave the environment alone. Every check
-runs in a fresh interpreter, because this test session has long since
-imported every module.
+thread count, freezes the garbage collector once the run is done, and
+keeps the run's exit code when the reader of stdout has gone. Library
+imports and ``cli.main`` leave the environment and the collector alone.
+Every check runs in a fresh interpreter, because this test session has
+long since imported every module and has its own collector state.
 """
 
 import importlib
@@ -34,12 +36,14 @@ COMMAND_MODULES = {
     "counterexample": {"weights", "kernels"},
 }
 
-#: runs ``cli.main`` on its arguments, then prints the exit code and the loaded submodules
+#: runs ``cli.main`` on its arguments, then prints the exit code, the loaded
+#: submodules and the collector's freeze count and state
 _PROBE = """
-import json, sys
+import gc, json, sys
 from diskbundle.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules if m.startswith("diskbundle."))]))
+loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("diskbundle."))
+print(json.dumps([code, loaded, gc.get_freeze_count(), gc.isenabled()]))
 """
 
 
@@ -81,9 +85,10 @@ def test_command_loads_only_its_layers(tmp_path, command):
     config = command_configs(tmp_path)[command]
     result = python("-c", _PROBE, command, "--config", str(config), "--out", str(tmp_path / "out"))
     assert result.returncode == 0, result.stdout + result.stderr
-    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    code, loaded, frozen, enabled = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stdout
     assert set(loaded) == {"cli", "errors"} | COMMAND_MODULES[command]
+    assert (frozen, enabled) == (0, True)  # only the entry module freezes the collector
 
 
 def test_import_loads_no_submodule_and_no_numpy():
@@ -140,15 +145,15 @@ def test_entry_module_pins_blas_unless_the_caller_chose(given, expected):
 def test_library_imports_leave_the_environment_alone():
     modules = ["diskbundle", "diskbundle.cli", *(f"diskbundle.{m}" for m in diskbundle._EXPORTS)]
     code = f"""
-import importlib, os
+import gc, importlib, os
 before = dict(os.environ)
 for name in {modules!r}:
     importlib.import_module(name)
-print(dict(os.environ) == before)
+print(dict(os.environ) == before, gc.get_freeze_count(), gc.isenabled())
 """
     result = python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "True"
+    assert result.stdout.split() == ["True", "0", "True"]
 
 
 @pytest.mark.skipif(
@@ -167,3 +172,69 @@ def test_command_uses_no_more_cpu_than_wall_time(tmp_path):
     child.returncode = os.waitstatus_to_exitcode(status)
     assert child.returncode == 0
     assert usage.ru_utime + usage.ru_stime <= wall
+
+
+def exit_configs(tmp_path: Path) -> dict:
+    """``[command, config]`` by the exit code its run gives: 0 on a small
+    ``counterexample``, 2 on a ``length`` of 0, and 3 on ``curvature`` of
+    the 1×1 frame (λ), whose Gram matrix is singular at the sample λ = 0."""
+    ok = command_configs(tmp_path)["counterexample"]
+    bad = tmp_path / "bad_length.json"
+    bad.write_text(json.dumps({"epsilon": 0.1, "spike_count": 2, "length": 0}))
+    save_frame(AnalyticFrame.from_polynomials([[0.0, 1.0]]), tmp_path / "lambda.json")
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({"frame": "lambda.json", "grid": {"radial_count": 2, "angular_count": 8}}))
+    return {0: ["counterexample", ok], 2: ["counterexample", bad], 3: ["curvature", singular]}
+
+
+#: runs ``cli.main`` and then the entry module's ``main`` on the same
+#: arguments, and prints each one's exit code, stdout and the freeze count after it
+_ENTRY_PROBE = """
+import contextlib, gc, io, json, sys
+import diskbundle.__main__ as entry
+from diskbundle import cli
+runs = []
+for run in (cli.main, entry.main):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = run(sys.argv[1:])
+    runs.append([code, text.getvalue(), gc.get_freeze_count()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("expected", [0, 2, 3])
+def test_entry_main_runs_cli_main_then_freezes_the_collector(tmp_path, expected):
+    command, config = exit_configs(tmp_path)[expected]
+    result = python("-c", _ENTRY_PROBE, command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    (code, text, frozen), (entry_code, entry_text, entry_frozen) = json.loads(result.stdout)
+    assert code == entry_code == expected
+    assert entry_text == text
+    assert json.loads(text)["status"] == ("ok" if expected == 0 else "error")
+    assert frozen == 0 < entry_frozen
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "closed pipe, unbuffered", "closed fd"])
+@pytest.mark.parametrize("expected", [0, 2])
+def test_gone_stdout_keeps_the_exit_code_and_leaves_stderr_empty(tmp_path, expected, stdout):
+    """A reader that has gone before the status line is printed, as in
+    ``diskbundle ... | head -c0``, or no stdout at all, as in
+    ``diskbundle ... >&-``: the run's files and exit code stand."""
+    command, config = exit_configs(tmp_path)[expected]
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "diskbundle", command, "--config", str(config), "--out", str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            argv,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(PYTHONUNBUFFERED="1" if stdout.endswith("unbuffered") else ""),
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed fd" else None,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (expected, "")
+    assert (out / "report.json").is_file() == (expected == 0)
