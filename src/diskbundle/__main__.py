@@ -1,5 +1,8 @@
 """Entry point of ``python -m diskbundle`` and of the ``diskbundle`` console script.
 
+``python -m diskbundle.cli`` runs :func:`main` too, after ``cli`` has
+loaded numpy, so the thread pin below does not reach it.
+
 Before numpy loads, it pins OpenBLAS to one thread, unless the caller set
 any of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` (OpenBLAS's own variables, in its order of

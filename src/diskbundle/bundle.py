@@ -12,17 +12,17 @@ derivative is the curvature defect tracked throughout the package, and
 by differentiating the projection of the kernel-tensored frame, whose Gram
 scalars are closed-form kernel sums.
 
-``defect_field`` evaluates the frame and its exact derivative once on the
-whole grid as ``(n, rows, cols)`` stacks. The condition check is a batched
-``eigvalsh`` of the Grams ``F*F`` with the same cap as the scalar path;
-the field keeps each point's extreme eigenvalues, which ``gram_bounds``
-reduces, and points that fail the check are masked out before any
-factorization, because one singular matrix makes a whole stack raise.
-The defect then comes from the batched reduced QR ``F = QR`` as
-``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows projection and
-keeps its accuracy when ``|F'|`` dwarfs the defect. The scalar
-``projection``, ``projection_dz`` and ``curvature_defect`` stay as the
-reference the sweeps are tested against.
+``defect_field`` evaluates the frame and its exact derivative in one
+pass on the whole grid, with the points on the last axis, and factors
+``F = QR`` at every point by :func:`~diskbundle.rational.gram_schmidt`.
+The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
+projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
+extreme Gram eigenvalues come from ``R`` (in closed form for up to two
+columns); they decide the condition check, with the same cap and message
+as the scalar path, and the field keeps them for ``gram_bounds``. A point
+that fails the check, or is not finite, is NaN and listed in the
+field's failures. The scalar ``projection``, ``projection_dz`` and
+``curvature_defect`` stay as the reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .calculus import ComplexGrid
 from .errors import ConditioningError, DataError, ParameterError
-from .rational import RationalFunction, RationalMatrix
+from .rational import RationalFunction, RationalMatrix, gram_schmidt
 
 #: Gram matrices with a larger condition number are rejected, not regularized
 CONDITION_CAP = 1e12
@@ -242,23 +242,14 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     derivative or its Gram matrix is not finite gets NaN and says so.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
-        g = _adjoint(f) @ f
-    ok = np.all(np.isfinite(g), axis=(1, 2)) & np.all(np.isfinite(fp), axis=(1, 2))
-    lo, hi = np.full((2, grid.n), np.nan)
-    eigs = np.linalg.eigvalsh(g[ok])
-    lo[ok], hi[ok] = eigs[:, 0], eigs[:, -1]
+        f, fp = frame.eval_jet(grid.points)
+        lo, hi, exp, values = gram_schmidt(f, fp)
+        lo, hi = np.ldexp(lo, 2 * exp), np.ldexp(hi, 2 * exp)
+    ok = np.isfinite(hi) & np.all(np.isfinite(fp), axis=(0, 1))
+    lo[~ok] = hi[~ok] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
-
-    values = np.full(grid.n, np.nan)
-    # a frame with more columns than rows fails everywhere, and its R is not square
-    if np.any(ok):
-        q, r = np.linalg.qr(f[ok])
-        normal = fp[ok] - q @ (_adjoint(q) @ fp[ok])
-        # rows of (F' - QQ*F') R^-1, solved as R^T X^T = (F' - QQ*F')^T
-        x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(normal, 1, 2))
-        values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    values[~ok] = np.nan
     not_finite = "frame, derivative or Gram matrix is not finite"
     failures = tuple(
         (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)

@@ -10,7 +10,6 @@ All sup- and max-type quantities are taken over the grid, which covers
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,13 +67,14 @@ class ComplexGrid:
 def write_csv(path, header, rows) -> None:
     """The one writer behind every CSV dump, with ``\\r\\n`` line ends.
 
-    ``csv`` writes a Python float as its ``repr``, so callers pass plain
-    floats (not numpy scalars) and every value reparses exactly.
+    Values are written as their ``repr``, so callers pass plain floats and
+    ints (not numpy scalars) and every value reparses exactly; the bytes
+    are those the ``csv`` module writes for such rows. The header names
+    need no quoting.
     """
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexGrid:

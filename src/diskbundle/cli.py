@@ -435,5 +435,7 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m diskbundle.cli: the entry module's main, for its exit handling
+    from diskbundle.__main__ import main as entry_main
+
+    sys.exit(entry_main())

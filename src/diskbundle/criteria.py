@@ -239,5 +239,5 @@ def write_probe_heatmap(
     _require_complete(field)
     z = field.grid.points[index]
     defect = field.values[index]
-    rows = list(zip(z.real.tolist(), z.imag.tolist(), defect.tolist(), map(float, potentials), strict=True))
+    rows = zip(z.real.tolist(), z.imag.tolist(), defect.tolist(), map(float, potentials), strict=True)
     write_csv(path, ["re", "im", "defect", "green_potential"], rows)

@@ -4,7 +4,9 @@ Coefficients are stored in ascending order (``c[0] + c[1] z + ...``) as
 complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
-symbols both are. Sums and products (``__add__``, ``__mul__``,
+symbols both are, and :func:`gram_schmidt`, the factorization ``F = QR``
+at every point of a grid that both the frame defect and the symbol margin
+take their numbers from. Sums and products (``__add__``, ``__mul__``,
 ``poly_add``) have no caller in the package: the tests use them for the
 reference product symbol (``tests/oracles.symbol_product``) and for gauges.
 """
@@ -106,11 +108,16 @@ class RationalFunction:
 
     def eval_deriv(self, z):
         """Exact derivative value, (n'd - nd')/d^2."""
+        return self.jet(z)[1]
+
+    def jet(self, z):
+        """Value ``n/d`` and derivative ``(n'd - nd')/d^2`` from one
+        evaluation of each of ``n``, ``d``, ``n'`` and ``d'``."""
         n = poly_eval(self.num, z)
         d = poly_eval(self.den, z)
         np_ = poly_eval(poly_deriv(self.num), z)
         dp = poly_eval(poly_deriv(self.den), z)
-        return (np_ * d - n * dp) / (d * d)
+        return n / d, (np_ * d - n * dp) / (d * d)
 
     def poles(self) -> np.ndarray:
         return poly_roots(self.den)
@@ -232,6 +239,19 @@ class RationalMatrix:
         """Exact entrywise derivative, shaped as :meth:`eval`; never a finite difference."""
         return self._entrywise(z, lambda e, z: e.eval_deriv(z))
 
+    def eval_jet(self, z: np.ndarray):
+        """Values and exact derivatives at an array of points, from one
+        :meth:`RationalFunction.jet` per entry, each laid out
+        ``(rows, cols, n)`` as :func:`gram_schmidt` takes them."""
+        z = np.asarray(z, dtype=complex)
+        out = np.empty((2, self.rows, self.cols, len(z)), dtype=complex)
+        # a pole on a point gives inf or nan there; callers check finiteness
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, row in enumerate(self.entries):
+                for j, e in enumerate(row):
+                    out[0, i, j], out[1, i, j] = e.jet(z)
+        return out[0], out[1]
+
     @classmethod
     def constant(cls, matrix, **flags):
         m = np.atleast_2d(np.asarray(matrix, dtype=complex))
@@ -290,3 +310,69 @@ class RationalMatrix:
         with open(path, "w") as fh:
             json.dump(self.to_jsonable(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    return np.sum(v.real * v.real + v.imag * v.imag, axis=0)
+
+
+def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
+    """``a = QR`` at every point by classical Gram-Schmidt with one
+    reorthogonalization; returns ``(lo, hi, exp, defect)``.
+
+    ``a``, and ``d`` if given, hold one ``rows x cols`` matrix per point,
+    laid out ``(rows, cols, n)``, so every sum over a column is a sum of
+    whole arrays. Each column of both is divided by ``2^exp`` as it is
+    taken up, ``exp`` being the exponent of the point's largest entry of
+    ``a``: exact, and it keeps the squares from overflowing or
+    underflowing. ``lo`` and ``hi`` are the
+    extreme eigenvalues of ``R*R``, in closed form for up to two columns:
+    with ``p = r11^2`` and ``s = |r12|^2 + r22^2``,
+    ``hi = (p + s)/2 + hypot((p - s)/2, r11 |r12|)`` and
+    ``lo = (r11 r22)^2 / hi`` (0 for a zero matrix); wider matrices take
+    them from ``eigvalsh(R*R)``. ``defect`` is ``|(d - QQ*d) R^-1|_HS^2``,
+    by forward substitution over the columns, or None without ``d``. A
+    point that is not finite, or whose ``R`` is singular, gets NaN or inf
+    there and nowhere else.
+    """
+    rows, cols, n = a.shape
+    peak = np.abs(a.view(np.float64)).reshape(rows * cols, n, 2).max(axis=0)
+    exp = np.maximum(np.frexp(np.maximum(peak[:, 0], peak[:, 1]))[1], -1022)  # 2^-exp stays finite
+    scale = np.ldexp(1.0, -exp)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q, r, sq = [], np.zeros((cols, cols, n), dtype=complex), np.empty((cols, n))
+        for k in range(cols):
+            v = a[:, k] * scale
+            for _ in range(2 if k else 0):
+                for j, c in enumerate([(qj.conj() * v).sum(0) for qj in q]):
+                    v = v - q[j] * c
+                    r[j, k] += c
+            sq[k] = _squared_norms(v)
+            r[k, k] = diag = np.sqrt(sq[k])
+            q.append(v / np.where(sq[k] > 0.0, diag, 1.0))
+
+        defect = None
+        if d is not None:
+            x = []
+            for k in range(cols):
+                dk = d[:, k] * scale
+                normal = dk - sum(qj * (qj.conj() * dk).sum(0) for qj in q)
+                x.append((normal - sum(x[j] * r[j, k] for j in range(k))) / r[k, k].real)
+            defect = sum(map(_squared_norms, x))
+
+        if cols == 1:
+            lo = hi = sq[0]
+        elif cols == 2:
+            off = np.abs(r[0, 1])
+            p, s = sq[0], sq[1] + off * off
+            hi = 0.5 * (p + s) + np.hypot(0.5 * (p - s), r[0, 0].real * off)
+            lo = p * sq[1] / np.where(hi > 0.0, hi, 1.0)
+        else:
+            big = r.transpose(2, 0, 1)
+            g = np.conj(np.swapaxes(big, 1, 2)) @ big
+            good = np.all(np.isfinite(g), axis=(1, 2))
+            lo, hi = np.full((2, n), np.nan)
+            eigs = np.linalg.eigvalsh(g[good])
+            lo[good], hi[good] = eigs[:, 0], eigs[:, -1]
+    return lo, hi, exp, defect

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SymbolError,
 )
-from .rational import RationalFunction, RationalMatrix, poly_from_roots, poly_mul
+from .rational import RationalFunction, RationalMatrix, gram_schmidt, poly_from_roots, poly_mul
 
 #: zeros/poles this close to the unit circle are rejected as boundary cases
 _CIRCLE_TOL_POLE = 1e-8
@@ -301,40 +301,16 @@ def scalar_inner_outer(f: RationalFunction) -> InnerOuterFactorization:
     return InnerOuterFactorization(inner=inner, outer=outer, disk_zeros=tuple(disk))
 
 
-def _squared_norms(v: np.ndarray) -> np.ndarray:
-    return np.sum(v.real * v.real + v.imag * v.imag, axis=0)
-
-
 def _smallest_singular_values(vals: np.ndarray) -> np.ndarray:
     """Smallest singular value of each ``rows x cols`` matrix, ``cols <= 2``.
 
-    Each matrix is first scaled by a power of two of its largest entry,
-    which is exact and keeps the squares below from overflowing or
-    underflowing. Gram-Schmidt with one reorthogonalization gives
-    ``R = [[r11, r12], [0, r22]]``; one column has ``sigma = r11``, two
-    have ``sigma = r11 r22 / sigma_max`` with ``sigma_max^2`` the larger
-    eigenvalue of ``R* R``. A zero matrix gives 0. The points run along
-    the last axis, so every sum over a column is a sum of whole arrays.
+    ``sigma^2`` is the smaller eigenvalue of ``R*R`` that :func:`gram_schmidt`
+    takes in closed form from the matrices, scaled by a power of two of
+    their largest entry, so that ``sigma`` is unscaled without its square
+    overflowing or underflowing. A zero matrix gives 0.
     """
-    n, rows, cols = vals.shape
-    parts = np.ascontiguousarray(vals.transpose(1, 2, 0)).view(np.float64).reshape(rows * cols, n, 2)
-    peak = np.abs(parts).max(axis=0)
-    _, exp = np.frexp(np.maximum(peak[:, 0], peak[:, 1]))
-    a = np.ldexp(parts, -exp[:, None]).view(complex).reshape(rows, cols, n)
-    r11 = np.sqrt(_squared_norms(a[:, 0]))
-    if cols == 1:
-        return np.ldexp(r11, exp)
-    q = a[:, 0] / np.where(r11 > 0.0, r11, 1.0)
-    b, r12 = a[:, 1], 0.0
-    for _ in range(2):
-        c = np.einsum("in,in->n", q.conj(), b)
-        b = b - q * c
-        r12 = r12 + c
-    r22 = np.sqrt(_squared_norms(b))
-    p, s = r11 * r11, r12.real * r12.real + r12.imag * r12.imag + r22 * r22
-    sigma_max = np.sqrt(0.5 * (p + s) + np.hypot(0.5 * (p - s), r11 * np.abs(r12)))
-    sigma = np.divide(r11 * r22, sigma_max, out=np.zeros_like(sigma_max), where=sigma_max > 0.0)
-    return np.ldexp(sigma, exp)
+    lo, _, exp, _ = gram_schmidt(np.ascontiguousarray(vals.transpose(1, 2, 0)))
+    return np.ldexp(np.sqrt(lo), exp)
 
 
 def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:

@@ -1,31 +1,35 @@
 """Reference implementations the tests hold the package to.
 
 None of these is reached by a command: finite-difference Wirtinger
-derivatives and Laplacian, the brute-force dyadic Carleson boxes,
-projection residuals, the kernel closed forms, the weighted backward
-shift on coefficients, the Green quadrature written as a loop over
-cells and subcells, the whole-sequence forms of the counterexample's
-three fast paths (the kernel sum over every stored weight, the spike
-values one slot at a time, the weight dump through the ``csv`` module),
-the Toeplitz section filled block by block with its shift-intertwining
-gap taken through Kronecker shift matrices, and the product of two
-symbols built entry by entry in rational arithmetic. Every production
-derivative comes from exact rational calculus, ``carleson_constant`` bins
-the same boxes by sector, the package's Green stencil computes the same
-quadrature on whole arrays, the fast paths and the section gather must
-match their forms here bit for bit, and the multiplicativity check takes
-the blocks of a product from pointwise products of circle samples.
+derivatives and Laplacian, the defect field from batched ``eigvalsh``,
+QR and ``solve``, the brute-force dyadic Carleson boxes, projection
+residuals, the kernel closed forms, the weighted backward shift on
+coefficients, the Green quadrature written as a loop over cells and
+subcells, the CSV dump through ``csv.writer``, the whole-sequence forms
+of the counterexample's three fast paths (the kernel sum over every
+stored weight, the spike values one slot at a time, the weight dump
+through ``csv.writer``), the Toeplitz section filled block by block with
+its shift-intertwining gap taken through Kronecker shift matrices, and
+the product of two symbols built entry by entry in rational arithmetic.
+Every production derivative comes from exact rational calculus, the
+Gram-Schmidt defect field must match the LAPACK one to roundoff with the
+same failures, ``carleson_constant`` bins the same boxes by sector, the
+package's Green stencil computes the same quadrature on whole arrays,
+the fast paths and the section gather must match their forms here bit
+for bit, and the multiplicativity check takes the blocks of a product
+from pointwise products of circle samples.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from diskbundle.bundle import projection, projection_dz
-from diskbundle.calculus import TWO_PI, write_csv
+from diskbundle.bundle import CONDITION_CAP, _condition_message, projection, projection_dz
+from diskbundle.calculus import TWO_PI
 from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
 from diskbundle.kernels import KERNEL_REL_TOL
 from diskbundle.rational import RationalFunction
@@ -60,6 +64,34 @@ def laplacian(f: Callable[[complex], float], z: complex, h: float = DEFAULT_FD_S
     _check_stencil(z, h)
     s = f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
     return 0.25 * float(s) / (h * h)
+
+
+def lapack_defect_field(frame, grid):
+    """The defect field from batched LAPACK calls on the ``(n, rows, cols)``
+    stacks: ``eigvalsh`` of the Grams ``F*F`` for the condition check and
+    the extremes, then the reduced QR ``F = QR`` of the points that pass
+    and ``|(F' - QQ*F') R^-1|_HS^2`` by one batched ``solve``. Returns
+    ``(values, failures, lo, hi)`` as ``defect_field`` lays them out."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
+        g = np.conj(np.swapaxes(f, 1, 2)) @ f
+    ok = np.all(np.isfinite(g), axis=(1, 2)) & np.all(np.isfinite(fp), axis=(1, 2))
+    lo, hi = np.full((2, grid.n), np.nan)
+    eigs = np.linalg.eigvalsh(g[ok])
+    lo[ok], hi[ok] = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
+    values = np.full(grid.n, np.nan)
+    if np.any(ok):
+        q, r = np.linalg.qr(f[ok])
+        normal = fp[ok] - q @ (np.conj(np.swapaxes(q, 1, 2)) @ fp[ok])
+        x = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(normal, 1, 2))
+        values[ok] = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    not_finite = "frame, derivative or Gram matrix is not finite"
+    failures = tuple(
+        (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
+    )
+    return values, failures, lo, hi
 
 
 @dataclass(frozen=True)
@@ -200,10 +232,19 @@ def spike_values_loop(exponents, epsilon: float) -> np.ndarray:
     return values
 
 
+def csv_module_dump(path, header, rows) -> None:
+    """A header and rows written through ``csv.writer``, whose bytes
+    ``write_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def csv_module_weights(w, path) -> None:
-    """The ``n,w_n,ln_w_n`` dump written row by row through ``write_csv``."""
+    """The ``n,w_n,ln_w_n`` dump written row by row through ``csv.writer``."""
     rows = zip(range(w.length), w.values.tolist(), np.log(w.values).tolist())
-    write_csv(path, ["n", "w_n", "ln_w_n"], rows)
+    csv_module_dump(path, ["n", "w_n", "ln_w_n"], rows)
 
 
 def loop_toeplitz_section(symbol, order: int) -> np.ndarray:

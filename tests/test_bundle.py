@@ -21,7 +21,7 @@ from diskbundle.bundle import (
 from diskbundle.calculus import build_grid
 from diskbundle.errors import ConditioningError, DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_from_roots
-from oracles import laplacian, projection_sample, wirtinger_dz
+from oracles import lapack_defect_field, laplacian, projection_sample, wirtinger_dz
 
 
 def one_lambda_frame():
@@ -76,6 +76,25 @@ def near_cap_frame(grid, passing, failing):
     )
 
 
+def cap_crossing_frame(grid, center):
+    """Columns ``(1, lam, 0)`` and ``(0, 0, 2e-6 (lam - a))``, ``a`` next to
+    grid point ``center``: the Gram condition, ``(1 + |lam|^2)`` over
+    ``|2e-6 (lam - a)|^2``, crosses the cap about 0.5 from ``a``. The Gram
+    matrix is diagonal, so its eigenvalues are exact on every route."""
+    a = grid.points[center] + 1e-3
+    e = RationalFunction([0.0])
+    return AnalyticFrame(
+        [[RationalFunction([1.0]), e], [RationalFunction([0.0, 1.0]), e], [e, RationalFunction([-2e-6 * a, 2e-6])]]
+    )
+
+
+def zero_column_frame(zero_first):
+    """``(1, lam)`` beside a zero column."""
+    zero = RationalFunction([0.0])
+    column = [RationalFunction([1.0]), RationalFunction([0.0, 1.0])]
+    return AnalyticFrame([[zero, e] if zero_first else [e, zero] for e in column])
+
+
 def scalar_defect_field(frame, grid):
     """The per-point loop the batched field replaced: values and failures."""
     values = np.full(grid.n, np.nan)
@@ -95,6 +114,17 @@ def assert_matches_scalar(field, frame):
     assert np.array_equal(ok, np.isfinite(field.values))
     gap = np.abs(field.values[ok] - values[ok])
     assert np.all(gap <= 1e-12 * np.abs(values[ok]) + 1e-14)
+
+
+def assert_matches_lapack(field, frame):
+    """Same failures as the batched LAPACK field, and its values and Gram
+    extremes at every other point within 1e-12 relative plus 1e-14."""
+    values, failures, lo, hi = lapack_defect_field(frame, field.grid)
+    assert field.failures == failures
+    ok = np.isfinite(values)
+    assert np.array_equal(ok, np.isfinite(field.values))
+    for got, want in ((field.values, values), (field.gram_lo, lo), (field.gram_hi, hi)):
+        assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]) + 1e-14)
 
 
 def random_disk_points(count, radius, seed):
@@ -370,6 +400,7 @@ def test_defect_field_collects_failures():
     assert any(i == 5 for i, _ in field.failures)
     # same indices and messages as the scalar path, NaN only there
     assert_matches_scalar(field, frame)
+    assert_matches_lapack(field, frame)
     assert np.flatnonzero(np.isnan(field.values)).tolist() == [i for i, _ in field.failures]
 
 
@@ -382,8 +413,14 @@ def test_defect_field_collects_failures():
         (lambda: hardy_line_frame(64), (8, 32)),
         (lambda: seeded_rational_frame(12, 2, seed=5), (16, 64)),
         (gauge_frame, (8, 64)),
+        (lambda: seeded_rational_frame(3, 2, seed=1), (20, 64)),
+        (lambda: seeded_rational_frame(5, 3, seed=3), (8, 64)),
+        (lambda: seeded_rational_frame(4, 4, seed=4), (4, 16)),
     ],
-    ids=["one_lambda", "quadratic", "exp_taylor", "hardy_64", "rational_12x2", "gauge"],
+    ids=[
+        "one_lambda", "quadratic", "exp_taylor", "hardy_64", "rational_12x2", "gauge",
+        "rational_3x2", "rational_5x3", "rational_4x4",
+    ],
 )
 def test_defect_field_matches_scalar_oracle(make_frame, grid_shape):
     grid = build_grid(*grid_shape, 1e-3)
@@ -391,6 +428,33 @@ def test_defect_field_matches_scalar_oracle(make_frame, grid_shape):
     field = defect_field(frame, grid)
     assert not field.is_partial
     assert_matches_scalar(field, frame)
+    assert_matches_lapack(field, frame)
+
+
+@pytest.mark.parametrize(
+    "make_frame, failing",
+    [
+        (lambda grid: cap_crossing_frame(grid, center=21), [*range(3, 8), *range(19, 24), *range(35, 40), *range(51, 56)]),
+        (
+            lambda grid: AnalyticFrame(
+                [
+                    [RationalFunction([1e200]), RationalFunction([0.0, 1e200])],
+                    [RationalFunction([0.0, 1e200]), RationalFunction([2e200])],
+                ]
+            ),
+            list(range(64)),
+        ),
+        (lambda grid: zero_column_frame(zero_first=True), list(range(64))),
+        (lambda grid: zero_column_frame(zero_first=False), list(range(64))),
+    ],
+    ids=["crosses_cap", "gram_overflows", "zero_first_column", "zero_second_column"],
+)
+def test_gram_schmidt_field_fails_where_lapack_does(make_frame, failing):
+    grid = build_grid(4, 16, 0.01)
+    frame = make_frame(grid)
+    field = defect_field(frame, grid)
+    assert [i for i, _ in field.failures] == failing
+    assert_matches_lapack(field, frame)
 
 
 def test_defect_field_gauge_frame_closed_form():
@@ -408,6 +472,7 @@ def test_defect_field_near_condition_cap():
     field = defect_field(frame, grid)
     assert [i for i, _ in field.failures] == [40]
     assert_matches_scalar(field, frame)
+    assert_matches_lapack(field, frame)
     ok = np.isfinite(field.values)
     expected = (1 + np.abs(grid.points[ok]) ** 2) ** -2
     assert np.max(np.abs(field.values[ok] - expected) / expected) <= 1e-12

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from diskbundle.calculus import build_grid, carleson_constant
+from diskbundle.calculus import build_grid, carleson_constant, write_csv
 from diskbundle.errors import DataError, DomainError, ParameterError
-from oracles import CarlesonBox, dyadic_boxes, laplacian, wirtinger_dz
+from oracles import CarlesonBox, csv_module_dump, dyadic_boxes, laplacian, wirtinger_dz
+
+
+# --- CSV dumps ---
+
+
+@pytest.mark.parametrize("rows", [[], [[-0.0, 5e-324, 1e16], [1e-7, 0.1 + 0.2, -3], [0, 12, 2.5]]])
+def test_write_csv_matches_csv_module_bytes(tmp_path, rows):
+    write_csv(tmp_path / "fast.csv", ["re", "im", "value"], rows)
+    csv_module_dump(tmp_path / "oracle.csv", ["re", "im", "value"], rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 # --- grids ---

@@ -238,3 +238,21 @@ def test_gone_stdout_keeps_the_exit_code_and_leaves_stderr_empty(tmp_path, expec
         os.close(write_end)
     assert (result.returncode, result.stderr) == (expected, "")
     assert (out / "report.json").is_file() == (expected == 0)
+
+
+def test_cli_module_run_as_a_script_keeps_the_exit_code_on_a_gone_reader(tmp_path):
+    """``python -m diskbundle.cli ... | head -c0`` goes through the entry
+    module's ``main``: exit 0, nothing on stderr, the report written."""
+    config = command_configs(tmp_path)["counterexample"]
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "diskbundle.cli", "counterexample", "--config", str(config), "--out", str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            argv, stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED="")
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (out / "report.json").is_file()

@@ -4,7 +4,9 @@ The curvature defect depends only on the projection onto the frame's
 range, so it is unchanged by a gauge ``F -> F A`` (``A`` analytic and
 invertible on the closed disk) and by a constant unitary ``F -> U F``; a
 rotation of the argument by a grid angle shifts it cyclically within each
-ring. The Green quadrature is linear in the density. The Toeplitz
+ring. The frame's Gram extremes are unchanged by a constant unitary
+``F -> U F`` and scale by ``|c|^2`` under ``F -> c F``. The Green
+quadrature is linear in the density. The Toeplitz
 margin is a minimum of singular values, so constant unitaries on either
 side of the symbol leave it alone. Hypothesis draws the coefficients;
 frames and symbols are at most 4x3 and grids 4x16. A report writes every
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
+from diskbundle.bundle import AnalyticFrame, DefectField, defect_field, gram_bounds
 from diskbundle.calculus import build_grid
 from diskbundle.cli import _json_text
 from diskbundle.criteria import green_potential, green_sweep
@@ -101,6 +103,19 @@ def test_gauge_invariance(frame, data):
 def test_unitary_invariance(frame, data):
     moved = AnalyticFrame(product(constant(unitary(data, frame.rows)), frame.entries))
     assert_same_field(defect_field(frame, GRID), defect_field(moved, GRID))
+
+
+@PROPERTY
+@given(frames(), st.data())
+def test_gram_bounds_unitary_invariance_and_scaling(frame, data):
+    base = gram_bounds(defect_field(frame, GRID))
+    turned = gram_bounds(defect_field(AnalyticFrame(product(constant(unitary(data, frame.rows)), frame.entries)), GRID))
+    c = data.draw(st.floats(1e-3, 1e3)) * np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
+    times_c = RationalFunction.constant(c)
+    scaled_frame = AnalyticFrame([[times_c * e for e in row] for row in frame.entries])
+    grown = gram_bounds(defect_field(scaled_frame, GRID))
+    for got, want in zip((*turned, *grown), (*base, *(abs(c) ** 2 * b for b in base))):
+        assert abs(got - want) <= 1e-13 * want
 
 
 @PROPERTY

@@ -71,6 +71,21 @@ def test_json_validation_names_field():
 _ENTRY = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
 
 
+def test_eval_jet_is_eval_and_eval_dz_on_the_last_axis():
+    matrix = AnalyticFrame(
+        [
+            [RationalFunction([1.0, 0.5j], [1.0, 0.0, -0.2]), RationalFunction([0.25])],
+            [RationalFunction([0.0, 1.0, 0.3, -0.1j]), RationalFunction([1.0], [1.0, -0.3])],
+            [RationalFunction([0.0]), RationalFunction([2.0, -1.0], [3.0, 1.0j])],
+        ]
+    )
+    z = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.7])
+    f, fp = matrix.eval_jet(z)
+    assert f.shape == fp.shape == (3, 2, 4)
+    assert np.array_equal(f, matrix.eval(z).transpose(1, 2, 0))
+    assert np.array_equal(fp, matrix.eval_dz(z).transpose(1, 2, 0))
+
+
 @pytest.mark.parametrize(
     "cls, flags", [(AnalyticFrame, {}), (MatrixSymbol, {"analytic": True})], ids=["frame", "symbol"]
 )
