@@ -677,22 +677,91 @@ def test_integer_rows_refuse_beyond_int64(key):
     ],
 )
 def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(tmp_path / "cfg.json"), option, "40"])
-    assert exc.value.code == 2
+    assert main([command, "--config", str(tmp_path / "cfg.json"), option, "40"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments" in captured.err
+    error = json.loads(captured.out)
+    assert (error["type"], error["field"], captured.err) == ("ParameterError", option, "")
+    assert f"{command} takes no option {option!r}" in error["message"]
 
 
-def test_help_describes_each_command_and_the_exit_codes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["criteria", "--help"], ["counterexample", "-h"]])
+def test_help_describes_each_command_and_the_exit_codes(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    text = " ".join(captured.out.split())
+    assert captured.err == ""
     for command in COMMANDS:
         assert f"{command} {cli._DISPATCH[command].__doc__}" in text, command
     assert "Exit codes: 0 success, 2 invalid input, 3 numerical failure." in text
     assert "_KEYS" not in text and "_cmd_" not in text and "``" not in text
+    if len(argv) == 2:  # after a command, its options and only those
+        assert "--config PATH" in text and "--out DIR" in text
+        for key, row in _KEYS.items():
+            if row.flag is not None:
+                assert (f"{row.flag} JSON override {key}" in text) == (argv[0] in row.commands), row.flag
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        ([], "command"),
+        (["nope", "--config", "{cfg}"], "command"),
+        (["--config", "{cfg}", "criteria"], "command"),
+        (["criteria", "--out", "{out}"], "--config"),
+        (["criteria", "--config"], "--config"),
+        (["criteria", "--config", "{cfg}", "--out"], "--out"),
+        (["criteria", "--config", "--out", "{out}"], "--config"),
+        (["criteria", "--config", "{cfg}", "--out", "{out}", "--bogus", "1"], "--bogus"),
+        (["criteria", "--config", "{cfg}", "--out", "{out}", "--bogus=1"], "--bogus"),
+        (["criteria", "--config", "{cfg}", "--out", "{out}", "extra"], "extra"),
+        (["counterexample", "--config", "{cfg}", "--out", "{out}", "--margin", "0.5"], "--margin"),
+        (["counterexample", "--config", "{cfg}", "--out", "{out}", "--margin=0.5"], "--margin"),
+        (["criteria", "--conf", "{cfg}", "--out", "{out}"], "--conf"),
+        (["criteria", "--config", "{cfg}", "--out", "{out}", "--grid-rad", "3"], "--grid-rad"),
+    ],
+    ids=[
+        "no_command", "unknown_command", "option_before_command", "missing_config", "config_without_value",
+        "out_without_value", "config_followed_by_option", "unknown_option", "unknown_option_with_value",
+        "positional", "option_of_another_command", "option_of_another_command_with_value", "abbreviation",
+        "abbreviated_flag",
+    ],
+)
+def test_argv_fault_exits_2_with_its_field_and_writes_nothing(tmp_path, capsys, constant_frame_file, argv, field):
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+    out = tmp_path / "out"
+    assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)
+    assert (error["status"], error["kind"], error["type"]) == ("error", "validation", "ParameterError")
+    assert (error["field"], captured.err) == (field, "")
+    assert not out.exists()
+
+
+def test_argv_fault_in_a_fresh_process_prints_json_and_nothing_on_stderr(tmp_path):
+    result = run_cli(["criteria", "--out", str(tmp_path / "out")], cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (2, "")
+    assert json.loads(result.stdout)["field"] == "--config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_option_equals_value_reads_like_option_then_value(tmp_path, capsys, constant_frame_file):
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+    apart = ["--config", str(cfg), "--out", str(tmp_path / "a"), "--grid-radial", "3", "--margin", "0.2"]
+    joined = [f"--config={cfg}", f"--out={tmp_path / 'b'}", "--grid-radial=3", "--margin=0.2"]
+    for argv in (apart, joined):
+        assert main(["curvature", *argv]) == 0
+    report = (tmp_path / "a" / "report.json").read_text()
+    assert json.loads(report)["grid"]["radial_count"] == 3
+    for name in ("report.json", "defect_field.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_repeated_option_keeps_its_last_value(tmp_path, capsys, constant_frame_file):
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
+    argv = ["curvature", "--config", str(cfg), "--out", str(tmp_path / "x"), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--grid-radial", "5", "--grid-radial=2"]) == 0
+    assert not (tmp_path / "x").exists()
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["grid"]["radial_count"] == 2
 
 
 @pytest.mark.parametrize(

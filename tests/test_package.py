@@ -1,12 +1,13 @@
 """The top-level package: lazy exports, per-command imports, the entry
-module's BLAS thread pin and collector freeze, the README tour.
+module's BLAS thread pin and collector handling, the README tour.
 
 ``import diskbundle`` loads no submodule, each exported name loads its
-module on first use, and each command imports only the layers it runs.
-The entry module pins OpenBLAS to one thread unless the caller chose a
-thread count, freezes the garbage collector once the run is done, and
-keeps the run's exit code when the reader of stdout has gone. Library
-imports and ``cli.main`` leave the environment and the collector alone.
+module on first use, and each command imports only the layers it runs,
+and no argparse. The entry module pins OpenBLAS to one thread unless the
+caller chose a thread count, runs with the garbage collector off, freezes
+it once the run is done and leaves it on or off as it found it, and keeps
+the run's exit code when the reader of stdout has gone. Library imports
+and ``cli.main`` leave the environment and the collector alone.
 Every check runs in a fresh interpreter, because this test session has
 long since imported every module and has its own collector state.
 """
@@ -36,14 +37,18 @@ COMMAND_MODULES = {
     "counterexample": {"weights", "kernels"},
 }
 
+#: modules of the standard library that no command loads: ``argparse`` and the two it imports
+UNUSED_STDLIB = ("argparse", "gettext", "locale")
+
 #: runs ``cli.main`` on its arguments, then prints the exit code, the loaded
-#: submodules and the collector's freeze count and state
-_PROBE = """
+#: submodules, the collector's freeze count and state, and which of ``UNUSED_STDLIB`` are loaded
+_PROBE = f"""
 import gc, json, sys
 from diskbundle.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("diskbundle."))
-print(json.dumps([code, loaded, gc.get_freeze_count(), gc.isenabled()]))
+stdlib = [m for m in {UNUSED_STDLIB!r} if m in sys.modules]
+print(json.dumps([code, loaded, gc.get_freeze_count(), gc.isenabled(), stdlib]))
 """
 
 
@@ -85,10 +90,11 @@ def test_command_loads_only_its_layers(tmp_path, command):
     config = command_configs(tmp_path)[command]
     result = python("-c", _PROBE, command, "--config", str(config), "--out", str(tmp_path / "out"))
     assert result.returncode == 0, result.stdout + result.stderr
-    code, loaded, frozen, enabled = json.loads(result.stdout.splitlines()[-1])
+    code, loaded, frozen, enabled, stdlib = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stdout
     assert set(loaded) == {"cli", "errors"} | COMMAND_MODULES[command]
     assert (frozen, enabled) == (0, True)  # only the entry module freezes the collector
+    assert stdlib == []
 
 
 def test_import_loads_no_submodule_and_no_numpy():
@@ -214,6 +220,58 @@ def test_entry_main_runs_cli_main_then_freezes_the_collector(tmp_path, expected)
     assert frozen == 0 < entry_frozen
 
 
+#: with the collector on or off as its first argument says, runs the entry
+#: module's ``main`` on the rest and prints the exit code, the collector
+#: passes from the import of the entry module on, and the collector's state
+#: and freeze count afterwards
+_COLLECTOR_PROBE = """
+import gc, json, sys
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info["generation"]))
+if sys.argv.pop(1) == "off":
+    gc.disable()
+import diskbundle.__main__ as entry
+code = entry.main(sys.argv[1:])
+print(json.dumps([code, len(passes), gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_entry_main_runs_without_a_collector_pass_and_restores_its_state(tmp_path, command, collector):
+    config = command_configs(tmp_path)[command]
+    result = python("-c", _COLLECTOR_PROBE, collector, command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    code, passes, enabled, frozen = json.loads(result.stdout.splitlines()[-1])
+    assert (code, passes) == (0, 0)
+    assert enabled == (collector == "on")
+    assert frozen > 0
+
+
+#: imports ``cli``, then runs ``cli.main`` with the collector on and prints
+#: the exit code and the number of objects the collector's passes freed
+_FREED_PROBE = """
+import gc, json, sys
+from diskbundle import cli
+freed = []
+gc.callbacks.append(lambda phase, info: phase == "stop" and freed.append(info["collected"]))
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sum(freed)]))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_a_run_leaves_little_for_the_collector(tmp_path, command):
+    """The entry module runs a command with the collector off; that leaks
+    nothing that matters only because a run makes few reference cycles."""
+    config = command_configs(tmp_path)[command]
+    result = python("-c", _FREED_PROBE, command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    code, freed = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert freed < 1000
+
+
 @pytest.mark.parametrize("stdout", ["closed pipe", "closed pipe, unbuffered", "closed fd"])
 @pytest.mark.parametrize("expected", [0, 2])
 def test_gone_stdout_keeps_the_exit_code_and_leaves_stderr_empty(tmp_path, expected, stdout):
@@ -256,3 +314,16 @@ def test_cli_module_run_as_a_script_keeps_the_exit_code_on_a_gone_reader(tmp_pat
         os.close(write_end)
     assert (result.returncode, result.stderr) == (0, "")
     assert (out / "report.json").is_file()
+
+
+def test_cli_module_run_as_a_script_loads_once(tmp_path):
+    """``python -m diskbundle.cli`` runs ``cli``'s body once, as ``__main__``:
+    the entry module's ``main`` finds it as ``diskbundle.cli``, so
+    ``-X importtime`` shows no second import of it."""
+    config = command_configs(tmp_path)["counterexample"]
+    argv = ["-X", "importtime", "-m", "diskbundle.cli", "counterexample", "--config", str(config)]
+    result = python(*argv, "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+    assert "diskbundle.__main__" in imported and "diskbundle.weights" in imported
+    assert "diskbundle.cli" not in imported
