@@ -27,9 +27,9 @@ of stdout has gone (``diskbundle ... | head -c0``), stdout is pointed at
 ``os.devnull``, so the run keeps its exit code and shutdown writes no
 error to stderr.
 
-Importing the library (``diskbundle``, ``diskbundle.cli``, this module,
-...) leaves the threads and the collector alone, and only this module sets
-the variable: only its ``main`` changes the collector.
+Importing the library (``diskbundle``, ``diskbundle.cli``, ...) leaves the
+environment, the threads and the collector alone: only this module sets
+the variable, and only its ``main`` changes the collector.
 """
 import gc
 import os

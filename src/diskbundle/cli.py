@@ -428,10 +428,10 @@ def _help(command: Optional[str]) -> str:
 
 def _read_argv(argv: list) -> tuple:
     """``(command, options)``: the command, then each option it takes with its
-    last value as text. A value is the next argument, unless that begins with
-    ``--``, or follows ``=`` (``--opt=value``); options are not abbreviated.
-    ``options`` is None when the line asks for help. Any other fault is a
-    ``ParameterError`` on ``command``, ``--config`` or the offending option."""
+    last value as text. A value is the text after ``=`` (``--opt=value``) or
+    the next argument, which must not begin with ``--``; options are not
+    abbreviated. ``options`` is None when the line asks for help. Any other
+    fault is a ``ParameterError`` on ``command``, ``--config`` or the option."""
     if argv[:1] and argv[0] in _HELP:
         return None, None
     if not argv or argv[0] not in _DISPATCH:

@@ -684,8 +684,8 @@ def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     assert f"{command} takes no option {option!r}" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["criteria", "--help"], ["counterexample", "-h"]])
-def test_help_describes_each_command_and_the_exit_codes(capsys, argv):
+def help_text(capsys, argv) -> str:
+    """The help ``main(argv)`` prints, after checking that it holds the description, each command and the exit codes."""
     assert main(argv) == 0
     captured = capsys.readouterr()
     text = " ".join(captured.out.split())
@@ -694,11 +694,20 @@ def test_help_describes_each_command_and_the_exit_codes(capsys, argv):
         assert f"{command} {cli._DISPATCH[command].__doc__}" in text, command
     assert "Exit codes: 0 success, 2 invalid input, 3 numerical failure." in text
     assert "_KEYS" not in text and "_cmd_" not in text and "``" not in text
-    if len(argv) == 2:  # after a command, its options and only those
-        assert "--config PATH" in text and "--out DIR" in text
-        for key, row in _KEYS.items():
-            if row.flag is not None:
-                assert (f"{row.flag} JSON override {key}" in text) == (argv[0] in row.commands), row.flag
+    return text
+
+
+def test_help_describes_each_command_and_the_exit_codes(capsys):
+    assert help_text(capsys, ["--help"]) == help_text(capsys, ["-h"])
+
+
+@pytest.mark.parametrize("argv", [["criteria", "--help"], ["counterexample", "-h"]])
+def test_help_after_a_command_lists_its_options(capsys, argv):
+    text = help_text(capsys, argv)
+    assert "--config PATH" in text and "--out DIR" in text
+    for key, row in _KEYS.items():
+        if row.flag is not None:
+            assert (f"{row.flag} JSON override {key}" in text) == (argv[0] in row.commands), row.flag
 
 
 @pytest.mark.parametrize(
