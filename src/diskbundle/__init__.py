@@ -20,9 +20,8 @@ import importlib
 #: the public names, by the submodule that defines them
 _EXPORTS = {
     "bundle": (
-        "AnalyticFrame", "BundleCurvature", "DefectField", "GramBounds", "constant_field", "curvature_defect",
-        "defect_field", "full_bundle_curvature", "gram", "gram_bounds", "hardy_line_frame", "hs_norm_sq",
-        "load_frame", "projection", "projection_dz", "save_frame",
+        "AnalyticFrame", "BundleCurvature", "DefectField", "GramBounds", "curvature_defect", "defect_field",
+        "full_bundle_curvature", "gram", "gram_bounds", "hs_norm_sq", "load_frame", "projection", "projection_dz",
     ),
     "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (
@@ -37,8 +36,7 @@ _EXPORTS = {
     "rational": ("RationalFunction",),
     "toeplitz": (
         "InnerOuterFactorization", "MatrixSymbol", "ToeplitzSection", "intertwining_check", "kernel_action_check",
-        "left_invertibility_margin", "load_symbol", "multiplicativity_check", "save_symbol", "scalar_inner_outer",
-        "toeplitz_section",
+        "left_invertibility_margin", "load_symbol", "multiplicativity_check", "scalar_inner_outer", "toeplitz_section",
     ),
     "weights": (
         "KernelRatio", "SpikeBound", "WeightSequence", "build_spike_weight", "counterexample_report",

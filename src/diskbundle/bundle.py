@@ -17,12 +17,16 @@ pass on the whole grid, with the points on the last axis, and factors
 ``F = QR`` at every point by :func:`~diskbundle.rational.gram_schmidt`.
 The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
 projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
-extreme Gram eigenvalues come from ``R`` (in closed form for up to two
-columns); they decide the condition check, with the same cap and message
-as the scalar path, and the field keeps them for ``gram_bounds``. A point
-that fails the check, or is not finite, is NaN and listed in the
-field's failures. The scalar ``projection``, ``projection_dz`` and
-``curvature_defect`` stay as the reference the sweeps are tested against.
+extreme Gram eigenvalues are the squared extreme singular values of
+``R`` (in closed form for up to two columns, from one batched SVD of the
+``cols x cols`` factors for wider frames); they decide the condition
+check, with the same cap and message as the scalar path, and the field
+keeps them for ``gram_bounds``. A point that fails the check, or is not
+finite, is NaN and listed in the field's failures. The scalar
+``projection``, ``projection_dz`` and ``curvature_defect`` stay as the
+reference the sweeps are tested against; they take the frame at one
+point as a ``rows x cols`` matrix, with its derivative from the same
+``eval_jet``.
 """
 
 from __future__ import annotations
@@ -59,32 +63,14 @@ class AnalyticFrame(RationalMatrix):
         return cls(rows)
 
 
-def hardy_line_frame(n_terms: int) -> AnalyticFrame:
-    """Single-column frame listing the power-series coefficients
-    ``(1, lam, lam^2, ...)`` of the backward-shift eigenvector, truncated
-    to ``n_terms`` slots."""
-    if n_terms < 1:
-        raise ParameterError("n_terms must be >= 1")
-    return AnalyticFrame([[RationalFunction.monomial(k)] for k in range(n_terms)])
-
-
 def load_frame(path) -> AnalyticFrame:
     return AnalyticFrame.load(path)
 
 
-def save_frame(frame: AnalyticFrame, path) -> None:
-    frame.save(path)
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
-def gram(frame: AnalyticFrame, lam) -> np.ndarray:
-    """Hermitian Gram matrix ``F(lam)* F(lam)``, or the stack of them for an array."""
+def gram(frame: AnalyticFrame, lam: complex) -> np.ndarray:
+    """Hermitian Gram matrix ``F(lam)* F(lam)`` at one point."""
     a = frame.eval(lam)
-    return _adjoint(a) @ a
+    return a.conj().T @ a
 
 
 def _condition_message(lo: float, hi: float) -> str:
@@ -124,8 +110,8 @@ def _projection_dz(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
     """Holomorphic derivative ``(I - P) F' (F*F)^-1 F*`` of the projection."""
-    a = frame.eval(lam)
-    return _projection_dz(a, frame.eval_dz(lam), _checked_gram(a))
+    a, d = frame.eval_jet(lam)
+    return _projection_dz(a, d, _checked_gram(a))
 
 
 def hs_norm_sq(m) -> float:
@@ -162,8 +148,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature
     n = frame.cols
     shift_part = n / (1.0 - x) ** 2
     # one evaluation and one Gram check serve both routes
-    f = frame.eval(lam)
-    fp = frame.eval_dz(lam)
+    f, fp = frame.eval_jet(lam)
     gf = _checked_gram(f)
     defect = hs_norm_sq(_projection_dz(f, fp, gf))
     total = shift_part + defect
@@ -264,8 +249,3 @@ def gram_bounds(field: DefectField) -> GramBounds:
     if field.is_partial:
         raise DataError("field is partial; its Gram extremes do not cover the grid")
     return GramBounds(c_min=float(np.min(field.gram_lo)), c_max=float(np.max(field.gram_hi)))
-
-
-def constant_field(grid: ComplexGrid, value: float) -> DefectField:
-    """Uniform field, mainly for calibration and tests."""
-    return DefectField(grid=grid, values=np.full(grid.n, float(value)))

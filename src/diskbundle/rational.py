@@ -4,11 +4,14 @@ Coefficients are stored in ascending order (``c[0] + c[1] z + ...``) as
 complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
-symbols both are, and :func:`gram_schmidt`, the factorization ``F = QR``
-at every point of a grid that both the frame defect and the symbol margin
-take their numbers from. Sums and products (``__add__``, ``__mul__``,
-``poly_add``) have no caller in the package: the tests use them for the
-reference product symbol (``tests/oracles.symbol_product``) and for gauges.
+symbols both are. Its values are laid out ``(rows, cols, *shape(z))``, the
+points on the last axis, for a scalar and an array alike. Also here is
+:func:`gram_schmidt`, the factorization ``F = QR`` at every point of a
+grid that the frame defect, the Gram extremes and the symbol margin all
+take their numbers from, for every width. Sums and products (``__add__``,
+``__mul__``, ``poly_add``) have no caller in the package: the tests use
+them for the reference product symbol (``tests/oracles.symbol_product``)
+and for gauges.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ValidationError
+from .errors import DataError, NumericalError, ParameterError, ValidationError
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -219,11 +222,13 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def _entrywise(self, z, fn) -> np.ndarray:
-        if np.ndim(z) == 0:
-            return np.array([[fn(e, z) for e in row] for row in self.entries], dtype=complex)
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((len(z), self.rows, self.cols), dtype=complex)
+    def _fill(self, z, k: int, fn) -> np.ndarray:
+        """``k`` arrays per entry from ``fn(entry, z)``, laid out
+        ``(k, rows, cols, *shape(z))``: the points on the last axis, so a
+        scalar gives ``k`` matrices of ``rows x cols``."""
+        if np.ndim(z):  # a scalar stays as given, so it keeps Python's complex arithmetic
+            z = np.asarray(z, dtype=complex)
+        out = np.empty((k, self.rows, self.cols, *np.shape(z)), dtype=complex)
         # a pole on a point gives inf or nan there; callers check finiteness
         with np.errstate(divide="ignore", invalid="ignore"):
             for i, row in enumerate(self.entries):
@@ -232,25 +237,15 @@ class RationalMatrix:
         return out
 
     def eval(self, z) -> np.ndarray:
-        """Value at a scalar (rows x cols) or at an array (n x rows x cols)."""
-        return self._entrywise(z, lambda e, z: e(z))
+        """Values, laid out ``(rows, cols, *shape(z))``."""
+        return self._fill(z, 1, lambda e, z: (e(z),))[0]
 
-    def eval_dz(self, z) -> np.ndarray:
-        """Exact entrywise derivative, shaped as :meth:`eval`; never a finite difference."""
-        return self._entrywise(z, lambda e, z: e.eval_deriv(z))
-
-    def eval_jet(self, z: np.ndarray):
-        """Values and exact derivatives at an array of points, from one
-        :meth:`RationalFunction.jet` per entry, each laid out
-        ``(rows, cols, n)`` as :func:`gram_schmidt` takes them."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((2, self.rows, self.cols, len(z)), dtype=complex)
-        # a pole on a point gives inf or nan there; callers check finiteness
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, row in enumerate(self.entries):
-                for j, e in enumerate(row):
-                    out[0, i, j], out[1, i, j] = e.jet(z)
-        return out[0], out[1]
+    def eval_jet(self, z):
+        """Values and exact derivatives (never a finite difference), each
+        laid out as :meth:`eval`, from one :meth:`RationalFunction.jet`
+        per entry."""
+        f, fp = self._fill(z, 2, RationalFunction.jet)
+        return f, fp
 
     @classmethod
     def constant(cls, matrix, **flags):
@@ -325,15 +320,16 @@ def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
     whole arrays. Each column of both is divided by ``2^exp`` as it is
     taken up, ``exp`` being the exponent of the point's largest entry of
     ``a``: exact, and it keeps the squares from overflowing or
-    underflowing. ``lo`` and ``hi`` are the
-    extreme eigenvalues of ``R*R``, in closed form for up to two columns:
-    with ``p = r11^2`` and ``s = |r12|^2 + r22^2``,
-    ``hi = (p + s)/2 + hypot((p - s)/2, r11 |r12|)`` and
-    ``lo = (r11 r22)^2 / hi`` (0 for a zero matrix); wider matrices take
-    them from ``eigvalsh(R*R)``. ``defect`` is ``|(d - QQ*d) R^-1|_HS^2``,
-    by forward substitution over the columns, or None without ``d``. A
-    point that is not finite, or whose ``R`` is singular, gets NaN or inf
-    there and nowhere else.
+    underflowing. ``lo`` and ``hi`` are the extreme eigenvalues of
+    ``R*R``, the squared extreme singular values of the scaled ``a``: in
+    closed form for up to two columns, with ``p = r11^2`` and
+    ``s = |r12|^2 + r22^2``, ``hi = (p + s)/2 + hypot((p - s)/2, r11 |r12|)``
+    and ``lo = (r11 r22)^2 / hi`` (0 for a zero matrix); wider matrices
+    square the extremes of one batched ``svd(R)``, never below 0, and a
+    failed SVD raises :class:`NumericalError`. ``defect`` is
+    ``|(d - QQ*d) R^-1|_HS^2``, by forward substitution over the columns,
+    or None without ``d``. A point that is not finite, or whose ``R`` is
+    singular, gets NaN or inf there and nowhere else.
     """
     rows, cols, n = a.shape
     peak = np.abs(a.view(np.float64)).reshape(rows * cols, n, 2).max(axis=0)
@@ -369,10 +365,11 @@ def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
             hi = 0.5 * (p + s) + np.hypot(0.5 * (p - s), r[0, 0].real * off)
             lo = p * sq[1] / np.where(hi > 0.0, hi, 1.0)
         else:
-            big = r.transpose(2, 0, 1)
-            g = np.conj(np.swapaxes(big, 1, 2)) @ big
-            good = np.all(np.isfinite(g), axis=(1, 2))
             lo, hi = np.full((2, n), np.nan)
-            eigs = np.linalg.eigvalsh(g[good])
-            lo[good], hi[good] = eigs[:, 0], eigs[:, -1]
+            good = np.all(np.isfinite(r), axis=(0, 1))
+            try:
+                sigma = np.linalg.svd(r[..., good].transpose(2, 0, 1), compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+            lo[good], hi[good] = sigma[:, -1] ** 2, sigma[:, 0] ** 2
     return lo, hi, exp, defect

@@ -1,8 +1,9 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
 Fourier blocks come from FFT sampling on the circle (exact for rational
-symbols up to a reported aliasing level). A section is one gather from
-that table by the offset index ``j - k``; analytic symbols zero the
+symbols up to a reported aliasing level), along the last axis of the
+symbol's values. A section is one gather from that table by the offset
+index ``j - k``; analytic symbols zero the
 offsets below zero, so their sections are block lower-triangular by
 construction and multiplication of analytic sections is exact. The
 kernel-action and shift-intertwining identities are verified on interior
@@ -15,8 +16,8 @@ product symbol.
 
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
-that witnesses left invertibility of a symbol over a grid, in closed form
-for symbols with one or two columns.
+that witnesses left invertibility of a symbol over a grid, taken for
+every width from the Gram-Schmidt kernel that frames use too.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ class MatrixSymbol(RationalMatrix):
         # entries; this cross-checks the evaluation path at the aliasing floor,
         # on at least 256 samples (offsets up to 63)
         blocks, edge = _fourier_blocks(self, 63)
-        m = blocks.shape[0]
+        m = blocks.shape[-1]
         scale = max(1.0, float(np.max(np.abs(blocks))))
-        neg = blocks[m // 2 + 1 :]  # offsets -(m/2 - 1) .. -1
+        neg = blocks[..., m // 2 + 1 :]  # offsets -(m/2 - 1) .. -1
         if float(np.max(np.abs(neg))) > max(_ANALYTIC_TOL * scale, 8.0 * edge):
             raise SymbolError(
                 "symbol flagged analytic but has nonzero negative Fourier coefficients"
@@ -111,10 +112,6 @@ def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
 
 
-def save_symbol(symbol: MatrixSymbol, path) -> None:
-    symbol.save(path)
-
-
 def _circle(degree: int, max_offset: int) -> np.ndarray:
     """The FFT circle for a symbol of this degree hint, read up to ``max_offset``."""
     m = _next_pow2(4 * (max(degree, max_offset) + 1))
@@ -122,14 +119,15 @@ def _circle(degree: int, max_offset: int) -> np.ndarray:
 
 
 def _blocks_of(vals: np.ndarray):
-    """Fourier blocks of circle samples; returns (blocks, aliasing_estimate).
+    """Fourier blocks of circle samples on the last axis; returns
+    (blocks, aliasing_estimate).
 
-    ``blocks[k]`` is the coefficient at offset ``k`` for ``k < n/2`` and at
-    ``k - n`` beyond, the usual FFT layout.
+    ``blocks[..., k]`` is the coefficient at offset ``k`` for ``k < m/2``
+    and at ``k - m`` beyond, the usual FFT layout.
     """
-    m = vals.shape[0]
-    blocks = np.fft.fft(vals, axis=0) / m
-    edge = np.abs(blocks[m // 2 - 1 : m // 2 + 2])
+    m = vals.shape[-1]
+    blocks = np.fft.fft(vals) / m
+    edge = np.abs(blocks[..., m // 2 - 1 : m // 2 + 2])
     return blocks, float(np.max(edge))
 
 
@@ -139,12 +137,12 @@ def _fourier_blocks(symbol: MatrixSymbol, max_offset: int):
 
 
 def _lay_out(blocks: np.ndarray, order: int, analytic: bool) -> np.ndarray:
-    """The ``order x order`` block section with block ``blocks[j - k]`` at ``(j, k)``."""
+    """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``."""
+    rows, cols, m = blocks.shape
     offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
-    tiles = blocks[offsets % blocks.shape[0]]
+    tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
     if analytic:
         tiles[offsets < 0] = 0.0  # exact zeros above the block diagonal
-    _, rows, cols = blocks.shape
     return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
 
 
@@ -168,10 +166,12 @@ def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
 def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
     """Sections of ``f``, ``g`` and ``fg`` of analytic symbols, from one
     sampling of each on a circle fine enough for the product's degree;
-    the blocks of ``fg`` come from the pointwise products ``f(z) g(z)``."""
+    the blocks of ``fg`` come from the pointwise products ``f(z) g(z)``,
+    taken by one matmul of contiguous ``(m, rows, cols)`` stacks."""
     z = _circle(f.degree_hint() + g.degree_hint(), order)
     fv, gv = f.eval(z), g.eval(z)
-    return tuple(_lay_out(_blocks_of(v)[0], order, True) for v in (fv, gv, fv @ gv))
+    fg = np.ascontiguousarray(fv.transpose(2, 0, 1)) @ np.ascontiguousarray(gv.transpose(2, 0, 1))
+    return tuple(_lay_out(_blocks_of(v)[0], order, True) for v in (fv, gv, fg.transpose(1, 2, 0)))
 
 
 def _spectral_norm(x: np.ndarray) -> float:
@@ -301,41 +301,26 @@ def scalar_inner_outer(f: RationalFunction) -> InnerOuterFactorization:
     return InnerOuterFactorization(inner=inner, outer=outer, disk_zeros=tuple(disk))
 
 
-def _smallest_singular_values(vals: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each ``rows x cols`` matrix, ``cols <= 2``.
-
-    ``sigma^2`` is the smaller eigenvalue of ``R*R`` that :func:`gram_schmidt`
-    takes in closed form from the matrices, scaled by a power of two of
-    their largest entry, so that ``sigma`` is unscaled without its square
-    overflowing or underflowing. A zero matrix gives 0.
-    """
-    lo, _, exp, _ = gram_schmidt(np.ascontiguousarray(vals.transpose(1, 2, 0)))
-    return np.ldexp(np.sqrt(lo), exp)
-
-
 def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
     """Minimum over the grid of the smallest singular value of the symbol.
 
     A margin bounded away from zero on a fine grid with small margin is
     numerical evidence of left invertibility; the sweep never extrapolates
-    beyond the grid. The symbol is evaluated on the whole grid at once.
-    Symbols with one or two columns take their singular values in closed
-    form, wider ones from one batched SVD. The first point in grid order
-    where the symbol has no finite value raises :class:`NumericalError`
-    naming it, and so does a failed SVD, so the minimum is never taken
-    over part of the grid.
+    beyond the grid. The symbol is evaluated on the whole grid at once and
+    factored by :func:`~diskbundle.rational.gram_schmidt`, whose ``lo`` is
+    the squared smallest singular value of each point's matrix scaled by a
+    power of two of its largest entry, so ``sigma`` is unscaled without its
+    square overflowing or underflowing; a zero matrix gives 0. The first
+    point in grid order where the symbol has no finite value raises
+    :class:`NumericalError` naming it, and so does a failed SVD, so the
+    minimum is never taken over part of the grid.
     """
     if theta.rows < theta.cols:
         raise ParameterError("need rows >= cols for a left-invertibility margin")
     vals = theta.eval(grid.points)
-    finite = np.all(np.isfinite(vals), axis=(1, 2))
+    finite = np.all(np.isfinite(vals), axis=(0, 1))
     if not np.all(finite):
         z = complex(grid.points[np.argmin(finite)])
         raise NumericalError(f"margin sweep failed at z = {z!r}: non-finite symbol value")
-    if theta.cols <= 2:
-        return float(np.min(_smallest_singular_values(vals)))
-    try:
-        sigma = np.linalg.svd(vals, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"margin sweep failed: {exc}") from exc
-    return float(np.min(sigma[:, -1]))
+    lo, _, exp, _ = gram_schmidt(vals)
+    return float(np.min(np.ldexp(np.sqrt(lo), exp)))

@@ -11,6 +11,8 @@ stored weight, the spike values one slot at a time, the weight dump
 through ``csv.writer``), the Toeplitz section filled block by block with
 its shift-intertwining gap taken through Kronecker shift matrices, and
 the product of two symbols built entry by entry in rational arithmetic.
+Two test inputs live here too: the truncated Hardy-line frame
+``(1, lam, lam^2, ...)`` and the uniform defect field.
 Every production derivative comes from exact rational calculus, the
 Gram-Schmidt defect field must match the LAPACK one to roundoff with the
 same failures, ``carleson_constant`` bins the same boxes by sector, the
@@ -28,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from diskbundle.bundle import CONDITION_CAP, _condition_message, projection, projection_dz
+from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condition_message, projection, projection_dz
 from diskbundle.calculus import TWO_PI
 from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
 from diskbundle.kernels import KERNEL_REL_TOL
@@ -66,6 +68,20 @@ def laplacian(f: Callable[[complex], float], z: complex, h: float = DEFAULT_FD_S
     return 0.25 * float(s) / (h * h)
 
 
+def hardy_line_frame(n_terms: int) -> AnalyticFrame:
+    """Single-column frame listing the power-series coefficients
+    ``(1, lam, lam^2, ...)`` of the backward-shift eigenvector, truncated
+    to ``n_terms`` slots."""
+    if n_terms < 1:
+        raise ParameterError("n_terms must be >= 1")
+    return AnalyticFrame([[RationalFunction.monomial(k)] for k in range(n_terms)])
+
+
+def constant_field(grid, value: float) -> DefectField:
+    """Uniform defect field on a grid."""
+    return DefectField(grid=grid, values=np.full(grid.n, float(value)))
+
+
 def lapack_defect_field(frame, grid):
     """The defect field from batched LAPACK calls on the ``(n, rows, cols)``
     stacks: ``eigvalsh`` of the Grams ``F*F`` for the condition check and
@@ -73,7 +89,7 @@ def lapack_defect_field(frame, grid):
     and ``|(F' - QQ*F') R^-1|_HS^2`` by one batched ``solve``. Returns
     ``(values, failures, lo, hi)`` as ``defect_field`` lays them out."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f, fp = frame.eval(grid.points), frame.eval_dz(grid.points)
+        f, fp = (np.moveaxis(v, -1, 0) for v in frame.eval_jet(grid.points))
         g = np.conj(np.swapaxes(f, 1, 2)) @ f
     ok = np.all(np.isfinite(g), axis=(1, 2)) & np.all(np.isfinite(fp), axis=(1, 2))
     lo, hi = np.full((2, grid.n), np.nan)
@@ -252,6 +268,7 @@ def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
     offset and one block row at a time; analytic symbols skip the offsets
     below zero."""
     blocks, _ = _fourier_blocks(symbol, order)
+    blocks = np.moveaxis(blocks, -1, 0)
     m = blocks.shape[0]
     rows, cols = symbol.rows, symbol.cols
     out = np.zeros((order * rows, order * cols), dtype=complex)

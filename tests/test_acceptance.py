@@ -18,14 +18,11 @@ import numpy as np
 
 from diskbundle.bundle import (
     AnalyticFrame,
-    constant_field,
     defect_field,
     full_bundle_curvature,
-    hardy_line_frame,
     hs_norm_sq,
     projection,
     projection_dz,
-    save_frame,
 )
 from diskbundle.calculus import build_grid
 from diskbundle.criteria import carleson_check, green_potential, pointwise_bound
@@ -40,7 +37,14 @@ from diskbundle.toeplitz import (
     toeplitz_section,
 )
 from diskbundle.weights import build_spike_weight, counterexample_report
-from oracles import backward_shift_apply, kernel_identities, projection_sample, wirtinger_dz
+from oracles import (
+    backward_shift_apply,
+    constant_field,
+    hardy_line_frame,
+    kernel_identities,
+    projection_sample,
+    wirtinger_dz,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -271,7 +275,7 @@ def test_criterion_13_weighted_eigenvector():
 
 def test_criterion_14_cli_determinism(tmp_path):
     with criterion(14, "byte-identical CLI reports"):
-        save_frame(one_lambda_frame(), tmp_path / "frame.json")
+        one_lambda_frame().save(tmp_path / "frame.json")
         (tmp_path / "cfg.json").write_text(json.dumps({"frame": "frame.json"}))
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         for out in ("a", "b"):

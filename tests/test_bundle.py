@@ -4,24 +4,29 @@ import numpy as np
 import pytest
 
 from diskbundle.bundle import (
+    CONDITION_CAP,
     AnalyticFrame,
-    constant_field,
     curvature_defect,
     defect_field,
     full_bundle_curvature,
     gram,
     gram_bounds,
-    hardy_line_frame,
     hs_norm_sq,
     load_frame,
     projection,
     projection_dz,
-    save_frame,
 )
 from diskbundle.calculus import build_grid
 from diskbundle.errors import ConditioningError, DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_from_roots
-from oracles import lapack_defect_field, laplacian, projection_sample, wirtinger_dz
+from oracles import (
+    constant_field,
+    hardy_line_frame,
+    lapack_defect_field,
+    laplacian,
+    projection_sample,
+    wirtinger_dz,
+)
 
 
 def one_lambda_frame():
@@ -154,7 +159,7 @@ def test_frame_json_round_trip(tmp_path):
         ]
     )
     path = tmp_path / "frame.json"
-    save_frame(frame, path)
+    frame.save(path)
     back = load_frame(path)
     for row_a, row_b in zip(frame.entries, back.entries):
         for a, b in zip(row_a, row_b):
@@ -181,7 +186,7 @@ def test_frame_exact_derivative_matches_wirtinger():
         ]
     )
     lam = 0.35 - 0.2j
-    exact = frame.eval_dz(lam)
+    exact = frame.eval_jet(lam)[1]
     for i in range(2):
         fd = wirtinger_dz(lambda w, i=i: frame.eval(w)[i, 0], lam, 1e-4)
         assert abs(fd - exact[i, 0]) < 1e-7
@@ -320,17 +325,17 @@ def test_full_curvature_examples():
 
 
 def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
-    """Both routes share one ``eval``, one ``eval_dz`` and one Gram check, and
-    the defect is the scalar path's value to the bit."""
+    """Both routes share one ``eval_jet`` and one Gram check, and the
+    defect is the scalar path's value to the bit."""
     frame = seeded_rational_frame(3, 2, seed=7)
     calls = []
-    for name in ("eval", "eval_dz"):
+    for name in ("eval", "eval_jet"):
         method = getattr(frame, name)
         monkeypatch.setattr(frame, name, lambda lam, name=name, method=method: calls.append(name) or method(lam))
     for lam in (0.0, 0.5, 0.3 - 0.6j):
         calls.clear()
         split = full_bundle_curvature(frame, lam)
-        assert sorted(calls) == ["eval", "eval_dz"]
+        assert calls == ["eval_jet"]
         assert split.defect == curvature_defect(frame, lam)
 
 
@@ -505,6 +510,30 @@ def test_gram_bounds_match_pointwise_eigvalsh():
         bounds = gram_bounds(defect_field(frame, grid))
         assert abs(bounds.c_min - eigs[:, 0].min()) <= 1e-12 * eigs[:, 0].min()
         assert abs(bounds.c_max - eigs[:, -1].max()) <= 1e-12 * eigs[:, -1].max()
+
+
+def ill_conditioned_5x3_frame():
+    """``A0 + lam A1`` with ``A0 = U diag(1, 1e-2, 1e-5) V*`` and ``A1`` of
+    size 1e-6: Gram condition about 1.5e10 on the disk."""
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a0 = (u * [1.0, 1e-2, 1e-5]) @ v.conj().T
+    a1 = 1e-6 * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    return AnalyticFrame([[RationalFunction([a0[i, j], a1[i, j]]) for j in range(3)] for i in range(5)])
+
+
+def test_wide_gram_extremes_match_pointwise_svd():
+    # the squared extremes of svd(R) keep the relative accuracy that eigvalsh(R*R) loses
+    grid = build_grid(4, 16, 0.01)
+    frame = ill_conditioned_5x3_frame()
+    field = defect_field(frame, grid)
+    sigma = np.linalg.svd(np.moveaxis(frame.eval(grid.points), -1, 0), compute_uv=False)
+    lo, hi = sigma[:, -1] ** 2, sigma[:, 0] ** 2
+    assert not field.is_partial and 1e10 < np.max(hi / lo) < CONDITION_CAP
+    assert np.all(np.abs(field.gram_lo - lo) <= 1e-10 * lo)
+    assert np.all(np.abs(field.gram_hi - hi) <= 1e-14 * hi)
+    assert abs(gram_bounds(field).c_min - lo.min()) <= 1e-10 * lo.min()
 
 
 def test_gram_bounds_refuse_fields_without_full_extremes():

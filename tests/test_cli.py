@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from diskbundle import cli
-from diskbundle.bundle import AnalyticFrame, constant_field, defect_field, save_frame
+from diskbundle.bundle import AnalyticFrame, defect_field
 from diskbundle.calculus import build_grid
 from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, _int, emit_heatmap, main
 from diskbundle.errors import NumericalError, ParameterError
 from diskbundle.rational import RationalFunction
-from diskbundle.toeplitz import MatrixSymbol, save_symbol, toeplitz_section
+from diskbundle.toeplitz import MatrixSymbol, toeplitz_section
 from diskbundle.weights import weights_from_csv
+from oracles import constant_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,7 +41,7 @@ def write_config(path: Path, payload: dict) -> Path:
 @pytest.fixture()
 def constant_frame_file(tmp_path):
     path = tmp_path / "frame.json"
-    save_frame(AnalyticFrame.constant([[1.0], [0.0]]), path)
+    AnalyticFrame.constant([[1.0], [0.0]]).save(path)
     return path
 
 
@@ -125,7 +126,7 @@ def test_partial_field_exits_3(tmp_path):
     grid = build_grid(4, 16, 0.01)
     z0 = grid.points[5]
     frame = AnalyticFrame([[RationalFunction([-z0, 1.0])]])
-    save_frame(frame, tmp_path / "frame.json")
+    frame.save(tmp_path / "frame.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {"frame": "frame.json", "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01}},
@@ -139,7 +140,7 @@ def test_criteria_partial_field_reports_failures_and_writes_no_csv(tmp_path, cap
     # the field that makes curvature exit 3 gives criteria a partial report
     grid = build_grid(4, 16, 0.01)
     z0 = grid.points[5]
-    save_frame(AnalyticFrame([[RationalFunction([-z0, 1.0])]]), tmp_path / "frame.json")
+    AnalyticFrame([[RationalFunction([-z0, 1.0])]]).save(tmp_path / "frame.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {"frame": "frame.json", "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01}},
@@ -159,7 +160,7 @@ def test_criteria_partial_field_reports_failures_and_writes_no_csv(tmp_path, cap
 
 def test_failing_sample_leaves_no_heatmap(tmp_path, capsys):
     # the frame (lam) is nondegenerate on the grid but not at the sample lam = 0
-    save_frame(AnalyticFrame.from_polynomials([[0.0, 1.0]]), tmp_path / "frame.json")
+    AnalyticFrame.from_polynomials([[0.0, 1.0]]).save(tmp_path / "frame.json")
     cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 8}})
     assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert json.loads(capsys.readouterr().out)["type"] == "ConditioningError"
@@ -217,8 +218,8 @@ def float_tokens(text: str) -> list:
 
 
 def test_report_floats_are_written_as_their_repr(tmp_path, capsys):
-    save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]).save(tmp_path / "frame.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
     grid = {"radial_count": 4, "angular_count": 16}
     payloads = {
         "curvature": {"frame": "frame.json", "grid": grid},
@@ -259,7 +260,7 @@ def test_writer_failing_midway_leaves_no_part(tmp_path, capsys, monkeypatch):
     ids=COMMANDS,
 )
 def test_reports_are_deterministic(tmp_path, constant_frame_file, command, payload, written):
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
     cfg = write_config(tmp_path / "cfg.json", payload)
     for out in ("a", "b"):
         result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / out)], cwd=tmp_path)
@@ -283,14 +284,8 @@ def test_cli_grid_overrides(tmp_path, constant_frame_file):
 
 
 def test_toeplitz_command_scalar_symbol(tmp_path):
-    save_symbol(
-        MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True),
-        tmp_path / "symbol.json",
-    )
-    save_symbol(
-        MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True),
-        tmp_path / "second.json",
-    )
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "symbol.json")
+    MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True).save(tmp_path / "second.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {
@@ -325,8 +320,8 @@ def test_toeplitz_command_runs_no_svd_for_two_columns(tmp_path, monkeypatch):
         [RationalFunction([0.5, -0.25]), RationalFunction([1.0])],
         [RationalFunction([0.0, 0.0, 1.0]), RationalFunction([2.0])],
     ]
-    save_symbol(MatrixSymbol(first, analytic=True), tmp_path / "symbol.json")
-    save_symbol(MatrixSymbol(second, analytic=True), tmp_path / "second.json")
+    MatrixSymbol(first, analytic=True).save(tmp_path / "symbol.json")
+    MatrixSymbol(second, analytic=True).save(tmp_path / "second.json")
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "symbol.json", "second_symbol": "second.json"})
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -334,7 +329,7 @@ def test_toeplitz_command_runs_no_svd_for_two_columns(tmp_path, monkeypatch):
 
 
 def test_criteria_probe_csv_minimum_is_green_inf(tmp_path):
-    save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
+    AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]).save(tmp_path / "frame.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {
@@ -385,13 +380,13 @@ def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
     ],
 )
 def test_malformed_complex_values_exit_2(tmp_path, payload, field):
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
     # the faults of the multiplicativity check: a 2x1 symbol does not compose with the 1x1 one, and a
     # symbol with a pole in the disk is not analytic
     tall = MatrixSymbol([[RationalFunction([1.0])], [RationalFunction([0.0, 1.0])]], analytic=True)
-    save_symbol(tall, tmp_path / "tall.json")
+    tall.save(tmp_path / "tall.json")
     not_analytic = MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -2.0]), analytic=False)
-    save_symbol(not_analytic, tmp_path / "not_analytic.json")
+    not_analytic.save(tmp_path / "not_analytic.json")
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", **payload})
     result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
     assert result.returncode == 2, result.stdout + result.stderr
@@ -458,7 +453,7 @@ def test_integer_beyond_float_range_exits_2(tmp_path, command, payload, field):
 def test_toeplitz_margin_failure_exits_3(tmp_path):
     grid = build_grid(4, 16, 0.01)
     p = complex(grid.points[5])
-    save_symbol(MatrixSymbol.scalar(RationalFunction([1.0], [-p, 1.0]), analytic=False), tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction([1.0], [-p, 1.0]), analytic=False).save(tmp_path / "s.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {"symbol": "s.json", "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01}},
@@ -467,6 +462,22 @@ def test_toeplitz_margin_failure_exits_3(tmp_path):
     assert result.returncode == 3, result.stdout + result.stderr
     error = json.loads(result.stdout)
     assert error["kind"] == "numerical" and repr(p) in error["message"]
+
+
+def test_curvature_maps_a_failed_svd_to_numerical_error(tmp_path, capsys, monkeypatch):
+    # three columns: the Gram extremes of every point come from one batched svd(R)
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    rng = np.random.default_rng(4)
+    AnalyticFrame.constant(np.linalg.qr(rng.standard_normal((4, 3)))[0]).save(tmp_path / "frame.json")
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 8}})
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "NumericalError" and error["kind"] == "numerical"
+    assert "SVD did not converge" in error["message"]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_boolean_frame_shape_exits_2(tmp_path):
@@ -482,7 +493,7 @@ def test_boolean_frame_shape_exits_2(tmp_path):
 
 def test_overflowing_gram_exits_3(tmp_path):
     # finite entries whose Gram matrix overflows: every point fails, none is silently NaN
-    save_frame(AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]]), tmp_path / "frame.json")
+    AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]]).save(tmp_path / "frame.json")
     cfg = write_config(
         tmp_path / "cfg.json",
         {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 8, "margin": 0.01}},
@@ -544,8 +555,8 @@ def test_overflowing_gram_exits_3(tmp_path):
     ],
 )
 def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, field):
-    save_frame(AnalyticFrame.constant([[1.0], [0.0]]), tmp_path / "frame.json")
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    AnalyticFrame.constant([[1.0], [0.0]]).save(tmp_path / "frame.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
     (tmp_path / "folder").mkdir()
     (tmp_path / "taken").write_text("a file, not a directory\n")
     (tmp_path / "latin1.json").write_bytes(b'{"frame": "fr\xe9me.json"}')
@@ -849,7 +860,7 @@ def test_json_beyond_the_reader_limits_exits_2(tmp_path, capsys, config, frame, 
     ids=["unlocatable", "zero", "boundary-zero"],
 )
 def test_unlocatable_numerator_zeros_exit_2(tmp_path, capsys, num, kind, message):
-    save_symbol(MatrixSymbol.scalar(RationalFunction(num), analytic=True), tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction(num), analytic=True).save(tmp_path / "s.json")
     grid = {"radial_count": 2, "angular_count": 4}
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "grid": grid})
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -866,7 +877,7 @@ def test_toeplitz_run_builds_one_section(tmp_path, capsys, monkeypatch):
         return toeplitz_section(*args)
 
     monkeypatch.setattr("diskbundle.toeplitz.toeplitz_section", counted)
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json", "second_symbol": "s.json"})
     assert main(["toeplitz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diskbundle.bundle import AnalyticFrame, DefectField, constant_field, defect_field, save_frame
+from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
 from diskbundle import criteria
 from diskbundle.calculus import TWO_PI, build_grid
 from diskbundle.cli import _KEYS, main
@@ -20,7 +20,7 @@ from diskbundle.criteria import (
 from diskbundle.errors import DataError, DomainError, ParameterError
 from diskbundle.rational import RationalFunction
 
-from oracles import subcell_green_potential
+from oracles import constant_field, subcell_green_potential
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +303,7 @@ def test_boundedness_follows_from_carleson_and_pointwise(grid):
 def test_library_report_is_the_command_report(tmp_path, capsys):
     # what the library returns is what criteria writes, less the command's own keys
     frame = one_lambda_frame()
-    save_frame(frame, tmp_path / "frame.json")
+    frame.save(tmp_path / "frame.json")
     (tmp_path / "cfg.json").write_text(json.dumps({"frame": "frame.json"}))
     assert main(["criteria", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()

@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 import diskbundle
-from diskbundle.bundle import AnalyticFrame, save_frame
+from diskbundle.bundle import AnalyticFrame
 from diskbundle.rational import RationalFunction
-from diskbundle.toeplitz import MatrixSymbol, save_symbol
+from diskbundle.toeplitz import MatrixSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,9 +68,9 @@ def python(*args, **extra):
 
 def command_configs(tmp_path: Path) -> dict:
     """Small inputs that take each command through all of its stages."""
-    save_frame(AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]), tmp_path / "frame.json")
-    save_symbol(MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True), tmp_path / "s.json")
-    save_symbol(MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True), tmp_path / "s2.json")
+    AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]]).save(tmp_path / "frame.json")
+    MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "s.json")
+    MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True).save(tmp_path / "s2.json")
     grid = {"radial_count": 2, "angular_count": 8}
     payloads = {
         "curvature": {"frame": "frame.json", "grid": grid},
@@ -187,7 +187,7 @@ def exit_configs(tmp_path: Path) -> dict:
     ok = command_configs(tmp_path)["counterexample"]
     bad = tmp_path / "bad_length.json"
     bad.write_text(json.dumps({"epsilon": 0.1, "spike_count": 2, "length": 0}))
-    save_frame(AnalyticFrame.from_polynomials([[0.0, 1.0]]), tmp_path / "lambda.json")
+    AnalyticFrame.from_polynomials([[0.0, 1.0]]).save(tmp_path / "lambda.json")
     singular = tmp_path / "singular.json"
     singular.write_text(json.dumps({"frame": "lambda.json", "grid": {"radial_count": 2, "angular_count": 8}}))
     return {0: ["counterexample", ok], 2: ["counterexample", bad], 3: ["curvature", singular]}

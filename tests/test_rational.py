@@ -71,7 +71,7 @@ def test_json_validation_names_field():
 _ENTRY = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
 
 
-def test_eval_jet_is_eval_and_eval_dz_on_the_last_axis():
+def test_eval_jet_is_eval_and_eval_deriv_on_the_last_axis():
     matrix = AnalyticFrame(
         [
             [RationalFunction([1.0, 0.5j], [1.0, 0.0, -0.2]), RationalFunction([0.25])],
@@ -82,8 +82,17 @@ def test_eval_jet_is_eval_and_eval_dz_on_the_last_axis():
     z = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.7])
     f, fp = matrix.eval_jet(z)
     assert f.shape == fp.shape == (3, 2, 4)
-    assert np.array_equal(f, matrix.eval(z).transpose(1, 2, 0))
-    assert np.array_equal(fp, matrix.eval_dz(z).transpose(1, 2, 0))
+    assert np.array_equal(f, matrix.eval(z))
+    for i, row in enumerate(matrix.entries):
+        for j, e in enumerate(row):
+            assert np.array_equal(fp[i, j], e.eval_deriv(z))
+    # a scalar gives rows x cols, in Python's complex arithmetic rather than numpy's
+    for k, w in enumerate(z):
+        value, deriv = matrix.eval_jet(w)
+        assert value.shape == deriv.shape == (3, 2)
+        assert np.array_equal(matrix.eval(w), value)
+        assert np.allclose(value, f[..., k], rtol=1e-15, atol=0.0)
+        assert np.allclose(deriv, fp[..., k], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -102,8 +111,8 @@ def test_rational_matrix_json(tmp_path, cls, flags):
     assert back.to_jsonable() == matrix.to_jsonable()
     z = np.array([0.0, 0.3 - 0.4j, 0.9j])
     assert np.array_equal(back.eval(z), matrix.eval(z))
-    assert back.eval(z).shape == (3, 2, 2)
-    assert np.allclose(back.eval_dz(z)[1], matrix.eval_dz(z[1]), rtol=1e-14, atol=0.0)
+    assert back.eval(z).shape == (2, 2, 3)
+    assert np.allclose(back.eval_jet(z)[1][..., 1], matrix.eval_jet(z[1])[1], rtol=1e-14, atol=0.0)
 
     def field_of(obj):
         with pytest.raises(DataError) as err:

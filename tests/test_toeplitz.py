@@ -8,18 +8,16 @@ import pytest
 
 from diskbundle.calculus import build_grid
 from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, ParameterError, SymbolError
-from diskbundle.rational import RationalFunction, poly_mul
+from diskbundle.rational import RationalFunction, gram_schmidt, poly_mul
 from diskbundle.toeplitz import (
     MatrixSymbol,
     _product_sections,
-    _smallest_singular_values,
     _spectral_norm,
     intertwining_check,
     kernel_action_check,
     left_invertibility_margin,
     load_symbol,
     multiplicativity_check,
-    save_symbol,
     scalar_inner_outer,
     toeplitz_section,
 )
@@ -376,44 +374,59 @@ def conditioned_batch(rows, cols, seed):
     return out, kappa if cols > 1 else np.ones_like(kappa)
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (12, 2)])
+def smallest_singular_values(vals):
+    """Smallest singular value of each matrix of an ``(n, rows, cols)``
+    batch, from :func:`gram_schmidt` the way the margin takes it."""
+    lo, _, exp, _ = gram_schmidt(np.ascontiguousarray(np.moveaxis(vals, 0, -1)))
+    return np.ldexp(np.sqrt(lo), exp)
+
+
+#: one and two columns take the closed form, wider matrices the SVD of ``R``
+WIDTHS = [(2, 1), (3, 2), (12, 2), (3, 3), (5, 3), (4, 4), (12, 4)]
+
+
+@pytest.mark.parametrize("rows, cols", WIDTHS)
 def test_closed_form_matches_pointwise_svd(rows, cols):
     vals, kappa = conditioned_batch(rows, cols, seed=rows * 10 + cols)
     reference = np.array([np.linalg.svd(v, compute_uv=False)[-1] for v in vals])
-    closed = _smallest_singular_values(vals)
+    closed = smallest_singular_values(vals)
     assert np.all(np.abs(closed - reference) <= 8.0 * EPS * kappa * reference)
 
 
-@pytest.mark.parametrize("cols", [1, 2])
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
 def test_margin_is_zero_where_the_symbol_vanishes(cols):
     grid = build_grid(4, 16, 0.01)
     p = complex(grid.points[5])
-    m = np.arange(1.0, 2.0 * cols + 1.0).reshape(2, cols)
+    rows = max(2, cols)
+    m = np.arange(1.0, rows * cols + 1.0).reshape(rows, cols)
     vanishing = MatrixSymbol([[RationalFunction([-p * v, v]) for v in row] for row in m], analytic=False)
     assert not np.any(vanishing.eval(grid.points[5]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert left_invertibility_margin(vanishing, grid) == 0.0
-        assert np.array_equal(_smallest_singular_values(np.zeros((3, 2, cols), dtype=complex)), np.zeros(3))
+        assert np.array_equal(smallest_singular_values(np.zeros((3, rows, cols), dtype=complex)), np.zeros(3))
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
-@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (12, 2)])
+@pytest.mark.parametrize("rows, cols", WIDTHS)
 def test_closed_form_keeps_extreme_scales(scale, rows, cols):
     vals, _ = conditioned_batch(rows, cols, seed=7)
     vals = scale * vals[:9]  # kappa up to 10
     reference = np.array([np.linalg.svd(v, compute_uv=False)[-1] for v in vals])
-    assert np.all(np.abs(_smallest_singular_values(vals) - reference) <= 1e-14 * reference)
+    assert np.all(np.abs(smallest_singular_values(vals) - reference) <= 1e-14 * reference)
 
 
 @pytest.mark.parametrize("rows", [2, 3, 12])
 def test_closed_form_of_a_rank_one_symbol(rows):
     rng = np.random.default_rng(rows)
-    u = rng.standard_normal((50, rows, 1)) + 1j * rng.standard_normal((50, rows, 1))
-    v = rng.standard_normal((50, 1, 2)) + 1j * rng.standard_normal((50, 1, 2))
-    vals = u @ v
-    sigma_max = np.linalg.norm(u, axis=(1, 2)) * np.linalg.norm(v, axis=(1, 2))
-    assert np.all(_smallest_singular_values(vals) <= 1e-15 * sigma_max)
+    for cols in range(2, min(rows, 4) + 1):
+        u = rng.standard_normal((50, rows, 1)) + 1j * rng.standard_normal((50, rows, 1))
+        v = rng.standard_normal((50, 1, cols)) + 1j * rng.standard_normal((50, 1, cols))
+        vals = u @ v
+        sigma_max = np.linalg.norm(u, axis=(1, 2)) * np.linalg.norm(v, axis=(1, 2))
+        lo = gram_schmidt(np.ascontiguousarray(np.moveaxis(vals, 0, -1)))[0]
+        assert np.all(lo >= 0.0), cols  # never a negative square, whose root would be NaN
+        assert np.all(smallest_singular_values(vals) <= 1e-15 * sigma_max), cols
 
 
 def test_margin_requires_tall_symbol():
@@ -427,7 +440,7 @@ def test_margin_requires_tall_symbol():
 
 def test_symbol_json_round_trip(tmp_path):
     path = tmp_path / "symbol.json"
-    save_symbol(blaschke_half(), path)
+    blaschke_half().save(path)
     back = load_symbol(path)
     assert back.analytic
     assert np.array_equal(back.entries[0][0].num, blaschke_half().entries[0][0].num)
