@@ -1,7 +1,8 @@
 """Entry point of ``python -m diskbundle`` and of the ``diskbundle`` console script.
 
-``python -m diskbundle.cli`` runs :func:`main` too, after ``cli`` has
-loaded numpy, so the thread pin below does not reach it.
+``python -m diskbundle.cli`` runs :func:`main` too; ``cli`` imports no
+numpy at module level, so the thread pin below reaches that spelling as
+well.
 
 Before numpy loads, it pins OpenBLAS to one thread, unless the caller set
 any of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
@@ -11,11 +12,11 @@ batched small matrices and order-64 sections, which a second thread does
 not speed up, while an idle OpenBLAS worker spins for 125-160 ms of CPU in
 every run (2 cores, numpy 2.4 with OpenBLAS 0.3.31).
 
-``main`` turns the garbage collector off, imports ``cli`` (and so numpy)
-and runs ``cli.main``. With the collector on, importing numpy and ``cli``
-takes 29 generation-0 and 2 generation-1 passes, about 6 ms, which free
-336 objects; a command's run takes at most a few more, and its arrays make
-no reference cycles. Then ``main`` flushes stdout, freezes the collector
+``main`` turns the garbage collector off, imports ``cli`` and runs
+``cli.main``, whose command loads numpy. With the collector on, importing
+numpy and ``cli`` takes 29 generation-0 and 2 generation-1 passes, about
+6 ms, which free 336 objects; a command's run takes at most a few more,
+and its arrays make no reference cycles. Then ``main`` flushes stdout, freezes the collector
 and turns it back on if it was on. Interpreter shutdown runs full
 collections over every object still alive, about 22k with numpy and a
 command's layers loaded, at 7-9 ms each, even with the collector off; it
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        from . import cli  # numpy loads here, with the collector off and the variable above set
+        from . import cli  # the command's layers load numpy, with the collector off and the variable above set
 
         return cli.main(argv)
     finally:

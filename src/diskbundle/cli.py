@@ -14,7 +14,8 @@ exit with code 2, numerical failures with code 3, both with a
 machine-readable error JSON on stdout; a run that fails removes every
 file it wrote. Each ``_cmd_*`` computes its report and hands back its
 files' writers, and ``main`` writes them all. Each ``_cmd_*`` imports the
-layers its command runs, so a run loads no other layer.
+layers its command runs, so a run loads no other layer. This module
+imports no numpy, so the entry module's BLAS thread pin comes first.
 
 ``main`` reads the command line itself, from the options ``_KEYS`` gives
 a command: a faulty command line is a ``ParameterError`` like a faulty
@@ -26,11 +27,10 @@ nor the ``gettext`` and ``locale`` it imports, about 7 ms in every run.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, ValidationError
 
@@ -70,7 +70,7 @@ def _complex_pair(obj, name) -> complex:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParameterError(f"{name} must be an [re, im] pair", field=name)
     z = complex(*(_float(x, name) for x in obj))
-    if not np.isfinite(z):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ParameterError(f"{name} must be finite", field=name)
     return z
 
@@ -109,8 +109,8 @@ _KEYS = {
     "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48", "--grid-radial"),
     "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536", "--grid-angular"),
     "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)", "--margin"),
-    "thresholds.M": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
-    "thresholds.C": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < np.inf, _POSITIVE),
+    "thresholds.M": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < math.inf, _POSITIVE),
+    "thresholds.C": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < math.inf, _POSITIVE),
     "out_dir": _Key(COMMANDS, _path, Path(".")),
     "frame": _Key(("curvature", "criteria"), _path, _REQUIRED),
     "symbol": _Key(("toeplitz",), _path, _REQUIRED),
@@ -203,6 +203,8 @@ def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> d
 
 def _python_scalar(value):
     """A numpy scalar as its Python value; any other type has no JSON form."""
+    import numpy as np  # loaded by then, by the layer that made the value
+
     if isinstance(value, np.generic):
         return value.item()
     raise ParameterError(f"cannot serialize {type(value).__name__} into a report")
@@ -290,9 +292,9 @@ def _cmd_curvature(cfg: dict) -> tuple:
         "grid": grid_meta(grid),
         "gram_bounds": bounds._asdict(),
         "defect": {
-            "min": float(np.min(field_.values)),
-            "max": float(np.max(field_.values)),
-            "mean": float(np.mean(field_.values)),
+            "min": float(field_.values.min()),
+            "max": float(field_.values.max()),
+            "mean": float(field_.values.mean()),
         },
         "samples": samples,
         "heatmap_csv": "defect_field.csv",

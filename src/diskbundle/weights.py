@@ -111,14 +111,11 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
             field="length",
         )
     exponents = np.zeros(length, dtype=int)
-    for j, start in enumerate(starts, start=1):
-        for m in range(j + 1):
-            exponents[start + m] = m
-            exponents[start + j + m] = j - m
     values = np.ones(length, dtype=float)
-    base = 1.0 + epsilon
-    for i in np.flatnonzero(exponents):
-        values[i] = base ** (2 * int(exponents[i]))
+    for j, start in enumerate(starts, start=1):
+        tent = j - np.abs(np.arange(-j, j + 1))
+        exponents[start : start + 2 * j + 1] = tent
+        values[start : start + 2 * j + 1] = (1.0 + epsilon) ** (2.0 * tent)
     return WeightSequence(
         values=values,
         epsilon=float(epsilon),
@@ -154,8 +151,8 @@ def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> KernelRatio
     """Weighted-to-unweighted kernel diagonal ratio over the given radii.
 
     Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``; for a spike-built
-    sequence it must land in ``[1 - alpha, 1]`` up to the kernel-sum
-    certificate.
+    sequence it must land in ``[1 - alpha, 1]`` up to the rounding bound
+    of :func:`weighted_kernel_diag_certified`.
     """
     ratios = []
     for r in radii:

@@ -7,8 +7,8 @@ residuals, the kernel closed forms, the weighted backward shift on
 coefficients, the Green quadrature written as a loop over cells and
 subcells, the CSV dump through ``csv.writer``, the whole-sequence forms
 of the counterexample's three fast paths (the kernel sum over every
-stored weight, the spike values one slot at a time, the weight dump
-through ``csv.writer``), the Toeplitz section filled block by block with
+stored weight in extended precision, the spike values one slot at a
+time, the weight dump through ``csv.writer``), the Toeplitz section filled block by block with
 its shift-intertwining gap taken through Kronecker shift matrices, and
 the product of two symbols built entry by entry in rational arithmetic.
 Two test inputs live here too: the truncated Hardy-line frame
@@ -17,8 +17,9 @@ Every production derivative comes from exact rational calculus, the
 Gram-Schmidt defect field must match the LAPACK one to roundoff with the
 same failures, ``carleson_constant`` bins the same boxes by sector, the
 package's Green stencil computes the same quadrature on whole arrays,
-the fast paths and the section gather must match their forms here bit
-for bit, and the multiplicativity check takes the blocks of a product
+the kernel sum must match its form here within its rounding bound, the
+other fast paths and the section gather must match theirs bit for bit,
+and the multiplicativity check takes the blocks of a product
 from pointwise products of circle samples.
 """
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condition_message, projection, projection_dz
 from diskbundle.calculus import TWO_PI
-from diskbundle.errors import CapacityError, DataError, DomainError, ParameterError
-from diskbundle.kernels import KERNEL_REL_TOL
+from diskbundle.errors import CapacityError, DomainError, ParameterError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, _fourier_blocks
 
@@ -212,29 +212,14 @@ def backward_shift_apply(w, coeffs) -> np.ndarray:
     return ratios * a[1:]
 
 
-def whole_array_kernel_diag(w, lam: complex, rel_tol: float = KERNEL_REL_TOL):
-    """``weighted_kernel_diag_certified`` with every term, partial sum and
-    tail bound built over all stored weights before the stop is chosen."""
-    values = np.asarray(w.values, dtype=float)
-    if np.any(values <= 0.0):
-        raise DataError("weights must be positive")
-    x = abs(lam) ** 2
-    if x >= 1.0:
-        raise ParameterError("kernel parameter must lie in the open unit disk")
-    if x == 0.0:
-        return float(1.0 / values[0]), 0.0
-    wmin = min(float(values.min()), 1.0)
-    n = np.arange(len(values))
-    terms = np.power(x, n) / values
-    partials = np.cumsum(terms)
-    bounds = np.power(x, n + 1) / ((1.0 - x) * wmin)
-    ok = bounds <= rel_tol * partials
-    hit = np.nonzero(ok)[0]
-    if hit.size and hit[0] < len(values) - 1:
-        i = int(hit[0])
-        return float(partials[i]), float(bounds[i])
-    total = float(partials[-1]) + x ** len(values) / (1.0 - x)
-    return total, 8.0 * np.finfo(float).eps * total
+def whole_array_kernel_diag(w, lam: complex) -> np.longdouble:
+    """The weighted kernel diagonal ``sum x^n / w_n`` in extended precision:
+    every stored weight term by term, then the unit tail ``x^N / (1-x)``,
+    at the float ``x = |lam|^2`` the package sums at (``1/(1-x)`` is too
+    sensitive to ``x`` to square ``|lam|`` in extended precision instead)."""
+    values = np.asarray(w.values, dtype=np.longdouble)
+    x = np.longdouble(abs(lam) ** 2)
+    return np.sum(x ** np.arange(len(values)) / values) + x ** len(values) / (1 - x)
 
 
 def spike_values_loop(exponents, epsilon: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from diskbundle.errors import NumericalError, ParameterError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, toeplitz_section
 from diskbundle.weights import weights_from_csv
-from oracles import constant_field
+from oracles import constant_field, whole_array_kernel_diag
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,15 +93,14 @@ def test_counterexample_at_benchmark_length(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"epsilon": eps, "spike_count": 3, "length": 10**5, "radii": radii})
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    w = weights_from_csv(tmp_path / "out" / "weights.csv").values
-    assert len(w) == 10**5 and w[0] == 1.0
-    assert report["growth_max"] == float(w.max())
+    w = weights_from_csv(tmp_path / "out" / "weights.csv")
+    assert w.length == 10**5 and w.values[0] == 1.0
+    assert report["growth_max"] == float(w.values.max())
     assert report["growth_max"] == pytest.approx((1.0 + eps) ** 6, rel=1e-15)
-    # kernel ratios from the reparsed weights, unit tail in closed form
-    n = np.arange(len(w))
-    ratios = [(1.0 - r * r) * (float(np.sum(np.power(r * r, n) / w)) + (r * r) ** len(w) / (1.0 - r * r)) for r in radii]
-    assert report["kernel_ratio"]["min"] == pytest.approx(min(ratios), rel=1e-10)
-    assert report["kernel_ratio"]["max"] == pytest.approx(max(ratios), rel=1e-10)
+    # kernel ratios from the reparsed weights, every term summed in extended precision
+    ratios = [float((1.0 - r * r) * whole_array_kernel_diag(w, r)) for r in radii]
+    assert report["kernel_ratio"]["min"] == pytest.approx(min(ratios), rel=1e-14, abs=0.0)
+    assert report["kernel_ratio"]["max"] == pytest.approx(max(ratios), rel=1e-14, abs=0.0)
     assert 1.0 - report["alpha"] - 1e-9 <= report["kernel_ratio"]["min"] <= report["kernel_ratio"]["max"] <= 1.0 + 1e-9
 
 

@@ -90,12 +90,11 @@ def test_weighted_diag_rejects_boundary():
 
 
 def test_weighted_diag_returns_plain_floats():
-    # the three branches: the origin, an early stop, the closed-form unit tail
+    # the origin, where only the x^0 term counts, and radii away from it
     w = build_spike_weight(0.1, 1, 64)
     for lam in (0.0, 0.5, 0.999):
         value, bound = weighted_kernel_diag_certified(w, lam)
         assert type(value) is float and type(bound) is float
-    assert bound == 8.0 * np.finfo(float).eps * value  # 0.999 runs past 64 terms
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -103,6 +103,13 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert result.stdout.strip() == "['diskbundle']"
 
 
+def test_cli_import_loads_no_numpy():
+    # so the entry module's thread pin comes before numpy in ``python -m diskbundle.cli``
+    result = python("-c", "import sys, diskbundle.cli; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_every_export_resolves_in_its_module_and_nothing_else_does():
     listed = dir(diskbundle)
     for module, names in diskbundle._EXPORTS.items():
@@ -166,11 +173,12 @@ print(dict(os.environ) == before, gc.get_freeze_count(), gc.isenabled())
     not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
     reason="an idle BLAS worker thread can only show on a Linux host with two or more CPUs",
 )
-def test_command_uses_no_more_cpu_than_wall_time(tmp_path):
+@pytest.mark.parametrize("module", ["diskbundle", "diskbundle.cli"])
+def test_command_uses_no_more_cpu_than_wall_time(tmp_path, module):
     """With one BLAS thread a run is single-threaded, so its CPU time stays
     within its wall time; an idle OpenBLAS worker would spin beyond it."""
     config = command_configs(tmp_path)["counterexample"]
-    argv = [sys.executable, "-m", "diskbundle", "counterexample", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv = [sys.executable, "-m", module, "counterexample", "--config", str(config), "--out", str(tmp_path / "out")]
     start = time.perf_counter()
     child = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=child_env())
     _, status, usage = os.wait4(child.pid, 0)
