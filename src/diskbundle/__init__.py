@@ -20,8 +20,8 @@ import importlib
 #: the public names, by the submodule that defines them
 _EXPORTS = {
     "bundle": (
-        "AnalyticFrame", "BundleCurvature", "DefectField", "GramBounds", "curvature_defect", "defect_field",
-        "full_bundle_curvature", "gram", "gram_bounds", "hs_norm_sq", "load_frame", "projection", "projection_dz",
+        "AnalyticFrame", "DefectField", "curvature_defect", "defect_field", "full_bundle_curvature", "gram",
+        "gram_bounds", "hs_norm_sq", "load_frame", "projection", "projection_dz",
     ),
     "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (
@@ -39,9 +39,8 @@ _EXPORTS = {
         "left_invertibility_margin", "load_symbol", "multiplicativity_check", "scalar_inner_outer", "toeplitz_section",
     ),
     "weights": (
-        "KernelRatio", "SpikeBound", "WeightSequence", "build_spike_weight", "counterexample_report",
-        "kernel_ratio_check", "ratio_bound_check", "shift_growth_witness", "spike_peak_bound", "weights_from_csv",
-        "weights_to_csv",
+        "WeightSequence", "build_spike_weight", "counterexample_report", "kernel_ratio_check", "ratio_bound_check",
+        "shift_growth_witness", "spike_peak_bound", "weights_from_csv", "weights_to_csv",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,7 +10,8 @@ derivative is the curvature defect tracked throughout the package, and
     |dP_full|^2 = n / (1 - |lam|^2)^2 + |dP_frame|^2
 
 by differentiating the projection of the kernel-tensored frame, whose Gram
-scalars are closed-form kernel sums.
+scalars are closed-form kernel sums. It and ``gram_bounds`` return plain
+dicts under the keys of the ``curvature`` report.
 
 ``defect_field`` evaluates the frame and its exact derivative in one
 pass on the whole grid, with the points on the last axis, and factors
@@ -32,7 +33,7 @@ point as a ``rows x cols`` matrix, with its derivative from the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -124,24 +125,14 @@ def curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
     return hs_norm_sq(projection_dz(frame, lam))
 
 
-class BundleCurvature(NamedTuple):
-    """Curvature split at one parameter.
+def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
+    """Curvature split ``n/(1-|lam|^2)^2 + defect`` at one parameter.
 
     ``total`` is ``shift_part + defect``; ``tensor_total`` recomputes the
     same quantity by differentiating the projection of the kernel-tensored
     frame, whose Gram scalars are the kernel sums in closed form, and
     ``discrepancy`` is the gap between the two routes.
     """
-
-    total: float
-    shift_part: float
-    defect: float
-    tensor_total: float
-    discrepancy: float
-
-
-def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature:
-    """Split ``n/(1-|lam|^2)^2 + defect`` and its tensored cross-check."""
     x = abs(lam) ** 2
     if x >= 1.0:
         raise ParameterError("lam must lie in the open unit disk")
@@ -166,21 +157,13 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> BundleCurvature
     inner = p - q.conj().T @ np.linalg.solve(s, q)
     tensor_total = float(np.trace(np.linalg.solve(s, inner)).real)
 
-    return BundleCurvature(
-        total=total,
-        shift_part=shift_part,
-        defect=defect,
-        tensor_total=tensor_total,
-        discrepancy=abs(tensor_total - total),
-    )
-
-
-class GramBounds(NamedTuple):
-    """Extreme Gram eigenvalues over a grid; ``c_min > 0`` certifies the
-    frame is uniformly nondegenerate at grid resolution."""
-
-    c_min: float
-    c_max: float
+    return {
+        "total": total,
+        "shift_part": shift_part,
+        "defect": defect,
+        "tensor_total": tensor_total,
+        "discrepancy": abs(tensor_total - total),
+    }
 
 
 @dataclass(frozen=True)
@@ -242,10 +225,11 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     return DefectField(grid=grid, values=values, failures=failures, gram_lo=lo, gram_hi=hi)
 
 
-def gram_bounds(field: DefectField) -> GramBounds:
-    """Reduce the per-point Gram extremes that :func:`defect_field` kept."""
+def gram_bounds(field: DefectField) -> dict:
+    """Extreme Gram eigenvalues ``{"c_min", "c_max"}`` kept by :func:`defect_field`;
+    ``c_min > 0`` certifies the frame is uniformly nondegenerate at grid resolution."""
     if field.gram_lo is None or field.gram_hi is None:
         raise DataError("field carries no Gram extremes; build it with defect_field")
     if field.is_partial:
         raise DataError("field is partial; its Gram extremes do not cover the grid")
-    return GramBounds(c_min=float(np.min(field.gram_lo)), c_max=float(np.max(field.gram_hi)))
+    return {"c_min": float(np.min(field.gram_lo)), "c_max": float(np.max(field.gram_hi))}

@@ -285,12 +285,11 @@ def _cmd_curvature(cfg: dict) -> tuple:
         raise NumericalError(
             f"defect field is partial ({len(field_.failures)} failures); first: {field_.failures[0][1]}"
         )
-    bounds = gram_bounds(field_)
-    samples = [{"lambda": _pair(lam), **full_bundle_curvature(frame, lam)._asdict()} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
+    samples = [{"lambda": _pair(lam), **full_bundle_curvature(frame, lam)} for lam in (0.0 + 0.0j, 0.5 + 0.0j)]
     doc = {
         "command": "curvature",
         "grid": grid_meta(grid),
-        "gram_bounds": bounds._asdict(),
+        "gram_bounds": gram_bounds(field_),
         "defect": {
             "min": float(field_.values.min()),
             "max": float(field_.values.max()),

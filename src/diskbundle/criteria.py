@@ -213,13 +213,13 @@ def similarity_verdict(
     carleson = carleson_check(field, max_depth)
     pointwise = pointwise_bound(field)
     checks = {
-        "gram": bounds.c_min > 0.0,
+        "gram": bounds["c_min"] > 0.0,
         "green": green_inf >= -thresholds.M,
         "carleson": carleson <= thresholds.C,
         "pointwise": pointwise <= thresholds.C,
     }
     report.update(
-        gram_bounds=bounds._asdict(),
+        gram_bounds=bounds,
         green_inf=green_inf,
         carleson_const=carleson,
         pointwise_const=pointwise,

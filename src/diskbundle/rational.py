@@ -179,6 +179,8 @@ class RationalFunction:
                 if not np.isfinite(vals[-1]):
                     raise DataError(f"{where}: not finite", field=where)
             coeffs[key] = vals
+        if not any(coeffs["den"]):
+            raise DataError(f"{field}.den: denominator is identically zero", field=f"{field}.den")
         return cls(coeffs["num"], coeffs["den"])
 
 
@@ -229,8 +231,8 @@ class RationalMatrix:
         if np.ndim(z):  # a scalar stays as given, so it keeps Python's complex arithmetic
             z = np.asarray(z, dtype=complex)
         out = np.empty((k, self.rows, self.cols, *np.shape(z)), dtype=complex)
-        # a pole on a point gives inf or nan there; callers check finiteness
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a pole on a point, or a value beyond the float range, gives inf or nan there; callers check finiteness
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
                     out[:, i, j] = fn(e, z)

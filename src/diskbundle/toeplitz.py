@@ -123,9 +123,13 @@ def _blocks_of(vals: np.ndarray):
     (blocks, aliasing_estimate).
 
     ``blocks[..., k]`` is the coefficient at offset ``k`` for ``k < m/2``
-    and at ``k - m`` beyond, the usual FFT layout.
+    and at ``k - m`` beyond, the usual FFT layout. A sample that is not
+    finite raises :class:`NumericalError` naming its point.
     """
     m = vals.shape[-1]
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
+    if bad.size:
+        raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
     blocks = np.fft.fft(vals) / m
     edge = np.abs(blocks[..., m // 2 - 1 : m // 2 + 2])
     return blocks, float(np.max(edge))

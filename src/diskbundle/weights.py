@@ -11,14 +11,15 @@ The sequences store integer half-log exponents alongside the float
 weights; ratio checks use exponent differences, so the reported extreme
 ratio is bitwise ``(1+eps)**2`` rather than a rounded quotient. The
 report adds the kernel-diagonal ratios, the per-spike extremal bounds and
-the growth of the shift orbit ``|S^n 1|_w^2 = w_n``.
+the growth of the shift orbit ``|S^n 1|_w^2 = w_n``. The checks return
+plain dicts under the report's own keys.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -142,13 +143,8 @@ def ratio_bound_check(w: WeightSequence) -> float:
     return float(np.max(np.maximum(r, 1.0 / r)))
 
 
-class KernelRatio(NamedTuple):
-    min_ratio: float
-    max_ratio: float
-
-
-def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> KernelRatio:
-    """Weighted-to-unweighted kernel diagonal ratio over the given radii.
+def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> dict:
+    """Range ``{"min", "max"}`` of the kernel diagonal ratio over the given radii.
 
     Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``; for a spike-built
     sequence it must land in ``[1 - alpha, 1]`` up to the rounding bound
@@ -163,21 +159,7 @@ def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> KernelRatio
         ratios.append(value * (1.0 - r * r))
     if not ratios:
         raise ParameterError("at least one radius is required")
-    return KernelRatio(min_ratio=min(ratios), max_ratio=max(ratios))
-
-
-@dataclass(frozen=True)
-class SpikeBound:
-    """Extremal value of ``x^(N+1) - x^(N+2j)`` on [0, 1] and its bound."""
-
-    j: int
-    start: int
-    extremal: float
-    bound: float
-
-    def __post_init__(self):
-        if self.extremal > self.bound + 1e-12:
-            raise DataError("extremal value exceeds its bound")
+    return {"min": min(ratios), "max": max(ratios)}
 
 
 def _grid_max(fn, lo: float, hi: float) -> float:
@@ -193,13 +175,15 @@ def _grid_max(fn, lo: float, hi: float) -> float:
     return best
 
 
-def spike_peak_bound(n_start: int, j: int) -> SpikeBound:
-    """Closed-form maximum of ``x^(N+1) - x^(N+2j)`` on [0, 1], cross-checked.
+def spike_peak_bound(n_start: int, j: int) -> dict:
+    """Report row ``{"j", "N_j", "A_j", "bound"}`` of spike ``j`` from ``N = n_start``:
+    the maximum ``A_j`` of ``x^(N+1) - x^(N+2j)`` on [0, 1] and ``(2j-1)/(N+2j)``.
 
     The closed form evaluates the function at the stationary point
     ``x = ((N+1)/(N+2j))^(1/(2j-1))``; an independent grid search (in the
     variable ``u = -ln x``, which stays resolvable for huge ``N``) must
-    agree within 1e-9 or :class:`AccuracyError` is raised.
+    agree within 1e-9, and ``A_j`` may not exceed its bound, or else
+    :class:`AccuracyError` is raised.
     """
     if n_start < 1 or j < 1:
         raise ParameterError("need n_start >= 1 and j >= 1")
@@ -214,7 +198,9 @@ def spike_peak_bound(n_start: int, j: int) -> SpikeBound:
         raise AccuracyError(
             f"closed-form extremal {extremal!r} and grid search {searched!r} disagree"
         )
-    return SpikeBound(j=j, start=n_start, extremal=float(extremal), bound=float(bound))
+    if extremal > bound + 1e-12:
+        raise AccuracyError("extremal value exceeds its bound")
+    return {"j": j, "N_j": int(n_start), "A_j": float(extremal), "bound": float(bound)}
 
 
 def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
@@ -341,17 +327,16 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
         raise ParameterError("the counterexample report needs a spike-built weight")
     spikes = []
     for j, start in enumerate(w.spike_starts, start=1):
-        sb = spike_peak_bound(start, j)
-        if sb.bound > w.alpha / 2 ** j + 1e-12:
+        spike = spike_peak_bound(start, j)
+        if spike["bound"] > w.alpha / 2 ** j + 1e-12:
             raise AccuracyError("spike bound exceeds alpha / 2^j; construction is inconsistent")
-        spikes.append({"j": j, "N_j": int(start), "A_j": sb.extremal, "bound": sb.bound})
+        spikes.append(spike)
     growth = shift_growth_witness(w, [1.0], w.length - 1)
-    ratio = kernel_ratio_check(w, radii)
     return {
         "epsilon": float(w.epsilon),
         "alpha": float(w.alpha),
         "spikes": spikes,
         "ratio_check": ratio_bound_check(w),
-        "kernel_ratio": {"min": ratio.min_ratio, "max": ratio.max_ratio},
+        "kernel_ratio": kernel_ratio_check(w, radii),
         "growth_max": float(np.max(growth)),
     }

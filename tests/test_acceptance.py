@@ -99,12 +99,12 @@ def test_criterion_02_curvature_sum():
         for frame in fixture_frames():
             for lam in disk_points(20, 0.9, seed=17):
                 split = full_bundle_curvature(frame, lam)
-                assert split.discrepancy <= 1e-6
+                assert split["discrepancy"] <= 1e-6
             # the kernel sums are closed forms, so the two routes agree up to the rim
             for radius in (0.99, 0.999, 0.9999):
                 for angle in (0.0, 1.0):
                     split = full_bundle_curvature(frame, radius * np.exp(1j * angle))
-                    assert split.discrepancy <= 1e-14 * split.total
+                    assert split["discrepancy"] <= 1e-14 * split["total"]
         assert time.perf_counter() - start < 30.0
 
 

@@ -309,19 +309,19 @@ def test_curvature_equals_laplacian_of_log_det_gram():
 def test_full_curvature_examples():
     const1 = AnalyticFrame.constant([[1.0], [0.0]])
     split = full_bundle_curvature(const1, 0.0)
-    assert (split.total, split.shift_part, split.defect) == (1.0, 1.0, 0.0)
-    assert split.discrepancy < 1e-12
+    assert (split["total"], split["shift_part"], split["defect"]) == (1.0, 1.0, 0.0)
+    assert split["discrepancy"] < 1e-12
 
     split = full_bundle_curvature(one_lambda_frame(), 0.5)
-    assert abs(split.shift_part - 16 / 9) < 1e-14
-    assert abs(split.defect - 0.64) < 1e-14
-    assert abs(split.total - (16 / 9 + 0.64)) < 1e-13
-    assert split.discrepancy < 1e-12
+    assert abs(split["shift_part"] - 16 / 9) < 1e-14
+    assert abs(split["defect"] - 0.64) < 1e-14
+    assert abs(split["total"] - (16 / 9 + 0.64)) < 1e-13
+    assert split["discrepancy"] < 1e-12
 
     const2 = AnalyticFrame.constant(np.eye(2))
     split = full_bundle_curvature(const2, 0.5)
-    assert abs(split.total - 32 / 9) < 1e-13
-    assert split.defect == 0.0
+    assert abs(split["total"] - 32 / 9) < 1e-13
+    assert split["defect"] == 0.0
 
 
 def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
@@ -336,7 +336,7 @@ def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
         calls.clear()
         split = full_bundle_curvature(frame, lam)
         assert calls == ["eval_jet"]
-        assert split.defect == curvature_defect(frame, lam)
+        assert split["defect"] == curvature_defect(frame, lam)
 
 
 def test_hardy_line_frame_curvature_converges():
@@ -356,14 +356,14 @@ def test_hardy_line_frame_curvature_converges():
 def test_gram_bounds_identity():
     grid = build_grid(3, 8, 0.1)
     bounds = gram_bounds(defect_field(AnalyticFrame.constant(np.eye(2)), grid))
-    assert bounds.c_min == 1.0 and bounds.c_max == 1.0
+    assert bounds["c_min"] == 1.0 and bounds["c_max"] == 1.0
 
 
 def test_gram_bounds_one_lambda():
     grid = build_grid(8, 64, 1e-3)
     bounds = gram_bounds(defect_field(one_lambda_frame(), grid))
-    assert 1.0 <= bounds.c_min <= 1.1
-    assert 1.9 <= bounds.c_max <= 2.0
+    assert 1.0 <= bounds["c_min"] <= 1.1
+    assert 1.9 <= bounds["c_max"] <= 2.0
 
 
 def test_gram_bounds_degenerate_frame():
@@ -371,7 +371,7 @@ def test_gram_bounds_degenerate_frame():
     frame = AnalyticFrame([[RationalFunction([0.0, 1.0])], [RationalFunction([0.0])]])
     bounds = gram_bounds(defect_field(frame, grid))
     min_r = np.min(np.abs(grid.points))
-    assert abs(bounds.c_min - min_r**2) < 1e-12
+    assert abs(bounds["c_min"] - min_r**2) < 1e-12
 
 
 def test_defect_field_constant_frame_is_zero():
@@ -508,8 +508,8 @@ def test_gram_bounds_match_pointwise_eigvalsh():
     for frame in (quadratic_frame(), seeded_rational_frame(12, 2, seed=5), gauge_frame()):
         eigs = np.array([np.linalg.eigvalsh(gram(frame, z)) for z in grid.points])
         bounds = gram_bounds(defect_field(frame, grid))
-        assert abs(bounds.c_min - eigs[:, 0].min()) <= 1e-12 * eigs[:, 0].min()
-        assert abs(bounds.c_max - eigs[:, -1].max()) <= 1e-12 * eigs[:, -1].max()
+        assert abs(bounds["c_min"] - eigs[:, 0].min()) <= 1e-12 * eigs[:, 0].min()
+        assert abs(bounds["c_max"] - eigs[:, -1].max()) <= 1e-12 * eigs[:, -1].max()
 
 
 def ill_conditioned_5x3_frame():
@@ -533,7 +533,7 @@ def test_wide_gram_extremes_match_pointwise_svd():
     assert not field.is_partial and 1e10 < np.max(hi / lo) < CONDITION_CAP
     assert np.all(np.abs(field.gram_lo - lo) <= 1e-10 * lo)
     assert np.all(np.abs(field.gram_hi - hi) <= 1e-14 * hi)
-    assert abs(gram_bounds(field).c_min - lo.min()) <= 1e-10 * lo.min()
+    assert abs(gram_bounds(field)["c_min"] - lo.min()) <= 1e-10 * lo.min()
 
 
 def test_gram_bounds_refuse_fields_without_full_extremes():

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from diskbundle import cli
-from diskbundle.bundle import AnalyticFrame, defect_field
+from diskbundle.bundle import AnalyticFrame, defect_field, full_bundle_curvature, gram_bounds
 from diskbundle.calculus import build_grid
 from diskbundle.cli import COMMANDS, _KEYS, _REQUIRED, _int, emit_heatmap, main
 from diskbundle.errors import NumericalError, ParameterError
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, toeplitz_section
-from diskbundle.weights import weights_from_csv
+from diskbundle.weights import build_spike_weight, kernel_ratio_check, spike_peak_bound, weights_from_csv
 from oracles import constant_field, whole_array_kernel_diag
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,7 +96,7 @@ def test_counterexample_at_benchmark_length(tmp_path):
     w = weights_from_csv(tmp_path / "out" / "weights.csv")
     assert w.length == 10**5 and w.values[0] == 1.0
     assert report["growth_max"] == float(w.values.max())
-    assert report["growth_max"] == pytest.approx((1.0 + eps) ** 6, rel=1e-15)
+    assert report["growth_max"] == pytest.approx((1.0 + eps) ** 6, rel=1e-15, abs=0.0)
     # kernel ratios from the reparsed weights, every term summed in extended precision
     ratios = [float((1.0 - r * r) * whole_array_kernel_diag(w, r)) for r in radii]
     assert report["kernel_ratio"]["min"] == pytest.approx(min(ratios), rel=1e-14, abs=0.0)
@@ -369,6 +369,33 @@ def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
         assert sample["discrepancy"] <= 1e-6
 
 
+def test_library_results_are_the_curvature_report(tmp_path, capsys):
+    # gram_bounds and full_bundle_curvature return what curvature writes, under the same keys
+    frame = AnalyticFrame.from_polynomials([[1.0], [0.0, 1.0]])
+    frame.save(tmp_path / "frame.json")
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "grid": {"radial_count": 4, "angular_count": 16}})
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    grid = build_grid(4, 16, _KEYS["grid.margin"].default)
+    assert report["gram_bounds"] == gram_bounds(defect_field(frame, grid))
+    for sample in report["samples"]:
+        lam = complex(*sample.pop("lambda"))
+        assert sample == full_bundle_curvature(frame, lam)
+
+
+def test_library_results_are_the_counterexample_report(tmp_path, capsys):
+    # spike_peak_bound gives the report's spike rows and kernel_ratio_check its kernel_ratio, as they are
+    radii = [0.0, 0.5, 0.9, 0.999]
+    cfg = write_config(tmp_path / "cfg.json", {"epsilon": 0.1, "spike_count": 3, "length": 4096, "radii": radii})
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    w = build_spike_weight(0.1, 3, 4096)
+    assert report["spikes"] == [spike_peak_bound(n_j, j) for j, n_j in enumerate(w.spike_starts, start=1)]
+    assert report["kernel_ratio"] == kernel_ratio_check(w, radii)
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
@@ -461,6 +488,28 @@ def test_toeplitz_margin_failure_exits_3(tmp_path):
     assert result.returncode == 3, result.stdout + result.stderr
     error = json.loads(result.stdout)
     assert error["kind"] == "numerical" and repr(p) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "entry, analytic",
+    [
+        ({"num": [[1e300, 0.0], [1e300, 0.0]], "den": [[1e-10, 0.0]]}, True),
+        ({"num": [[1.0, 0.0]], "den": [[1e-320, 0.0]]}, True),
+        ({"num": [[1e300, 0.0], [1e300, 0.0]], "den": [[1e-10, 0.0]]}, False),
+    ],
+    ids=["analytic_overflow", "analytic_subnormal_den", "general_overflow"],
+)
+def test_symbol_values_beyond_the_float_range_exit_3_quietly(tmp_path, entry, analytic):
+    # finite coefficients whose values overflow on the circle: refused before the FFT, no numpy warning
+    one, zero = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}, {"num": [[0.0, 0.0]], "den": [[1.0, 0.0]]}
+    doc = {"rows": 2, "cols": 2, "analytic": analytic, "entries": [[entry, zero], [zero, one]]}
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json"})
+    result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert result.returncode == 3, result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert error["type"] == "NumericalError" and "is not finite" in error["message"]
+    assert result.stderr == ""
 
 
 def test_curvature_maps_a_failed_svd_to_numerical_error(tmp_path, capsys, monkeypatch):
@@ -625,6 +674,21 @@ def test_non_finite_or_extreme_coefficient_exits_2(tmp_path, capsys, command, de
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["type"] == "DataError" and error["field"] == field
+
+
+@pytest.mark.parametrize("den", [[[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["zero", "zero_pair"])
+@pytest.mark.parametrize("command", ["curvature", "criteria", "toeplitz"])
+def test_zero_denominator_names_its_field(tmp_path, capsys, command, den):
+    doc = {"rows": 1, "cols": 1, "entries": [[{"num": [[1.0, 0.0]], "den": den}]]}
+    name = "symbol" if command == "toeplitz" else "frame"
+    if name == "symbol":
+        doc["analytic"] = True
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", {name: "m.json"})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["type"] == "DataError" and error["field"] == "entries[0][0].den"
+    assert error["message"] == "entries[0][0].den: denominator is identically zero"
 
 
 @pytest.mark.parametrize(

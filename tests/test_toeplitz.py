@@ -452,3 +452,18 @@ def test_symbol_file_requires_flag(tmp_path):
     with pytest.raises(DataError) as err:
         load_symbol(path)
     assert "analytic" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [([1e300, 1e300], [1e-10]), ([1.0], [1e-320])],
+    ids=["overflow", "subnormal_den"],
+)
+def test_symbol_values_beyond_the_float_range_raise_numerical_error(num, den):
+    # the values overflow to inf on the circle; the Fourier blocks refuse them, with no numpy warning
+    entries = [[RationalFunction(num, den), RationalFunction([0.0])], [RationalFunction([0.0]), RationalFunction([1.0])]]
+    with pytest.raises(NumericalError, match=r"symbol value at z = .* is not finite"):
+        MatrixSymbol(entries, analytic=True)
+    general = MatrixSymbol(entries, analytic=False)
+    with pytest.raises(NumericalError, match=r"symbol value at z = .* is not finite"):
+        toeplitz_section(general, 4)

@@ -141,21 +141,21 @@ def test_ratio_bound_hand_sequence():
 
 def test_kernel_ratio_unit_weights():
     kr = kernel_ratio_check(WeightSequence([1.0]), [0.0, 0.5, 0.9])
-    assert abs(kr.min_ratio - 1.0) < 1e-12
-    assert abs(kr.max_ratio - 1.0) < 1e-12
+    assert abs(kr["min"] - 1.0) < 1e-12
+    assert abs(kr["max"] - 1.0) < 1e-12
 
 
 def test_kernel_ratio_spike_bracket():
     w = build_spike_weight(0.1, 1, 64)
     kr = kernel_ratio_check(w, [0.0, 0.5, 0.9, 0.99, 0.999])
-    assert 1.0 - w.alpha - 1e-9 <= kr.min_ratio
-    assert kr.max_ratio <= 1.0 + 1e-9
+    assert 1.0 - w.alpha - 1e-9 <= kr["min"]
+    assert kr["max"] <= 1.0 + 1e-9
 
 
 def test_kernel_ratio_hand_spike_at_origin():
     w = WeightSequence([1.0, 2.0, 1.0, 1.0])
     kr = kernel_ratio_check(w, [0.0])
-    assert kr.min_ratio == kr.max_ratio == 1.0
+    assert kr["min"] == kr["max"] == 1.0
 
 
 def test_kernel_ratio_rejects_radius_one():
@@ -168,23 +168,23 @@ def test_kernel_ratio_rejects_radius_one():
 
 def test_spike_peak_bound_example():
     sb = spike_peak_bound(10, 1)
-    assert abs(sb.extremal - (11 / 12) ** 11 / 12) < 1e-15
-    assert abs(sb.extremal - 0.032) < 1e-4
-    assert sb.bound == 1 / 12
-    assert sb.extremal <= sb.bound
+    assert abs(sb["A_j"] - (11 / 12) ** 11 / 12) < 1e-15
+    assert abs(sb["A_j"] - 0.032) < 1e-4
+    assert sb["bound"] == 1 / 12
+    assert sb["A_j"] <= sb["bound"]
 
 
 def test_spike_peak_bound_second_spike():
     sb = spike_peak_bound(66, 2)
-    assert sb.bound == 3 / 70
+    assert sb["bound"] == 3 / 70
     alpha = 0.21 / 1.21
-    assert sb.extremal <= sb.bound <= alpha / 4 + 1e-12
+    assert sb["A_j"] <= sb["bound"] <= alpha / 4 + 1e-12
 
 
 def test_spike_peak_bound_cubic():
     sb = spike_peak_bound(1, 1)
-    assert abs(sb.extremal - 4 / 27) < 1e-12
-    assert sb.bound == 1 / 3
+    assert abs(sb["A_j"] - 4 / 27) < 1e-12
+    assert sb["bound"] == 1 / 3
 
 
 @pytest.mark.parametrize("n_start,j", [(1, 1), (10, 1), (100, 3), (10**4, 5), (10**6, 10)])
@@ -192,7 +192,7 @@ def test_spike_peak_closed_form_vs_grid_search(n_start, j):
     # spike_peak_bound raises AccuracyError if the independent grid search
     # disagrees with the closed form beyond 1e-9
     sb = spike_peak_bound(n_start, j)
-    assert 0.0 < sb.extremal <= sb.bound
+    assert 0.0 < sb["A_j"] <= sb["bound"]
 
 
 def test_spike_peak_bound_rejects_bad_input():
