@@ -1,9 +1,9 @@
 """Curvature of analytic frame bundles on the unit disk.
 
 The package computes the differential geometry of moving subspaces given
-by rational frames (projections, holomorphic derivatives, curvature
-defects, Gram bounds), evaluates similarity-type diagnostics for the
-resulting defect fields (Green potential, dyadic Carleson constant,
+by rational frames (curvature defects at a point and on a grid, the
+curvature split, Gram bounds), evaluates similarity-type diagnostics for
+the resulting defect fields (Green potential, dyadic Carleson constant,
 pointwise growth bound), verifies finite-section Toeplitz identities with
 rational matrix symbols including scalar inner-outer factorization, and
 builds the spike weight whose kernel ratios, ratio bounds and shift-orbit
@@ -20,8 +20,8 @@ import importlib
 #: the public names, by the submodule that defines them
 _EXPORTS = {
     "bundle": (
-        "AnalyticFrame", "DefectField", "curvature_defect", "defect_field", "full_bundle_curvature", "gram",
-        "gram_bounds", "hs_norm_sq", "load_frame", "projection", "projection_dz",
+        "AnalyticFrame", "DefectField", "curvature_defect", "defect_field", "full_bundle_curvature", "gram_bounds",
+        "load_frame",
     ),
     "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (

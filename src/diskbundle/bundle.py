@@ -21,13 +21,10 @@ projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
 extreme Gram eigenvalues are the squared extreme singular values of
 ``R`` (in closed form for up to two columns, from one batched SVD of the
 ``cols x cols`` factors for wider frames); they decide the condition
-check, with the same cap and message as the scalar path, and the field
-keeps them for ``gram_bounds``. A point that fails the check, or is not
-finite, is NaN and listed in the field's failures. The scalar
-``projection``, ``projection_dz`` and ``curvature_defect`` stay as the
-reference the sweeps are tested against; they take the frame at one
-point as a ``rows x cols`` matrix, with its derivative from the same
-``eval_jet``.
+check, and the field keeps them for ``gram_bounds``. ``curvature_defect``
+and ``full_bundle_curvature`` run the same kernel and check at their one
+point: a point the field would list as a failure makes them raise
+:class:`~diskbundle.errors.ConditioningError` with the message listed.
 """
 
 from __future__ import annotations
@@ -68,12 +65,6 @@ def load_frame(path) -> AnalyticFrame:
     return AnalyticFrame.load(path)
 
 
-def gram(frame: AnalyticFrame, lam: complex) -> np.ndarray:
-    """Hermitian Gram matrix ``F(lam)* F(lam)`` at one point."""
-    a = frame.eval(lam)
-    return a.conj().T @ a
-
-
 def _condition_message(lo: float, hi: float) -> str:
     # an overflowed Gram matrix has inf eigenvalues, whose quotient would read nan
     condition = hi / lo if lo > 0 and np.isfinite(lo) and np.isfinite(hi) else np.inf
@@ -83,46 +74,42 @@ def _condition_message(lo: float, hi: float) -> str:
     )
 
 
-def _checked_gram(a: np.ndarray):
-    """Gram matrix ``a* a``, refused when it is not finite or too ill-conditioned."""
+def _checked_defect(f: np.ndarray, fp: np.ndarray):
+    """Defect and Gram check at every point of ``F`` and ``F'``, laid out
+    ``(rows, cols, n)``; returns ``(values, failures, lo, hi)``.
+
+    A point whose Gram matrix exceeds the condition cap, or where the
+    frame, its derivative or its Gram matrix is not finite, gets NaN in
+    ``values`` and is listed in ``failures`` as ``(index, message)``;
+    ``lo`` and ``hi`` are NaN where something is not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = a.conj().T @ a
-    eigs = np.linalg.eigvalsh(g)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0.0 or hi / lo > CONDITION_CAP:
-        raise ConditioningError(_condition_message(lo, hi))
-    return g
+        lo, hi, exp, values = gram_schmidt(f, fp)
+        lo, hi = np.ldexp(lo, 2 * exp), np.ldexp(hi, 2 * exp)
+    ok = np.isfinite(hi) & np.all(np.isfinite(fp), axis=(0, 1))
+    lo[~ok] = hi[~ok] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
+    values[~ok] = np.nan
+    not_finite = "frame, derivative or Gram matrix is not finite"
+    failures = tuple(
+        (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
+    )
+    return values, failures, lo, hi
 
 
-def projection(frame: AnalyticFrame, lam: complex) -> np.ndarray:
-    """Orthogonal projection onto the column span of ``F(lam)``."""
-    a = frame.eval(lam)
-    g = _checked_gram(a)
-    return a @ np.linalg.solve(g, a.conj().T)
-
-
-def _projection_dz(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``(I - P) F' (F*F)^-1 F*`` from ``F``, ``F'`` and the checked Gram ``F*F`` at one point."""
-    solve_at = np.linalg.solve(g, a.conj().T)
-    p = a @ solve_at
-    eye = np.eye(a.shape[0], dtype=complex)
-    return (eye - p) @ d @ solve_at
-
-
-def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
-    """Holomorphic derivative ``(I - P) F' (F*F)^-1 F*`` of the projection."""
-    a, d = frame.eval_jet(lam)
-    return _projection_dz(a, d, _checked_gram(a))
-
-
-def hs_norm_sq(m) -> float:
-    """Squared Hilbert-Schmidt (Frobenius) norm, ``trace(m* m)``."""
-    return float(np.sum(np.abs(np.asarray(m)) ** 2))
+def _point_defect(f: np.ndarray, fp: np.ndarray) -> float:
+    """The defect of :func:`_checked_defect` at one ``rows x cols`` point;
+    a point it lists raises :class:`ConditioningError` with its message."""
+    values, failures, _, _ = _checked_defect(f[..., None], fp[..., None])
+    if failures:
+        raise ConditioningError(failures[0][1])
+    return float(values[0])
 
 
 def curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
-    """``|dP/dz|_HS^2`` of the frame's projection; always >= 0."""
-    return hs_norm_sq(projection_dz(frame, lam))
+    """``|dP/dz|_HS^2`` of the frame's projection at one point; always >= 0."""
+    return _point_defect(*frame.eval_jet(lam))
 
 
 def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
@@ -138,10 +125,9 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
         raise ParameterError("lam must lie in the open unit disk")
     n = frame.cols
     shift_part = n / (1.0 - x) ** 2
-    # one evaluation and one Gram check serve both routes
+    # one evaluation serves both routes; the checked defect vouches for the Gram matrices
     f, fp = frame.eval_jet(lam)
-    gf = _checked_gram(f)
-    defect = hs_norm_sq(_projection_dz(f, fp, gf))
+    defect = _point_defect(f, fp)
     total = shift_part + defect
 
     # tensored route: cross-Gram scalars of the kernel vector (x^k) and its
@@ -149,6 +135,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
     one = 1.0 - x
     s00, sigma1, a11 = 1.0 / one, 1.0 / one**2, (1.0 + x) / one**3
     a01 = np.conj(lam) * sigma1
+    gf = f.conj().T @ f
     gc = f.conj().T @ fp
     gd = fp.conj().T @ fp
     s = s00 * gf
@@ -205,23 +192,11 @@ class DefectField:
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     """Curvature defect on the whole grid at once; failures are collected, not fatal.
 
-    A point whose Gram matrix fails the scalar path's condition check gets
-    NaN and the scalar path's message; a point where the frame, its
-    derivative or its Gram matrix is not finite gets NaN and says so.
+    A point whose Gram matrix exceeds the condition cap, or where the
+    frame, its derivative or its Gram matrix is not finite, gets NaN and
+    the message :func:`curvature_defect` raises there.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, fp = frame.eval_jet(grid.points)
-        lo, hi, exp, values = gram_schmidt(f, fp)
-        lo, hi = np.ldexp(lo, 2 * exp), np.ldexp(hi, 2 * exp)
-    ok = np.isfinite(hi) & np.all(np.isfinite(fp), axis=(0, 1))
-    lo[~ok] = hi[~ok] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok &= (lo > 0.0) & ~(hi / lo > CONDITION_CAP)
-    values[~ok] = np.nan
-    not_finite = "frame, derivative or Gram matrix is not finite"
-    failures = tuple(
-        (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
-    )
+    values, failures, lo, hi = _checked_defect(*frame.eval_jet(grid.points))
     return DefectField(grid=grid, values=values, failures=failures, gram_lo=lo, gram_hi=hi)
 
 

@@ -5,13 +5,11 @@ complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
 symbols both are. Its values are laid out ``(rows, cols, *shape(z))``, the
-points on the last axis, for a scalar and an array alike. Also here is
-:func:`gram_schmidt`, the factorization ``F = QR`` at every point of a
-grid that the frame defect, the Gram extremes and the symbol margin all
-take their numbers from, for every width. Sums and products (``__add__``,
-``__mul__``, ``poly_add``) have no caller in the package: the tests use
-them for the reference product symbol (``tests/oracles.symbol_product``)
-and for gauges.
+points on the last axis, and a scalar is evaluated as a 0-d array, by the
+same numpy arithmetic as a grid. Also here is :func:`gram_schmidt`, the
+factorization ``F = QR`` at every point of a grid that the frame defect,
+the Gram extremes and the symbol margin all take their numbers from, for
+every width and for one point alike.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ def poly_eval(coeffs: np.ndarray, z):
     acc = np.zeros_like(np.asarray(z, dtype=complex))
     for c in coeffs[::-1]:
         acc = acc * z + c
-    if np.ndim(z) == 0:
-        return complex(acc)
     return acc
 
 
@@ -52,15 +48,6 @@ def poly_deriv(coeffs: np.ndarray) -> np.ndarray:
 
 def poly_mul(a, b) -> np.ndarray:
     return as_coeffs(np.convolve(as_coeffs(a), as_coeffs(b)))
-
-
-def poly_add(a, b) -> np.ndarray:
-    a, b = as_coeffs(a), as_coeffs(b)
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return as_coeffs(out)
 
 
 def poly_from_roots(roots, leading=1.0) -> np.ndarray:
@@ -131,17 +118,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return len(self.num) == 1 and self.num[0] == 0
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RationalFunction(num, poly_mul(self.den, other.den))
 
     def __repr__(self):
         return f"RationalFunction(num={self.num.tolist()}, den={self.den.tolist()})"
@@ -228,8 +204,7 @@ class RationalMatrix:
         """``k`` arrays per entry from ``fn(entry, z)``, laid out
         ``(k, rows, cols, *shape(z))``: the points on the last axis, so a
         scalar gives ``k`` matrices of ``rows x cols``."""
-        if np.ndim(z):  # a scalar stays as given, so it keeps Python's complex arithmetic
-            z = np.asarray(z, dtype=complex)
+        z = np.asarray(z, dtype=complex)
         out = np.empty((k, self.rows, self.cols, *np.shape(z)), dtype=complex)
         # a pole on a point, or a value beyond the float range, gives inf or nan there; callers check finiteness
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

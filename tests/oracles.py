@@ -1,26 +1,29 @@
 """Reference implementations the tests hold the package to.
 
 None of these is reached by a command: finite-difference Wirtinger
-derivatives and Laplacian, the defect field from batched ``eigvalsh``,
-QR and ``solve``, the brute-force dyadic Carleson boxes, projection
-residuals, the kernel closed forms, the weighted backward shift on
-coefficients, the Green quadrature written as a loop over cells and
-subcells, the CSV dump through ``csv.writer``, the whole-sequence forms
-of the counterexample's three fast paths (the kernel sum over every
-stored weight in extended precision, the spike values one slot at a
-time, the weight dump through ``csv.writer``), the Toeplitz section filled block by block with
-its shift-intertwining gap taken through Kronecker shift matrices, and
-the product of two symbols built entry by entry in rational arithmetic.
+derivatives and Laplacian, the projection and its derivative at one
+point by ``solve`` on the ``eigvalsh``-checked Gram matrix, the defect
+field from batched ``eigvalsh``, QR and ``solve``, the brute-force
+dyadic Carleson boxes, projection residuals, the kernel closed forms,
+the weighted backward shift on coefficients, the Green quadrature
+written as a loop over cells and subcells, the CSV dump through
+``csv.writer``, the whole-sequence forms of the counterexample's three
+fast paths (the kernel sum over every stored weight in extended
+precision, the spike values one slot at a time, the weight dump through
+``csv.writer``), the Toeplitz section filled block by block with its
+shift-intertwining gap taken through Kronecker shift matrices, and the
+product of two symbols built entry by entry from sums and products of
+rational functions, which live only here.
 Two test inputs live here too: the truncated Hardy-line frame
 ``(1, lam, lam^2, ...)`` and the uniform defect field.
 Every production derivative comes from exact rational calculus, the
-Gram-Schmidt defect field must match the LAPACK one to roundoff with the
-same failures, ``carleson_constant`` bins the same boxes by sector, the
-package's Green stencil computes the same quadrature on whole arrays,
-the kernel sum must match its form here within its rounding bound, the
-other fast paths and the section gather must match theirs bit for bit,
-and the multiplicativity check takes the blocks of a product
-from pointwise products of circle samples.
+Gram-Schmidt defect, at one point and on a grid, must match the LAPACK
+one to roundoff with the same failures, ``carleson_constant`` bins the
+same boxes by sector, the package's Green stencil computes the same
+quadrature on whole arrays, the kernel sum must match its form here
+within its rounding bound, the other fast paths and the section gather
+must match theirs bit for bit, and the multiplicativity check takes the
+blocks of a product from pointwise products of circle samples.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condition_message, projection, projection_dz
+from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condition_message
 from diskbundle.calculus import TWO_PI
-from diskbundle.errors import CapacityError, DomainError, ParameterError
-from diskbundle.rational import RationalFunction
+from diskbundle.errors import CapacityError, ConditioningError, DomainError, ParameterError
+from diskbundle.rational import RationalFunction, as_coeffs, poly_mul
 from diskbundle.toeplitz import MatrixSymbol, _fourier_blocks
 
 #: default finite-difference step; balances truncation against roundoff
@@ -80,6 +83,55 @@ def hardy_line_frame(n_terms: int) -> AnalyticFrame:
 def constant_field(grid, value: float) -> DefectField:
     """Uniform defect field on a grid."""
     return DefectField(grid=grid, values=np.full(grid.n, float(value)))
+
+
+def gram(frame: AnalyticFrame, lam: complex) -> np.ndarray:
+    """Hermitian Gram matrix ``F(lam)* F(lam)`` at one point."""
+    a = frame.eval(lam)
+    return a.conj().T @ a
+
+
+def _checked_gram(a: np.ndarray):
+    """Gram matrix ``a* a``, refused when it is not finite or too ill-conditioned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.conj().T @ a
+    eigs = np.linalg.eigvalsh(g)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0.0 or hi / lo > CONDITION_CAP:
+        raise ConditioningError(_condition_message(lo, hi))
+    return g
+
+
+def projection(frame: AnalyticFrame, lam: complex) -> np.ndarray:
+    """Orthogonal projection onto the column span of ``F(lam)``."""
+    a = frame.eval(lam)
+    g = _checked_gram(a)
+    return a @ np.linalg.solve(g, a.conj().T)
+
+
+def _projection_dz(a: np.ndarray, d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``(I - P) F' (F*F)^-1 F*`` from ``F``, ``F'`` and the checked Gram ``F*F`` at one point."""
+    solve_at = np.linalg.solve(g, a.conj().T)
+    p = a @ solve_at
+    eye = np.eye(a.shape[0], dtype=complex)
+    return (eye - p) @ d @ solve_at
+
+
+def projection_dz(frame: AnalyticFrame, lam: complex) -> np.ndarray:
+    """Holomorphic derivative ``(I - P) F' (F*F)^-1 F*`` of the projection."""
+    a, d = frame.eval_jet(lam)
+    return _projection_dz(a, d, _checked_gram(a))
+
+
+def hs_norm_sq(m) -> float:
+    """Squared Hilbert-Schmidt (Frobenius) norm, ``trace(m* m)``."""
+    return float(np.sum(np.abs(np.asarray(m)) ** 2))
+
+
+def scalar_curvature_defect(frame: AnalyticFrame, lam: complex) -> float:
+    """``|dP/dz|_HS^2`` at one point from the explicit projection
+    derivative, with its Gram matrix checked by ``eigvalsh``."""
+    return hs_norm_sq(projection_dz(frame, lam))
 
 
 def lapack_defect_field(frame, grid):
@@ -268,6 +320,25 @@ def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
     return out
 
 
+def poly_add(a, b) -> np.ndarray:
+    a, b = as_coeffs(a), as_coeffs(b)
+    n = max(len(a), len(b))
+    out = np.zeros(n, dtype=complex)
+    out[: len(a)] += a
+    out[: len(b)] += b
+    return as_coeffs(out)
+
+
+def rational_sum(f, g) -> RationalFunction:
+    """``f + g`` over the common denominator ``f.den g.den``."""
+    num = poly_add(poly_mul(f.num, g.den), poly_mul(g.num, f.den))
+    return RationalFunction(num, poly_mul(f.den, g.den))
+
+
+def rational_product(f, g) -> RationalFunction:
+    return RationalFunction(poly_mul(f.num, g.num), poly_mul(f.den, g.den))
+
+
 def symbol_product(f, g):
     """The symbol ``fg``, each entry summed from rational products; analytic
     when both factors are."""
@@ -279,7 +350,7 @@ def symbol_product(f, g):
         for j in range(g.cols):
             acc = RationalFunction([0.0])
             for k in range(f.cols):
-                acc = acc + f.entries[i][k] * g.entries[k][j]
+                acc = rational_sum(acc, rational_product(f.entries[i][k], g.entries[k][j]))
             row.append(acc)
         entries.append(row)
     return MatrixSymbol(entries, analytic=f.analytic and g.analytic)

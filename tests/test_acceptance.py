@@ -16,14 +16,7 @@ import math
 
 import numpy as np
 
-from diskbundle.bundle import (
-    AnalyticFrame,
-    defect_field,
-    full_bundle_curvature,
-    hs_norm_sq,
-    projection,
-    projection_dz,
-)
+from diskbundle.bundle import AnalyticFrame, curvature_defect, defect_field, full_bundle_curvature
 from diskbundle.calculus import build_grid
 from diskbundle.criteria import carleson_check, green_potential, pointwise_bound
 from diskbundle.rational import RationalFunction, poly_mul
@@ -41,7 +34,10 @@ from oracles import (
     backward_shift_apply,
     constant_field,
     hardy_line_frame,
+    hs_norm_sq,
     kernel_identities,
+    projection,
+    projection_dz,
     projection_sample,
     wirtinger_dz,
 )
@@ -88,7 +84,7 @@ def test_criterion_01_hardy_curvature():
         frame = hardy_line_frame(512)
         for lam in (0.0, 0.3, 0.5 + 0.2j, 0.9 * np.exp(1j * np.pi / 7)):
             expected = (1.0 - abs(lam) ** 2) ** -2
-            value = hs_norm_sq(projection_dz(frame, lam))
+            value = curvature_defect(frame, lam)
             assert abs(value - expected) <= 1e-6 * expected
         assert time.perf_counter() - start < 5.0
 

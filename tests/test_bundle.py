@@ -9,22 +9,23 @@ from diskbundle.bundle import (
     curvature_defect,
     defect_field,
     full_bundle_curvature,
-    gram,
     gram_bounds,
-    hs_norm_sq,
     load_frame,
-    projection,
-    projection_dz,
 )
 from diskbundle.calculus import build_grid
 from diskbundle.errors import ConditioningError, DataError, ParameterError
 from diskbundle.rational import RationalFunction, poly_from_roots
 from oracles import (
     constant_field,
+    gram,
     hardy_line_frame,
+    hs_norm_sq,
     lapack_defect_field,
     laplacian,
+    projection,
+    projection_dz,
     projection_sample,
+    scalar_curvature_defect,
     wirtinger_dz,
 )
 
@@ -68,7 +69,7 @@ def near_cap_frame(grid, passing, failing):
 
     ``a`` sits 3e-6 from grid point ``passing`` (Gram condition about 2e11,
     under the cap) and ``b`` on grid point ``failing`` (singular Gram). The
-    columns stay orthogonal, so the scalar path is accurate next to the cap.
+    columns stay orthogonal, so the LAPACK oracle is accurate next to the cap.
     """
     a, b = grid.points[passing] + 3e-6, grid.points[failing]
     e = RationalFunction([0.0])
@@ -100,16 +101,22 @@ def zero_column_frame(zero_first):
     return AnalyticFrame([[zero, e] if zero_first else [e, zero] for e in column])
 
 
-def scalar_defect_field(frame, grid):
-    """The per-point loop the batched field replaced: values and failures."""
+def pointwise_defect_field(defect, frame, grid):
+    """``defect(frame, z)`` at every grid point: values, and failures as
+    ``(index, message)`` with NaN there."""
     values = np.full(grid.n, np.nan)
     failures = []
     for i, z in enumerate(grid.points):
         try:
-            values[i] = curvature_defect(frame, z)
+            values[i] = defect(frame, z)
         except ConditioningError as exc:
             failures.append((i, str(exc)))
     return values, tuple(failures)
+
+
+def scalar_defect_field(frame, grid):
+    """The per-point loop of the LAPACK oracle: values and failures."""
+    return pointwise_defect_field(scalar_curvature_defect, frame, grid)
 
 
 def assert_matches_scalar(field, frame):
@@ -325,8 +332,9 @@ def test_full_curvature_examples():
 
 
 def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
-    """Both routes share one ``eval_jet`` and one Gram check, and the
-    defect is the scalar path's value to the bit."""
+    """Both routes share one ``eval_jet``; the defect is
+    ``curvature_defect``'s value to the bit and within 1e-14 relative of
+    the LAPACK oracle's."""
     frame = seeded_rational_frame(3, 2, seed=7)
     calls = []
     for name in ("eval", "eval_jet"):
@@ -337,6 +345,8 @@ def test_full_curvature_evaluates_the_frame_once_per_lambda(monkeypatch):
         split = full_bundle_curvature(frame, lam)
         assert calls == ["eval_jet"]
         assert split["defect"] == curvature_defect(frame, lam)
+        oracle = scalar_curvature_defect(frame, lam)
+        assert abs(split["defect"] - oracle) <= 1e-14 * oracle
 
 
 def test_hardy_line_frame_curvature_converges():
@@ -344,7 +354,7 @@ def test_hardy_line_frame_curvature_converges():
     expected = (1 - lam**2) ** -2
     errors = []
     for n in (64, 256, 512):
-        value = hs_norm_sq(projection_dz(hardy_line_frame(n), lam))
+        value = curvature_defect(hardy_line_frame(n), lam)
         errors.append(abs(value - expected) / expected)
     assert errors[0] > errors[-1]
     assert errors[-1] <= 1e-6
@@ -403,7 +413,7 @@ def test_defect_field_collects_failures():
     field = defect_field(frame, grid)
     assert field.is_partial
     assert any(i == 5 for i, _ in field.failures)
-    # same indices and messages as the scalar path, NaN only there
+    # same indices and messages as the LAPACK oracle at each point, NaN only there
     assert_matches_scalar(field, frame)
     assert_matches_lapack(field, frame)
     assert np.flatnonzero(np.isnan(field.values)).tolist() == [i for i, _ in field.failures]
@@ -496,11 +506,48 @@ def test_defect_field_refuses_non_finite_values():
 def test_scalar_path_refuses_non_finite_gram():
     # the Gram matrix overflows to inf, so hi / lo is NaN and no comparison with the cap fails
     frame = AnalyticFrame([[RationalFunction([1e200])], [RationalFunction([0.0, 1e200])]])
-    for check in (projection, projection_dz, curvature_defect, full_bundle_curvature):
+    for check in (projection, projection_dz):
         with pytest.raises(ConditioningError, match="exceeds cap") as info:
             check(frame, 0.3)
         assert "condition inf" in str(info.value)
         assert "nan" not in str(info.value)
+    # one point raises the message the field lists
+    listed = defect_field(frame, build_grid(2, 8, 0.01)).failures[0][1]
+    for check in (curvature_defect, full_bundle_curvature):
+        with pytest.raises(ConditioningError) as info:
+            check(frame, 0.3)
+        assert str(info.value) == listed
+        assert "nan" not in str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_point_tiny_denominator_is_a_conditioning_error():
+    # 1/1e-320 overflows and d*d underflows to 0: the point fails the check, not the division
+    frame = AnalyticFrame([[RationalFunction([1.0], [1e-320])], [RationalFunction([0.0, 1.0])]])
+    for check in (curvature_defect, full_bundle_curvature):
+        with pytest.raises(ConditioningError, match="^frame, derivative or Gram matrix is not finite$"):
+            check(frame, 0.3)
+
+
+@pytest.mark.parametrize(
+    "make_frame",
+    [
+        lambda grid: seeded_rational_frame(3, 2, seed=1),
+        lambda grid: seeded_rational_frame(12, 2, seed=5),
+        lambda grid: seeded_rational_frame(5, 3, seed=3),
+        lambda grid: near_cap_frame(grid, passing=21, failing=40),
+    ],
+    ids=["rational_3x2", "rational_12x2", "rational_5x3", "near_cap"],
+)
+def test_one_point_defect_is_the_field_value(make_frame):
+    grid = build_grid(8, 32, 1e-3)
+    frame = make_frame(grid)
+    field = defect_field(frame, grid)
+    values, failures = pointwise_defect_field(curvature_defect, frame, grid)
+    assert failures == field.failures
+    ok = np.isfinite(field.values)
+    assert np.array_equal(ok, np.isfinite(values))
+    assert np.all(np.abs(values[ok] - field.values[ok]) <= 2e-15 * field.values[ok])
 
 
 def test_gram_bounds_match_pointwise_eigvalsh():

@@ -14,7 +14,6 @@ finite float so that it reads back bit for bit.
 """
 
 import json
-import operator
 import struct
 from functools import reduce
 
@@ -29,6 +28,7 @@ from diskbundle.cli import _json_text
 from diskbundle.criteria import green_potential, green_sweep
 from diskbundle.rational import RationalFunction
 from diskbundle.toeplitz import MatrixSymbol, left_invertibility_margin
+from oracles import rational_product, rational_sum
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
@@ -63,10 +63,7 @@ def frames():
 
 def product(left, right):
     """Entries of the matrix product of two nested lists of rational functions."""
-    return [
-        [reduce(operator.add, (a * right[k][j] for k, a in enumerate(row))) for j in range(len(right[0]))]
-        for row in left
-    ]
+    return [[reduce(rational_sum, map(rational_product, row, col)) for col in zip(*right)] for row in left]
 
 
 def unitary(data, n):
@@ -92,7 +89,7 @@ def test_gauge_invariance(frame, data):
     # a scalar factor 1 / (1 - lam/q) with |q| >= 1.5 makes the gauge rational
     q = data.draw(st.floats(1.5, 3.0)) * np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
     pole = RationalFunction([1.0], [1.0, -1.0 / q])
-    gauge = [[RationalFunction([a0[i, j], a1[i, j]]) * pole for j in range(cols)] for i in range(cols)]
+    gauge = [[rational_product(RationalFunction([a0[i, j], a1[i, j]]), pole) for j in range(cols)] for i in range(cols)]
     # sigma_min(A(lam)) >= 2 - 0.25 - 0.5 on the closed disk, so A is invertible there
     moved = AnalyticFrame(product(frame.entries, gauge))
     assert_same_field(defect_field(frame, GRID), defect_field(moved, GRID))
@@ -112,7 +109,7 @@ def test_gram_bounds_unitary_invariance_and_scaling(frame, data):
     turned = gram_bounds(defect_field(AnalyticFrame(product(constant(unitary(data, frame.rows)), frame.entries)), GRID))
     c = data.draw(st.floats(1e-3, 1e3)) * np.exp(2j * np.pi * data.draw(st.floats(0.0, 1.0)))
     times_c = RationalFunction.constant(c)
-    scaled_frame = AnalyticFrame([[times_c * e for e in row] for row in frame.entries])
+    scaled_frame = AnalyticFrame([[rational_product(times_c, e) for e in row] for row in frame.entries])
     grown = gram_bounds(defect_field(scaled_frame, GRID))
     for got, want in zip(
         (*turned.values(), *grown.values()), (*base.values(), *(abs(c) ** 2 * b for b in base.values()))
