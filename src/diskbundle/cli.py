@@ -311,9 +311,9 @@ def _cmd_criteria(cfg: dict) -> tuple:
     report, probed = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
     if probed is None:  # a partial field: the report lists its failures, and no sweep ran
         return {"command": "criteria", **report, "heatmap_csv": None}, {}
-    field_, probes, potentials = probed
+    field_, rings, potentials = probed
     doc = {"command": "criteria", **report, "heatmap_csv": "criteria_probes.csv"}
-    return doc, {"criteria_probes.csv": lambda p: write_probe_heatmap(field_, probes, p, potentials)}
+    return doc, {"criteria_probes.csv": lambda p: write_probe_heatmap(field_, rings, p, potentials)}
 
 
 def _cmd_toeplitz(cfg: dict) -> tuple:

@@ -7,7 +7,7 @@ constant ``sup sqrt(defect) * (1 - |z|)``. All three are reported over the
 grid; the tool never claims anything about the full open disk.
 :func:`similarity_verdict` measures them with the Gram bounds and returns
 the report as the plain dict that the ``criteria`` command writes, plus
-the swept probes for :func:`write_probe_heatmap`.
+the swept rings for :func:`write_probe_heatmap`.
 
 The potential quadrature follows the grid's midpoint rule except near the
 logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
@@ -16,9 +16,8 @@ subcells whose closure holds the singular point are integrated exactly
 over an equal-area disk using the primitive of ``r ln r``.
 :func:`_green_stencil` holds that quadrature as one weight per grid point.
 :func:`green_potential` applies it at any covered point; :func:`green_sweep`
-evaluates grid points by index, one stencil per probed ring correlated
-over angle by FFT, within 1e-12 relative plus 1e-15 absolute of the direct
-sum.
+evaluates whole rings, one stencil per ring correlated over angle by FFT,
+within 1e-12 relative plus 1e-15 absolute of the direct sum.
 """
 
 from __future__ import annotations
@@ -109,46 +108,43 @@ def _green_stencil(grid: ComplexGrid, lam: complex) -> np.ndarray:
     return w
 
 
-def green_sweep(field: DefectField, index: Sequence[int]) -> np.ndarray:
-    """:func:`green_potential` at the grid points ``grid.points[index]``, in index order.
+def green_sweep(field: DefectField, rings: Sequence[int]) -> np.ndarray:
+    """:func:`green_potential` at every sector of each ring, shape ``(len(rings), angular_count)``.
 
     The quadrature is linear in the density and, at grid points,
     equivariant under rotation by the grid angle, so the weights of sector
     ``k`` of a ring are those of its sector-0 point shifted by ``k``. Each
-    probed ring gets one :func:`_green_stencil` ``W``, and all its sectors
-    come from ``irfft(sum_q conj(rfft(W[q])) * rfft(rho[q]))`` over source
-    rings ``q``, within 1e-12 relative plus 1e-15 absolute of the direct
-    sum in :func:`green_potential`. Raises :class:`DataError` for a partial field and, before any
-    stencil is built, :class:`ParameterError` for indices that are not
-    integers and :class:`DomainError` for one outside ``0..n-1``.
+    ring gets one :func:`_green_stencil` ``W``, and all its sectors come
+    from ``irfft(sum_q conj(rfft(W[q])) * rfft(rho[q]))`` over source rings
+    ``q``, within 1e-12 relative plus 1e-15 absolute of the direct sum in
+    :func:`green_potential`. Raises :class:`DataError` for a partial field
+    and, before any stencil is built, :class:`ParameterError` for rings
+    that are not integers and :class:`DomainError` for one outside
+    ``0..radial_count-1``.
     """
     _require_complete(field)
     grid = field.grid
-    index = np.asarray(index)
-    if index.ndim != 1 or (index.size and not np.issubdtype(index.dtype, np.integer)):
-        raise ParameterError("probes must be a sequence of integer grid indices")
-    if index.size and not 0 <= index.min() <= index.max() < grid.n:
-        raise DomainError(f"probe index outside the grid's points 0..{grid.n - 1}")
+    rings = np.asarray(rings)
+    if rings.ndim != 1 or (rings.size and not np.issubdtype(rings.dtype, np.integer)):
+        raise ParameterError("rings must be a sequence of integer ring numbers")
+    if rings.size and not 0 <= rings.min() <= rings.max() < grid.radial_count:
+        raise DomainError(f"ring outside the grid's rings 0..{grid.radial_count - 1}")
 
     count = grid.angular_count
-    ring, sector = np.divmod(index, count)
-    out = np.empty(len(index))
+    out = np.empty((len(rings), count))
     rho_hat = np.fft.rfft(field.values.reshape(-1, count), axis=1)
-    # a set, not np.unique, which imports numpy.ma on first use
-    for q in sorted(set(ring.tolist())):
+    for i, q in enumerate(rings.tolist()):
         stencil = _green_stencil(grid, grid.points[q * count]).reshape(-1, count)
         spectrum = np.sum(np.conj(np.fft.rfft(stencil, axis=1)) * rho_hat, axis=0)
-        hit = ring == q
-        out[hit] = (2.0 / np.pi) * np.fft.irfft(spectrum, n=count)[sector[hit]]
+        out[i] = (2.0 / np.pi) * np.fft.irfft(spectrum, n=count)
     return out
 
 
 def default_probes(grid: ComplexGrid, stride: int) -> np.ndarray:
-    """Indices of the grid points on every ``stride``-th radial level."""
+    """The ring numbers ``0, stride, 2*stride, ...`` below ``radial_count``."""
     if stride < 1:
         raise ParameterError("stride must be >= 1")
-    rings = np.arange(grid.n) // grid.angular_count
-    return np.flatnonzero(rings % stride == 0)
+    return np.arange(0, grid.radial_count, stride)
 
 
 def pointwise_bound(field: DefectField) -> float:
@@ -190,7 +186,7 @@ def similarity_verdict(
     Returns ``(report, probed)``. ``report`` is the plain dict that the
     ``criteria`` command writes as ``report.json``, less the command's own
     keys: the measured constants and grid-scale pass/fail flags.
-    ``probed`` is ``(field, probes, potentials)``, what the sweep covered,
+    ``probed`` is ``(field, rings, potentials)``, what the sweep covered,
     for :func:`write_probe_heatmap`. A partial defect field does not
     raise: its report has the constants ``None``, the ``failures`` as
     ``[index, message]`` pairs and a partial verdict, and ``probed`` is
@@ -207,8 +203,8 @@ def similarity_verdict(
         report["verdict"] = {"partial": True, "similar_at_grid_scale": False}
         return report, None
     bounds = gram_bounds(field)
-    probes = default_probes(grid, probe_stride)
-    potentials = green_sweep(field, probes)
+    rings = default_probes(grid, probe_stride)
+    potentials = green_sweep(field, rings)
     green_inf = float(np.min(potentials))
     carleson = carleson_check(field, max_depth)
     pointwise = pointwise_bound(field)
@@ -225,19 +221,18 @@ def similarity_verdict(
         pointwise_const=pointwise,
         verdict={**checks, "similar_at_grid_scale": all(checks.values()), "partial": False},
     )
-    return report, (field, probes, potentials)
+    return report, (field, rings, potentials)
 
 
-def write_probe_heatmap(
-    field: DefectField, index: Sequence[int], path, potentials: Sequence[float]
-) -> None:
-    """CSV ``re,im,defect,green_potential`` per probed grid point, in probe order.
+def write_probe_heatmap(field: DefectField, rings: Sequence[int], path, potentials: np.ndarray) -> None:
+    """CSV ``re,im,defect,green_potential`` per grid point of ``rings``, ring by ring.
 
-    ``potentials`` are :func:`green_sweep`'s values at ``index``
+    ``potentials`` is :func:`green_sweep`'s result for ``rings``
     (:func:`similarity_verdict` returns all three as ``probed``).
     """
     _require_complete(field)
-    z = field.grid.points[index]
-    defect = field.values[index]
-    rows = zip(z.real.tolist(), z.imag.tolist(), defect.tolist(), map(float, potentials), strict=True)
+    count = field.grid.angular_count
+    z = field.grid.points.reshape(-1, count)[rings].ravel()
+    defect = field.values.reshape(-1, count)[rings].ravel()
+    rows = zip(z.real.tolist(), z.imag.tolist(), defect.tolist(), np.ravel(potentials).tolist(), strict=True)
     write_csv(path, ["re", "im", "defect", "green_potential"], rows)

@@ -1,11 +1,11 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
-Fourier blocks come from FFT sampling on the circle (exact for rational
-symbols up to a reported aliasing level), along the last axis of the
-symbol's values. A section is one gather from that table by the offset
-index ``j - k``; analytic symbols zero the
-offsets below zero, so their sections are block lower-triangular by
-construction and multiplication of analytic sections is exact. The
+Each section takes its Fourier blocks from one FFT of the symbol's values
+on a circle fine enough for its order (exact for rational symbols up to a
+reported aliasing level). An analytic symbol's negative offsets in that
+table are checked and then zeroed, so its sections are block
+lower-triangular and multiplication of analytic sections is exact. A
+section is one gather from the table by the offset index ``j - k``. The
 kernel-action and shift-intertwining identities are verified on interior
 sections where truncation cannot break them; the backward shift acts on
 a section as a slice by one block.
@@ -58,8 +58,9 @@ class MatrixSymbol(RationalMatrix):
     """Rational matrix function on the circle with an analyticity flag.
 
     ``analytic=True`` requires all entry poles strictly outside the closed
-    disk and is verified numerically through the FFT coefficients; symbols
-    in the general class only need their poles off the unit circle.
+    disk, and each section cross-checks the negative FFT coefficients it
+    sets to zero; symbols in the general class only need their poles off
+    the unit circle.
     """
 
     noun = "symbol"
@@ -68,8 +69,6 @@ class MatrixSymbol(RationalMatrix):
     def __init__(self, entries: List[List[RationalFunction]], analytic: bool):
         self.analytic = bool(analytic)
         super().__init__(entries)
-        if self.analytic:
-            self._verify_analytic()
 
     def _check_pole_radii(self, radii: np.ndarray) -> None:
         if np.any(np.abs(radii - 1.0) <= _CIRCLE_TOL_POLE):
@@ -94,19 +93,6 @@ class MatrixSymbol(RationalMatrix):
     def constant(cls, matrix, analytic: bool = True) -> "MatrixSymbol":
         return super().constant(matrix, analytic=analytic)
 
-    def _verify_analytic(self) -> None:
-        # the pole check above already settles analyticity for rational
-        # entries; this cross-checks the evaluation path at the aliasing floor,
-        # on at least 256 samples (offsets up to 63)
-        blocks, edge = _fourier_blocks(self, 63)
-        m = blocks.shape[-1]
-        scale = max(1.0, float(np.max(np.abs(blocks))))
-        neg = blocks[..., m // 2 + 1 :]  # offsets -(m/2 - 1) .. -1
-        if float(np.max(np.abs(neg))) > max(_ANALYTIC_TOL * scale, 8.0 * edge):
-            raise SymbolError(
-                "symbol flagged analytic but has nonzero negative Fourier coefficients"
-            )
-
 
 def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
@@ -118,35 +104,38 @@ def _circle(degree: int, max_offset: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _blocks_of(vals: np.ndarray):
+def _blocks_of(vals: np.ndarray, analytic: bool):
     """Fourier blocks of circle samples on the last axis; returns
     (blocks, aliasing_estimate).
 
     ``blocks[..., k]`` is the coefficient at offset ``k`` for ``k < m/2``
     and at ``k - m`` beyond, the usual FFT layout. A sample that is not
-    finite raises :class:`NumericalError` naming its point.
+    finite raises :class:`NumericalError` naming its point. For an
+    analytic symbol the offsets ``-(m/2 - 1) .. -1``, which the pole check
+    already rules out, must vanish at the aliasing floor, else
+    :class:`SymbolError`; they are then set to exact zeros.
     """
     m = vals.shape[-1]
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
     if bad.size:
         raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
     blocks = np.fft.fft(vals) / m
-    edge = np.abs(blocks[..., m // 2 - 1 : m // 2 + 2])
-    return blocks, float(np.max(edge))
+    edge = float(np.max(np.abs(blocks[..., m // 2 - 1 : m // 2 + 2])))
+    if analytic:
+        neg = blocks[..., m // 2 + 1 :]
+        scale = max(1.0, float(np.max(np.abs(blocks))))
+        if float(np.max(np.abs(neg))) > max(_ANALYTIC_TOL * scale, 8.0 * edge):
+            raise SymbolError("symbol flagged analytic but has nonzero negative Fourier coefficients")
+        neg[...] = 0.0
+    return blocks, edge
 
 
-def _fourier_blocks(symbol: MatrixSymbol, max_offset: int):
-    """All Fourier blocks by one FFT; returns (blocks, aliasing_estimate)."""
-    return _blocks_of(symbol.eval(_circle(symbol.degree_hint(), max_offset)))
-
-
-def _lay_out(blocks: np.ndarray, order: int, analytic: bool) -> np.ndarray:
-    """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``."""
+def _lay_out(blocks: np.ndarray, order: int) -> np.ndarray:
+    """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``;
+    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_blocks_of` zeroes."""
     rows, cols, m = blocks.shape
     offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
     tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
-    if analytic:
-        tiles[offsets < 0] = 0.0  # exact zeros above the block diagonal
     return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
 
 
@@ -162,8 +151,8 @@ class ToeplitzSection(NamedTuple):
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     if order < 1:
         raise ParameterError("section order must be >= 1")
-    blocks, aliasing = _fourier_blocks(symbol, order)
-    out = _lay_out(blocks, order, symbol.analytic)
+    blocks, aliasing = _blocks_of(symbol.eval(_circle(symbol.degree_hint(), order)), symbol.analytic)
+    out = _lay_out(blocks, order)
     return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
 
 
@@ -171,11 +160,12 @@ def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
     """Sections of ``f``, ``g`` and ``fg`` of analytic symbols, from one
     sampling of each on a circle fine enough for the product's degree;
     the blocks of ``fg`` come from the pointwise products ``f(z) g(z)``,
-    taken by one matmul of contiguous ``(m, rows, cols)`` stacks."""
+    taken by one matmul of contiguous ``(m, rows, cols)`` stacks; all
+    three are checked as analytic."""
     z = _circle(f.degree_hint() + g.degree_hint(), order)
     fv, gv = f.eval(z), g.eval(z)
     fg = np.ascontiguousarray(fv.transpose(2, 0, 1)) @ np.ascontiguousarray(gv.transpose(2, 0, 1))
-    return tuple(_lay_out(_blocks_of(v)[0], order, True) for v in (fv, gv, fg.transpose(1, 2, 0)))
+    return tuple(_lay_out(_blocks_of(v, True)[0], order) for v in (fv, gv, fg.transpose(1, 2, 0)))
 
 
 def _spectral_norm(x: np.ndarray) -> float:

@@ -38,7 +38,7 @@ from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condit
 from diskbundle.calculus import TWO_PI
 from diskbundle.errors import CapacityError, ConditioningError, DomainError, ParameterError
 from diskbundle.rational import RationalFunction, as_coeffs, poly_mul
-from diskbundle.toeplitz import MatrixSymbol, _fourier_blocks
+from diskbundle.toeplitz import MatrixSymbol, _circle
 
 #: default finite-difference step; balances truncation against roundoff
 DEFAULT_FD_STEP = 1e-4
@@ -303,10 +303,10 @@ def csv_module_weights(w, path) -> None:
 def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
     """The section with block ``coeff(j - k)`` at ``(j, k)``, written one
     offset and one block row at a time; analytic symbols skip the offsets
-    below zero."""
-    blocks, _ = _fourier_blocks(symbol, order)
-    blocks = np.moveaxis(blocks, -1, 0)
-    m = blocks.shape[0]
+    below zero. The Fourier table is its own FFT of the symbol's values."""
+    z = _circle(symbol.degree_hint(), order)
+    m = len(z)
+    blocks = np.moveaxis(np.fft.fft(symbol.eval(z)) / m, -1, 0)
     rows, cols = symbol.rows, symbol.cols
     out = np.zeros((order * rows, order * cols), dtype=complex)
     for offset in range(-(order - 1), order):

@@ -85,11 +85,10 @@ def test_potential_refuses_partial_field(grid):
 
 def test_green_boundedness_constant_field(grid):
     field = constant_field(grid, 1.0)
-    index = [0, 2 * grid.angular_count + 5, grid.n - 1]
-    worst = float(np.min(green_sweep(field, index)))
-    values = [float(green_sweep(field, [i])[0]) for i in index]
-    assert worst == min(values)
-    assert all(-1.02 <= v < 0.0 for v in values)
+    rings = [0, 2, grid.radial_count - 1]
+    swept = green_sweep(field, rings)
+    assert float(np.min(swept)) == min(float(np.min(green_sweep(field, [q]))) for q in rings)
+    assert np.all((-1.02 <= swept) & (swept < 0.0))
     assert all(-1.02 <= green_potential(field, p) < 0.0 for p in (0.0, 0.5, 0.9))
 
 
@@ -101,11 +100,16 @@ def within_tolerance(value, reference):
     return bool(np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference) + 1e-15))
 
 
-def assert_sweep_matches_oracle(field, index):
-    swept = green_sweep(field, index)
-    reference = np.array([subcell_green_potential(field, field.grid.points[i]) for i in index])
-    assert swept.shape == (len(index),)
-    assert within_tolerance(swept, reference)
+def assert_sweep_matches_oracle(field, rings, checked=None):
+    """The sweep of ``rings`` against the subcell loop, at every swept point
+    or at the positions ``checked`` of the flattened sweep."""
+    count = field.grid.angular_count
+    swept = green_sweep(field, rings)
+    assert swept.shape == (len(rings), count)
+    points = field.grid.points.reshape(-1, count)[rings].ravel()
+    checked = np.arange(points.size) if checked is None else checked
+    reference = np.array([subcell_green_potential(field, points[i]) for i in checked])
+    assert within_tolerance(swept.ravel()[checked], reference)
 
 
 def sweep_fields(sweep_grid):
@@ -121,7 +125,7 @@ def test_green_sweep_matches_scalar_potential(shape):
     # off the grid: the center, next to it, on a cell edge angle, near the rim
     off_grid = [0.0, 1e-13, 0.5 * np.exp(1j * 3 * TWO_PI / shape[1]), 0.998]
     for field in sweep_fields(sweep_grid):
-        assert_sweep_matches_oracle(field, np.arange(sweep_grid.n))
+        assert_sweep_matches_oracle(field, np.arange(sweep_grid.radial_count))
         for lam in off_grid:
             assert within_tolerance(green_potential(field, lam), subcell_green_potential(field, lam))
 
@@ -129,49 +133,47 @@ def test_green_sweep_matches_scalar_potential(shape):
 def test_green_sweep_default_probes():
     sweep_grid = build_grid(7, 30, 1e-3)
     for stride in (1, 3):
-        probes = default_probes(sweep_grid, stride)
-        rings = probes // sweep_grid.angular_count
-        assert np.array_equal(np.unique(rings), np.arange(0, 7, stride))
-        assert len(probes) == len(np.unique(rings)) * sweep_grid.angular_count
+        rings = default_probes(sweep_grid, stride)
+        assert np.array_equal(rings, np.arange(0, 7, stride))
         for field in sweep_fields(sweep_grid):
-            assert_sweep_matches_oracle(field, probes)
+            assert_sweep_matches_oracle(field, rings)
 
 
 @pytest.mark.parametrize("shape", [(12, 256), (16, 512)])
 def test_green_sweep_sampled_on_fine_grids(shape):
     sweep_grid = build_grid(*shape, 1e-3)
-    sample = np.random.default_rng(7).choice(sweep_grid.n, size=10, replace=False)
+    rng = np.random.default_rng(7)
+    rings = rng.choice(sweep_grid.radial_count, size=2, replace=False)
+    checked = rng.choice(2 * sweep_grid.angular_count, size=10, replace=False)
     for field in sweep_fields(sweep_grid)[:2]:
-        assert_sweep_matches_oracle(field, sample)
+        assert_sweep_matches_oracle(field, rings, checked)
 
 
 def test_green_sweep_mixed_probe_list(grid):
+    # out of order and repeated: a repeated ring gives the same row
     field = sweep_fields(grid)[0]
-    on_grid = list(range(grid.n - 1, -1, -37))[:12]
-    index = [on_grid[3], *on_grid, on_grid[3], on_grid[0], 0]
-    swept = green_sweep(field, index)
-    for i, value in zip(index, swept):
-        assert within_tolerance(value, subcell_green_potential(field, grid.points[i]))
-    for i in (on_grid[3], on_grid[0]):
-        assert len({value for j, value in zip(index, swept) if j == i}) == 1
+    swept = green_sweep(field, [3, 0, 3])
+    assert np.array_equal(swept[0], swept[2])
+    assert np.array_equal(swept, green_sweep(field, [3, 0, 3, 5])[:3])
+    assert_sweep_matches_oracle(field, [3, 0, 3])
 
 
 def no_stencil(*args):
-    raise AssertionError("the sweep started before validating its probes")
+    raise AssertionError("the sweep started before validating its rings")
 
 
 def test_green_sweep_refuses_probe_outside_grid(grid, monkeypatch):
     monkeypatch.setattr(criteria, "_green_stencil", no_stencil)
-    for index in ([0, 5, grid.n, 1], [0, -1]):
+    for rings in ([0, 5, grid.radial_count, 1], [0, -1]):
         with pytest.raises(DomainError):
-            green_sweep(constant_field(grid, 1.0), index)
+            green_sweep(constant_field(grid, 1.0), rings)
 
 
 def test_green_sweep_refuses_non_integer_index(grid, monkeypatch):
     monkeypatch.setattr(criteria, "_green_stencil", no_stencil)
-    for index in ([0.0, 5.0], [0, 5.5], [grid.points[5]], [True, False], [[0, 1]]):
+    for rings in ([0.0, 5.0], [0, 5.5], [grid.points[5]], [True, False], [[0, 1]]):
         with pytest.raises(ParameterError):
-            green_sweep(constant_field(grid, 1.0), index)
+            green_sweep(constant_field(grid, 1.0), rings)
 
 
 def test_green_sweep_refuses_partial_field(grid, monkeypatch):
@@ -316,14 +318,14 @@ def test_library_report_is_the_command_report(tmp_path, capsys):
 
 def test_probe_heatmap(tmp_path, grid):
     field = defect_field(one_lambda_frame(), grid)
-    probes = default_probes(grid, 4)
-    swept = green_sweep(field, probes)
+    rings = default_probes(grid, 4)
+    swept = green_sweep(field, rings)
     path = tmp_path / "probes.csv"
-    write_probe_heatmap(field, probes, path, swept)
+    write_probe_heatmap(field, rings, path, swept)
     lines = path.read_text().splitlines()
     assert lines[0] == "re,im,defect,green_potential"
-    assert len(lines) == 1 + len(probes)
-    for line, i, potential in zip(lines[1:], probes, swept, strict=True):
+    index = [q * grid.angular_count + k for q in rings for k in range(grid.angular_count)]
+    for line, i, potential in zip(lines[1:], index, swept.ravel(), strict=True):
         re, im, defect, green = (float(part) for part in line.split(","))
         assert complex(re, im) == grid.points[i]
         assert defect == field.values[i]

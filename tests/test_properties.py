@@ -6,7 +6,10 @@ invertible on the closed disk) and by a constant unitary ``F -> U F``; a
 rotation of the argument by a grid angle shifts it cyclically within each
 ring. The frame's Gram extremes are unchanged by a constant unitary
 ``F -> U F`` and scale by ``|c|^2`` under ``F -> c F``. The Green
-quadrature is linear in the density. The Toeplitz
+quadrature is linear in the density and turns with it: rolling each ring
+of the density by ``k`` sectors rolls each swept ring by ``k``, and the
+rolled potential at ``lam * exp(2 pi i k / m)`` is the potential at
+``lam``. The Toeplitz
 margin is a minimum of singular values, so constant unitaries on either
 side of the symbol leave it alone. Hypothesis draws the coefficients;
 frames and symbols are at most 4x3 and grids 4x16. A report writes every
@@ -143,12 +146,31 @@ def test_green_sweep_is_linear_in_the_density(densities, a, b):
     def potentials(values):
         field = DefectField(grid=GRID, values=values)
         off_grid = [green_potential(field, lam) for lam in (0.0, 0.3 + 0.2j)]
-        return np.concatenate([green_sweep(field, np.arange(0, GRID.n, 5)), off_grid])
+        return np.concatenate([green_sweep(field, np.arange(GRID.radial_count)).ravel(), off_grid])
 
     g1, g2 = (potentials(d) for d in densities)
     mixed = potentials(a * densities[0] + b * densities[1])
     scale = a * np.abs(g1) + b * np.abs(g2)
     assert np.all(np.abs(mixed - (a * g1 + b * g2)) <= 1e-12 * np.max(scale))
+
+
+@PROPERTY
+@given(
+    arrays(np.float64, GRID.n, elements=st.floats(0.0, 5.0, allow_subnormal=False)),
+    st.integers(0, GRID.angular_count - 1),
+)
+def test_green_potential_turns_with_the_density(density, k):
+    m = GRID.angular_count
+    rings = np.arange(GRID.radial_count)
+    field = DefectField(grid=GRID, values=density)
+    rolled = DefectField(grid=GRID, values=np.roll(density.reshape(-1, m), k, axis=1).ravel())
+
+    def close(value, reference):
+        return np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference) + 1e-15)
+
+    assert close(green_sweep(rolled, rings), np.roll(green_sweep(field, rings), k, axis=1))
+    lam = 0.3 + 0.2j  # off the grid, with near cells subdivided around it
+    assert close(green_potential(rolled, lam * np.exp(2j * np.pi * k / m)), green_potential(field, lam))
 
 
 @PROPERTY

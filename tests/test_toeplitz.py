@@ -93,6 +93,25 @@ def test_general_symbol_has_negative_coefficients():
     assert abs(coefficient(gen, 0)[0, 0] - 1.0) < 1e-13
 
 
+def test_sections_refuse_negative_coefficients_of_an_analytic_symbol():
+    # an evaluation path that disagrees with the poles: conj(z) puts a coefficient at offset -1
+    bent = MatrixSymbol.scalar(RationalFunction([0.5, 1.0]), analytic=True)
+    bent.eval = lambda z: np.conj(np.asarray(z, dtype=complex))[None, None]
+    message = "analytic but has nonzero negative Fourier coefficients"
+    with pytest.raises(SymbolError, match=message):
+        toeplitz_section(bent, 8)
+    with pytest.raises(SymbolError, match=message):
+        multiplicativity_check(MatrixSymbol.scalar(RationalFunction([1.0, 0.25]), analytic=True), bent, 8)
+
+
+def test_building_an_analytic_symbol_runs_no_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT while building a symbol")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    assert MatrixSymbol([[RationalFunction([1.0, 0.5])], [RationalFunction([0.0, 1.0])]], analytic=True).analytic
+
+
 # --- Fourier blocks ---
 
 
@@ -463,7 +482,7 @@ def test_symbol_values_beyond_the_float_range_raise_numerical_error(num, den):
     # the values overflow to inf on the circle; the Fourier blocks refuse them, with no numpy warning
     entries = [[RationalFunction(num, den), RationalFunction([0.0])], [RationalFunction([0.0]), RationalFunction([1.0])]]
     with pytest.raises(NumericalError, match=r"symbol value at z = .* is not finite"):
-        MatrixSymbol(entries, analytic=True)
+        toeplitz_section(MatrixSymbol(entries, analytic=True), 4)
     general = MatrixSymbol(entries, analytic=False)
     with pytest.raises(NumericalError, match=r"symbol value at z = .* is not finite"):
         toeplitz_section(general, 4)
