@@ -25,8 +25,7 @@ _EXPORTS = {
     ),
     "calculus": ("ComplexGrid", "build_grid", "carleson_constant"),
     "criteria": (
-        "Thresholds", "carleson_check", "default_probes", "green_potential", "green_sweep", "pointwise_bound",
-        "similarity_verdict",
+        "carleson_check", "default_probes", "green_potential", "green_sweep", "pointwise_bound", "similarity_verdict",
     ),
     "errors": (
         "AccuracyError", "BoundaryZeroError", "CapacityError", "ConditioningError", "DataError", "DomainError",

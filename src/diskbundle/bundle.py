@@ -121,7 +121,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
     ``discrepancy`` is the gap between the two routes.
     """
     x = abs(lam) ** 2
-    if x >= 1.0:
+    if not x < 1.0:
         raise ParameterError("lam must lie in the open unit disk")
     n = frame.cols
     shift_part = n / (1.0 - x) ** 2
@@ -184,7 +184,7 @@ class DefectField:
         return bool(self.failures) or bool(np.any(~np.isfinite(self.values)))
 
     def scaled(self, t: float) -> "DefectField":
-        if t < 0:
+        if not t >= 0:
             raise ParameterError("scale factor must be nonnegative")
         return replace(self, values=self.values * t)
 

@@ -39,7 +39,8 @@ class ComplexGrid:
     margin: float
 
     def __post_init__(self):
-        if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in (self.radial_count, self.angular_count)):
+        counts = (self.radial_count, self.angular_count)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1 for c in counts):
             raise ParameterError("radial_count and angular_count must be integers >= 1")
         if not 0.0 < self.margin < 1.0:
             raise ParameterError("margin must lie in (0, 1)")

@@ -101,7 +101,6 @@ class _Key(NamedTuple):
     flag: Optional[str] = None  # the command-line option that overrides the key
 
 
-_POSITIVE = "must be positive and finite"
 _GRID = ("curvature", "criteria", "toeplitz")
 
 #: every config key by dotted name, in the order values are parsed
@@ -109,8 +108,6 @@ _KEYS = {
     "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48", "--grid-radial"),
     "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536", "--grid-angular"),
     "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)", "--margin"),
-    "thresholds.M": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < math.inf, _POSITIVE),
-    "thresholds.C": _Key(("criteria",), _float, 1e3, lambda x: 0.0 < x < math.inf, _POSITIVE),
     "out_dir": _Key(COMMANDS, _path, Path(".")),
     "frame": _Key(("curvature", "criteria"), _path, _REQUIRED),
     "symbol": _Key(("toeplitz",), _path, _REQUIRED),
@@ -304,11 +301,10 @@ def _cmd_curvature(cfg: dict) -> tuple:
 def _cmd_criteria(cfg: dict) -> tuple:
     """Green potential, Carleson and pointwise similarity tests."""
     from .bundle import load_frame
-    from .criteria import Thresholds, similarity_verdict, write_probe_heatmap
+    from .criteria import similarity_verdict, write_probe_heatmap
 
     frame = _with_file(load_frame, cfg["frame"], "frame")
-    thresholds = Thresholds(M=cfg["thresholds.M"], C=cfg["thresholds.C"])
-    report, probed = similarity_verdict(frame, _grid(cfg), thresholds, cfg["probe_stride"], cfg["max_depth"])
+    report, probed = similarity_verdict(frame, _grid(cfg), cfg["probe_stride"], cfg["max_depth"])
     if probed is None:  # a partial field: the report lists its failures, and no sweep ran
         return {"command": "criteria", **report, "heatmap_csv": None}, {}
     field_, rings, potentials = probed

@@ -7,7 +7,9 @@ constant ``sup sqrt(defect) * (1 - |z|)``. All three are reported over the
 grid; the tool never claims anything about the full open disk.
 :func:`similarity_verdict` measures them with the Gram bounds and returns
 the report as the plain dict that the ``criteria`` command writes, plus
-the swept rings for :func:`write_probe_heatmap`.
+the swept rings for :func:`write_probe_heatmap`. Its flags compare the
+constants with the fixed ``VERDICT_LEVEL`` (1e3), which the report states
+as ``thresholds``; no input sets it: the constants carry the mathematics.
 
 The potential quadrature follows the grid's midpoint rule except near the
 logarithmic singularity: cells whose sample sits within ``_NEAR_SINGULAR``
@@ -22,7 +24,6 @@ within 1e-12 relative plus 1e-15 absolute of the direct sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,10 @@ _NEAR_SINGULAR = 2.5
 
 #: closure tolerance of the subcells pooled around the singular point
 _CONTAINS_TOL = 1e-12
+
+#: the verdict's fixed level: ``green_inf >= -VERDICT_LEVEL``, and the
+#: Carleson and pointwise constants ``<= VERDICT_LEVEL``
+VERDICT_LEVEL = 1e3
 
 
 def _require_complete(field: DefectField) -> None:
@@ -56,7 +61,7 @@ def green_potential(field: DefectField, lam: complex) -> float:
     """
     _require_complete(field)
     outer = float(field.grid.radial_edges[-1])
-    if abs(lam) >= outer:
+    if not abs(lam) < outer:
         raise DomainError(f"point |lam| = {abs(lam):.4f} outside grid coverage |z| < {outer:.4f}")
     return (2.0 / np.pi) * float(_green_stencil(field.grid, lam) @ field.values)
 
@@ -160,32 +165,13 @@ def carleson_check(field: DefectField, max_depth: int) -> float:
     return carleson_constant(field.values, field.grid, max_depth)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """User pass/fail levels: ``M`` bounds the potential magnitude, ``C``
-    bounds the Carleson and pointwise constants."""
-
-    M: float
-    C: float
-
-    def __post_init__(self):
-        for name in ("M", "C"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"thresholds.{name} must be positive and finite", field=f"thresholds.{name}")
-
-
-def similarity_verdict(
-    frame: AnalyticFrame,
-    grid: ComplexGrid,
-    thresholds: Thresholds,
-    probe_stride: int,
-    max_depth: int,
-) -> tuple:
+def similarity_verdict(frame: AnalyticFrame, grid: ComplexGrid, probe_stride: int, max_depth: int) -> tuple:
     """Aggregate the measurable criteria for one frame on one grid.
 
     Returns ``(report, probed)``. ``report`` is the plain dict that the
     ``criteria`` command writes as ``report.json``, less the command's own
-    keys: the measured constants and grid-scale pass/fail flags.
+    keys: the measured constants, and grid-scale flags that compare them
+    with ``VERDICT_LEVEL``, stated as ``thresholds``.
     ``probed`` is ``(field, rings, potentials)``, what the sweep covered,
     for :func:`write_probe_heatmap`. A partial defect field does not
     raise: its report has the constants ``None``, the ``failures`` as
@@ -195,7 +181,7 @@ def similarity_verdict(
     field = defect_field(frame, grid)
     report = {
         "grid": grid_meta(grid),
-        "thresholds": {"M": thresholds.M, "C": thresholds.C},
+        "thresholds": {"M": VERDICT_LEVEL, "C": VERDICT_LEVEL},
         **dict.fromkeys(("gram_bounds", "green_inf", "carleson_const", "pointwise_const")),
     }
     if field.is_partial:
@@ -210,9 +196,9 @@ def similarity_verdict(
     pointwise = pointwise_bound(field)
     checks = {
         "gram": bounds["c_min"] > 0.0,
-        "green": green_inf >= -thresholds.M,
-        "carleson": carleson <= thresholds.C,
-        "pointwise": pointwise <= thresholds.C,
+        "green": green_inf >= -VERDICT_LEVEL,
+        "carleson": carleson <= VERDICT_LEVEL,
+        "pointwise": pointwise <= VERDICT_LEVEL,
     }
     report.update(
         gram_bounds=bounds,

@@ -36,7 +36,7 @@ def weighted_kernel_diag_certified(w, lam: complex):
     if not np.all(np.isfinite(spikes) & (spikes > 0.0)):
         raise DataError("weights must be finite and positive")
     x = abs(lam) ** 2
-    if x >= 1.0:
+    if not x < 1.0:
         raise ParameterError("kernel parameter must lie in the open unit disk")
     hardy = 1.0 / (1.0 - x)
     terms = np.power(x, n) * (1.0 / spikes - 1.0)

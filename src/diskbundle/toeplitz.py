@@ -202,7 +202,7 @@ def kernel_action_check(section: ToeplitzSection, lam: complex, e) -> float:
     f = section.symbol
     if not f.analytic:
         raise ParameterError("kernel action check requires an analytic symbol")
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise ParameterError("lam must lie in the open unit disk")
     e = np.asarray(e, dtype=complex)
     if e.shape != (f.rows,):

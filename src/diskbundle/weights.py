@@ -87,7 +87,7 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
     Raises :class:`CapacityError` carrying the required length, on field
     ``length``, when the spikes do not fit.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
     if spike_count < 1:
         raise ParameterError("spike_count must be >= 1")

@@ -13,8 +13,12 @@ from diskbundle.bundle import (
     load_frame,
 )
 from diskbundle.calculus import build_grid
-from diskbundle.errors import ConditioningError, DataError, ParameterError
+from diskbundle.criteria import green_potential
+from diskbundle.errors import ConditioningError, DataError, DomainError, ParameterError
+from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.rational import RationalFunction, poly_from_roots
+from diskbundle.toeplitz import MatrixSymbol, kernel_action_check, toeplitz_section
+from diskbundle.weights import build_spike_weight
 from oracles import (
     constant_field,
     gram,
@@ -605,3 +609,29 @@ def test_defect_field_rejects_negative_values():
     grid = build_grid(2, 4, 0.1)
     with pytest.raises(DataError):
         constant_field(grid, -1.0)
+
+
+def _analytic_section():
+    return toeplitz_section(MatrixSymbol.scalar(RationalFunction([0.0, 1.0]), analytic=True), 4)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: green_potential(constant_field(build_grid(2, 4, 0.1), 1.0), _NAN), DomainError, "outside grid"),
+        (lambda: kernel_action_check(_analytic_section(), _NAN, [1.0]), ParameterError, "open unit disk"),
+        (lambda: weighted_kernel_diag_certified(build_spike_weight(0.1, 1, 64), _NAN), ParameterError, "open unit"),
+        (lambda: full_bundle_curvature(one_lambda_frame(), _NAN), ParameterError, "open unit disk"),
+        (lambda: build_spike_weight(_NAN, 1, 64), ParameterError, "epsilon must be positive"),
+        (lambda: constant_field(build_grid(2, 4, 0.1), 1.0).scaled(_NAN), ParameterError, "must be nonnegative"),
+    ],
+    ids=["green_potential", "kernel_action_check", "weighted_kernel_diag", "full_bundle_curvature", "spike", "scaled"],
+)
+def test_range_checks_refuse_nan(call, error, message):
+    # each check is the negation of its allowed range, so NaN falls outside it,
+    # with the error an out-of-range value gets
+    with pytest.raises(error, match=message):
+        call()

@@ -42,7 +42,12 @@ def test_grid_points_stay_inside_margin():
 
 
 @pytest.mark.parametrize(
-    "bad", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, 0.0), (4, 4, 1.0), (4, 4, -0.1), (2.5, 4, 0.1), (2, 4.5, 0.1)]
+    "bad",
+    [
+        (0, 4, 0.5), (4, 0, 0.5), (4, 4, 0.0), (4, 4, 1.0), (4, 4, -0.1), (2.5, 4, 0.1), (2, 4.5, 0.1),
+        # a bool is an int, but no ring or sector count; the command line refuses it too
+        (True, 4, 0.1), (2, True, 0.1),
+    ],
 )
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ParameterError):

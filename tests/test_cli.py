@@ -452,8 +452,9 @@ _HUGE = 10**400  # a JSON integer literal beyond float range
     [
         ("counterexample", {"epsilon": _HUGE}, "epsilon"),
         ("criteria", {"grid": {"margin": _HUGE}}, "grid.margin"),
-        ("criteria", {"thresholds": {"M": _HUGE}}, "thresholds.M"),
-        ("criteria", {"thresholds": {"C": _HUGE}}, "thresholds.C"),
+        # criteria reads no thresholds: the verdict's level is fixed, and the key is unknown
+        ("criteria", {"thresholds": {"M": _HUGE}}, "config.thresholds"),
+        ("criteria", {"thresholds": {"C": _HUGE}}, "config.thresholds"),
         ("counterexample", {"radii": [0.5, _HUGE]}, "radii"),
         ("toeplitz", {"lambda": [_HUGE, 0]}, "lambda"),
         ("counterexample", {"spike_count": 5, "length": 100}, "length"),  # the five spikes need 1661 slots
@@ -624,20 +625,6 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     assert error["kind"] == "validation" and error["type"] == "DataError" and error["field"] == field
     # a CSV written before the report failed is removed again; nothing that was there goes
     assert sorted(tmp_path.rglob("*")) == before
-
-
-@pytest.mark.parametrize(
-    "thresholds, field",
-    [({"M": float("inf")}, "thresholds.M"), ({"C": float("nan")}, "thresholds.C"), ({"M": 0.0}, "thresholds.M")],
-    ids=["M_infinite", "C_nan", "M_zero"],
-)
-def test_threshold_not_positive_and_finite_exits_2(tmp_path, capsys, constant_frame_file, thresholds, field):
-    # json writes inf and nan as Infinity and NaN, which the config reader accepts
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "thresholds": thresholds})
-    assert main(["criteria", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    error = json.loads(capsys.readouterr().out)
-    assert error["field"] == field and error["message"] == f"{field} must be positive and finite"
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -855,6 +842,7 @@ def test_repeated_option_keeps_its_last_value(tmp_path, capsys, constant_frame_f
         ("counterexample", {"epsilon": 0.1, "spike_count": 1, "length": 16, "truncation": 8}, "config.truncation"),
         ("curvature", {"frame": "frame.json", "truncation": 512}, "config.truncation"),
         ("toeplitz", {"symbol": "s.json", "truncation": 64}, "config.truncation"),
+        ("criteria", {"thresholds": {"M": 1.0}}, "config.thresholds"),
     ],
 )
 def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_file, command, payload, field):
@@ -892,6 +880,17 @@ def test_readme_key_table_matches_config_table():
             value = [value.real, value.imag]
         if value is not None and value is not _REQUIRED:
             assert default.startswith(f"`{list(value) if isinstance(value, tuple) else value}`"), key
+
+
+def test_readme_example_config_loads(tmp_path):
+    """The README's example ``criteria`` config is one the command reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```json\n", readme.index("## Command line")) + len("```json\n")
+    (tmp_path / "cfg.json").write_text(readme[start : readme.index("```", start)])
+    cfg = cli.load_config(tmp_path / "cfg.json", "criteria")
+    base = tmp_path.resolve()
+    assert (cfg["frame"], cfg["out_dir"]) == (base / "frame.json", base / "out")
+    assert (cfg["grid.radial_count"], cfg["grid.angular_count"], cfg["grid.margin"]) == (8, 64, 1e-3)
 
 
 @pytest.mark.parametrize(

@@ -82,15 +82,13 @@ grid = corrupted(
     )
 )
 
-thresholds = st.fixed_dictionaries({}, optional={"M": number, "C": number})
-
 # each command draws only the keys it reads; corrupted() adds the unknown ones
 CONFIGS = {
     "curvature": corrupted(st.fixed_dictionaries({"grid": grid, "frame": st.just("frame.json")})),
     "criteria": corrupted(
         st.fixed_dictionaries(
             {"grid": grid, "frame": st.just("frame.json")},
-            optional={"probe_stride": st.integers(1, 4), "max_depth": st.integers(0, 6), "thresholds": thresholds},
+            optional={"probe_stride": st.integers(1, 4), "max_depth": st.integers(0, 6)},
         )
     ),
     "toeplitz": corrupted(
@@ -153,11 +151,11 @@ def fixed_case(den=((1.0, 0.0),), **criteria):
 @pytest.mark.parametrize("command", cli.COMMANDS)
 @FUZZ
 @given(data=st.data())
-# inputs the derandomized draws miss: infinite or NaN thresholds, a probe
-# stride beyond int64, and a denominator with a NaN (trailing or not) or a
-# subnormal leading coefficient
-@example(data=fixed_case(thresholds={"M": float("inf")}))
-@example(data=fixed_case(thresholds={"C": float("nan")}))
+# inputs the derandomized draws miss: an infinite or NaN grid margin, a
+# probe stride beyond int64, and a denominator with a NaN (trailing or not)
+# or a subnormal leading coefficient
+@example(data=fixed_case(grid={"radial_count": 2, "angular_count": 4, "margin": float("inf")}))
+@example(data=fixed_case(grid={"radial_count": 2, "angular_count": 4, "margin": float("nan")}))
 @example(data=fixed_case(probe_stride=10**20))
 @example(data=fixed_case(den=[[1.0, 0.0], [float("nan"), 0.0]]))
 @example(data=fixed_case(den=[[float("nan"), 0.0], [1.0, 0.0]]))

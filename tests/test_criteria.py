@@ -8,7 +8,6 @@ from diskbundle import criteria
 from diskbundle.calculus import TWO_PI, build_grid
 from diskbundle.cli import _KEYS, main
 from diskbundle.criteria import (
-    Thresholds,
     carleson_check,
     default_probes,
     green_potential,
@@ -239,12 +238,8 @@ def test_scaling_covariance(grid):
 
 # --- verdict ---
 
-#: thresholds, probe stride and Carleson depth at the command line's defaults
-CLI_DEFAULTS = (
-    Thresholds(M=_KEYS["thresholds.M"].default, C=_KEYS["thresholds.C"].default),
-    _KEYS["probe_stride"].default,
-    _KEYS["max_depth"].default,
-)
+#: probe stride and Carleson depth at the command line's defaults
+CLI_DEFAULTS = (_KEYS["probe_stride"].default, _KEYS["max_depth"].default)
 
 
 def test_verdict_constant_frame(grid):
@@ -265,7 +260,7 @@ def test_verdict_constant_frame(grid):
 
 
 def test_verdict_one_lambda(grid):
-    report, _ = similarity_verdict(one_lambda_frame(), grid, Thresholds(M=100.0, C=100.0), *CLI_DEFAULTS[1:])
+    report, _ = similarity_verdict(one_lambda_frame(), grid, *CLI_DEFAULTS)
     assert report["verdict"]["similar_at_grid_scale"]
     assert report["gram_bounds"]["c_min"] > 0
     assert np.isfinite(report["green_inf"])
