@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,9 +39,8 @@ class ComplexGrid:
     margin: float
 
     def __post_init__(self):
-        counts = (self.radial_count, self.angular_count)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1 for c in counts):
-            raise ParameterError("radial_count and angular_count must be integers >= 1")
+        for count in (self.radial_count, self.angular_count):
+            check_count(count, 1, "radial_count and angular_count must be integers >= 1")
         if not 0.0 < self.margin < 1.0:
             raise ParameterError("margin must lie in (0, 1)")
         outer = 1.0 - self.margin
@@ -97,8 +96,7 @@ def carleson_constant(density, grid: ComplexGrid, max_depth: int) -> float:
     ``2 pi 2^-k``. Any comparable box convention changes the constant by a
     bounded factor only.
     """
-    if max_depth < 0:
-        raise ParameterError("max_depth must be >= 0")
+    check_count(max_depth, 0, "max_depth must be >= 0")
     rho = np.asarray(density, dtype=float)
     if rho.shape != (grid.n,):
         raise DataError("density must have one sample per grid point")

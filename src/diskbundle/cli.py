@@ -1,15 +1,14 @@
 """Config-driven command line front end.
 
-``diskbundle <command> --config cfg.json [--out DIR] [override flags]``
+``diskbundle <command> --config cfg.json [--out DIR]``
 
 Commands: ``curvature``, ``criteria``, ``toeplitz``, ``counterexample``.
-Every config key is one row of ``_KEYS``, which lists the commands that
-read it; a command refuses every other key. A row with a ``flag`` is
-overridden by that option, on its commands only: the option's text is read
-as JSON and checked by the row like a config value. Each run writes
+Every setting is a config key, one row of ``_KEYS``, which lists the
+commands that read it; a command refuses every other key. Each run writes
 ``report.json`` (floats as their shortest round-trip ``repr``, as in the
-CSVs; sorted keys, fixed row orders) plus the command's CSV dumps, so
-identical inputs produce byte-identical artifacts. Validation problems
+CSVs; sorted keys, fixed row orders) plus the command's CSV dumps into
+``--out``, the working directory by default, so identical inputs produce
+byte-identical artifacts. Validation problems
 exit with code 2, numerical failures with code 3, both with a
 machine-readable error JSON on stdout; a run that fails removes every
 file it wrote. Each ``_cmd_*`` computes its report and hands back its
@@ -17,10 +16,10 @@ files' writers, and ``main`` writes them all. Each ``_cmd_*`` imports the
 layers its command runs, so a run loads no other layer. This module
 imports no numpy, so the entry module's BLAS thread pin comes first.
 
-``main`` reads the command line itself, from the options ``_KEYS`` gives
-a command: a faulty command line is a ``ParameterError`` like a faulty
-config, exit 2 with its JSON on stdout, where argparse would print a usage
-message on stderr and nothing on stdout. No command loads ``argparse``,
+``main`` reads the command line itself: a faulty command line is a
+``ParameterError`` like a faulty config, exit 2 with its JSON on stdout,
+where argparse would print a usage message on stderr and nothing on
+stdout. No command loads ``argparse``,
 nor the ``gettext`` and ``locale`` it imports, about 7 ms in every run.
 """
 
@@ -91,24 +90,22 @@ _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """One config key: the commands that read it, its parser, default, range and override flag."""
+    """One config key: the commands that read it, its parser, default and range."""
 
     commands: tuple
     parse: Callable
     default: object = None
     ok: Optional[Callable] = None  # range test of a parsed value
     rule: str = ""  # what ``ok`` demands, as the error message says it
-    flag: Optional[str] = None  # the command-line option that overrides the key
 
 
 _GRID = ("curvature", "criteria", "toeplitz")
 
 #: every config key by dotted name, in the order values are parsed
 _KEYS = {
-    "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48", "--grid-radial"),
-    "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536", "--grid-angular"),
-    "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)", "--margin"),
-    "out_dir": _Key(COMMANDS, _path, Path(".")),
+    "grid.radial_count": _Key(_GRID, _int, 8, lambda n: 1 <= n <= 48, "must be in 1..48"),
+    "grid.angular_count": _Key(_GRID, _int, 64, lambda n: 1 <= n <= 65536, "must be in 1..65536"),
+    "grid.margin": _Key(_GRID, _float, 1e-3, lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
     "frame": _Key(("curvature", "criteria"), _path, _REQUIRED),
     "symbol": _Key(("toeplitz",), _path, _REQUIRED),
     "second_symbol": _Key(("toeplitz",), _path),
@@ -128,7 +125,7 @@ _KEYS = {
 
 
 def _parse(key: str, obj):
-    """A config value or decoded override as its row's type, inside its row's range."""
+    """A config value as its row's type, inside its row's range."""
     row = _KEYS[key]
     value = row.parse(obj, key)
     if row.ok is not None and not row.ok(value):
@@ -158,9 +155,9 @@ def _with_file(action, path: Path, key: str):
         raise DataError(str(exc), field=key) from exc
 
 
-def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> dict:
-    """The command's settings by dotted key: the config's values, the table's
-    defaults for the rest, then ``overrides`` (dotted key to JSON text)."""
+def load_config(path: Path, command: str) -> dict:
+    """The command's settings by dotted key: the config's values, and the
+    table's defaults for the rest."""
     text = _with_file(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
     try:
         raw = json.loads(text)
@@ -179,19 +176,12 @@ def load_config(path: Path, command: str, overrides: Optional[dict] = None) -> d
             given.update((f"{section}.{sub}", obj) for sub, obj in raw[section].items())
 
     base = Path(path).resolve().parent
-    overrides = overrides or {}
     cfg = {}
     for key, row in keys.items():
         cfg[key] = row.default
         if key in given:
             value = _parse(key, given[key])
             cfg[key] = base / value if isinstance(value, Path) else value
-        if key in overrides:
-            try:
-                obj = json.loads(overrides[key])
-            except (ValueError, RecursionError):
-                raise ParameterError(f"{key} override {overrides[key]!r} is not a JSON number", field=key) from None
-            cfg[key] = _parse(key, obj)
     return cfg
 
 
@@ -232,7 +222,7 @@ def _write_outputs(out_dir: Path, outputs: dict) -> None:
         path = out_dir / name
         before = _stamp(path)
         try:
-            _with_file(writer, path, "out_dir")
+            _with_file(writer, path, "--out")
         except BaseException:
             if _stamp(path) != before:
                 written.append(path)
@@ -395,36 +385,28 @@ _DISPATCH = {
 
 #: what ``diskbundle --help`` says above the commands
 _DESCRIPTION = (
-    "Similarity diagnostics of analytic frame bundles on the unit disk. Each command reads a JSON config, "
-    "writes report.json and its CSV files to the config's out_dir (or --out), and prints one JSON status line. "
-    "Exit codes: 0 success, 2 invalid input, 3 numerical failure. "
-    "'diskbundle COMMAND --help' lists a command's options."
+    "Similarity diagnostics of analytic frame bundles on the unit disk. Each command reads the JSON config "
+    "--config names, writes report.json and its CSV files to the directory --out names (the working directory "
+    "by default), and prints one JSON status line. Exit codes: 0 success, 2 invalid input, 3 numerical failure."
 )
 
 _HELP = ("-h", "--help")
 
-
-def _flags(command: str) -> dict:
-    """The override options ``command`` takes, each with the key it overrides."""
-    return {row.flag: key for key, row in _KEYS.items() if row.flag is not None and command in row.commands}
+#: the options every command takes
+_OPTIONS = ("--config", "--out")
 
 
-def _help(command: Optional[str]) -> str:
-    """What ``--help`` prints: the description and the commands, then the options of ``command`` if one is given."""
+def _help() -> str:
+    """What ``--help`` prints, after a command or not: the usage, the description and the commands."""
     import textwrap
 
-    lines = ["usage: diskbundle COMMAND --config PATH [--out DIR] [OPTION JSON ...]", "", textwrap.fill(_DESCRIPTION)]
+    lines = ["usage: diskbundle COMMAND --config PATH [--out DIR]", "", textwrap.fill(_DESCRIPTION)]
     lines += ["", "commands:", *(f"  {name:<16}{_DISPATCH[name].__doc__}" for name in COMMANDS)]
-    if command is not None:
-        options = {"--config PATH": "the run's JSON config file (required)"}
-        options["--out DIR"] = "output directory, in place of out_dir"
-        options.update((f"{flag} JSON", f"override {key}") for flag, key in _flags(command).items())
-        lines += ["", f"options of {command}:", *(f"  {option:<22}{text}" for option, text in options.items())]
     return "\n".join(lines)
 
 
 def _read_argv(argv: list) -> tuple:
-    """``(command, options)``: the command, then each option it takes with its
+    """``(command, options)``: the command, then each option given with its
     last value as text. A value is the text after ``=`` (``--opt=value``) or
     the next argument, which must not begin with ``--``; options are not
     abbreviated. ``options`` is None when the line asks for help. Any other
@@ -435,14 +417,13 @@ def _read_argv(argv: list) -> tuple:
         fault = f"unknown command {argv[0]!r}" if argv else "no command"
         raise ParameterError(f"{fault}; the commands are {', '.join(COMMANDS)}", field="command")
     command, rest = argv[0], iter(argv[1:])
-    takes = ("--config", "--out", *_flags(command))
     options = {}
     for arg in rest:
         if arg in _HELP:
             return command, None
         name, given, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
-        if name not in takes:
-            raise ParameterError(f"{command} takes no option {name!r}; it takes {', '.join(takes)}", field=name)
+        if name not in _OPTIONS:
+            raise ParameterError(f"{command} takes no option {name!r}; it takes {', '.join(_OPTIONS)}", field=name)
         if not given:
             value = next(rest, None)
             if value is None or value.startswith("--"):
@@ -457,16 +438,13 @@ def _run(argv: list) -> str:
     """The line ``main`` prints: the help asked for, or the status of the run ``argv`` names."""
     command, options = _read_argv(argv)
     if options is None:
-        return _help(command)
-    flags = _flags(command)
-    overrides = {flags[name]: text for name, text in options.items() if name in flags}
-    cfg = load_config(Path(options["--config"]), command, overrides)
-    if "--out" in options:
-        cfg["out_dir"] = Path(options["--out"])
-    _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), cfg["out_dir"], "out_dir")
+        return _help()
+    cfg = load_config(Path(options["--config"]), command)
+    out_dir = Path(options.get("--out", "."))
+    _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), out_dir, "--out")
     doc, outputs = _DISPATCH[command](cfg)
-    _write_outputs(cfg["out_dir"], {**outputs, "report.json": lambda p: write_report(doc, p)})
-    return _json_text({"status": "ok", "report": str(cfg["out_dir"] / "report.json")})
+    _write_outputs(out_dir, {**outputs, "report.json": lambda p: write_report(doc, p)})
+    return _json_text({"status": "ok", "report": str(out_dir / "report.json")})
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bundle import AnalyticFrame, DefectField, defect_field, gram_bounds
 from .calculus import TWO_PI, ComplexGrid, carleson_constant, grid_meta, write_csv
-from .errors import DataError, DomainError, ParameterError
+from .errors import DataError, DomainError, ParameterError, check_count
 
 #: near-singular detection: distance below this multiple of the cell diagonal;
 #: wide enough that the coarse inner cells get subdivided when the singular
@@ -147,8 +147,7 @@ def green_sweep(field: DefectField, rings: Sequence[int]) -> np.ndarray:
 
 def default_probes(grid: ComplexGrid, stride: int) -> np.ndarray:
     """The ring numbers ``0, stride, 2*stride, ...`` below ``radial_count``."""
-    if stride < 1:
-        raise ParameterError("stride must be >= 1")
+    check_count(stride, 1, "stride must be >= 1")
     return np.arange(0, grid.radial_count, stride)
 
 

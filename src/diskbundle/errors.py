@@ -3,7 +3,10 @@
 Two families matter for callers: ``ValidationError`` means the inputs were
 bad (the CLI maps it to exit code 2), ``NumericalError`` means a computation
 could not be completed to the requested accuracy (exit code 3).
+:func:`check_count` is the one test of an integer argument.
 """
+
+import numbers
 
 
 class ToolkitError(Exception):
@@ -56,3 +59,10 @@ class ConditioningError(NumericalError):
 
 class AccuracyError(NumericalError):
     """A result cannot be certified to its stated tolerance."""
+
+
+def check_count(value, minimum: int, message: str) -> None:
+    """Raise ``ParameterError(message)`` unless ``value`` is an integer, Python
+    or numpy but not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterError(message)

@@ -33,6 +33,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     SymbolError,
+    check_count,
 )
 from .rational import RationalFunction, RationalMatrix, gram_schmidt, poly_from_roots, poly_mul
 
@@ -149,8 +150,7 @@ class ToeplitzSection(NamedTuple):
 
 
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
-    if order < 1:
-        raise ParameterError("section order must be >= 1")
+    check_count(order, 1, "section order must be >= 1")
     blocks, aliasing = _blocks_of(symbol.eval(_circle(symbol.degree_hint(), order)), symbol.analytic)
     out = _lay_out(blocks, order)
     return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
@@ -188,6 +188,7 @@ def multiplicativity_check(f: MatrixSymbol, g: MatrixSymbol, order: int) -> floa
         raise ParameterError("multiplicativity requires analytic symbols on both sides")
     if f.cols != g.rows:
         raise ParameterError("symbol shapes do not compose")
+    check_count(order, 1, "section order must be >= 1")
     left, right, product = _product_sections(f, g, order)
     return _spectral_norm(left @ right - product)
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AccuracyError, CapacityError, DataError, ParameterError
+from .errors import AccuracyError, CapacityError, DataError, ParameterError, check_count
 from .kernels import weighted_kernel_diag_certified
 
 #: samples per pass and zoom passes after the first of the spike-peak grid search
@@ -89,10 +89,8 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
     """
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
-    if spike_count < 1:
-        raise ParameterError("spike_count must be >= 1")
-    if length < 1:
-        raise ParameterError("length must be >= 1")
+    check_count(spike_count, 1, "spike_count must be >= 1")
+    check_count(length, 1, "length must be >= 1")
     alpha = 1.0 - (1.0 + epsilon) ** -2
     if alpha == 0.0:  # (1 + epsilon)^-2 rounds to 1 below epsilon of about 1.1e-16
         raise ParameterError(f"epsilon {epsilon!r} is too small: 1 - (1 + epsilon)^-2 rounds to 0", field="epsilon")
@@ -146,17 +144,24 @@ def ratio_bound_check(w: WeightSequence) -> float:
 def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> dict:
     """Range ``{"min", "max"}`` of the kernel diagonal ratio over the given radii.
 
-    Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``; for a spike-built
-    sequence it must land in ``[1 - alpha, 1]`` up to the rounding bound
-    of :func:`weighted_kernel_diag_certified`.
+    Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``. For a spike-built
+    sequence, which carries its ``alpha``, it lies in ``[1 - alpha, 1]``:
+    ``w_n >= 1`` keeps it at most 1, and spike ``j`` removes at most
+    ``A_j <= alpha / 2^j``. When ``alpha`` is given, a ratio outside that
+    band widened by ``b``, the rounding bound of
+    :func:`weighted_kernel_diag_certified` times ``1 - r^2``, raises
+    :class:`AccuracyError`.
     """
     ratios = []
     for r in radii:
         r = float(r)
         if not 0.0 <= r < 1.0:
             raise ParameterError("radii must lie in [0, 1)")
-        value, _ = weighted_kernel_diag_certified(w, r)
-        ratios.append(value * (1.0 - r * r))
+        value, bound = weighted_kernel_diag_certified(w, r)
+        ratio, b = value * (1.0 - r * r), bound * (1.0 - r * r)
+        if w.alpha is not None and not 1.0 - w.alpha - b <= ratio <= 1.0 + b:
+            raise AccuracyError(f"kernel ratio {ratio!r} at radius {r!r} leaves [1 - alpha, 1] by more than {b!r}")
+        ratios.append(ratio)
     if not ratios:
         raise ParameterError("at least one radius is required")
     return {"min": min(ratios), "max": max(ratios)}
@@ -185,8 +190,8 @@ def spike_peak_bound(n_start: int, j: int) -> dict:
     agree within 1e-9, and ``A_j`` may not exceed its bound, or else
     :class:`AccuracyError` is raised.
     """
-    if n_start < 1 or j < 1:
-        raise ParameterError("need n_start >= 1 and j >= 1")
+    for count in (n_start, j):
+        check_count(count, 1, "need n_start >= 1 and j >= 1")
     a = n_start + 1
     b = n_start + 2 * j
     ratio = a / b
@@ -208,8 +213,7 @@ def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
     a = np.asarray(coeffs, dtype=complex)
     if len(a) == 0 or not np.any(a != 0):
         raise DataError("coefficients must be nonzero")
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
+    check_count(n_max, 0, "n_max must be >= 0")
     top = len(a) - 1 + n_max
     if top >= w.length:
         raise CapacityError(

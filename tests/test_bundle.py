@@ -13,12 +13,12 @@ from diskbundle.bundle import (
     load_frame,
 )
 from diskbundle.calculus import build_grid
-from diskbundle.criteria import green_potential
+from diskbundle.criteria import carleson_check, default_probes, green_potential
 from diskbundle.errors import ConditioningError, DataError, DomainError, ParameterError
 from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.rational import RationalFunction, poly_from_roots
-from diskbundle.toeplitz import MatrixSymbol, kernel_action_check, toeplitz_section
-from diskbundle.weights import build_spike_weight
+from diskbundle.toeplitz import MatrixSymbol, kernel_action_check, multiplicativity_check, toeplitz_section
+from diskbundle.weights import build_spike_weight, shift_growth_witness, spike_peak_bound
 from oracles import (
     constant_field,
     gram,
@@ -611,8 +611,12 @@ def test_defect_field_rejects_negative_values():
         constant_field(grid, -1.0)
 
 
+def _symbol():
+    return MatrixSymbol.scalar(RationalFunction([0.0, 1.0]), analytic=True)
+
+
 def _analytic_section():
-    return toeplitz_section(MatrixSymbol.scalar(RationalFunction([0.0, 1.0]), analytic=True), 4)
+    return toeplitz_section(_symbol(), 4)
 
 
 _NAN = float("nan")
@@ -634,4 +638,38 @@ def test_range_checks_refuse_nan(call, error, message):
     # each check is the negation of its allowed range, so NaN falls outside it,
     # with the error an out-of-range value gets
     with pytest.raises(error, match=message):
+        call()
+
+
+def _field():
+    return constant_field(build_grid(2, 4, 0.1), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplicativity_check(_symbol(), _symbol(), 0), "section order must be >= 1"),
+        (lambda: multiplicativity_check(_symbol(), _symbol(), -1), "section order must be >= 1"),
+        (lambda: toeplitz_section(_symbol(), 2.0), "section order must be >= 1"),
+        (lambda: toeplitz_section(_symbol(), True), "section order must be >= 1"),
+        (lambda: default_probes(build_grid(2, 4, 0.1), 1.5), "stride must be >= 1"),
+        (lambda: default_probes(build_grid(2, 4, 0.1), _NAN), "stride must be >= 1"),
+        (lambda: carleson_check(_field(), 2.0), "max_depth must be >= 0"),
+        (lambda: carleson_check(_field(), _NAN), "max_depth must be >= 0"),
+        (lambda: build_spike_weight(0.1, 2.0, 64), "spike_count must be >= 1"),
+        (lambda: build_spike_weight(0.1, 1, 64.0), "length must be >= 1"),
+        (lambda: shift_growth_witness(build_spike_weight(0.1, 1, 64), [1.0], 2.5), "n_max must be >= 0"),
+        (lambda: spike_peak_bound(1.5, 1), "need n_start >= 1 and j >= 1"),
+        (lambda: spike_peak_bound(True, 1), "need n_start >= 1 and j >= 1"),
+        (lambda: spike_peak_bound(5, _NAN), "need n_start >= 1 and j >= 1"),
+    ],
+    ids=[
+        "multiplicativity_zero", "multiplicativity_negative", "section_float", "section_bool", "probes_float",
+        "probes_nan", "carleson_float", "carleson_nan", "spike_count_float", "length_float", "n_max_float",
+        "n_start_float", "n_start_bool", "j_nan",
+    ],
+)
+def test_count_arguments_refuse_non_integers(call, message):
+    # the rule of a grid's counts: an int or numpy integer, not a bool, at least the minimum
+    with pytest.raises(ParameterError, match=message):
         call()

@@ -48,9 +48,9 @@ def constant_frame_file(tmp_path):
 def test_curvature_constant_frame(tmp_path, constant_frame_file):
     cfg = write_config(
         tmp_path / "cfg.json",
-        {"frame": "frame.json", "out_dir": "out", "grid": {"radial_count": 2, "angular_count": 4, "margin": 0.1}},
+        {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 4, "margin": 0.1}},
     )
-    result = run_cli(["curvature", "--config", str(cfg)], cwd=tmp_path)
+    result = run_cli(["curvature", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["defect"] == {"min": 0.0, "max": 0.0, "mean": 0.0}
@@ -63,9 +63,9 @@ def test_curvature_constant_frame(tmp_path, constant_frame_file):
 def test_counterexample_command(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
-        {"epsilon": 0.1, "spike_count": 2, "length": 128, "out_dir": "out"},
+        {"epsilon": 0.1, "spike_count": 2, "length": 128},
     )
-    result = run_cli(["counterexample", "--config", str(cfg)], cwd=tmp_path)
+    result = run_cli(["counterexample", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["spikes"][0]["N_j"] == 10
@@ -244,7 +244,7 @@ def test_writer_failing_midway_leaves_no_part(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("diskbundle.weights.weights_to_csv", disk_full)
     cfg = write_config(tmp_path / "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16})
     assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert json.loads(capsys.readouterr().out)["field"] == "out_dir"
+    assert json.loads(capsys.readouterr().out)["field"] == "--out"
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -269,19 +269,6 @@ def test_reports_are_deterministic(tmp_path, constant_frame_file, command, paylo
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_cli_grid_overrides(tmp_path, constant_frame_file):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "out_dir": "out"})
-    result = run_cli(
-        ["curvature", "--config", str(cfg), "--grid-radial", "3", "--grid-angular", "8", "--margin", "0.2"],
-        cwd=tmp_path,
-    )
-    assert result.returncode == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["grid"]["radial_count"] == 3
-    assert report["grid"]["angular_count"] == 8
-    assert report["grid"]["margin"] == 0.2
-
-
 def test_toeplitz_command_scalar_symbol(tmp_path):
     MatrixSymbol.scalar(RationalFunction([-0.5, 1.0], [1.0, -0.5]), analytic=True).save(tmp_path / "symbol.json")
     MatrixSymbol.scalar(RationalFunction([1.0], [1.0, -0.3]), analytic=True).save(tmp_path / "second.json")
@@ -291,10 +278,9 @@ def test_toeplitz_command_scalar_symbol(tmp_path):
             "symbol": "symbol.json",
             "second_symbol": "second.json",
             "lambda": [0.3, 0.0],
-            "out_dir": "out",
         },
     )
-    result = run_cli(["toeplitz", "--config", str(cfg)], cwd=tmp_path)
+    result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["multiplicativity"] <= 1e-12
@@ -333,12 +319,11 @@ def test_criteria_probe_csv_minimum_is_green_inf(tmp_path):
         tmp_path / "cfg.json",
         {
             "frame": "frame.json",
-            "out_dir": "out",
             "probe_stride": 1,
             "grid": {"radial_count": 4, "angular_count": 16, "margin": 0.01},
         },
     )
-    result = run_cli(["criteria", "--config", str(cfg)], cwd=tmp_path)
+    result = run_cli(["criteria", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     rows = (tmp_path / "out" / "criteria_probes.csv").read_text().splitlines()
@@ -351,9 +336,9 @@ def test_criteria_probe_csv_minimum_is_green_inf(tmp_path):
 def test_curvature_report_carries_lambda_samples(tmp_path, constant_frame_file):
     cfg = write_config(
         tmp_path / "cfg.json",
-        {"frame": "frame.json", "out_dir": "out", "grid": {"radial_count": 2, "angular_count": 4, "margin": 0.1}},
+        {"frame": "frame.json", "grid": {"radial_count": 2, "angular_count": 4, "margin": 0.1}},
     )
-    result = run_cli(["curvature", "--config", str(cfg)], cwd=tmp_path)
+    result = run_cli(["curvature", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     samples = json.loads((tmp_path / "out" / "report.json").read_text())["samples"]
     assert [s["lambda"] for s in samples] == [[0.0, 0.0], [0.5, 0.0]]
@@ -562,8 +547,8 @@ def test_overflowing_gram_exits_3(tmp_path):
         ("curvature", "cfg.json", {"frame": "latin1.json"}, None, "frame"),
         ("toeplitz", "cfg.json", {"symbol": "nope.json"}, None, "symbol"),
         ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "folder"}, None, "second_symbol"),
-        ("curvature", "cfg.json", {"frame": "frame.json", "out_dir": "taken"}, None, "out_dir"),
-        ("curvature", "cfg.json", {"frame": "frame.json"}, "taken", "out_dir"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "taken", "--out"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "taken/out", "--out"),
         ("criteria", "folder", {}, None, "config"),
         ("criteria", "latin1.json", {}, None, "config"),
         ("curvature", "cfg.json", {"frame": "not_json.json"}, None, "frame"),
@@ -572,12 +557,12 @@ def test_overflowing_gram_exits_3(tmp_path):
         ("toeplitz", "cfg.json", {"symbol": "list.json"}, None, "symbol"),
         ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "not_json.json"}, None, "second_symbol"),
         ("toeplitz", "cfg.json", {"symbol": "s.json", "second_symbol": "list.json"}, None, "second_symbol"),
-        ("curvature", "cfg.json", {"frame": "frame.json"}, "report_taken", "out_dir"),
-        ("curvature", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
-        ("criteria", "cfg.json", {"frame": "frame.json"}, "csv_taken", "out_dir"),
-        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "csv_taken", "out_dir"),
-        ("criteria", "cfg.json", {"frame": "frame.json"}, "report_taken", "out_dir"),
-        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "report_taken", "out_dir"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "report_taken", "--out"),
+        ("curvature", "cfg.json", {"frame": "frame.json"}, "csv_taken", "--out"),
+        ("criteria", "cfg.json", {"frame": "frame.json"}, "csv_taken", "--out"),
+        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "csv_taken", "--out"),
+        ("criteria", "cfg.json", {"frame": "frame.json"}, "report_taken", "--out"),
+        ("counterexample", "cfg.json", {"epsilon": 0.1, "spike_count": 1, "length": 16}, "report_taken", "--out"),
     ],
     ids=[
         "frame_missing",
@@ -585,8 +570,8 @@ def test_overflowing_gram_exits_3(tmp_path):
         "frame_not_utf8",
         "symbol_missing",
         "second_symbol_directory",
-        "out_dir_is_a_file",
         "out_option_is_a_file",
+        "out_inside_a_file",
         "config_directory",
         "config_not_utf8",
         "frame_not_json",
@@ -625,20 +610,6 @@ def test_unusable_file_exits_2(tmp_path, capsys, command, config, payload, out, 
     assert error["kind"] == "validation" and error["type"] == "DataError" and error["field"] == field
     # a CSV written before the report failed is removed again; nothing that was there goes
     assert sorted(tmp_path.rglob("*")) == before
-
-
-@pytest.mark.parametrize(
-    "option, text, field",
-    [
-        ("--grid-radial", "abc", "grid.radial_count"),
-        ("--margin", "x", "grid.margin"),
-    ],
-)
-def test_override_that_is_not_a_valid_number_exits_2(tmp_path, capsys, constant_frame_file, option, text, field):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
-    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "out"), option, text]) == 2
-    error = json.loads(capsys.readouterr().out)
-    assert error["kind"] == "validation" and error["field"] == field
 
 
 @pytest.mark.parametrize(
@@ -702,7 +673,7 @@ def test_refused_pole_names_its_entry(tmp_path, capsys, command, den, analytic, 
 
 def test_each_command_takes_the_keys_it_reads():
     """The ``cfg["..."]`` keys each ``_cmd_*`` reads, through the helpers it hands ``cfg`` to,
-    plus the ``out_dir`` that ``main`` writes the report to, are the command's rows of ``_KEYS``."""
+    are the command's rows of ``_KEYS``."""
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -718,7 +689,7 @@ def test_each_command_takes_the_keys_it_reads():
 
     for command in COMMANDS:
         table = {key for key, row in _KEYS.items() if command in row.commands}
-        assert read(f"_cmd_{command}") | {"out_dir"} == table, command
+        assert read(f"_cmd_{command}") == table, command
 
 
 @pytest.mark.parametrize("key", [key for key, row in _KEYS.items() if row.parse is _int])
@@ -732,6 +703,9 @@ def test_integer_rows_refuse_beyond_int64(key):
     [
         ("counterexample", "--grid-radial"),
         ("counterexample", "--margin"),
+        ("curvature", "--grid-radial"),
+        ("criteria", "--grid-angular"),
+        ("toeplitz", "--margin"),
         ("criteria", "--truncation"),
         ("curvature", "--truncation"),
         ("toeplitz", "--truncation"),
@@ -764,11 +738,11 @@ def test_help_describes_each_command_and_the_exit_codes(capsys):
 
 @pytest.mark.parametrize("argv", [["criteria", "--help"], ["counterexample", "-h"]])
 def test_help_after_a_command_lists_its_options(capsys, argv):
+    # every command takes the same two options, so its help is the one text
     text = help_text(capsys, argv)
-    assert "--config PATH" in text and "--out DIR" in text
-    for key, row in _KEYS.items():
-        if row.flag is not None:
-            assert (f"{row.flag} JSON override {key}" in text) == (argv[0] in row.commands), row.flag
+    assert text == help_text(capsys, ["--help"])
+    assert "usage: diskbundle COMMAND --config PATH [--out DIR]" in text
+    assert set(re.findall(r"--[a-z-]+", text)) == {"--config", "--out"}
 
 
 @pytest.mark.parametrize(
@@ -815,9 +789,9 @@ def test_argv_fault_in_a_fresh_process_prints_json_and_nothing_on_stderr(tmp_pat
 
 
 def test_option_equals_value_reads_like_option_then_value(tmp_path, capsys, constant_frame_file):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
-    apart = ["--config", str(cfg), "--out", str(tmp_path / "a"), "--grid-radial", "3", "--margin", "0.2"]
-    joined = [f"--config={cfg}", f"--out={tmp_path / 'b'}", "--grid-radial=3", "--margin=0.2"]
+    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json", "grid": {"radial_count": 3, "margin": 0.2}})
+    apart = ["--config", str(cfg), "--out", str(tmp_path / "a")]
+    joined = [f"--config={cfg}", f"--out={tmp_path / 'b'}"]
     for argv in (apart, joined):
         assert main(["curvature", *argv]) == 0
     report = (tmp_path / "a" / "report.json").read_text()
@@ -827,10 +801,11 @@ def test_option_equals_value_reads_like_option_then_value(tmp_path, capsys, cons
 
 
 def test_repeated_option_keeps_its_last_value(tmp_path, capsys, constant_frame_file):
-    cfg = write_config(tmp_path / "cfg.json", {"frame": "frame.json"})
-    argv = ["curvature", "--config", str(cfg), "--out", str(tmp_path / "x"), "--out", str(tmp_path / "out")]
-    assert main([*argv, "--grid-radial", "5", "--grid-radial=2"]) == 0
-    assert not (tmp_path / "x").exists()
+    five = write_config(tmp_path / "five.json", {"frame": "frame.json", "grid": {"radial_count": 5}})
+    two = write_config(tmp_path / "two.json", {"frame": "frame.json", "grid": {"radial_count": 2}})
+    argv = ["curvature", "--config", str(five), "--out", str(tmp_path / "x"), "--out", str(tmp_path / "y")]
+    assert main([*argv, f"--config={two}", f"--out={tmp_path / 'out'}"]) == 0
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
     assert json.loads((tmp_path / "out" / "report.json").read_text())["grid"]["radial_count"] == 2
 
 
@@ -843,6 +818,7 @@ def test_repeated_option_keeps_its_last_value(tmp_path, capsys, constant_frame_f
         ("curvature", {"frame": "frame.json", "truncation": 512}, "config.truncation"),
         ("toeplitz", {"symbol": "s.json", "truncation": 64}, "config.truncation"),
         ("criteria", {"thresholds": {"M": 1.0}}, "config.thresholds"),
+        ("curvature", {"out_dir": "out"}, "config.out_dir"),
     ],
 )
 def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_file, command, payload, field):
@@ -855,15 +831,11 @@ def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, constant_frame_
 
 def test_readme_key_table_matches_config_table():
     """The README lists every config key with the table's commands, default and range,
-    and its usage block lists every override flag with the commands that take it."""
+    and its usage block the two options every command takes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("```\n", readme.index("## Command line")) + len("```\n")
-    flags = {}
-    for line in readme[start : readme.index("```", start)].splitlines():
-        commands = re.search(r"\(([a-z, ]+)\)$", line)
-        for flag in set(re.findall(r"--[a-z-]+", line)) - {"--config", "--out"}:
-            flags[flag] = tuple(commands.group(1).split(", "))
-    assert flags == {row.flag: row.commands for row in _KEYS.values() if row.flag is not None}
+    usage = readme[start : readme.index("```", start)]
+    assert set(re.findall(r"--[a-z-]+", usage)) == set(cli._OPTIONS) == {"--config", "--out"}
 
     rows = {}
     for line in readme[readme.index("| key ") :].split("\n\n")[0].splitlines()[2:]:
@@ -888,8 +860,7 @@ def test_readme_example_config_loads(tmp_path):
     start = readme.index("```json\n", readme.index("## Command line")) + len("```json\n")
     (tmp_path / "cfg.json").write_text(readme[start : readme.index("```", start)])
     cfg = cli.load_config(tmp_path / "cfg.json", "criteria")
-    base = tmp_path.resolve()
-    assert (cfg["frame"], cfg["out_dir"]) == (base / "frame.json", base / "out")
+    assert cfg["frame"] == tmp_path.resolve() / "frame.json"
     assert (cfg["grid.radial_count"], cfg["grid.angular_count"], cfg["grid.margin"]) == (8, 64, 1e-3)
 
 

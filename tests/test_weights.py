@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskbundle.errors import CapacityError, DataError, ParameterError
+from diskbundle.errors import AccuracyError, CapacityError, DataError, ParameterError
 from diskbundle.kernels import weighted_kernel_diag_certified
 from diskbundle.weights import (
     WeightSequence,
@@ -150,6 +150,21 @@ def test_kernel_ratio_spike_bracket():
     kr = kernel_ratio_check(w, [0.0, 0.5, 0.9, 0.99, 0.999])
     assert 1.0 - w.alpha - 1e-9 <= kr["min"]
     assert kr["max"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("side", ["above_one", "below_one_minus_alpha"])
+def test_kernel_ratio_outside_its_band_is_an_accuracy_error(monkeypatch, side):
+    # a kernel sum whose ratio leaves [1 - alpha, 1] by three rounding bounds
+    w = build_spike_weight(0.1, 1, 64)
+
+    def shifted(w, r):
+        value, bound = weighted_kernel_diag_certified(w, r)
+        target = 1.0 + 3.0 * bound * 0.75 if side == "above_one" else 1.0 - w.alpha - 3.0 * bound * 0.75
+        return target / 0.75, bound
+
+    monkeypatch.setattr("diskbundle.weights.weighted_kernel_diag_certified", shifted)
+    with pytest.raises(AccuracyError, match="leaves"):
+        kernel_ratio_check(w, [0.5])
 
 
 def test_kernel_ratio_hand_spike_at_origin():
