@@ -7,18 +7,17 @@ indices are the smallest integers with ``N_j + 2j < N_{j+1}`` and
 ``(2j-1)/(N_j + 2j) <= alpha / 2^j``, with ``alpha = 1 - (1+eps)^-2``
 pinned at its extreme admissible value so the construction is canonical.
 
-The sequences store integer half-log exponents alongside the float
-weights; ratio checks use exponent differences, so the reported extreme
-ratio is bitwise ``(1+eps)**2`` rather than a rounded quotient. The
-report adds the kernel-diagonal ratios, the per-spike extremal bounds and
-the growth of the shift orbit ``|S^n 1|_w^2 = w_n``. The checks return
-plain dicts under the report's own keys.
+A weight is its values and its ``eps``, which fix ``alpha`` and the spike
+starts. The report gives the extreme consecutive ratio as ``(1+eps)**2``
+once the quotients of the values match it, the kernel-diagonal ratios,
+the per-spike extremal bounds and the growth of the shift orbit
+``|S^n 1|_w^2 = w_n``, as plain dicts under the report's own keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,21 +45,15 @@ class WeightSequence:
     Beyond the stored range the sequence continues with the unit plateau
     (``w_n = 1``); kernel sums rely on that convention, while
     :func:`shift_growth_witness` raises :class:`CapacityError` when it
-    would index past ``values``. ``values`` and ``log_exponents`` are
-    read-only.
+    would index past ``values``. ``values`` is read-only.
     """
 
     values: np.ndarray
     epsilon: Optional[float] = None
-    alpha: Optional[float] = None
-    spike_starts: tuple = ()
-    log_exponents: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         vals = _read_only(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
-        if self.log_exponents is not None:
-            object.__setattr__(self, "log_exponents", _read_only(np.asarray(self.log_exponents)))
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("weights must form a nonempty sequence")
         if not np.all(np.isfinite(vals) & (vals > 0.0)):
@@ -73,8 +66,15 @@ class WeightSequence:
         return len(self.values)
 
     @property
-    def is_spike_built(self) -> bool:
-        return self.log_exponents is not None
+    def alpha(self) -> Optional[float]:
+        """``1 - (1+eps)^-2``, or ``None`` without ``eps``."""
+        return None if self.epsilon is None else 1.0 - (1.0 + self.epsilon) ** -2
+
+    @property
+    def spike_starts(self) -> tuple:
+        """The slot before each rise from the unit plateau."""
+        return tuple(np.flatnonzero((self.values[:-1] == 1.0) & (self.values[1:] > 1.0)).tolist())
+
 
 def _ceil_tol(x: float) -> int:
     # forgive upward float noise when x is an exact integer
@@ -91,7 +91,7 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
         raise ParameterError("epsilon must be positive")
     check_count(spike_count, 1, "spike_count must be >= 1")
     check_count(length, 1, "length must be >= 1")
-    alpha = 1.0 - (1.0 + epsilon) ** -2
+    alpha = WeightSequence([1.0], epsilon).alpha
     if alpha == 0.0:  # (1 + epsilon)^-2 rounds to 1 below epsilon of about 1.1e-16
         raise ParameterError(f"epsilon {epsilon!r} is too small: 1 - (1 + epsilon)^-2 rounds to 0", field="epsilon")
     starts = []
@@ -109,43 +109,31 @@ def build_spike_weight(epsilon: float, spike_count: int, length: int) -> WeightS
             required_length=needed,
             field="length",
         )
-    exponents = np.zeros(length, dtype=int)
     values = np.ones(length, dtype=float)
     for j, start in enumerate(starts, start=1):
         tent = j - np.abs(np.arange(-j, j + 1))
-        exponents[start : start + 2 * j + 1] = tent
         values[start : start + 2 * j + 1] = (1.0 + epsilon) ** (2.0 * tent)
-    return WeightSequence(
-        values=values,
-        epsilon=float(epsilon),
-        alpha=float(alpha),
-        spike_starts=tuple(starts),
-        log_exponents=exponents,
-    )
+    return WeightSequence(values, float(epsilon))
 
 
 def ratio_bound_check(w: WeightSequence) -> float:
     """Extreme consecutive ratio ``max_n max(w_{n+1}/w_n, w_n/w_{n+1})``.
 
-    For spike-built sequences this is computed from the integer exponent
-    steps and the weight's own ``epsilon``, and equals ``(1+epsilon)**2``
-    exactly whenever a spike exists.
+    Only the steps where neighbouring values differ are divided: equal
+    neighbours have ratio exactly 1, which ``initial`` stands for, so the
+    result is bitwise the maximum over every quotient (1 for one value).
     """
-    if w.is_spike_built:
-        steps = np.abs(np.diff(w.log_exponents))
-        dmax = int(steps.max()) if len(steps) else 0
-        return (1.0 + w.epsilon) ** (2 * dmax)
-    if w.length < 2:
-        return 1.0
-    r = w.values[1:] / w.values[:-1]
-    return float(np.max(np.maximum(r, 1.0 / r)))
+    v = w.values
+    steps = np.flatnonzero(v[1:] != v[:-1])
+    r = v[steps + 1] / v[steps]
+    return float(np.max(np.maximum(r, 1.0 / r), initial=1.0))
 
 
 def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> dict:
     """Range ``{"min", "max"}`` of the kernel diagonal ratio over the given radii.
 
-    Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``. For a spike-built
-    sequence, which carries its ``alpha``, it lies in ``[1 - alpha, 1]``:
+    Each ratio is ``(1 - r^2) * sum_n r^(2n)/w_n``. For a spike weight,
+    whose ``eps`` fixes its ``alpha``, it lies in ``[1 - alpha, 1]``:
     ``w_n >= 1`` keeps it at most 1, and spike ``j`` removes at most
     ``A_j <= alpha / 2^j``. When ``alpha`` is given, a ratio outside that
     band widened by ``b``, the rounding bound of
@@ -211,8 +199,8 @@ def spike_peak_bound(n_start: int, j: int) -> dict:
 def shift_growth_witness(w: WeightSequence, coeffs, n_max: int) -> np.ndarray:
     """Norm squares ``|S^n f|_w^2 = sum_j |a_j|^2 w_{j+n}`` for n = 0..n_max."""
     a = np.asarray(coeffs, dtype=complex)
-    if len(a) == 0 or not np.any(a != 0):
-        raise DataError("coefficients must be nonzero")
+    if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a != 0):
+        raise DataError("coefficients must be a finite, nonzero one-dimensional sequence")
     check_count(n_max, 0, "n_max must be >= 0")
     top = len(a) - 1 + n_max
     if top >= w.length:
@@ -260,7 +248,7 @@ def weights_to_csv(w: WeightSequence, path) -> None:
         offsets += np.maximum(cuts - power, 0)
         power *= 10
     starts = cuts[:-1]
-    tails = zip(w.values[starts].tolist(), np.log(w.values)[starts].tolist())
+    tails = zip(w.values[starts].tolist(), np.log(w.values[starts]).tolist())
     text = _index_text(n)
     bounds = offsets.tolist()
     with open(path, "wb") as fh:
@@ -291,8 +279,8 @@ def _row_fault(fh, start: int) -> DataError:
 
 
 def weights_from_csv(path) -> WeightSequence:
-    """Reparse a dump written by :func:`weights_to_csv` (values only; the
-    spike metadata is not part of the file format). Each ``ln_w_n`` must be
+    """Reparse a dump written by :func:`weights_to_csv` (values only; ``eps``
+    is not part of the file format). Each ``ln_w_n`` must be
     ``np.log(w_n)`` exactly, as the writer wrote it. The rows are parsed in
     one streaming numpy pass; only a file that fails it is read again row
     by row, to name the first bad row."""
@@ -320,15 +308,25 @@ def weights_from_csv(path) -> WeightSequence:
 
 
 def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
-    """Run every check on a spike weight from :func:`build_spike_weight`.
+    """Run every check on a spike weight, such as one from :func:`build_spike_weight`.
 
     The report carries the construction constants, the per-spike extremal
     values against their bounds, the consecutive-ratio extreme, the
     kernel-diagonal ratio range over ``radii``, and the growth-witness
     maximum ``(1+epsilon)^(2 spike_count)``.
+
+    The ratio extreme is the closed form ``c = (1+eps)**2``, reported once
+    :func:`ratio_bound_check` lies within ``8u c`` of it (``u = 2^-53``):
+    each value ``b^(2t)`` (``b`` the float ``1+eps``) and ``c`` are within
+    ``2u`` of their exact powers, a quotient adds ``u`` and its reciprocal
+    ``u``; a weight whose largest step is further off is an :class:`AccuracyError`.
     """
-    if not w.is_spike_built:
-        raise ParameterError("the counterexample report needs a spike-built weight")
+    if w.epsilon is None:
+        raise ParameterError("the counterexample report needs the weight's epsilon")
+    ratio = (1.0 + w.epsilon) ** 2
+    measured = ratio_bound_check(w)
+    if not abs(measured - ratio) <= 8.0 * 2.0**-53 * ratio:
+        raise AccuracyError(f"largest consecutive ratio {measured!r} is not (1 + epsilon)^2 = {ratio!r}")
     spikes = []
     for j, start in enumerate(w.spike_starts, start=1):
         spike = spike_peak_bound(start, j)
@@ -340,7 +338,7 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
         "epsilon": float(w.epsilon),
         "alpha": float(w.alpha),
         "spikes": spikes,
-        "ratio_check": ratio_bound_check(w),
+        "ratio_check": ratio,
         "kernel_ratio": kernel_ratio_check(w, radii),
         "growth_max": float(np.max(growth)),
     }

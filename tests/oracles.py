@@ -274,15 +274,25 @@ def whole_array_kernel_diag(w, lam: complex) -> np.longdouble:
     return np.sum(x ** np.arange(len(values)) / values) + x ** len(values) / (1 - x)
 
 
-def spike_values_loop(exponents, epsilon: float) -> np.ndarray:
-    """Spike weight values ``(1+epsilon)^(2e)`` from the half-log exponents,
-    one slot at a time."""
-    values = np.ones(len(exponents), dtype=float)
+def spike_values_loop(starts, epsilon: float, length: int) -> np.ndarray:
+    """Spike weight values one slot at a time: spike ``j`` from ``starts[j-1]``
+    is the tent ``(1+epsilon)^(2e)``, ``e = 0, 1, ..., j, ..., 1, 0``."""
+    values = np.ones(length, dtype=float)
     base = 1.0 + epsilon
-    for i, e in enumerate(exponents):
-        if e:
-            values[i] = base ** (2 * int(e))
+    for j, start in enumerate(starts, start=1):
+        for k in range(2 * j + 1):
+            e = j - abs(k - j)
+            if e:
+                values[start + k] = base ** (2 * e)
     return values
+
+
+def full_quotient_ratio(w) -> float:
+    """``max_n max(w_{n+1}/w_n, w_n/w_{n+1})`` over every quotient, 1 for one value."""
+    if w.length < 2:
+        return 1.0
+    r = w.values[1:] / w.values[:-1]
+    return float(np.max(np.maximum(r, 1.0 / r)))
 
 
 def csv_module_dump(path, header, rows) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,13 @@ from diskbundle.weights import (
     weights_from_csv,
     weights_to_csv,
 )
-from oracles import backward_shift_apply, csv_module_weights, spike_values_loop, whole_array_kernel_diag
+from oracles import (
+    backward_shift_apply,
+    csv_module_weights,
+    full_quotient_ratio,
+    spike_values_loop,
+    whole_array_kernel_diag,
+)
 
 #: (epsilon, spike_count, length) of the spike weights the fast paths are held to
 SPIKE_CASES = [(0.1, 1, 16), (0.3, 5, 4096), (0.05, 2, 777), (0.1, 3, 10**5)]
@@ -90,9 +97,15 @@ def test_capacity_error_reports_requirement():
 
 
 def test_spike_pattern_invariants():
+    # every step of the values is 1 or (1+eps)^(+-2), within the rounding of the powers and the quotient
     w = build_spike_weight(0.1, 2, 128)
-    steps = np.diff(w.log_exponents)
-    assert set(np.unique(steps)) <= {-1, 0, 1}
+    steps = w.values[1:] / w.values[:-1]
+
+    def near(x):
+        return np.abs(steps - x) <= 8.0 * 2.0**-53 * x
+
+    assert np.all((steps == 1.0) | near(1.1**2) | near(1.1**-2))
+    assert near(1.1**2).any() and near(1.1**-2).any()
     inside = np.zeros(w.length, dtype=bool)
     for j, start in enumerate(w.spike_starts, start=1):
         inside[start : start + 2 * j + 1] = True
@@ -134,6 +147,18 @@ def test_ratio_bound_spike_exact():
 
 def test_ratio_bound_hand_sequence():
     assert ratio_bound_check(WeightSequence([1.0, 2.0])) == 2.0
+
+
+@pytest.mark.parametrize(
+    "w",
+    [_runs_weight(length, seed=length) for length in RUN_LENGTHS]
+    + [_runs_weight(3000, seed=9, levels=(1.0, 0.5, 1 / 3, 7.0, 1e-150, 1e150))]
+    + SEAM_WEIGHTS
+    + [_distinct_weight(2000, seed=3)],
+)
+def test_ratio_bound_matches_full_quotient_oracle(w):
+    # dividing only where neighbours differ gives the full-quotient maximum bit for bit
+    assert ratio_bound_check(w) == full_quotient_ratio(w)
 
 
 # --- kernel ratio ---
@@ -287,6 +312,16 @@ def test_growth_witness_capacity_and_data_errors():
         shift_growth_witness(w, [0.0], 2)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[math.nan], [math.inf], [1.0, complex(0.0, math.nan)], [[1.0, 2.0]], 1.0],
+    ids=["nan", "inf", "complex-nan", "row", "scalar"],
+)
+def test_growth_witness_refuses_non_finite_or_non_sequence_coefficients(coeffs):
+    with pytest.raises(DataError, match="finite, nonzero one-dimensional"):
+        shift_growth_witness(WeightSequence(np.ones(8)), coeffs, 2)
+
+
 def test_unboundedness_witness_grows_with_spike_count():
     peaks = []
     for j_total in (1, 2, 3):
@@ -352,7 +387,8 @@ def test_weights_csv_round_trip_checks_every_log(tmp_path):
 @pytest.mark.parametrize("case", SPIKE_CASES)
 def test_spike_values_match_per_slot_loop(case):
     w = build_spike_weight(*case)
-    assert w.values.tobytes() == spike_values_loop(w.log_exponents, case[0]).tobytes()
+    epsilon, _, length = case
+    assert w.values.tobytes() == spike_values_loop(w.spike_starts, epsilon, length).tobytes()
 
 
 def test_kernel_sums_match_whole_array_oracle():
@@ -378,9 +414,9 @@ def test_weights_csv_matches_csv_module_bytes(tmp_path, w):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name, index, value", [("values", 40, 7.0), ("values", 0, -1.0), ("log_exponents", 40, 3)])
+@pytest.mark.parametrize("name, index, value", [("values", 40, 7.0), ("values", 0, -1.0)])
 def test_weight_arrays_are_read_only(tmp_path, name, index, value):
-    # a weight cannot drift from the checks of its construction, nor from its spike exponents
+    # a weight cannot drift from the checks of its construction
     w = build_spike_weight(0.1, 2, 128)
     with pytest.raises(ValueError):
         getattr(w, name)[index] = value
@@ -405,6 +441,48 @@ def test_counterexample_report_contents():
     assert report["kernel_ratio"]["max"] <= 1.0 + 1e-9
     for spike in report["spikes"]:
         assert spike["A_j"] <= spike["bound"] <= report["alpha"] / 2 ** spike["j"] + 1e-12
+
+
+def test_weight_is_its_values_and_epsilon():
+    # alpha and the spike starts are read from the values and epsilon; neither can be stored or set
+    assert [f.name for f in dataclasses.fields(WeightSequence)] == ["values", "epsilon"]
+    w = build_spike_weight(0.1, 2, 128)
+    for name, value in (("alpha", 0.9), ("spike_starts", (10,))):
+        with pytest.raises(TypeError):
+            WeightSequence(w.values, epsilon=0.1, **{name: value})
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    assert WeightSequence(w.values).alpha is None
+
+
+def test_hand_built_spike_weight_report():
+    # the values of two spikes and their epsilon, without the builder
+    values = build_spike_weight(0.1, 2, 128).values.copy()
+    w = WeightSequence(values, epsilon=0.1)
+    assert w.spike_starts == (10, 66)
+    report = counterexample_report(w, (0.0, 0.5, 0.9))
+    assert [s["N_j"] for s in report["spikes"]] == [10, 66]
+    assert report["alpha"] == 1.0 - 1.1**-2
+    assert report["ratio_check"] == 1.1**2
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.1**4, 1.0]])
+def test_report_refuses_steps_that_disagree_with_epsilon(values):
+    with pytest.raises(AccuracyError, match="largest consecutive ratio"):
+        counterexample_report(WeightSequence(values, epsilon=0.1), (0.0, 0.5))
+
+
+def test_report_needs_epsilon():
+    with pytest.raises(ParameterError):
+        counterexample_report(WeightSequence(build_spike_weight(0.1, 1, 64).values), (0.0,))
+
+
+@pytest.mark.parametrize("epsilon, spike_count", [(0.05, 3), (0.1, 5), (0.15, 3), (0.3, 5), (2.0, 4), (10.0, 2)])
+def test_report_ratio_is_the_closed_form(epsilon, spike_count):
+    # the quotients of the values may round away from (1+eps)^2; the report states the closed form
+    w = build_spike_weight(epsilon, spike_count, 4096)
+    assert abs(ratio_bound_check(w) - (1 + epsilon) ** 2) <= 8.0 * 2.0**-53 * (1 + epsilon) ** 2
+    assert counterexample_report(w, (0.0, 0.5))["ratio_check"] == (1 + epsilon) ** 2
 
 
 def test_weighted_diag_consistency_with_report():
