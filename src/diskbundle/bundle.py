@@ -14,8 +14,9 @@ scalars are closed-form kernel sums. It and ``gram_bounds`` return plain
 dicts under the keys of the ``curvature`` report.
 
 ``defect_field`` evaluates the frame and its exact derivative in one
-pass on the whole grid, with the points on the last axis, and factors
-``F = QR`` at every point by :func:`~diskbundle.rational.gram_schmidt`.
+pass over each chunk of ``_CHUNK`` (16384) grid points, with the points on
+the last axis, and factors ``F = QR`` at every point by
+:func:`~diskbundle.rational.gram_schmidt`.
 The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
 projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
 extreme Gram eigenvalues are the squared extreme singular values of
@@ -23,7 +24,8 @@ extreme Gram eigenvalues are the squared extreme singular values of
 ``cols x cols`` factors for wider frames); they decide the condition
 check, and the field keeps them for ``gram_bounds``. ``curvature_defect``
 and ``full_bundle_curvature`` run the same kernel and check at their one
-point: a point the field would list as a failure makes them raise
+point, as a one-element grid, so their defect is the field's bit for bit:
+a point the field would list as a failure makes them raise
 :class:`~diskbundle.errors.ConditioningError` with the message listed.
 """
 
@@ -43,6 +45,9 @@ CONDITION_CAP = 1e12
 
 #: poles must stay this far outside the closed unit disk
 _POLE_BUFFER = 1e-9
+
+#: grid points that :func:`defect_field` evaluates and factors at a time
+_CHUNK = 16384
 
 
 class AnalyticFrame(RationalMatrix):
@@ -190,14 +195,21 @@ class DefectField:
 
 
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
-    """Curvature defect on the whole grid at once; failures are collected, not fatal.
+    """Curvature defect on the whole grid, ``_CHUNK`` points at a time;
+    failures are collected, not fatal.
 
     A point whose Gram matrix exceeds the condition cap, or where the
     frame, its derivative or its Gram matrix is not finite, gets NaN and
-    the message :func:`curvature_defect` raises there.
+    the message :func:`curvature_defect` raises there. Every operation
+    is per point, so the field's bits do not depend on the chunk size.
     """
-    values, failures, lo, hi = _checked_defect(*frame.eval_jet(grid.points))
-    return DefectField(grid=grid, values=values, failures=failures, gram_lo=lo, gram_hi=hi)
+    values, lo, hi = np.empty((3, grid.n))
+    failures = []
+    for start in range(0, grid.n, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        values[part], found, lo[part], hi[part] = _checked_defect(*frame.eval_jet(grid.points[part]))
+        failures += [(start + i, message) for i, message in found]
+    return DefectField(grid=grid, values=values, failures=tuple(failures), gram_lo=lo, gram_hi=hi)
 
 
 def gram_bounds(field: DefectField) -> dict:

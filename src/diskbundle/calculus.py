@@ -10,6 +10,7 @@ All sup- and max-type quantities are taken over the grid, which covers
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,17 +65,21 @@ class ComplexGrid:
         return len(self.points)
 
 
-def write_csv(path, header, rows) -> None:
-    """The one writer behind every CSV dump, with ``\\r\\n`` line ends.
+def write_csv(path, header, columns) -> None:
+    """The one writer behind every CSV dump, with ``\\r\\n`` line ends:
+    the header, then row ``i`` of the ``columns``, which have one length.
 
-    Values are written as their ``repr``, so callers pass plain floats and
-    ints (not numpy scalars) and every value reparses exactly; the bytes
-    are those the ``csv`` module writes for such rows. The header names
-    need no quoting.
+    Values are written as their ``repr``, so callers pass columns of plain
+    floats and ints (an array's ``tolist()``, not numpy scalars) and every
+    value reparses exactly; the bytes are those the ``csv`` module writes
+    for such rows. The header names need no quoting. Rows are joined and
+    written 8192 at a time, so a long table is never one string.
     """
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    lines = map(",".join, zip(*(map(repr, column) for column in columns), strict=True))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        while block := list(itertools.islice(lines, 8192)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexGrid:

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .errors import DataError, NumericalError, ParameterError, ValidationError
+from .errors import DataError, NumericalError, ParameterError, ValidationError, read_json
 
 if TYPE_CHECKING:
     from .bundle import DefectField
@@ -158,11 +158,7 @@ def _with_file(action, path: Path, key: str):
 def load_config(path: Path, command: str) -> dict:
     """The command's settings by dotted key: the config's values, and the
     table's defaults for the rest."""
-    text = _with_file(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
-        raise DataError(f"config file is not valid JSON: {exc}", field="config") from exc
+    raw = _with_file(lambda p: read_json(p, "config"), path, "config")
     keys = {key: row for key, row in _KEYS.items() if command in row.commands}
     _check_keys(raw, {key.partition(".")[0] for key in keys}, "config")
     missing = [key for key, row in keys.items() if row.default is _REQUIRED and key not in raw]
@@ -246,8 +242,7 @@ def emit_heatmap(field: DefectField, path) -> None:
     if field.is_partial:
         raise NumericalError("refusing to dump a partial field")
     points = field.grid.points
-    rows = zip(points.real.tolist(), points.imag.tolist(), field.values.tolist())
-    write_csv(path, ["re", "im", "value"], rows)
+    write_csv(path, ["re", "im", "value"], [points.real.tolist(), points.imag.tolist(), field.values.tolist()])
 
 
 def _pair(z: complex) -> list:

@@ -3,9 +3,11 @@
 Two families matter for callers: ``ValidationError`` means the inputs were
 bad (the CLI maps it to exit code 2), ``NumericalError`` means a computation
 could not be completed to the requested accuracy (exit code 3).
-:func:`check_count` is the one test of an integer argument.
+:func:`check_count` is the one test of an integer argument, and
+:func:`read_json` the one reader of a JSON input file.
 """
 
+import json
 import numbers
 
 
@@ -66,3 +68,14 @@ def check_count(value, minimum: int, message: str) -> None:
     or numpy but not a bool, of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ParameterError(message)
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; text that is not JSON is a
+    :class:`DataError` saying the ``what`` file is not valid JSON."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
+        raise DataError(f"{what} file is not valid JSON: {exc}") from exc

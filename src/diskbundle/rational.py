@@ -5,20 +5,24 @@ complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
 symbols both are. Its values are laid out ``(rows, cols, *shape(z))``, the
-points on the last axis, and a scalar is evaluated as a 0-d array, by the
-same numpy arithmetic as a grid. Also here is :func:`gram_schmidt`, the
-factorization ``F = QR`` at every point of a grid that the frame defect,
-the Gram extremes and the symbol margin all take their numbers from, for
-every width and for one point alike.
+points on the last axis, and a scalar goes through the same numpy
+arithmetic as a grid: it is evaluated as a one-element grid of flattened
+points. Also here is :func:`gram_schmidt`, the factorization ``F = QR`` at
+every point of a grid that the frame defect, the Gram extremes and the
+symbol margin all take their numbers from, for every width and for one
+point alike: it sums over rows in one fixed order, row after row, so a
+point's numbers are its column of any grid, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError, ValidationError
+from .errors import DataError, NumericalError, ParameterError, ValidationError, read_json
 
 
 def as_coeffs(c) -> np.ndarray:
@@ -201,17 +205,20 @@ class RationalMatrix:
         return len(self.entries[0])
 
     def _fill(self, z, k: int, fn) -> np.ndarray:
-        """``k`` arrays per entry from ``fn(entry, z)``, laid out
+        """``k`` arrays per entry from ``fn(entry, points)``, laid out
         ``(k, rows, cols, *shape(z))``: the points on the last axis, so a
-        scalar gives ``k`` matrices of ``rows x cols``."""
+        scalar gives ``k`` matrices of ``rows x cols``. ``fn`` sees the
+        points flattened, so a scalar is a one-element grid and runs the
+        grid's array loops: its values are the grid's, bit for bit."""
         z = np.asarray(z, dtype=complex)
-        out = np.empty((k, self.rows, self.cols, *np.shape(z)), dtype=complex)
+        points = z.reshape(-1)
+        out = np.empty((k, self.rows, self.cols, points.size), dtype=complex)
         # a pole on a point, or a value beyond the float range, gives inf or nan there; callers check finiteness
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
-                    out[:, i, j] = fn(e, z)
-        return out
+                    out[:, i, j] = fn(e, points)
+        return out.reshape(k, self.rows, self.cols, *z.shape)
 
     def eval(self, z) -> np.ndarray:
         """Values, laid out ``(rows, cols, *shape(z))``."""
@@ -270,13 +277,7 @@ class RationalMatrix:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
-            raise DataError(f"{cls.noun} file is not valid JSON: {exc}") from exc
-        return cls.from_jsonable(obj)
+        return cls.from_jsonable(read_json(path, cls.noun))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -284,8 +285,13 @@ class RationalMatrix:
             fh.write("\n")
 
 
+def _row_sum(v: np.ndarray) -> np.ndarray:
+    # row after row: for a single point ``v.sum(0)`` adds more than 8 rows pairwise
+    return functools.reduce(operator.add, v)
+
+
 def _squared_norms(v: np.ndarray) -> np.ndarray:
-    return np.sum(v.real * v.real + v.imag * v.imag, axis=0)
+    return _row_sum(v.real * v.real + v.imag * v.imag)
 
 
 def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
@@ -318,7 +324,7 @@ def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
         for k in range(cols):
             v = a[:, k] * scale
             for _ in range(2 if k else 0):
-                for j, c in enumerate([(qj.conj() * v).sum(0) for qj in q]):
+                for j, c in enumerate([_row_sum(qj.conj() * v) for qj in q]):
                     v = v - q[j] * c
                     r[j, k] += c
             sq[k] = _squared_norms(v)
@@ -330,7 +336,7 @@ def gram_schmidt(a: np.ndarray, d: np.ndarray | None = None):
             x = []
             for k in range(cols):
                 dk = d[:, k] * scale
-                normal = dk - sum(qj * (qj.conj() * dk).sum(0) for qj in q)
+                normal = dk - sum(qj * _row_sum(qj.conj() * dk) for qj in q)
                 x.append((normal - sum(x[j] * r[j, k] for j in range(k))) / r[k, k].real)
             defect = sum(map(_squared_norms, x))
 

@@ -122,11 +122,13 @@ def ratio_bound_check(w: WeightSequence) -> float:
     Only the steps where neighbouring values differ are divided: equal
     neighbours have ratio exactly 1, which ``initial`` stands for, so the
     result is bitwise the maximum over every quotient (1 for one value).
+    A quotient beyond the float range is inf, and so is the result.
     """
     v = w.values
     steps = np.flatnonzero(v[1:] != v[:-1])
-    r = v[steps + 1] / v[steps]
-    return float(np.max(np.maximum(r, 1.0 / r), initial=1.0))
+    with np.errstate(over="ignore", divide="ignore"):  # 1/r divides by a quotient that underflowed to 0
+        r = v[steps + 1] / v[steps]
+        return float(np.max(np.maximum(r, 1.0 / r), initial=1.0))
 
 
 def kernel_ratio_check(w: WeightSequence, radii: Sequence[float]) -> dict:
@@ -320,6 +322,7 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
     each value ``b^(2t)`` (``b`` the float ``1+eps``) and ``c`` are within
     ``2u`` of their exact powers, a quotient adds ``u`` and its reciprocal
     ``u``; a weight whose largest step is further off is an :class:`AccuracyError`.
+    A spike that rises from slot 0 is a :class:`DataError`.
     """
     if w.epsilon is None:
         raise ParameterError("the counterexample report needs the weight's epsilon")
@@ -327,6 +330,8 @@ def counterexample_report(w: WeightSequence, radii: Sequence[float]) -> dict:
     measured = ratio_bound_check(w)
     if not abs(measured - ratio) <= 8.0 * 2.0**-53 * ratio:
         raise AccuracyError(f"largest consecutive ratio {measured!r} is not (1 + epsilon)^2 = {ratio!r}")
+    if w.spike_starts[:1] == (0,):
+        raise DataError("the first spike rises from slot 0; a spike weight's spikes start at slot 1 or later")
     spikes = []
     for j, start in enumerate(w.spike_starts, start=1):
         spike = spike_peak_bound(start, j)

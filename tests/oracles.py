@@ -14,8 +14,9 @@ precision, the spike values one slot at a time, the weight dump through
 shift-intertwining gap taken through Kronecker shift matrices, and the
 product of two symbols built entry by entry from sums and products of
 rational functions, which live only here.
-Two test inputs live here too: the truncated Hardy-line frame
-``(1, lam, lam^2, ...)`` and the uniform defect field.
+Three test inputs live here too: the truncated Hardy-line frame
+``(1, lam, lam^2, ...)``, the uniform defect field and the benchmark's
+seeded input files.
 Every production derivative comes from exact rational calculus, the
 Gram-Schmidt defect, at one point and on a grid, must match the LAPACK
 one to roundoff with the same failures, ``carleson_constant`` bins the
@@ -29,7 +30,10 @@ blocks of a product from pointwise products of circle samples.
 from __future__ import annotations
 
 import csv
+import importlib.util
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -441,3 +445,15 @@ def subcell_green_potential(field, lam: complex) -> float:
         radius = np.sqrt(pooled_area / np.pi)
         total += pooled_mass * (float(np.log(radius)) - 0.5)
     return (2.0 / np.pi) * total
+
+
+def benchmark_file(workload: str, command: str, key: str, directory: Path) -> Path:
+    """The input file that the benchmark's ``command`` config of ``workload``
+    at seed 1 names under ``key``, written into ``directory`` by
+    ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cfg = json.loads(inputs.write_inputs(workload, 1, directory)[command].read_text())
+    return directory / cfg[key]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskbundle import bundle
 from diskbundle.bundle import (
     CONDITION_CAP,
     AnalyticFrame,
@@ -20,6 +21,7 @@ from diskbundle.rational import RationalFunction, poly_from_roots
 from diskbundle.toeplitz import MatrixSymbol, kernel_action_check, multiplicativity_check, toeplitz_section
 from diskbundle.weights import build_spike_weight, shift_growth_witness, spike_peak_bound
 from oracles import (
+    benchmark_file,
     constant_field,
     gram,
     hardy_line_frame,
@@ -533,25 +535,62 @@ def test_one_point_tiny_denominator_is_a_conditioning_error():
             check(frame, 0.3)
 
 
+def mixed_degree_frame():
+    """Ten rows of two columns: numerators of degree 0 to 4 over
+    denominators of degree 0 to 2, poles at ``1.5 <= |p| <= 3``."""
+    rng = np.random.default_rng(11)
+    entries = []
+    for i in range(10):
+        row = []
+        for j in range(2):
+            size, poles = 1 + (i + 2 * j) % 5, (i + j) % 3
+            num = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            roots = rng.uniform(1.5, 3.0, poles) * np.exp(2j * np.pi * rng.random(poles))
+            row.append(RationalFunction(num, poly_from_roots(roots)))
+        entries.append(row)
+    return AnalyticFrame(entries)
+
+
 @pytest.mark.parametrize(
     "make_frame",
     [
-        lambda grid: seeded_rational_frame(3, 2, seed=1),
-        lambda grid: seeded_rational_frame(12, 2, seed=5),
-        lambda grid: seeded_rational_frame(5, 3, seed=3),
-        lambda grid: near_cap_frame(grid, passing=21, failing=40),
+        lambda grid, directory: seeded_rational_frame(3, 2, seed=1),
+        lambda grid, directory: seeded_rational_frame(12, 2, seed=5),
+        lambda grid, directory: seeded_rational_frame(5, 3, seed=3),
+        lambda grid, directory: near_cap_frame(grid, passing=21, failing=40),
+        lambda grid, directory: load_frame(benchmark_file("criteria-20x64", "curvature", "frame", directory)),
+        lambda grid, directory: load_frame(benchmark_file("sweeps", "curvature", "frame", directory)),
+        lambda grid, directory: mixed_degree_frame(),
     ],
-    ids=["rational_3x2", "rational_12x2", "rational_5x3", "near_cap"],
+    ids=["rational_3x2", "rational_12x2", "rational_5x3", "near_cap", "bench_3x2", "bench_12x2", "mixed_10x2"],
 )
-def test_one_point_defect_is_the_field_value(make_frame):
-    grid = build_grid(8, 32, 1e-3)
-    frame = make_frame(grid)
+def test_one_point_defect_is_the_field_value(make_frame, tmp_path):
+    # a point is a one-element grid: its jet is its column of the grid's jet, and its defect
+    # the field's value, bit for bit; the 10- and 12-row frames have more rows than the 8
+    # beyond which numpy's sum(0) of a single point adds pairwise
+    grid = build_grid(16, 64, 1e-3)
+    frame = make_frame(grid, tmp_path)
     field = defect_field(frame, grid)
     values, failures = pointwise_defect_field(curvature_defect, frame, grid)
     assert failures == field.failures
-    ok = np.isfinite(field.values)
-    assert np.array_equal(ok, np.isfinite(values))
-    assert np.all(np.abs(values[ok] - field.values[ok]) <= 2e-15 * field.values[ok])
+    assert np.array_equal(values, field.values, equal_nan=True)
+    f, fp = frame.eval_jet(grid.points)
+    for i, z in enumerate(grid.points.tolist()):
+        value, deriv = frame.eval_jet(z)
+        assert np.array_equal(value, f[..., i]) and np.array_equal(deriv, fp[..., i]), i
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_defect_field_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    grid = build_grid(4, 16, 0.01)
+    frame = cap_crossing_frame(grid, center=21)
+    whole = defect_field(frame, grid)  # one chunk of the default size
+    assert whole.failures and bundle._CHUNK >= grid.n
+    monkeypatch.setattr(bundle, "_CHUNK", chunk)
+    field = defect_field(frame, grid)
+    assert field.failures == whole.failures
+    for name in ("values", "gram_lo", "gram_hi"):
+        assert np.array_equal(getattr(field, name), getattr(whole, name), equal_nan=True), name
 
 
 def test_gram_bounds_match_pointwise_eigvalsh():

@@ -9,9 +9,17 @@ from oracles import CarlesonBox, csv_module_dump, dyadic_boxes, laplacian, wirti
 # --- CSV dumps ---
 
 
-@pytest.mark.parametrize("rows", [[], [[-0.0, 5e-324, 1e16], [1e-7, 0.1 + 0.2, -3], [0, 12, 2.5]]])
+# the last table spans three of the writer's 8192-row blocks
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[-0.0, 5e-324, 1e16], [1e-7, 0.1 + 0.2, -3], [0, 12, 2.5]],
+        np.random.default_rng(0).standard_normal((2 * 8192 + 1, 3)).tolist(),
+    ],
+)
 def test_write_csv_matches_csv_module_bytes(tmp_path, rows):
-    write_csv(tmp_path / "fast.csv", ["re", "im", "value"], rows)
+    write_csv(tmp_path / "fast.csv", ["re", "im", "value"], [list(column) for column in zip(*rows)])
     csv_module_dump(tmp_path / "oracle.csv", ["re", "im", "value"], rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 

@@ -87,13 +87,13 @@ def test_eval_jet_is_eval_and_eval_deriv_on_the_last_axis():
     for i, row in enumerate(matrix.entries):
         for j, e in enumerate(row):
             assert np.array_equal(fp[i, j], e.eval_deriv(z))
-    # a scalar gives rows x cols, as a 0-d point through the same numpy arithmetic
+    # a scalar gives rows x cols, as a one-element grid: the grid's column, bit for bit
     for k, w in enumerate(z):
         value, deriv = matrix.eval_jet(w)
         assert value.shape == deriv.shape == (3, 2)
         assert np.array_equal(matrix.eval(w), value)
-        assert np.allclose(value, f[..., k], rtol=1e-15, atol=0.0)
-        assert np.allclose(deriv, fp[..., k], rtol=1e-15, atol=0.0)
+        assert np.array_equal(value, f[..., k])
+        assert np.array_equal(deriv, fp[..., k])
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,4 @@
-import importlib.util
-import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +19,7 @@ from diskbundle.toeplitz import (
     toeplitz_section,
 )
 
-from oracles import kron_intertwining_gap, loop_toeplitz_section, symbol_product
+from oracles import benchmark_file, kron_intertwining_gap, loop_toeplitz_section, symbol_product
 
 EPS = np.finfo(float).eps
 
@@ -191,12 +188,7 @@ def test_multiplicativity_matrix_pair():
 
 def sweeps_seed1_pair(directory):
     """The two symbols of the benchmark's ``sweeps`` workload, seed 1."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    cfg = json.loads(inputs.write_inputs("sweeps", 1, directory)["toeplitz"].read_text())
-    return load_symbol(directory / cfg["symbol"]), load_symbol(directory / cfg["second_symbol"])
+    return tuple(load_symbol(benchmark_file("sweeps", "toeplitz", key, directory)) for key in ("symbol", "second_symbol"))
 
 
 PRODUCT_PAIRS = {

@@ -161,6 +161,12 @@ def test_ratio_bound_matches_full_quotient_oracle(w):
     assert ratio_bound_check(w) == full_quotient_ratio(w)
 
 
+@pytest.mark.parametrize("values", [[1.0, 1e-300, 1e300], [1.0, 1e300, 1e-300]], ids=["overflow", "underflow"])
+def test_ratio_bound_beyond_the_float_range_is_inf(values):
+    # a quotient that overflows, or underflows to 0 before its reciprocal, is inf without a warning
+    assert ratio_bound_check(WeightSequence(values)) == np.inf
+
+
 # --- kernel ratio ---
 
 
@@ -470,6 +476,12 @@ def test_hand_built_spike_weight_report():
 def test_report_refuses_steps_that_disagree_with_epsilon(values):
     with pytest.raises(AccuracyError, match="largest consecutive ratio"):
         counterexample_report(WeightSequence(values, epsilon=0.1), (0.0, 0.5))
+
+
+def test_report_refuses_a_spike_from_slot_0():
+    # the steps match epsilon, but spike_peak_bound needs N_j >= 1
+    with pytest.raises(DataError, match="^the first spike rises from slot 0;"):
+        counterexample_report(WeightSequence([1.0, 1.21, 1.0], epsilon=0.1), (0.0, 0.5))
 
 
 def test_report_needs_epsilon():
