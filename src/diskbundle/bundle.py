@@ -14,9 +14,11 @@ scalars are closed-form kernel sums. It and ``gram_bounds`` return plain
 dicts under the keys of the ``curvature`` report.
 
 ``defect_field`` evaluates the frame and its exact derivative in one
-pass over each chunk of ``_CHUNK`` (16384) grid points, with the points on
+stacked Horner pass over each chunk of grid points, with the points on
 the last axis, and factors ``F = QR`` at every point by
-:func:`~diskbundle.rational.gram_schmidt`.
+:func:`~diskbundle.rational.gram_schmidt`. A chunk holds ``_CHUNK``
+(8192) matrix elements, points times ``rows * cols``, so the arrays of a
+tall frame stay as small as those of a narrow one, within the cache.
 The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
 projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
 extreme Gram eigenvalues are the squared extreme singular values of
@@ -31,13 +33,10 @@ a point the field would list as a failure makes them raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Optional
-
 import numpy as np
 
 from .calculus import ComplexGrid
-from .errors import ConditioningError, DataError, ParameterError
+from .errors import ConditioningError, DataError, Frozen, ParameterError
 from .rational import RationalFunction, RationalMatrix, gram_schmidt
 
 #: Gram matrices with a larger condition number are rejected, not regularized
@@ -46,8 +45,8 @@ CONDITION_CAP = 1e12
 #: poles must stay this far outside the closed unit disk
 _POLE_BUFFER = 1e-9
 
-#: grid points that :func:`defect_field` evaluates and factors at a time
-_CHUNK = 16384
+#: matrix elements (grid points times ``rows * cols``) that :func:`defect_field` evaluates and factors at a time
+_CHUNK = 2**13
 
 
 class AnalyticFrame(RationalMatrix):
@@ -158,8 +157,7 @@ def full_bundle_curvature(frame: AnalyticFrame, lam: complex) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DefectField:
+class DefectField(Frozen):
     """Curvature-defect samples on a grid.
 
     Failed evaluations are recorded in ``failures`` with NaN values; such a
@@ -169,20 +167,16 @@ class DefectField:
     :func:`gram_bounds`; a field built from bare values has none.
     """
 
-    grid: ComplexGrid
-    values: np.ndarray
-    failures: tuple = ()
-    gram_lo: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
-    gram_hi: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+    __slots__ = _fields = ("grid", "values", "failures", "gram_lo", "gram_hi")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n,):
+    def __init__(self, grid: ComplexGrid, values, failures: tuple = (), gram_lo=None, gram_hi=None):
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.n,):
             raise DataError("field needs one value per grid point")
         finite = vals[np.isfinite(vals)]
         if finite.size and float(finite.min()) < -1e-10:
             raise DataError("defect values must be nonnegative (>= -1e-10)")
+        self._set(grid=grid, values=vals, failures=failures, gram_lo=gram_lo, gram_hi=gram_hi)
 
     @property
     def is_partial(self) -> bool:
@@ -191,12 +185,12 @@ class DefectField:
     def scaled(self, t: float) -> "DefectField":
         if not t >= 0:
             raise ParameterError("scale factor must be nonnegative")
-        return replace(self, values=self.values * t)
+        return DefectField(self.grid, self.values * t, self.failures, self.gram_lo, self.gram_hi)
 
 
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
-    """Curvature defect on the whole grid, ``_CHUNK`` points at a time;
-    failures are collected, not fatal.
+    """Curvature defect on the whole grid, ``_CHUNK`` matrix elements at a
+    time; failures are collected, not fatal.
 
     A point whose Gram matrix exceeds the condition cap, or where the
     frame, its derivative or its Gram matrix is not finite, gets NaN and
@@ -205,8 +199,9 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     """
     values, lo, hi = np.empty((3, grid.n))
     failures = []
-    for start in range(0, grid.n, _CHUNK):
-        part = slice(start, start + _CHUNK)
+    step = max(1, _CHUNK // (frame.rows * frame.cols))
+    for start in range(0, grid.n, step):
+        part = slice(start, start + step)
         values[part], found, lo[part], hi[part] = _checked_defect(*frame.eval_jet(grid.points[part]))
         failures += [(start + i, message) for i, message in found]
     return DefectField(grid=grid, values=values, failures=tuple(failures), gram_lo=lo, gram_hi=hi)

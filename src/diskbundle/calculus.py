@@ -2,7 +2,8 @@
 
 Provides the polar quadrature grid, set by its ring count, angle count and
 margin, and the dyadic Carleson-box constant of a sampled measure
-density. :func:`write_csv` writes every CSV dump of the package.
+density. :func:`write_csv` writes the CSV dumps of the fields from their
+columns as arrays, converting a block of rows at a time.
 
 All sup- and max-type quantities are taken over the grid, which covers
 ``|z| <= 1 - margin``; nothing here extrapolates to the full open disk.
@@ -10,23 +11,20 @@ All sup- and max-type quantities are taken over the grid, which covers
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
-from .errors import DataError, ParameterError, check_count
+from .errors import DataError, Frozen, ParameterError, check_count
 
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class ComplexGrid:
+class ComplexGrid(Frozen):
     """Polar quadrature sampling of the disk ``|z| <= 1 - margin``.
 
-    The three parameters are its only fields; construction checks them and
-    derives ``radial_edges``, ``points`` and ``area_weights`` once, as
-    read-only arrays, so a grid cannot drift from its parameters. The ring
+    The three parameters are what a grid is: two grids are equal, and hash
+    alike, when their parameters are. Construction checks them and derives
+    ``radial_edges``, ``points`` and ``area_weights`` once, as read-only
+    arrays, so a grid cannot drift from its parameters. The ring
     boundaries ``(1 - margin) * (1 - 2^-k)`` refine geometrically toward
     ``1 - margin``, where the last one closes. ``points`` are radial-major:
     sample ``i`` sits at the midpoint of the polar cell of ring
@@ -35,30 +33,36 @@ class ComplexGrid:
     these cells. The weights ``r * dr * dtheta`` sum to ``pi (1 - margin)^2``.
     """
 
-    radial_count: int
-    angular_count: int
-    margin: float
+    __slots__ = ("radial_count", "angular_count", "margin", "radial_edges", "points", "area_weights")
+    _fields = ("radial_count", "angular_count", "margin")
 
-    def __post_init__(self):
-        for count in (self.radial_count, self.angular_count):
+    def __init__(self, radial_count: int, angular_count: int, margin: float):
+        for count in (radial_count, angular_count):
             check_count(count, 1, "radial_count and angular_count must be integers >= 1")
-        if not 0.0 < self.margin < 1.0:
+        if not 0.0 < margin < 1.0:
             raise ParameterError("margin must lie in (0, 1)")
-        outer = 1.0 - self.margin
-        edges = outer * (1.0 - np.power(2.0, -np.arange(self.radial_count, dtype=float)))
+        outer = 1.0 - margin
+        edges = outer * (1.0 - np.power(2.0, -np.arange(radial_count, dtype=float)))
         edges = np.append(edges, outer)
         if np.any(np.diff(edges) <= 0.0):
             raise ParameterError("radial_count too large: ring boundaries collapse at double precision")
         radii = 0.5 * (edges[:-1] + edges[1:])
         dr = np.diff(edges)
-        dt = TWO_PI / self.angular_count
-        angles = (np.arange(self.angular_count) + 0.5) * dt
+        dt = TWO_PI / angular_count
+        angles = (np.arange(angular_count) + 0.5) * dt
         ring_phase = np.exp(1j * angles)
         points = (radii[:, None] * ring_phase[None, :]).ravel()
-        weights = (radii * dr)[:, None].repeat(self.angular_count, axis=1).ravel() * dt
-        for name, array in (("radial_edges", edges), ("points", points), ("area_weights", weights)):
+        weights = (radii * dr)[:, None].repeat(angular_count, axis=1).ravel() * dt
+        for array in (edges, points, weights):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        self._set(
+            radial_count=radial_count,
+            angular_count=angular_count,
+            margin=margin,
+            radial_edges=edges,
+            points=points,
+            area_weights=weights,
+        )
 
     @property
     def n(self) -> int:
@@ -67,19 +71,23 @@ class ComplexGrid:
 
 def write_csv(path, header, columns) -> None:
     """The one writer behind every CSV dump, with ``\\r\\n`` line ends:
-    the header, then row ``i`` of the ``columns``, which have one length.
+    the header, then row ``i`` of the ``columns``, arrays of one length.
 
-    Values are written as their ``repr``, so callers pass columns of plain
-    floats and ints (an array's ``tolist()``, not numpy scalars) and every
-    value reparses exactly; the bytes are those the ``csv`` module writes
-    for such rows. The header names need no quoting. Rows are joined and
-    written 8192 at a time, so a long table is never one string.
+    Values are written as their ``repr``. Each block of 8192 rows is
+    converted to plain floats and ints (``tolist``), so every value
+    reparses exactly, then joined and written at once: a long table is
+    never one string, nor one list of Python numbers. The bytes are those
+    the ``csv`` module writes for such rows. The header names need no
+    quoting.
     """
-    lines = map(",".join, zip(*(map(repr, column) for column in columns), strict=True))
+    rows = len(columns[0]) if columns else 0
+    if any(len(column) != rows for column in columns):
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := list(itertools.islice(lines, 8192)):
-            fh.write("\r\n".join(block) + "\r\n")
+        for start in range(0, rows, 8192):
+            block = (map(repr, column[start : start + 8192].tolist()) for column in columns)
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexGrid:
@@ -90,7 +98,12 @@ def build_grid(radial_count: int, angular_count: int, margin: float) -> ComplexG
 
 def grid_meta(grid: ComplexGrid) -> dict:
     """The ``grid`` block of the ``curvature`` and ``criteria`` reports."""
-    return {"points": grid.n, **asdict(grid)}
+    return {
+        "points": grid.n,
+        "radial_count": grid.radial_count,
+        "angular_count": grid.angular_count,
+        "margin": grid.margin,
+    }
 
 
 def carleson_constant(density, grid: ComplexGrid, max_depth: int) -> float:

@@ -242,7 +242,7 @@ def emit_heatmap(field: DefectField, path) -> None:
     if field.is_partial:
         raise NumericalError("refusing to dump a partial field")
     points = field.grid.points
-    write_csv(path, ["re", "im", "value"], [points.real.tolist(), points.imag.tolist(), field.values.tolist()])
+    write_csv(path, ["re", "im", "value"], [points.real, points.imag, field.values])
 
 
 def _pair(z: complex) -> list:

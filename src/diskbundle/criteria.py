@@ -219,5 +219,4 @@ def write_probe_heatmap(field: DefectField, rings: Sequence[int], path, potentia
     count = field.grid.angular_count
     z = field.grid.points.reshape(-1, count)[rings].ravel()
     defect = field.values.reshape(-1, count)[rings].ravel()
-    columns = [z.real.tolist(), z.imag.tolist(), defect.tolist(), np.ravel(potentials).tolist()]
-    write_csv(path, ["re", "im", "defect", "green_potential"], columns)
+    write_csv(path, ["re", "im", "defect", "green_potential"], [z.real, z.imag, defect, np.ravel(potentials)])

@@ -3,8 +3,9 @@
 Two families matter for callers: ``ValidationError`` means the inputs were
 bad (the CLI maps it to exit code 2), ``NumericalError`` means a computation
 could not be completed to the requested accuracy (exit code 3).
-:func:`check_count` is the one test of an integer argument, and
-:func:`read_json` the one reader of a JSON input file.
+:func:`check_count` is the one test of an integer argument,
+:func:`read_json` the one reader of a JSON input file, and :class:`Frozen`
+the base of the package's immutable value classes.
 """
 
 import json
@@ -79,3 +80,42 @@ def read_json(path, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer of more digits than Python converts
         raise DataError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+class Frozen:
+    """Base of an immutable value class, in place of a frozen dataclass.
+
+    Its ``__slots__`` are set once, by ``_set`` in ``__init__``; assigning or
+    deleting one later raises :class:`AttributeError`. The constructor's
+    arguments, named in order by ``_fields``, are what an instance is: they
+    make its repr, its equality and hash (with instances of its own class)
+    and its copies and pickles, which are rebuilt by the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._args() == other._args() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._args())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._args()

@@ -4,14 +4,19 @@ Coefficients are stored in ascending order (``c[0] + c[1] z + ...``) as
 complex numpy arrays. This is the common representation for frame entries
 and Toeplitz symbols, so evaluation and differentiation live here, as does
 :class:`RationalMatrix`, the matrix of such functions that frames and
-symbols both are. Its values are laid out ``(rows, cols, *shape(z))``, the
-points on the last axis, and a scalar goes through the same numpy
-arithmetic as a grid: it is evaluated as a one-element grid of flattened
-points. Also here is :func:`gram_schmidt`, the factorization ``F = QR`` at
-every point of a grid that the frame defect, the Gram extremes and the
-symbol margin all take their numbers from, for every width and for one
-point alike: it sums over rows in one fixed order, row after row, so a
-point's numbers are its column of any grid, bit for bit.
+symbols both are. It stacks its entries' coefficients once, zero-padded
+to one degree, so an evaluation is one in-place Horner pass per stack
+over every entry at once; a single function is the 1x1 case of the same
+kernel. Values are laid out ``(rows, cols, *shape(z))``, the points on
+the last axis, and a scalar goes through the same numpy arithmetic as a
+grid: it is evaluated as a one-element grid of flattened points. The
+pole screen finds every entry's poles by one batched ``eigvals`` of the
+companion matrices of each denominator degree. Also here is
+:func:`gram_schmidt`, the factorization ``F = QR`` at every point of a
+grid that the frame defect, the Gram extremes and the symbol margin all
+take their numbers from, for every width and for one point alike: it
+sums over rows in one fixed order, row after row, so a point's numbers
+are its column of any grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,20 +41,6 @@ def as_coeffs(c) -> np.ndarray:
     return arr[: nz[-1] + 1].copy()
 
 
-def poly_eval(coeffs: np.ndarray, z):
-    """Horner evaluation; ``z`` may be a scalar or an ndarray."""
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, len(coeffs))
-
-
 def poly_mul(a, b) -> np.ndarray:
     return as_coeffs(np.convolve(as_coeffs(a), as_coeffs(b)))
 
@@ -59,6 +50,9 @@ def poly_from_roots(roots, leading=1.0) -> np.ndarray:
     for r in roots:
         out = np.convolve(out, np.array([-r, 1.0], dtype=complex))
     return out
+
+
+_UNLOCATABLE = "roots cannot be located: the companion matrix overflows"
 
 
 def poly_roots(coeffs) -> np.ndarray:
@@ -71,7 +65,96 @@ def poly_roots(coeffs) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.roots(c[::-1])
     except np.linalg.LinAlgError:
-        raise DataError("roots cannot be located: the companion matrix overflows") from None
+        raise DataError(_UNLOCATABLE) from None
+
+
+def _stack(polys) -> np.ndarray:
+    """Ascending coefficients as the columns of one ``(degree + 1, len(polys))``
+    array, padded with zeros above each column's own degree."""
+    out = np.zeros((max(map(len, polys)), len(polys)), dtype=complex)
+    for k, c in enumerate(polys):
+        out[: len(c), k] = c
+    return out
+
+
+def _with_derivatives(num: np.ndarray, den: np.ndarray) -> tuple:
+    """The stacks ``(num, den, num', den')``: a derivative's stack is the
+    rows of degree 1 and up times their degrees."""
+    return num, den, *(s[1:] * np.arange(1, len(s))[:, None] for s in (num, den))
+
+
+def _horner(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Every column of ``stack`` at every point, laid out ``(columns, points)``.
+
+    One pass of Horner steps ``acc = acc * z + c`` over all columns at
+    once, in place, from zeros. At a finite point a padded zero
+    coefficient leaves ``acc`` at its zero start, so each column's values
+    are those of Horner's rule on its own coefficients alone, bit for bit.
+    """
+    acc = np.zeros((stack.shape[1], points.size), dtype=complex)
+    for c in stack[::-1]:
+        acc *= points
+        acc += c[:, None]
+    return acc
+
+
+def _quotients(stacks, z) -> list:
+    """``n/d`` of the stacks ``(num, den)`` at the flattened points of ``z``;
+    given ``(num, den, num', den')``, also ``(n'd - nd')/d^2``, in that
+    order of operations. Each is laid out ``(columns, points)``."""
+    points = np.asarray(z, dtype=complex).reshape(-1)
+    # numpy multiplies a lone element in place by other code than an array,
+    # with other bits: a lone point is evaluated twice over
+    lone = points.size == 1
+    if lone:
+        points = np.repeat(points, 2)
+    # a pole on a point, or a value beyond the float range, gives inf or nan there; callers check finiteness
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n, d = _horner(stacks[0], points), _horner(stacks[1], points)
+        if len(stacks) == 2:
+            n /= d
+            out = [n]
+        else:
+            out = [n / d, _horner(stacks[2], points)]
+            out[1] *= d
+            n *= _horner(stacks[3], points)
+            out[1] -= n
+            out[1] /= d * d
+    return [v[:, :1] for v in out] if lone else out
+
+
+def _eigvals_moduli(companions: np.ndarray) -> list:
+    """``|eigenvalues|`` of each stacked matrix, or None for one LAPACK
+    refuses (not finite, or no convergence): a refused batch is split."""
+    try:
+        return list(np.abs(np.linalg.eigvals(companions)))
+    except np.linalg.LinAlgError:
+        if len(companions) == 1:
+            return [None]
+        return [m for a in companions for m in _eigvals_moduli(a[None])]
+
+
+def _root_moduli(stack: np.ndarray) -> list:
+    """``|poly_roots(c)|`` of each column ``c`` of a :func:`_stack`, or None
+    where :func:`poly_roots` raises; one batched ``eigvals`` per degree.
+
+    As in ``np.roots``, the zero roots of the low zero coefficients are
+    split off and the rest are the eigenvalues of the companion matrix,
+    built in its order of operations, so the moduli are the same."""
+    nonzero = stack != 0
+    low = nonzero.argmax(axis=0)
+    degree = len(stack) - 1 - nonzero[::-1].argmax(axis=0) - low
+    moduli = [np.zeros(0)] * stack.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny leading coefficient overflows the companion row
+        for m in sorted(set(degree.tolist()) - {0}):  # not np.unique: its sort pages in 0.8 MB of code
+            cols = np.flatnonzero(degree == m)
+            desc = stack[low[cols, None] + np.arange(m, -1, -1), cols[:, None]]
+            companions = np.zeros((len(cols), m, m), dtype=complex)
+            companions[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            companions[:, 0] = -desc[:, 1:] / desc[:, :1]
+            for k, found in zip(cols.tolist(), _eigvals_moduli(companions)):
+                moduli[k] = found
+    return [r if r is None else np.append(r, np.zeros(k)) for r, k in zip(moduli, low.tolist())]
 
 
 class RationalFunction:
@@ -98,7 +181,7 @@ class RationalFunction:
         return cls(num)
 
     def __call__(self, z):
-        return poly_eval(self.num, z) / poly_eval(self.den, z)
+        return self._at(z, False)[0]
 
     def eval_deriv(self, z):
         """Exact derivative value, (n'd - nd')/d^2."""
@@ -107,11 +190,15 @@ class RationalFunction:
     def jet(self, z):
         """Value ``n/d`` and derivative ``(n'd - nd')/d^2`` from one
         evaluation of each of ``n``, ``d``, ``n'`` and ``d'``."""
-        n = poly_eval(self.num, z)
-        d = poly_eval(self.den, z)
-        np_ = poly_eval(poly_deriv(self.num), z)
-        dp = poly_eval(poly_deriv(self.den), z)
-        return n / d, (np_ * d - n * dp) / (d * d)
+        value, deriv = self._at(z, True)
+        return value, deriv
+
+    def _at(self, z, jet: bool) -> list:
+        """:func:`_quotients` of the 1x1 stacks, shaped as ``z``: the
+        kernel of :class:`RationalMatrix` on one entry."""
+        stacks = (self.num[:, None], self.den[:, None])
+        values = _quotients(_with_derivatives(*stacks) if jet else stacks, z)
+        return [v.reshape(np.shape(z))[()] for v in values]
 
     def poles(self) -> np.ndarray:
         return poly_roots(self.den)
@@ -167,10 +254,15 @@ class RationalFunction:
 class RationalMatrix:
     """Matrix of rational functions: shape checks, evaluation and JSON I/O.
 
+    The constructor stacks the entries' coefficients once, row-major, as
+    the columns of four zero-padded arrays of shape ``(degree + 1,
+    rows * cols)``: numerators, denominators and their derivatives. An
+    evaluation is one Horner pass per stack over all entries at once.
     Subclasses name themselves in messages through ``noun``, screen each
     entry's pole radii in ``_check_pole_radii`` (a refusal is re-raised
-    naming the entry, ``entries[i][j]``), and list in ``flags`` the boolean
-    constructor arguments their JSON form carries.
+    naming the first refused entry in row-major order, ``entries[i][j]``),
+    and list in ``flags`` the boolean constructor arguments their JSON
+    form carries.
     """
 
     noun = "matrix"
@@ -180,17 +272,21 @@ class RationalMatrix:
         if not entries or not entries[0]:
             raise ParameterError(f"{self.noun} needs at least one row and one column")
         cols = len(entries[0])
-        for i, row in enumerate(entries):
+        for row in entries:
             if len(row) != cols:
                 raise ParameterError(f"{self.noun} rows must all have the same length")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, RationalFunction):
-                    raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
-                try:
-                    self._check_pole_radii(np.abs(entry.poles()))
-                except ValidationError as exc:  # unlocatable poles, or poles the subclass refuses
-                    where = f"entries[{i}][{j}]"
-                    raise type(exc)(f"{where}: {exc}", field=where) from None
+            if not all(isinstance(entry, RationalFunction) for entry in row):
+                raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
+        flat = [e for row in entries for e in row]
+        self._stacks = _with_derivatives(_stack([e.num for e in flat]), _stack([e.den for e in flat]))
+        for k, radii in enumerate(_root_moduli(self._stacks[1])):
+            try:
+                if radii is None:
+                    raise DataError(_UNLOCATABLE)
+                self._check_pole_radii(radii)
+            except ValidationError as exc:  # unlocatable poles, or poles the subclass refuses
+                where = f"entries[{k // cols}][{k % cols}]"
+                raise type(exc)(f"{where}: {exc}", field=where) from None
         self.entries = entries
 
     def _check_pole_radii(self, radii: np.ndarray) -> None:
@@ -204,31 +300,23 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def _fill(self, z, k: int, fn) -> np.ndarray:
-        """``k`` arrays per entry from ``fn(entry, points)``, laid out
-        ``(k, rows, cols, *shape(z))``: the points on the last axis, so a
-        scalar gives ``k`` matrices of ``rows x cols``. ``fn`` sees the
-        points flattened, so a scalar is a one-element grid and runs the
+    def _at(self, z, jet: bool) -> list:
+        """:func:`_quotients` laid out ``(rows, cols, *shape(z))``: the
+        points on the last axis, so a scalar gives ``rows x cols``. A
+        scalar is a one-element grid of flattened points and runs the
         grid's array loops: its values are the grid's, bit for bit."""
-        z = np.asarray(z, dtype=complex)
-        points = z.reshape(-1)
-        out = np.empty((k, self.rows, self.cols, points.size), dtype=complex)
-        # a pole on a point, or a value beyond the float range, gives inf or nan there; callers check finiteness
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i, row in enumerate(self.entries):
-                for j, e in enumerate(row):
-                    out[:, i, j] = fn(e, points)
-        return out.reshape(k, self.rows, self.cols, *z.shape)
+        shape = (self.rows, self.cols, *np.shape(z))
+        return [v.reshape(shape) for v in _quotients(self._stacks if jet else self._stacks[:2], z)]
 
     def eval(self, z) -> np.ndarray:
         """Values, laid out ``(rows, cols, *shape(z))``."""
-        return self._fill(z, 1, lambda e, z: (e(z),))[0]
+        return self._at(z, False)[0]
 
     def eval_jet(self, z):
         """Values and exact derivatives (never a finite difference), each
-        laid out as :meth:`eval`, from one :meth:`RationalFunction.jet`
-        per entry."""
-        f, fp = self._fill(z, 2, RationalFunction.jet)
+        laid out as :meth:`eval`, in the order of operations of
+        :meth:`RationalFunction.jet`."""
+        f, fp = self._at(z, True)
         return f, fp
 
     @classmethod

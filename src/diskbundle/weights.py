@@ -17,13 +17,12 @@ the per-spike extremal bounds and the growth of the shift orbit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AccuracyError, CapacityError, DataError, ParameterError, check_count
+from .errors import AccuracyError, CapacityError, DataError, Frozen, ParameterError, check_count
 from .kernels import weighted_kernel_diag_certified
 
 #: samples per pass and zoom passes after the first of the spike-peak grid search
@@ -38,8 +37,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Frozen):
     """Finite positive weights with ``w_0 = 1``.
 
     Beyond the stored range the sequence continues with the unit plateau
@@ -48,18 +46,17 @@ class WeightSequence:
     would index past ``values``. ``values`` is read-only.
     """
 
-    values: np.ndarray
-    epsilon: Optional[float] = None
+    __slots__ = _fields = ("values", "epsilon")
 
-    def __post_init__(self):
-        vals = _read_only(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values, epsilon: Optional[float] = None):
+        vals = _read_only(np.asarray(values, dtype=float))
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("weights must form a nonempty sequence")
         if not np.all(np.isfinite(vals) & (vals > 0.0)):
             raise DataError("weights must be finite and positive")
         if vals[0] != 1.0:
             raise DataError("w_0 must equal 1")
+        self._set(values=vals, epsilon=epsilon)
 
     @property
     def length(self) -> int:

@@ -3,17 +3,18 @@
 None of these is reached by a command: finite-difference Wirtinger
 derivatives and Laplacian, the projection and its derivative at one
 point by ``solve`` on the ``eigvalsh``-checked Gram matrix, the defect
-field from batched ``eigvalsh``, QR and ``solve``, the brute-force
-dyadic Carleson boxes, projection residuals, the kernel closed forms,
-the weighted backward shift on coefficients, the Green quadrature
-written as a loop over cells and subcells, the CSV dump through
-``csv.writer``, the whole-sequence forms of the counterexample's three
-fast paths (the kernel sum over every stored weight in extended
-precision, the spike values one slot at a time, the weight dump through
-``csv.writer``), the Toeplitz section filled block by block with its
-shift-intertwining gap taken through Kronecker shift matrices, and the
-product of two symbols built entry by entry from sums and products of
-rational functions, which live only here.
+field from batched ``eigvalsh``, QR and ``solve``, the evaluation of a
+rational matrix one entry at a time, the brute-force dyadic Carleson
+boxes, projection residuals, the kernel closed forms, the weighted
+backward shift on coefficients, the Green quadrature written as a loop
+over cells and subcells, the CSV dump through ``csv.writer``, the
+whole-sequence forms of the counterexample's three fast paths (the
+kernel sum over every stored weight in extended precision, the spike
+values one slot at a time, the weight dump through ``csv.writer``), the
+Toeplitz section filled block by block with its shift-intertwining gap
+taken through Kronecker shift matrices, and the product of two symbols
+built entry by entry from sums and products of rational functions, which
+live only here.
 Three test inputs live here too: the truncated Hardy-line frame
 ``(1, lam, lam^2, ...)``, the uniform defect field and the benchmark's
 seeded input files.
@@ -22,9 +23,10 @@ Gram-Schmidt defect, at one point and on a grid, must match the LAPACK
 one to roundoff with the same failures, ``carleson_constant`` bins the
 same boxes by sector, the package's Green stencil computes the same
 quadrature on whole arrays, the kernel sum must match its form here
-within its rounding bound, the other fast paths and the section gather
-must match theirs bit for bit, and the multiplicativity check takes the
-blocks of a product from pointwise products of circle samples.
+within its rounding bound, the other fast paths, the stacked rational
+evaluation and the section gather must match theirs bit for bit, and the
+multiplicativity check takes the blocks of a product from pointwise
+products of circle samples.
 """
 
 from __future__ import annotations
@@ -164,6 +166,40 @@ def lapack_defect_field(frame, grid):
         (int(i), _condition_message(lo[i], hi[i]) if np.isfinite(lo[i]) else not_finite) for i in np.flatnonzero(~ok)
     )
     return values, failures, lo, hi
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner's rule ``acc = acc * z + c`` for one polynomial, from zeros."""
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _deriv(coeffs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative; ``[0]`` for a constant."""
+    if len(coeffs) <= 1:
+        return np.zeros(1, dtype=complex)
+    return coeffs[1:] * np.arange(1, len(coeffs))
+
+
+def entrywise_jet(matrix, z):
+    """Values and exact derivatives of a rational matrix, laid out
+    ``(rows, cols, *shape(z))``, one entry at a time: four Horner loops on
+    each entry's own coefficients over the flattened points, then
+    ``n/d`` and ``(n'd - nd')/d^2``. The stacked evaluation must match it
+    bit for bit, inf and NaN where a pole sits on a point included."""
+    z = np.asarray(z, dtype=complex)
+    points = z.reshape(-1)
+    out = np.empty((2, matrix.rows, matrix.cols, points.size), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, row in enumerate(matrix.entries):
+            for j, e in enumerate(row):
+                n, d = _horner(e.num, points), _horner(e.den, points)
+                dn, dd = _horner(_deriv(e.num), points), _horner(_deriv(e.den), points)
+                out[:, i, j] = n / d, (dn * d - n * dd) / (d * d)
+    f, fp = out.reshape(2, matrix.rows, matrix.cols, *z.shape)
+    return f, fp
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from diskbundle.weights import build_spike_weight, shift_growth_witness, spike_p
 from oracles import (
     benchmark_file,
     constant_field,
+    entrywise_jet,
     gram,
     hardy_line_frame,
     hs_norm_sq,
@@ -580,14 +581,20 @@ def test_one_point_defect_is_the_field_value(make_frame, tmp_path):
         assert np.array_equal(value, f[..., i]) and np.array_equal(deriv, fp[..., i]), i
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+# the chunk counts matrix elements: on this 3x2 frame 7 is one point, 30 five and 383 sixty-three
+@pytest.mark.parametrize("chunk", [1, 7, 64, 30, 383])
 def test_defect_field_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     grid = build_grid(4, 16, 0.01)
     frame = cap_crossing_frame(grid, center=21)
     whole = defect_field(frame, grid)  # one chunk of the default size
-    assert whole.failures and bundle._CHUNK >= grid.n
+    assert whole.failures and bundle._CHUNK >= grid.n * frame.rows * frame.cols
     monkeypatch.setattr(bundle, "_CHUNK", chunk)
+    sizes = []
+    jet = frame.eval_jet
+    monkeypatch.setattr(frame, "eval_jet", lambda z: sizes.append(len(z)) or jet(z))
     field = defect_field(frame, grid)
+    step = max(1, chunk // 6)
+    assert sizes == [min(step, grid.n - start) for start in range(0, grid.n, step)]
     assert field.failures == whole.failures
     for name in ("values", "gram_lo", "gram_hi"):
         assert np.array_equal(getattr(field, name), getattr(whole, name), equal_nan=True), name
@@ -611,6 +618,49 @@ def ill_conditioned_5x3_frame():
     a0 = (u * [1.0, 1e-2, 1e-5]) @ v.conj().T
     a1 = 1e-6 * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
     return AnalyticFrame([[RationalFunction([a0[i, j], a1[i, j]]) for j in range(3)] for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        one_lambda_frame(),
+        quadratic_frame(),
+        exp_taylor_frame(),
+        gauge_frame(),
+        seeded_rational_frame(3, 2, seed=1),
+        seeded_rational_frame(12, 2, seed=5),
+        seeded_rational_frame(5, 3, seed=3),
+        near_cap_frame(build_grid(16, 64, 1e-3), passing=21, failing=40),
+        cap_crossing_frame(build_grid(4, 16, 0.01), center=21),
+        zero_column_frame(True),
+        zero_column_frame(False),
+        mixed_degree_frame(),
+        ill_conditioned_5x3_frame(),
+        hardy_line_frame(6),
+        AnalyticFrame.constant(np.eye(2)),
+    ],
+    ids=lambda frame: f"{frame.rows}x{frame.cols}",
+)
+def test_stacked_jet_is_the_entrywise_jet(frame):
+    grid = build_grid(8, 32, 1e-3)
+    f, fp = entrywise_jet(frame, grid.points)
+    value, deriv = frame.eval_jet(grid.points)
+    assert np.array_equal(value, f) and np.array_equal(deriv, fp)
+    assert np.array_equal(frame.eval(grid.points), f)
+    for z in (complex(grid.points[0]), grid.points[100], 0.0):
+        f, fp = entrywise_jet(frame, z)
+        value, deriv = frame.eval_jet(z)
+        assert np.array_equal(value, f) and np.array_equal(deriv, fp)
+
+
+@pytest.mark.parametrize("workload", ["criteria-20x64", "sweeps"])
+def test_benchmark_frame_jet_is_the_entrywise_jet(tmp_path, workload):
+    frame = load_frame(benchmark_file(workload, "curvature", "frame", tmp_path))
+    grid = build_grid(16, 64, 1e-3)
+    for z in (grid.points, complex(grid.points[17]), 0.5):
+        f, fp = entrywise_jet(frame, z)
+        value, deriv = frame.eval_jet(z)
+        assert np.array_equal(value, f) and np.array_equal(deriv, fp)
 
 
 def test_wide_gram_extremes_match_pointwise_svd():

@@ -1,25 +1,35 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from diskbundle.bundle import DefectField
 from diskbundle.calculus import build_grid, carleson_constant, write_csv
 from diskbundle.errors import DataError, DomainError, ParameterError
+from diskbundle.weights import WeightSequence
 from oracles import CarlesonBox, csv_module_dump, dyadic_boxes, laplacian, wirtinger_dz
 
 
 # --- CSV dumps ---
 
 
-# the last table spans three of the writer's 8192-row blocks
+# the writer takes arrays; an object array keeps its ints, which are written as ints;
+# the last table spans three of the writer's 8192-row blocks and is the float array a field gives
 @pytest.mark.parametrize(
     "rows",
     [
         [],
         [[-0.0, 5e-324, 1e16], [1e-7, 0.1 + 0.2, -3], [0, 12, 2.5]],
-        np.random.default_rng(0).standard_normal((2 * 8192 + 1, 3)).tolist(),
+        np.random.default_rng(0).standard_normal((2 * 8192 + 1, 3)),
     ],
 )
 def test_write_csv_matches_csv_module_bytes(tmp_path, rows):
-    write_csv(tmp_path / "fast.csv", ["re", "im", "value"], [list(column) for column in zip(*rows)])
+    if isinstance(rows, np.ndarray):
+        columns, rows = list(rows.T), rows.tolist()
+    else:
+        columns = [np.array(column, dtype=object) for column in zip(*rows)]
+    write_csv(tmp_path / "fast.csv", ["re", "im", "value"], columns)
     csv_module_dump(tmp_path / "oracle.csv", ["re", "im", "value"], rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -69,6 +79,31 @@ def test_grid_arrays_are_read_only(name):
     with pytest.raises(ValueError):
         getattr(grid, name)[0] = 0
     assert grid == build_grid(2, 4, 0.1) and np.array_equal(grid.points, build_grid(2, 4, 0.1).points)
+
+
+def test_value_classes_are_frozen_and_rebuilt_from_their_arguments():
+    # plain slotted classes where frozen dataclasses were: no field can be set or deleted,
+    # and a grid is equal, hashes, prints, copies and pickles by its three parameters
+    grid = build_grid(2, 4, 0.1)
+    field = DefectField(grid, np.arange(8.0), failures=((3, "m"),))
+    weight = WeightSequence([1.0, 1.2, 1.0], epsilon=0.1)
+    for value, name in ((grid, "margin"), (grid, "points"), (field, "values"), (weight, "epsilon")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert repr(grid) == "ComplexGrid(radial_count=2, angular_count=4, margin=0.1)"
+    assert grid != build_grid(2, 4, 0.2) and grid != (2, 4, 0.1)
+    assert {grid: 1}[build_grid(2, 4, 0.1)] == 1
+    for clone in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert clone == grid and hash(clone) == hash(grid) and np.array_equal(clone.points, grid.points)
+        assert not clone.points.flags.writeable
+    for clone in (copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert clone.grid == grid and np.array_equal(clone.values, field.values) and clone.failures == field.failures
+    clone = pickle.loads(pickle.dumps(weight))
+    assert np.array_equal(clone.values, weight.values) and clone.epsilon == 0.1 and not clone.values.flags.writeable
 
 
 # --- Wirtinger derivative ---

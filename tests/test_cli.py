@@ -634,6 +634,25 @@ def test_non_finite_or_extreme_coefficient_exits_2(tmp_path, capsys, command, de
     assert error["type"] == "DataError" and error["field"] == field
 
 
+@pytest.mark.parametrize("leading", [1e-320, 1e-10], ids=["subnormal_leading", "overflowing_row"])
+@pytest.mark.parametrize("command", ["curvature", "toeplitz"])
+def test_unlocatable_poles_among_stacked_entries_exit_2(tmp_path, capsys, command, leading):
+    # the four linear denominators share one batched eigvals; the entry whose
+    # companion row -1e300/leading overflows is named, as when it stands alone
+    ok = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0], [-0.25, 0.0]]}
+    bad = {"num": [[1.0, 0.0]], "den": [[1e300, 0.0], [leading, 0.0]]}
+    doc = {"rows": 2, "cols": 2, "entries": [[ok, ok], [bad, ok]]}
+    name = "frame" if command == "curvature" else "symbol"
+    if name == "symbol":
+        doc["analytic"] = False
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", {name: "m.json", "grid": {"radial_count": 2, "angular_count": 4}})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert (error["type"], error["field"]) == ("DataError", "entries[1][0]")
+    assert error["message"] == "entries[1][0]: roots cannot be located: the companion matrix overflows"
+
+
 @pytest.mark.parametrize("den", [[[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], ids=["zero", "zero_pair"])
 @pytest.mark.parametrize("command", ["curvature", "criteria", "toeplitz"])
 def test_zero_denominator_names_its_field(tmp_path, capsys, command, den):

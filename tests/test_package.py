@@ -37,8 +37,9 @@ COMMAND_MODULES = {
     "counterexample": {"weights", "kernels"},
 }
 
-#: modules of the standard library that no command loads: ``argparse`` and the two it imports
-UNUSED_STDLIB = ("argparse", "gettext", "locale")
+#: modules of the standard library that no command loads: ``argparse`` and the two it imports,
+#: and ``dataclasses``, whose classes generate and compile their methods at import
+UNUSED_STDLIB = ("argparse", "gettext", "locale", "dataclasses")
 
 #: runs ``cli.main`` on its arguments, then prints the exit code, the loaded
 #: submodules, the collector's freeze count and state, and which of ``UNUSED_STDLIB`` are loaded

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from diskbundle.bundle import AnalyticFrame
-from diskbundle.errors import DataError, ParameterError
-from diskbundle.rational import RationalFunction, poly_from_roots, poly_mul, poly_roots
+from diskbundle.calculus import build_grid
+from diskbundle.errors import DataError, ParameterError, SymbolError
+from diskbundle.rational import (
+    RationalFunction,
+    RationalMatrix,
+    _root_moduli,
+    _stack,
+    poly_from_roots,
+    poly_mul,
+    poly_roots,
+)
 from diskbundle.toeplitz import MatrixSymbol
-from oracles import poly_add, rational_product, rational_sum
+from oracles import entrywise_jet, poly_add, rational_product, rational_sum
 
 
 def test_polynomial_evaluation():
@@ -156,3 +165,113 @@ def test_json_booleans_are_not_numbers(cls, flags):
     with pytest.raises(DataError) as err:
         cls.from_jsonable({**good, "cols": True})
     assert err.value.field == "cols"
+
+
+def assert_entrywise(matrix, z):
+    """``eval`` and ``eval_jet`` at ``z`` are the entry-by-entry jet, bit for bit."""
+    f, fp = entrywise_jet(matrix, z)
+    value, deriv = matrix.eval_jet(z)
+    assert value.shape == deriv.shape == f.shape
+    assert np.array_equal(value, f, equal_nan=True) and np.array_equal(deriv, fp, equal_nan=True)
+    assert np.array_equal(matrix.eval(z), f, equal_nan=True)
+
+
+def padded_matrix(pole):
+    """Entries whose numerators and denominators mix degrees 0 to 3, a zero
+    entry, low zero coefficients, and one entry with a pole at ``pole``."""
+    rng = np.random.default_rng(7)
+
+    def poly(degree):
+        return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+    return RationalMatrix(
+        [
+            [RationalFunction(poly(3), poly(0)), RationalFunction([0.0]), RationalFunction(poly(1), poly(2))],
+            [RationalFunction([0.0, 0.0, 2.0]), RationalFunction(poly(2), poly(3)), RationalFunction(poly(0), poly(1))],
+            [RationalFunction(poly(1), [-pole, 1.0]), RationalFunction(poly(0)), RationalFunction([0.0, *poly(2)])],
+        ]
+    )
+
+
+def test_stacked_evaluation_pads_mixed_degrees_bit_for_bit():
+    # one Horner pass per stack over entries of degrees 0 to 3: the padded zeros change no bit,
+    # at one point and on grids alike, and a pole exactly on a grid point gives the same inf and nan
+    grid = build_grid(4, 16, 0.01)
+    pole = complex(grid.points[37])
+    matrix = padded_matrix(pole)
+    value, _ = matrix.eval_jet(grid.points)
+    assert not np.isfinite(value[2, 0, 37]) and np.isfinite(np.delete(value[2, 0], 37)).all()
+    for z in (grid.points, grid.points.reshape(4, 16), grid.points[:1], grid.points[37], pole, 0.5, 0.0):
+        assert_entrywise(matrix, z)
+
+
+def test_a_function_is_the_one_by_one_case():
+    grid = build_grid(4, 16, 0.01)
+    pole = complex(grid.points[5])
+    for entry in [e for row in padded_matrix(pole).entries for e in row]:
+        one = RationalMatrix([[entry]])
+        for z in (grid.points, pole, 0.3 - 0.2j):
+            f, fp = entrywise_jet(one, z)
+            value, deriv = entry.jet(z)
+            assert np.array_equal(value, f[0, 0], equal_nan=True) and np.array_equal(deriv, fp[0, 0], equal_nan=True)
+            assert np.array_equal(entry(z), f[0, 0], equal_nan=True)
+            assert np.array_equal(entry.eval_deriv(z), fp[0, 0], equal_nan=True)
+            assert np.shape(value) == np.shape(z)
+
+
+def test_pole_screen_moduli_are_those_of_the_companion_roots():
+    # degrees 0 to 3, low zero coefficients (roots at 0) among them, batched by degree
+    rng = np.random.default_rng(5)
+    dens = [np.array([1.0 + 0j])]
+    for degree in (1, 2, 3, 1, 2, 3, 3):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        dens.append(RationalFunction([1.0], c).den)
+    dens += [RationalFunction([1.0], [0.0, 0.0, 1.0, 2.0]).den, RationalFunction([1.0], [0.0, 0.0, 0.0, 3.0]).den]
+    for den, radii in zip(dens, _root_moduli(_stack(dens)), strict=True):
+        assert np.array_equal(radii, np.abs(poly_roots(den)))
+
+
+def _refusal(make):
+    with pytest.raises((DataError, ParameterError, SymbolError)) as err:
+        make()
+    return type(err.value).__name__, err.value.field, str(err.value)
+
+
+def _frame_rows(dens):
+    return [[RationalFunction([1.0], den) for den in row] for row in dens]
+
+
+def test_pole_screen_refuses_the_first_entry_in_row_major_order():
+    ok, inside = [1.0, -0.25], [1.0, -2.0]  # a pole at 4, and one at 0.5
+    unlocatable = [1.0, 0.0, 1e-320]  # the companion row overflows
+    cases = [
+        (AnalyticFrame, {}, [[ok, inside], [inside, ok]], ("ParameterError", "entries[0][1]")),
+        (AnalyticFrame, {}, [[ok, ok], [inside, unlocatable]], ("ParameterError", "entries[1][0]")),
+        (AnalyticFrame, {}, [[ok, unlocatable], [inside, ok]], ("DataError", "entries[0][1]")),
+        (AnalyticFrame, {}, [[ok, [0.0, 1.0]], [ok, ok]], ("ParameterError", "entries[0][1]")),  # pole at 0
+        (MatrixSymbol, {"analytic": False}, [[ok, ok], [[1.0, -1.0], [1.0, 0.0, -1.0]]], ("SymbolError", "entries[1][0]")),
+        (MatrixSymbol, {"analytic": True}, [[ok, [1.0, 0.0, -4.0]], [inside, ok]], ("SymbolError", "entries[0][1]")),
+    ]
+    messages = {
+        "ParameterError": "frame entry has a pole inside or near the closed unit disk",
+        "DataError": "roots cannot be located: the companion matrix overflows",
+    }
+    for cls, flags, dens, (kind, field) in cases:
+        got_kind, got_field, message = _refusal(lambda: cls(_frame_rows(dens), **flags))
+        assert (got_kind, got_field) == (kind, field), dens
+        assert message.startswith(f"{field}: ")
+        if kind in messages:
+            assert message == f"{field}: {messages[kind]}"
+        # the entry alone is refused the same way
+        i, j = int(field[8]), int(field[11])
+        alone = _refusal(lambda: cls([[RationalFunction([1.0], dens[i][j])]], **flags))
+        assert alone == (kind, "entries[0][0]", message.replace(field, "entries[0][0]"))
+
+
+def test_pole_screen_accepts_denominators_of_degree_zero_to_three():
+    dens = [[1.0], [1.0, -0.5], [2.0, 0.0, 1.0], [1.0, 0.1, 0.0, -0.2j]]
+    frame = AnalyticFrame(_frame_rows([dens]))
+    assert_entrywise(frame, build_grid(2, 8, 0.1).points)
+    # a pole within the buffer of the circle, in the cubic entry
+    near = poly_from_roots([1.0 + 1e-10, 3.0, -3.0])
+    assert _refusal(lambda: AnalyticFrame(_frame_rows([[*dens[:3], near]])))[:2] == ("ParameterError", "entries[0][3]")

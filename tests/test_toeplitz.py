@@ -19,7 +19,7 @@ from diskbundle.toeplitz import (
     toeplitz_section,
 )
 
-from oracles import benchmark_file, kron_intertwining_gap, loop_toeplitz_section, symbol_product
+from oracles import benchmark_file, entrywise_jet, kron_intertwining_gap, loop_toeplitz_section, symbol_product
 
 EPS = np.finfo(float).eps
 
@@ -444,6 +444,30 @@ def test_margin_requires_tall_symbol():
     wide = MatrixSymbol.constant(np.ones((1, 2)))
     with pytest.raises(ParameterError):
         left_invertibility_margin(wide, build_grid(2, 4, 0.1))
+
+
+@pytest.mark.parametrize(
+    "make_symbol",
+    [
+        lambda directory: shift_symbol(),
+        lambda directory: blaschke_half(),
+        lambda directory: cauchy_03(),
+        lambda directory: random_poly_symbol(2, 3, 5, seed=2),
+        lambda directory: random_rational_symbol(3, 2, analytic=True, seed=1),
+        lambda directory: random_rational_symbol(2, 2, analytic=False, seed=4),
+        lambda directory: MatrixSymbol.constant(2.0 * np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.0, 0.8, -0.6]])),
+        lambda directory: load_symbol(benchmark_file("sweeps", "toeplitz", "symbol", directory)),
+    ],
+    ids=["shift", "blaschke", "cauchy", "poly_2x3", "analytic_3x2", "general_2x2", "unitary_3x3", "bench"],
+)
+def test_stacked_symbol_values_are_the_entrywise_values(make_symbol, tmp_path):
+    # on the grid, the FFT circle and at one point, as the margin, sections and kernel action take them
+    symbol = make_symbol(tmp_path)
+    for z in (build_grid(8, 32, 1e-3).points, np.exp(2j * np.pi * np.arange(64) / 64), 0.5j, complex(0.3, -0.1)):
+        f, fp = entrywise_jet(symbol, z)
+        assert np.array_equal(symbol.eval(z), f)
+        value, deriv = symbol.eval_jet(z)
+        assert np.array_equal(value, f) and np.array_equal(deriv, fp)
 
 
 # --- symbol files ---

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -451,7 +450,7 @@ def test_counterexample_report_contents():
 
 def test_weight_is_its_values_and_epsilon():
     # alpha and the spike starts are read from the values and epsilon; neither can be stored or set
-    assert [f.name for f in dataclasses.fields(WeightSequence)] == ["values", "epsilon"]
+    assert WeightSequence.__slots__ == ("values", "epsilon")
     w = build_spike_weight(0.1, 2, 128)
     for name, value in (("alpha", 0.9), ("spike_starts", (10,))):
         with pytest.raises(TypeError):
