@@ -14,12 +14,10 @@ scalars are closed-form kernel sums. It and ``gram_bounds`` return plain
 dicts under the keys of the ``curvature`` report.
 
 ``defect_field`` evaluates the frame and its exact derivative in one
-stacked Horner pass over each chunk of grid points, with the points on
-the last axis, and factors ``F = QR`` at every point by
-:func:`~diskbundle.rational.gram_schmidt`. A chunk holds ``_CHUNK``
-(8192) matrix elements, points times ``rows * cols``, so the arrays of a
-tall frame stay as small as those of a narrow one, within the cache.
-The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
+stacked Horner pass over each chunk of grid points (``rational._CHUNK``,
+8192 matrix elements, as the symbol margin takes them), with the points
+on the last axis, and factors ``F = QR`` at every point by
+:func:`~diskbundle.rational.gram_schmidt`. The defect is ``|(I - QQ*) F' R^-1|_HS^2``, which needs no rows x rows
 projection and keeps its accuracy when ``|F'|`` dwarfs the defect. The
 extreme Gram eigenvalues are the squared extreme singular values of
 ``R`` (in closed form for up to two columns, from one batched SVD of the
@@ -44,9 +42,6 @@ CONDITION_CAP = 1e12
 
 #: poles must stay this far outside the closed unit disk
 _POLE_BUFFER = 1e-9
-
-#: matrix elements (grid points times ``rows * cols``) that :func:`defect_field` evaluates and factors at a time
-_CHUNK = 2**13
 
 
 class AnalyticFrame(RationalMatrix):
@@ -189,7 +184,7 @@ class DefectField(Frozen):
 
 
 def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
-    """Curvature defect on the whole grid, ``_CHUNK`` matrix elements at a
+    """Curvature defect on the whole grid, one chunk of grid points at a
     time; failures are collected, not fatal.
 
     A point whose Gram matrix exceeds the condition cap, or where the
@@ -199,11 +194,9 @@ def defect_field(frame: AnalyticFrame, grid: ComplexGrid) -> DefectField:
     """
     values, lo, hi = np.empty((3, grid.n))
     failures = []
-    step = max(1, _CHUNK // (frame.rows * frame.cols))
-    for start in range(0, grid.n, step):
-        part = slice(start, start + step)
+    for part in frame._chunks(grid.n):
         values[part], found, lo[part], hi[part] = _checked_defect(*frame.eval_jet(grid.points[part]))
-        failures += [(start + i, message) for i, message in found]
+        failures += [(part.start + i, message) for i, message in found]
     return DefectField(grid=grid, values=values, failures=tuple(failures), gram_lo=lo, gram_hi=hi)
 
 

@@ -9,14 +9,15 @@ to one degree, so an evaluation is one in-place Horner pass per stack
 over every entry at once; a single function is the 1x1 case of the same
 kernel. Values are laid out ``(rows, cols, *shape(z))``, the points on
 the last axis, and a scalar goes through the same numpy arithmetic as a
-grid: it is evaluated as a one-element grid of flattened points. The
-pole screen finds every entry's poles by one batched ``eigvals`` of the
-companion matrices of each denominator degree. Also here is
-:func:`gram_schmidt`, the factorization ``F = QR`` at every point of a
-grid that the frame defect, the Gram extremes and the symbol margin all
-take their numbers from, for every width and for one point alike: it
-sums over rows in one fixed order, row after row, so a point's numbers
-are its column of any grid, bit for bit.
+grid: it is evaluated as a one-element grid of flattened points, and a
+grid sweep takes its points in chunks of ``_CHUNK`` matrix elements.
+One batched ``eigvals`` of the companion matrices of each degree finds
+the roots, for the pole screen and a function's poles and zeros alike.
+Also here is :func:`gram_schmidt`, the factorization ``F = QR`` at every
+point of a grid that the frame defect, the Gram extremes and the symbol
+margin all take their numbers from, for every width and for one point
+alike: it sums over rows in one fixed order, row after row, so a point's
+numbers are its column of any grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,20 +53,8 @@ def poly_from_roots(roots, leading=1.0) -> np.ndarray:
     return out
 
 
-_UNLOCATABLE = "roots cannot be located: the companion matrix overflows"
-
-
-def poly_roots(coeffs) -> np.ndarray:
-    """Roots via the companion matrix; empty for (sub)constant input."""
-    c = as_coeffs(coeffs)
-    if len(c) <= 1:
-        return np.zeros(0, dtype=complex)
-    try:
-        # a leading coefficient tiny next to the others overflows the companion matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.roots(c[::-1])
-    except np.linalg.LinAlgError:
-        raise DataError(_UNLOCATABLE) from None
+#: matrix elements (grid points times ``rows * cols``) that a grid sweep evaluates and factors at a time
+_CHUNK = 2**13
 
 
 def _stack(polys) -> np.ndarray:
@@ -123,28 +112,29 @@ def _quotients(stacks, z) -> list:
     return [v[:, :1] for v in out] if lone else out
 
 
-def _eigvals_moduli(companions: np.ndarray) -> list:
-    """``|eigenvalues|`` of each stacked matrix, or None for one LAPACK
-    refuses (not finite, or no convergence): a refused batch is split."""
+def _eigvals(companions: np.ndarray) -> list:
+    """Eigenvalues of each stacked matrix, or None for one LAPACK refuses
+    (not finite, or no convergence): a refused batch is split."""
     try:
-        return list(np.abs(np.linalg.eigvals(companions)))
+        return list(np.linalg.eigvals(companions))
     except np.linalg.LinAlgError:
         if len(companions) == 1:
             return [None]
-        return [m for a in companions for m in _eigvals_moduli(a[None])]
+        return [r for a in companions for r in _eigvals(a[None])]
 
 
-def _root_moduli(stack: np.ndarray) -> list:
-    """``|poly_roots(c)|`` of each column ``c`` of a :func:`_stack`, or None
-    where :func:`poly_roots` raises; one batched ``eigvals`` per degree.
+def _roots(stack: np.ndarray) -> list:
+    """The roots of each column of a :func:`_stack`, or None where the
+    companion matrix cannot be factored; one batched ``eigvals`` per degree.
 
     As in ``np.roots``, the zero roots of the low zero coefficients are
-    split off and the rest are the eigenvalues of the companion matrix,
-    built in its order of operations, so the moduli are the same."""
+    split off and appended to the eigenvalues of the companion matrix,
+    built in its order of operations: the roots of ``np.roots``, bit for
+    bit and in its order."""
     nonzero = stack != 0
     low = nonzero.argmax(axis=0)
     degree = len(stack) - 1 - nonzero[::-1].argmax(axis=0) - low
-    moduli = [np.zeros(0)] * stack.shape[1]
+    roots = [np.zeros(0, dtype=complex)] * stack.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny leading coefficient overflows the companion row
         for m in sorted(set(degree.tolist()) - {0}):  # not np.unique: its sort pages in 0.8 MB of code
             cols = np.flatnonzero(degree == m)
@@ -152,9 +142,16 @@ def _root_moduli(stack: np.ndarray) -> list:
             companions = np.zeros((len(cols), m, m), dtype=complex)
             companions[:, np.arange(1, m), np.arange(m - 1)] = 1.0
             companions[:, 0] = -desc[:, 1:] / desc[:, :1]
-            for k, found in zip(cols.tolist(), _eigvals_moduli(companions)):
-                moduli[k] = found
-    return [r if r is None else np.append(r, np.zeros(k)) for r, k in zip(moduli, low.tolist())]
+            for k, found in zip(cols.tolist(), _eigvals(companions)):
+                roots[k] = found
+    return [r if r is None else np.append(r, np.zeros(k, dtype=complex)) for r, k in zip(roots, low.tolist())]
+
+
+def _located(roots: np.ndarray | None) -> np.ndarray:
+    """``roots`` from :func:`_roots`; :class:`DataError` where it found none."""
+    if roots is None:
+        raise DataError("roots cannot be located: the companion matrix overflows")
+    return roots
 
 
 class RationalFunction:
@@ -201,10 +198,10 @@ class RationalFunction:
         return [v.reshape(np.shape(z))[()] for v in values]
 
     def poles(self) -> np.ndarray:
-        return poly_roots(self.den)
+        return _located(_roots(self.den[:, None])[0])
 
     def zeros(self) -> np.ndarray:
-        return poly_roots(self.num)
+        return _located(_roots(self.num[:, None])[0])
 
     @property
     def is_zero(self) -> bool:
@@ -279,11 +276,9 @@ class RationalMatrix:
                 raise ParameterError(f"{self.noun} entries must be RationalFunction instances")
         flat = [e for row in entries for e in row]
         self._stacks = _with_derivatives(_stack([e.num for e in flat]), _stack([e.den for e in flat]))
-        for k, radii in enumerate(_root_moduli(self._stacks[1])):
+        for k, roots in enumerate(_roots(self._stacks[1])):
             try:
-                if radii is None:
-                    raise DataError(_UNLOCATABLE)
-                self._check_pole_radii(radii)
+                self._check_pole_radii(np.abs(_located(roots)))
             except ValidationError as exc:  # unlocatable poles, or poles the subclass refuses
                 where = f"entries[{k // cols}][{k % cols}]"
                 raise type(exc)(f"{where}: {exc}", field=where) from None
@@ -299,6 +294,12 @@ class RationalMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
+
+    def _chunks(self, n: int) -> list:
+        """A grid sweep's slices of ``n`` points, in order, of ``_CHUNK``
+        matrix elements each (at least one point), within the cache."""
+        step = max(1, _CHUNK // (self.rows * self.cols))
+        return [slice(start, start + step) for start in range(0, n, step)]
 
     def _at(self, z, jet: bool) -> list:
         """:func:`_quotients` laid out ``(rows, cols, *shape(z))``: the

@@ -301,21 +301,25 @@ def left_invertibility_margin(theta: MatrixSymbol, grid: ComplexGrid) -> float:
 
     A margin bounded away from zero on a fine grid with small margin is
     numerical evidence of left invertibility; the sweep never extrapolates
-    beyond the grid. The symbol is evaluated on the whole grid at once and
-    factored by :func:`~diskbundle.rational.gram_schmidt`, whose ``lo`` is
-    the squared smallest singular value of each point's matrix scaled by a
-    power of two of its largest entry, so ``sigma`` is unscaled without its
-    square overflowing or underflowing; a zero matrix gives 0. The first
-    point in grid order where the symbol has no finite value raises
-    :class:`NumericalError` naming it, and so does a failed SVD, so the
-    minimum is never taken over part of the grid.
+    beyond the grid. The symbol is evaluated and factored by
+    :func:`~diskbundle.rational.gram_schmidt` in the defect field's chunks
+    of grid points, in grid order; ``lo`` is the squared smallest singular
+    value of each point's matrix scaled by a power of two of its largest
+    entry, so ``sigma`` is unscaled without its square overflowing or
+    underflowing; a zero matrix gives 0. The first point in grid order
+    where the symbol has no finite value raises :class:`NumericalError`
+    naming it, and so does a failed SVD, so the minimum is never taken
+    over part of the grid.
     """
     if theta.rows < theta.cols:
         raise ParameterError("need rows >= cols for a left-invertibility margin")
-    vals = theta.eval(grid.points)
-    finite = np.all(np.isfinite(vals), axis=(0, 1))
-    if not np.all(finite):
-        z = complex(grid.points[np.argmin(finite)])
-        raise NumericalError(f"margin sweep failed at z = {z!r}: non-finite symbol value")
-    lo, _, exp, _ = gram_schmidt(vals)
-    return float(np.min(np.ldexp(np.sqrt(lo), exp)))
+    smallest = []
+    for part in theta._chunks(grid.n):
+        vals = theta.eval(grid.points[part])
+        finite = np.all(np.isfinite(vals), axis=(0, 1))
+        if not np.all(finite):
+            z = complex(grid.points[part][np.argmin(finite)])
+            raise NumericalError(f"margin sweep failed at z = {z!r}: non-finite symbol value")
+        lo, _, exp, _ = gram_schmidt(vals)
+        smallest.append(np.min(np.ldexp(np.sqrt(lo), exp)))
+    return float(np.min(smallest))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskbundle import bundle
+from diskbundle import rational
 from diskbundle.bundle import (
     CONDITION_CAP,
     AnalyticFrame,
@@ -587,8 +587,8 @@ def test_defect_field_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     grid = build_grid(4, 16, 0.01)
     frame = cap_crossing_frame(grid, center=21)
     whole = defect_field(frame, grid)  # one chunk of the default size
-    assert whole.failures and bundle._CHUNK >= grid.n * frame.rows * frame.cols
-    monkeypatch.setattr(bundle, "_CHUNK", chunk)
+    assert whole.failures and rational._CHUNK >= grid.n * frame.rows * frame.cols
+    monkeypatch.setattr(rational, "_CHUNK", chunk)
     sizes = []
     jet = frame.eval_jet
     monkeypatch.setattr(frame, "eval_jet", lambda z: sizes.append(len(z)) or jet(z))

@@ -7,11 +7,10 @@ from diskbundle.errors import DataError, ParameterError, SymbolError
 from diskbundle.rational import (
     RationalFunction,
     RationalMatrix,
-    _root_moduli,
+    _roots,
     _stack,
     poly_from_roots,
     poly_mul,
-    poly_roots,
 )
 from diskbundle.toeplitz import MatrixSymbol
 from oracles import entrywise_jet, poly_add, rational_product, rational_sum
@@ -56,7 +55,8 @@ def test_arithmetic():
 def test_poly_helpers():
     assert np.allclose(poly_mul([1, 1], [1, -1]), [1, 0, -1])
     assert np.allclose(poly_add([1, 2], [3]), [4, 2])
-    roots = poly_roots(poly_from_roots([0.5, -2.0]))
+    roots = RationalFunction(poly_from_roots([0.5, -2.0])).zeros()
+    assert np.array_equal(roots, np.roots(poly_from_roots([0.5, -2.0])[::-1]))
     assert sorted(np.round(roots.real, 10)) == [-2.0, 0.5]
 
 
@@ -227,8 +227,33 @@ def test_pole_screen_moduli_are_those_of_the_companion_roots():
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         dens.append(RationalFunction([1.0], c).den)
     dens += [RationalFunction([1.0], [0.0, 0.0, 1.0, 2.0]).den, RationalFunction([1.0], [0.0, 0.0, 0.0, 3.0]).den]
-    for den, radii in zip(dens, _root_moduli(_stack(dens)), strict=True):
-        assert np.array_equal(radii, np.abs(poly_roots(den)))
+    for den, roots in zip(dens, _roots(_stack(dens)), strict=True):
+        assert np.array_equal(roots, np.roots(den[::-1]))
+
+
+def test_zeros_and_poles_are_those_of_np_roots():
+    # 140 seeded polynomials of degree 0 to 6, a third of them with zero low coefficients (roots at 0)
+    rng = np.random.default_rng(11)
+    for k in range(140):
+        degree = k % 7
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        c[: rng.integers(0, degree + 1) if k % 3 == 0 else 0] = 0.0
+        f = RationalFunction(c, c)
+        for roots in (f.zeros(), f.poles()):
+            expected = np.roots(c[::-1])
+            assert roots.shape == expected.shape and np.array_equal(roots, expected), (k, c)
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 1e-320], [1e300, 1e-10], [1.0, 0.0, 1e-320]])
+def test_roots_that_overflow_the_companion_matrix_cannot_be_located(coeffs):
+    message = "roots cannot be located: the companion matrix overflows"
+    for find in (RationalFunction(coeffs).zeros, RationalFunction([1.0], coeffs).poles):
+        with pytest.raises(DataError) as err:
+            find()
+        assert str(err.value) == message
+    with pytest.raises(DataError) as err:
+        AnalyticFrame([[RationalFunction([1.0], [1.0, -0.25])], [RationalFunction([1.0], coeffs)]])
+    assert (err.value.field, str(err.value)) == ("entries[1][0]", f"entries[1][0]: {message}")
 
 
 def _refusal(make):

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from diskbundle import rational
 from diskbundle.calculus import build_grid
 from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, ParameterError, SymbolError
 from diskbundle.rational import RationalFunction, gram_schmidt, poly_mul
@@ -370,6 +372,49 @@ def test_margin_matches_pointwise_svd(rows, cols):
     symbol = random_poly_symbol(rows, cols, 3, seed=rows * 10 + cols)
     pointwise = min(np.linalg.svd(symbol.eval(z), compute_uv=False)[-1] for z in grid.points)
     assert abs(left_invertibility_margin(symbol, grid) - pointwise) <= 1e-12 * pointwise
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (4, 4)])
+def test_margin_does_not_depend_on_the_chunk_size(monkeypatch, rows, cols):
+    grid = build_grid(6, 32, 1e-3)
+    symbol = random_poly_symbol(rows, cols, 3, seed=rows * 10 + cols)
+    margins, sizes = [], []
+    evaluate = symbol.eval
+    monkeypatch.setattr(symbol, "eval", lambda z: sizes.append(len(z)) or evaluate(z))
+    for chunk in (1, 7, grid.n * rows * cols):  # one point per chunk; 7 points of a 1x1 symbol, else one; the whole grid
+        monkeypatch.setattr(rational, "_CHUNK", chunk)
+        sizes.clear()
+        margins.append(left_invertibility_margin(symbol, grid))
+        step = max(1, chunk // (rows * cols))
+        assert sizes == [min(step, grid.n - start) for start in range(0, grid.n, step)]
+    assert margins[0] == margins[1] == margins[2]
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 2**13])
+def test_margin_names_a_pole_in_a_later_chunk(monkeypatch, chunk):
+    # a 2x1 symbol: one, three and every point of the grid per chunk; poles on points 45 and 60
+    grid = build_grid(4, 16, 0.01)
+    first, later = complex(grid.points[45]), complex(grid.points[60])
+    symbol = MatrixSymbol(
+        [[RationalFunction([1.0], [-later, 1.0])], [RationalFunction([1.0], [-first, 1.0])]], analytic=False
+    )
+    monkeypatch.setattr(rational, "_CHUNK", chunk)
+    with pytest.raises(NumericalError) as err:
+        left_invertibility_margin(symbol, grid)
+    assert str(err.value) == f"margin sweep failed at z = {first!r}: non-finite symbol value"
+
+
+def test_margin_memory_does_not_grow_with_the_grid(tmp_path):
+    # the benchmark's 2x2 symbol on 196,608 points: a whole-grid pass holds about 64 MB of numpy arrays
+    symbol = load_symbol(benchmark_file("criteria-20x64", "toeplitz", "symbol", tmp_path))
+    grid = build_grid(48, 4096, 1e-3)
+    tracemalloc.start()
+    try:
+        margin = left_invertibility_margin(symbol, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert margin > 0.0 and peak < 4e6, peak
 
 
 def conditioned_batch(rows, cols, seed):
