@@ -53,8 +53,6 @@ class ComplexGrid(Frozen):
         ring_phase = np.exp(1j * angles)
         points = (radii[:, None] * ring_phase[None, :]).ravel()
         weights = (radii * dr)[:, None].repeat(angular_count, axis=1).ravel() * dt
-        for array in (edges, points, weights):
-            array.flags.writeable = False
         self._set(
             radial_count=radial_count,
             angular_count=angular_count,
@@ -63,6 +61,12 @@ class ComplexGrid(Frozen):
             points=points,
             area_weights=weights,
         )
+
+    def __eq__(self, other):  # the parameters a grid is rebuilt from
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
     @property
     def n(self) -> int:

@@ -311,7 +311,11 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
 
     symbol = _with_file(load_symbol, cfg["symbol"], "symbol")
     grid = _grid(cfg)
-    section = toeplitz_section(symbol, TOEPLITZ_ORDER)
+    try:
+        section = toeplitz_section(symbol, TOEPLITZ_ORDER)
+    except NumericalError as exc:  # values not finite on the circle, or coefficients that do not converge
+        exc.field = "symbol"
+        raise
     doc = {
         "command": "toeplitz",
         "order": TOEPLITZ_ORDER,
@@ -328,7 +332,7 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
         other = _with_file(load_symbol, cfg["second_symbol"], "second_symbol")
         try:
             doc["multiplicativity"] = multiplicativity_check(symbol, other, TOEPLITZ_ORDER)
-        except ParameterError as exc:  # a symbol is not analytic, or the shapes do not compose
+        except (ParameterError, NumericalError) as exc:  # not analytic, shapes that do not compose, no convergence
             exc.field = "second_symbol"
             raise
     if symbol.analytic:

@@ -86,10 +86,11 @@ class Frozen:
     """Base of an immutable value class, in place of a frozen dataclass.
 
     Its ``__slots__`` are set once, by ``_set`` in ``__init__``; assigning or
-    deleting one later raises :class:`AttributeError`. The constructor's
-    arguments, named in order by ``_fields``, are what an instance is: they
-    make its repr, its equality and hash (with instances of its own class)
-    and its copies and pickles, which are rebuilt by the constructor.
+    deleting one later raises :class:`AttributeError`. ``_set`` stores each
+    array (a value with ``setflags``) as a read-only view of the caller's, or
+    as it is if already read-only. ``_fields`` names the constructor's
+    arguments, which make the repr and rebuild copies and pickles. Equality
+    and hash are by identity unless a subclass defines its own.
     """
 
     __slots__ = ()
@@ -97,6 +98,9 @@ class Frozen:
 
     def _set(self, **fields) -> None:
         for name, value in fields.items():
+            if hasattr(value, "setflags") and value.flags.writeable:
+                value = value.view()
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -105,17 +109,8 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._args() == other._args() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._args())
-
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
 
     def __reduce__(self):
-        return type(self), self._args()
+        return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -1,18 +1,19 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
-Each section takes its Fourier blocks from one FFT of the symbol's values
-on a circle fine enough for its order (exact for rational symbols up to a
-reported aliasing level). An analytic symbol's negative offsets in that
-table are checked and then zeroed, so its sections are block
+Each section takes its Fourier blocks from the FFT of the symbol's values
+on a circle doubled from the size its order asks for until the
+coefficients have converged, or refuses the symbol past a cap on the
+samples. An analytic symbol's negative offsets in that table are checked
+and then zeroed, so its sections are block
 lower-triangular and multiplication of analytic sections is exact. A
 section is one gather from the table by the offset index ``j - k``. The
 kernel-action and shift-intertwining identities are verified on interior
 sections where truncation cannot break them; the backward shift acts on
 a section as a slice by one block.
 
-The multiplicativity check samples both factors once and takes the
-blocks of their product from the pointwise products, so it builds no
-product symbol.
+The multiplicativity check samples both factors on one converged circle
+and takes the blocks of their product from the pointwise products, so it
+builds no product symbol.
 
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
@@ -44,15 +45,15 @@ _CIRCLE_TOL_ZERO = 1e-10
 #: numeric verification level for "no negative Fourier coefficients"
 _ANALYTIC_TOL = 1e-12
 
+#: a circle's Fourier coefficients have converged once those at offsets
+#: ``|k| >= m/4`` are at most this, relative to the largest of their table
+_TAIL_TOL = 1e-13
+
+#: the most matrix elements, over all tables, sampled on one circle
+_CIRCLE_CAP = 2**20
+
 #: circle samples on which a winding number is counted
 _WINDING_SAMPLES = 1024
-
-
-def _next_pow2(n: int) -> int:
-    m = 64
-    while m < n:
-        m *= 2
-    return m
 
 
 class MatrixSymbol(RationalMatrix):
@@ -99,41 +100,54 @@ def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
 
 
-def _circle(degree: int, max_offset: int) -> np.ndarray:
-    """The FFT circle for a symbol of this degree hint, read up to ``max_offset``."""
-    m = _next_pow2(4 * (max(degree, max_offset) + 1))
-    return np.exp(2j * np.pi * np.arange(m) / m)
+def _fourier_tables(sample, degree: int, order: int, analytic: bool):
+    """``(tables, edge)``: the Fourier table of each value array that
+    ``sample(z)`` returns on the first FFT circle ``z`` where all of them
+    have converged.
 
-
-def _blocks_of(vals: np.ndarray, analytic: bool):
-    """Fourier blocks of circle samples on the last axis; returns
-    (blocks, aliasing_estimate).
-
-    ``blocks[..., k]`` is the coefficient at offset ``k`` for ``k < m/2``
-    and at ``k - m`` beyond, the usual FFT layout. A sample that is not
-    finite raises :class:`NumericalError` naming its point. For an
-    analytic symbol the offsets ``-(m/2 - 1) .. -1``, which the pole check
-    already rules out, must vanish at the aliasing floor, else
-    :class:`SymbolError`; they are then set to exact zeros.
+    The circle starts at the least ``m = 64 * 2^j >= 4 (max(degree, order) + 1)``
+    points and doubles until in every table the coefficients at offsets
+    ``|k| >= m/4`` are at most ``_TAIL_TOL`` of its largest; where the next
+    circle would pass ``_CIRCLE_CAP`` matrix elements in all, it raises
+    :class:`NumericalError`, as does a sample that is not finite, naming
+    its point. ``table[..., k]`` is the coefficient at offset ``k`` for
+    ``k < m/2`` and at ``k - m`` beyond, the usual FFT layout; ``edge`` is
+    the largest coefficient at the offsets around ``m/2``. For an analytic
+    symbol the offsets ``-(m/2 - 1) .. -1``, which the pole check already
+    rules out, must be at most ``_ANALYTIC_TOL`` of the largest coefficient
+    (at least 1), else :class:`SymbolError`; they are then set to exact zeros.
     """
-    m = vals.shape[-1]
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
-    if bad.size:
-        raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
-    blocks = np.fft.fft(vals) / m
-    edge = float(np.max(np.abs(blocks[..., m // 2 - 1 : m // 2 + 2])))
-    if analytic:
-        neg = blocks[..., m // 2 + 1 :]
-        scale = max(1.0, float(np.max(np.abs(blocks))))
-        if float(np.max(np.abs(neg))) > max(_ANALYTIC_TOL * scale, 8.0 * edge):
+    m = 64
+    while m < 4 * (max(degree, order) + 1):
+        m *= 2
+    while True:
+        tables = []
+        for vals in sample(np.exp(2j * np.pi * np.arange(m) / m)):
+            bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
+            if bad.size:
+                raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
+            tables.append(np.fft.fft(vals) / m)
+        sizes = [np.abs(t) for t in tables]
+        tails = [float(np.max(a[..., m // 4 : m - m // 4 + 1])) / float(np.max(a)) for a in sizes if np.any(a)]
+        if not max(tails, default=0.0) > _TAIL_TOL:
+            break
+        if 2 * m * sum(t[..., 0].size for t in tables) > _CIRCLE_CAP:
+            raise NumericalError(
+                f"Fourier coefficients of the symbol do not converge within {_CIRCLE_CAP} sampled matrix elements: "
+                f"on the circle of {m} points, those at offsets |k| >= {m // 4} reach {max(tails):.3g} of the largest"
+            )
+        m *= 2
+    edge = max(float(np.max(a[..., m // 2 - 1 : m // 2 + 2])) for a in sizes)
+    for t, a in zip(tables, sizes) if analytic else ():
+        if float(np.max(a[..., m // 2 + 1 :])) > _ANALYTIC_TOL * max(1.0, float(np.max(a))):
             raise SymbolError("symbol flagged analytic but has nonzero negative Fourier coefficients")
-        neg[...] = 0.0
-    return blocks, edge
+        t[..., m // 2 + 1 :] = 0.0
+    return tables, edge
 
 
 def _lay_out(blocks: np.ndarray, order: int) -> np.ndarray:
     """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``;
-    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_blocks_of` zeroes."""
+    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_fourier_tables` zeroes."""
     rows, cols, m = blocks.shape
     offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
     tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
@@ -151,21 +165,24 @@ class ToeplitzSection(NamedTuple):
 
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     check_count(order, 1, "section order must be >= 1")
-    blocks, aliasing = _blocks_of(symbol.eval(_circle(symbol.degree_hint(), order)), symbol.analytic)
-    out = _lay_out(blocks, order)
-    return ToeplitzSection(symbol=symbol, order=order, matrix=out, aliasing_estimate=aliasing)
+    (blocks,), edge = _fourier_tables(lambda z: (symbol.eval(z),), symbol.degree_hint(), order, symbol.analytic)
+    return ToeplitzSection(symbol=symbol, order=order, matrix=_lay_out(blocks, order), aliasing_estimate=edge)
 
 
 def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
     """Sections of ``f``, ``g`` and ``fg`` of analytic symbols, from one
-    sampling of each on a circle fine enough for the product's degree;
-    the blocks of ``fg`` come from the pointwise products ``f(z) g(z)``,
-    taken by one matmul of contiguous ``(m, rows, cols)`` stacks; all
-    three are checked as analytic."""
-    z = _circle(f.degree_hint() + g.degree_hint(), order)
-    fv, gv = f.eval(z), g.eval(z)
-    fg = np.ascontiguousarray(fv.transpose(2, 0, 1)) @ np.ascontiguousarray(gv.transpose(2, 0, 1))
-    return tuple(_lay_out(_blocks_of(v, True)[0], order) for v in (fv, gv, fg.transpose(1, 2, 0)))
+    sampling of each on a circle where all three tables converge, starting
+    from the size the product's degree asks for; the values of ``fg`` are
+    the pointwise products ``f(z) g(z)``, taken by one matmul of contiguous
+    ``(m, rows, cols)`` stacks; all three are checked as analytic."""
+
+    def values(z):
+        fv, gv = f.eval(z), g.eval(z)
+        fg = np.ascontiguousarray(fv.transpose(2, 0, 1)) @ np.ascontiguousarray(gv.transpose(2, 0, 1))
+        return fv, gv, fg.transpose(1, 2, 0)
+
+    tables, _ = _fourier_tables(values, f.degree_hint() + g.degree_hint(), order, True)
+    return tuple(_lay_out(t, order) for t in tables)
 
 
 def _spectral_norm(x: np.ndarray) -> float:

@@ -30,13 +30,6 @@ _GRID_SAMPLES = 4097
 _GRID_ZOOMS = 3
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``, which keeps its own flags."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 class WeightSequence(Frozen):
     """Finite positive weights with ``w_0 = 1``.
 
@@ -49,7 +42,7 @@ class WeightSequence(Frozen):
     __slots__ = _fields = ("values", "epsilon")
 
     def __init__(self, values, epsilon: Optional[float] = None):
-        vals = _read_only(np.asarray(values, dtype=float))
+        vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
             raise DataError("weights must form a nonempty sequence")
         if not np.all(np.isfinite(vals) & (vals > 0.0)):

@@ -44,7 +44,7 @@ from diskbundle.bundle import CONDITION_CAP, AnalyticFrame, DefectField, _condit
 from diskbundle.calculus import TWO_PI
 from diskbundle.errors import CapacityError, ConditioningError, DomainError, ParameterError
 from diskbundle.rational import RationalFunction, as_coeffs, poly_mul
-from diskbundle.toeplitz import MatrixSymbol, _circle
+from diskbundle.toeplitz import MatrixSymbol
 
 #: default finite-difference step; balances truncation against roundoff
 DEFAULT_FD_STEP = 1e-4
@@ -353,10 +353,19 @@ def csv_module_weights(w, path) -> None:
 def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
     """The section with block ``coeff(j - k)`` at ``(j, k)``, written one
     offset and one block row at a time; analytic symbols skip the offsets
-    below zero. The Fourier table is its own FFT of the symbol's values."""
-    z = _circle(symbol.degree_hint(), order)
-    m = len(z)
-    blocks = np.moveaxis(np.fft.fft(symbol.eval(z)) / m, -1, 0)
+    below zero. The Fourier table is its own FFT of the symbol's values on
+    a circle of ``m`` points: 64, doubled until ``m >= 4 (max(degree hint,
+    order) + 1)`` and then until no coefficient at an offset ``|k| >= m/4``
+    passes 1e-13 of the largest."""
+    m = 64
+    while m < 4 * (max(symbol.degree_hint(), order) + 1):
+        m *= 2
+    while True:
+        blocks = np.moveaxis(np.fft.fft(symbol.eval(np.exp(2j * np.pi * np.arange(m) / m))) / m, -1, 0)
+        largest = np.max(np.abs(blocks))
+        if all(np.max(np.abs(blocks[k])) <= 1e-13 * largest for k in range(m // 4, 3 * m // 4 + 1)):
+            break
+        m *= 2
     rows, cols = symbol.rows, symbol.cols
     out = np.zeros((order * rows, order * cols), dtype=complex)
     for offset in range(-(order - 1), order):
@@ -483,13 +492,13 @@ def subcell_green_potential(field, lam: complex) -> float:
     return (2.0 / np.pi) * total
 
 
-def benchmark_file(workload: str, command: str, key: str, directory: Path) -> Path:
+def benchmark_file(workload: str, command: str, key: str, directory: Path, seed: int = 1) -> Path:
     """The input file that the benchmark's ``command`` config of ``workload``
-    at seed 1 names under ``key``, written into ``directory`` by
+    at ``seed`` names under ``key``, written into ``directory`` by
     ``perfbench/inputs.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    cfg = json.loads(inputs.write_inputs(workload, 1, directory)[command].read_text())
+    cfg = json.loads(inputs.write_inputs(workload, seed, directory)[command].read_text())
     return directory / cfg[key]

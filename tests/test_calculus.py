@@ -4,10 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
-from diskbundle.bundle import DefectField
-from diskbundle.calculus import build_grid, carleson_constant, write_csv
+from diskbundle.bundle import AnalyticFrame, DefectField, defect_field
+from diskbundle.calculus import ComplexGrid, build_grid, carleson_constant, write_csv
 from diskbundle.errors import DataError, DomainError, ParameterError
-from diskbundle.weights import WeightSequence
+from diskbundle.criteria import pointwise_bound
+from diskbundle.weights import WeightSequence, build_spike_weight
 from oracles import CarlesonBox, csv_module_dump, dyadic_boxes, laplacian, wirtinger_dz
 
 
@@ -104,6 +105,58 @@ def test_value_classes_are_frozen_and_rebuilt_from_their_arguments():
         assert clone.grid == grid and np.array_equal(clone.values, field.values) and clone.failures == field.failures
     clone = pickle.loads(pickle.dumps(weight))
     assert np.array_equal(clone.values, weight.values) and clone.epsilon == 0.1 and not clone.values.flags.writeable
+
+
+def value_instances():
+    """Two of each value class built from equal arguments: grids, fields on a
+    grid (one built by ``defect_field``, one from bare values) and weights."""
+    frame = AnalyticFrame.constant([[1.0], [0.5]])
+    values = np.arange(8.0)
+    return [
+        (build_grid(2, 4, 0.1), build_grid(2, 4, 0.1)),
+        (defect_field(frame, build_grid(2, 4, 0.1)), defect_field(frame, build_grid(2, 4, 0.1))),
+        (DefectField(build_grid(2, 4, 0.1), values), DefectField(build_grid(2, 4, 0.1), values.copy())),
+        (WeightSequence([1.0, 1.2, 1.0], 0.1), WeightSequence([1.0, 1.2, 1.0], 0.1)),
+        (build_spike_weight(0.1, 1, 64), build_spike_weight(0.1, 1, 64)),
+    ]
+
+
+def test_value_classes_compare_and_hash_without_raising():
+    # a grid is its three parameters; a field or a weight is equal to itself alone, and every one hashes
+    for first, second in value_instances():
+        assert first == first and hash(first) == hash(first) and not first != first
+        assert (first == second) is isinstance(first, ComplexGrid)
+        assert len({first, second}) == (1 if first == second else 2)
+        assert first != "x" and first != (2, 4, 0.1)
+
+
+def test_every_array_field_of_the_value_classes_is_read_only():
+    arrays = 0
+    for value, _ in value_instances():
+        for name in type(value).__slots__:
+            array = getattr(value, name)
+            if isinstance(array, np.ndarray):
+                arrays += 1
+                assert not array.flags.writeable, (type(value).__name__, name)
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+    assert arrays == 3 + 3 + 1 + 1 + 1  # grid edges, points, weights; a field's values and Gram extremes
+
+
+def test_a_field_cannot_drift_from_the_checks_of_its_construction():
+    # writing -1 into the values would make a field its constructor refuses read a pointwise bound of 0
+    grid = build_grid(2, 4, 0.1)
+    values = np.full(grid.n, 0.25)
+    field = DefectField(grid, values)
+    with pytest.raises(ValueError):
+        field.values[:] = -1.0
+    assert pointwise_bound(field) > 0.0 and not field.is_partial
+    # the caller's array is shared, not copied, and keeps its own flags
+    assert np.shares_memory(field.values, values) and values.flags.writeable
+    # an array that is already read-only is kept as it is: a scaled field shares its Gram extremes
+    computed = defect_field(AnalyticFrame.constant([[1.0], [0.5]]), grid)
+    scaled = computed.scaled(2.0)
+    assert scaled.gram_lo is computed.gram_lo and scaled.gram_hi is computed.gram_hi
 
 
 # --- Wirtinger derivative ---

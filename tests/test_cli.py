@@ -498,6 +498,30 @@ def test_symbol_values_beyond_the_float_range_exit_3_quietly(tmp_path, entry, an
     assert result.stderr == ""
 
 
+def test_toeplitz_reads_a_pole_near_the_circle_from_converged_coefficients(tmp_path):
+    # on the 512-point circle that order 64 asks for, the kernel action is 3.4 and the aliasing estimate 1.9
+    MatrixSymbol.scalar(RationalFunction([1.0], [-1.001, 1.0]), analytic=True).save(tmp_path / "s.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "s.json"})
+    result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert result.returncode == 0 and result.stderr == "", result.stdout + result.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["kernel_action"]["discrepancy"] <= 1e-12 and report["aliasing_estimate"] <= 1e-13, report
+
+
+@pytest.mark.parametrize("key", ["symbol", "second_symbol"])
+def test_toeplitz_names_the_symbol_whose_coefficients_do_not_converge(tmp_path, key):
+    near = MatrixSymbol.scalar(RationalFunction([1.0], [-(1 + 1e-6), 1.0]), analytic=True)
+    far = MatrixSymbol.scalar(RationalFunction([1.0], [-2.0, 1.0]), analytic=True)
+    (near if key == "symbol" else far).save(tmp_path / "a.json")
+    (far if key == "symbol" else near).save(tmp_path / "b.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "a.json", "second_symbol": "b.json"})
+    result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert result.returncode == 3 and result.stderr == "", result.stdout + result.stderr
+    error = json.loads(result.stdout)
+    assert (error["type"], error["field"]) == ("NumericalError", key) and "do not converge" in error["message"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_curvature_maps_a_failed_svd_to_numerical_error(tmp_path, capsys, monkeypatch):
     # three columns: the Gram extremes of every point come from one batched svd(R)
     def no_convergence(*args, **kwargs):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diskbundle import rational
+from diskbundle import rational, toeplitz
 from diskbundle.calculus import build_grid
 from diskbundle.errors import BoundaryZeroError, DataError, NumericalError, ParameterError, SymbolError
 from diskbundle.rational import RationalFunction, gram_schmidt, poly_mul
@@ -206,8 +206,13 @@ def test_product_section_matches_symbolic_product(pair, tmp_path):
     make, order = PRODUCT_PAIRS[pair]
     f, g = make(tmp_path)
     left, right, product = _product_sections(f, g, order)
-    assert np.array_equal(left, toeplitz_section(f, order).matrix)
-    assert np.array_equal(right, toeplitz_section(g, order).matrix)
+    for pair_section, factor in ((left, f), (right, g)):
+        alone = toeplitz_section(factor, order).matrix
+        if pair == "blaschke-cauchy" and factor is g:
+            # 1/(1 - 0.3z) converges on 128 points alone; the pair, with the Blaschke factor's pole at 2, on 256
+            assert np.max(np.abs(pair_section - alone)) <= EPS * np.max(np.abs(alone))
+        else:  # the same circle, the same bits
+            assert np.array_equal(pair_section, alone)
     oracle = toeplitz_section(symbol_product(f, g), order).matrix
     assert np.max(np.abs(product - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -253,6 +258,60 @@ def test_kernel_action_geometric_decay():
     values = [kernel_action_check(toeplitz_section(blaschke_half(), n), lam, [1.0]) for n in (24, 25, 26)]
     for a, b in zip(values, values[1:]):
         assert abs(b / a - lam) <= 0.1 * lam
+
+
+# --- converged circles ---
+
+
+def pole_symbol(p, num=(1.0,)):
+    """``num(z) / (z - p)``; with ``num = 1`` its coefficients are ``-p^(-k-1)``."""
+    return MatrixSymbol.scalar(RationalFunction(list(num), [-p, 1.0]), analytic=True)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.02, 1.01, 1.001])
+def test_a_pole_near_the_circle_gets_converged_coefficients(p):
+    # the 512-point circle that order 64 asks for is off by up to 1.4e-11, 4.0e-5, 6.2e-3 and 1.5 on these poles
+    section = toeplitz_section(pole_symbol(p), 64)
+    exact = -(p ** -np.arange(1.0, 65.0))
+    assert np.max(np.abs(section.matrix[:, 0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert kernel_action_check(section, 0.5, [1.0]) <= 1e-12
+    assert section.aliasing_estimate <= 1e-13
+
+
+def test_multiplicativity_of_symbols_with_poles_near_the_circle():
+    f, g = pole_symbol(1.001j, (0.5, 1.0)), pole_symbol(-1.01)
+    assert multiplicativity_check(f, g, 64) <= 1e-12
+    assert multiplicativity_check(g, f, 64) <= 1e-12
+
+
+def test_coefficients_that_do_not_converge_within_the_cap_are_refused():
+    # a pole at 1 + 1e-6 would need about 1.3e8 points; the doubling stops at 2^20 matrix elements
+    message = r"do not converge within 1048576 sampled matrix elements: on the circle of 1048576 points"
+    with pytest.raises(NumericalError, match=message):
+        toeplitz_section(pole_symbol(1 + 1e-6), 64)
+    with pytest.raises(NumericalError, match="do not converge within 1048576 sampled matrix elements"):
+        multiplicativity_check(pole_symbol(2.0), pole_symbol(1 + 1e-6), 64)
+
+
+def test_the_degree_hint_sizes_the_first_circle():
+    # z^300 on 256 points, the size an order-50 section asks for, is z^44 with nothing at |k| >= 64
+    sparse = MatrixSymbol.scalar(RationalFunction([0.0] * 300 + [1.0]), analytic=True)
+    assert np.max(np.abs(toeplitz_section(sparse, 50).matrix)) <= 1e-15
+
+
+@pytest.mark.parametrize("workload", ["criteria-20x64", "sweeps"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_symbols_converge_on_the_first_circle(monkeypatch, tmp_path, workload, seed):
+    # so each section and the multiplicativity check sample one 512-point circle, as before the doubling
+    f, g = (load_symbol(benchmark_file(workload, "toeplitz", key, tmp_path, seed)) for key in ("symbol", "second_symbol"))
+    circles, tables = [], toeplitz._fourier_tables
+
+    def recorded(sample, *args):
+        return tables(lambda z: circles.append(len(z)) or sample(z), *args)
+
+    monkeypatch.setattr(toeplitz, "_fourier_tables", recorded)
+    toeplitz_section(f, 64), toeplitz_section(g, 64), multiplicativity_check(f, g, 64)
+    assert circles == [512, 512, 512]
 
 
 # --- intertwining ---
