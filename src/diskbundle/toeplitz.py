@@ -11,9 +11,9 @@ kernel-action and shift-intertwining identities are verified on interior
 sections where truncation cannot break them; the backward shift acts on
 a section as a slice by one block.
 
-The multiplicativity check samples both factors on one converged circle
-and takes the blocks of their product from the pointwise products, so it
-builds no product symbol.
+The multiplicativity check takes the sections of both factors as they
+stand alone, and the blocks of their product from the pointwise products
+on the circle where those converge, so it builds no product symbol.
 
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
@@ -49,7 +49,7 @@ _ANALYTIC_TOL = 1e-12
 #: ``|k| >= m/4`` are at most this, relative to the largest of their table
 _TAIL_TOL = 1e-13
 
-#: the most matrix elements, over all tables, sampled on one circle
+#: the most matrix elements sampled on a doubled circle
 _CIRCLE_CAP = 2**20
 
 #: circle samples on which a winding number is counted
@@ -100,54 +100,54 @@ def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
 
 
-def _fourier_tables(sample, degree: int, order: int, analytic: bool):
-    """``(tables, edge)``: the Fourier table of each value array that
-    ``sample(z)`` returns on the first FFT circle ``z`` where all of them
-    have converged.
+def _fourier_table(values, degree: int, order: int, analytic: bool, name: str):
+    """``(table, edge)``: the Fourier table of the values ``values(z)`` on
+    the first FFT circle ``z`` where its coefficients have converged.
 
     The circle starts at the least ``m = 64 * 2^j >= 4 (max(degree, order) + 1)``
-    points and doubles until in every table the coefficients at offsets
-    ``|k| >= m/4`` are at most ``_TAIL_TOL`` of its largest; where the next
-    circle would pass ``_CIRCLE_CAP`` matrix elements in all, it raises
-    :class:`NumericalError`, as does a sample that is not finite, naming
-    its point. ``table[..., k]`` is the coefficient at offset ``k`` for
-    ``k < m/2`` and at ``k - m`` beyond, the usual FFT layout; ``edge`` is
-    the largest coefficient at the offsets around ``m/2``. For an analytic
-    symbol the offsets ``-(m/2 - 1) .. -1``, which the pole check already
-    rules out, must be at most ``_ANALYTIC_TOL`` of the largest coefficient
-    (at least 1), else :class:`SymbolError`; they are then set to exact zeros.
+    points, which is always sampled, and doubles until the coefficients at
+    offsets ``|k| >= m/4`` are at most ``_TAIL_TOL`` of the largest; where
+    the doubled circle would pass ``_CIRCLE_CAP`` matrix elements, it
+    raises :class:`NumericalError` naming ``name`` and the tail reached,
+    as does a value that is not finite, naming ``name`` and its point. ``table[..., k]`` is the
+    coefficient at offset ``k`` for ``k < m/2`` and at ``k - m`` beyond,
+    the usual FFT layout; ``edge`` is the largest coefficient at the
+    offsets around ``m/2``. For an analytic symbol the offsets
+    ``-(m/2 - 1) .. -1``, which the pole check already rules out, must be
+    at most ``_ANALYTIC_TOL`` of the largest coefficient (at least 1), else
+    :class:`SymbolError`; they are then set to exact zeros.
     """
     m = 64
     while m < 4 * (max(degree, order) + 1):
         m *= 2
     while True:
-        tables = []
-        for vals in sample(np.exp(2j * np.pi * np.arange(m) / m)):
-            bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
-            if bad.size:
-                raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
-            tables.append(np.fft.fft(vals) / m)
-        sizes = [np.abs(t) for t in tables]
-        tails = [float(np.max(a[..., m // 4 : m - m // 4 + 1])) / float(np.max(a)) for a in sizes if np.any(a)]
-        if not max(tails, default=0.0) > _TAIL_TOL:
+        vals = values(np.exp(2j * np.pi * np.arange(m) / m))
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
+        if bad.size:
+            raise NumericalError(f"{name} value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
+        table = np.fft.fft(vals) / m
+        size = np.abs(table)
+        largest = float(np.max(size))
+        tail = float(np.max(size[..., m // 4 : m - m // 4 + 1])) / largest if largest else 0.0
+        if not tail > _TAIL_TOL:
             break
-        if 2 * m * sum(t[..., 0].size for t in tables) > _CIRCLE_CAP:
+        if 2 * m * size[..., 0].size > _CIRCLE_CAP:
             raise NumericalError(
-                f"Fourier coefficients of the symbol do not converge within {_CIRCLE_CAP} sampled matrix elements: "
-                f"on the circle of {m} points, those at offsets |k| >= {m // 4} reach {max(tails):.3g} of the largest"
+                f"Fourier coefficients of the {name} do not converge within {_CIRCLE_CAP} sampled matrix elements: "
+                f"on the circle of {m} points, those at offsets |k| >= {m // 4} reach {tail:.3g} of the largest"
             )
         m *= 2
-    edge = max(float(np.max(a[..., m // 2 - 1 : m // 2 + 2])) for a in sizes)
-    for t, a in zip(tables, sizes) if analytic else ():
-        if float(np.max(a[..., m // 2 + 1 :])) > _ANALYTIC_TOL * max(1.0, float(np.max(a))):
+    edge = float(np.max(size[..., m // 2 - 1 : m // 2 + 2]))
+    if analytic:
+        if float(np.max(size[..., m // 2 + 1 :])) > _ANALYTIC_TOL * max(1.0, largest):
             raise SymbolError("symbol flagged analytic but has nonzero negative Fourier coefficients")
-        t[..., m // 2 + 1 :] = 0.0
-    return tables, edge
+        table[..., m // 2 + 1 :] = 0.0
+    return table, edge
 
 
 def _lay_out(blocks: np.ndarray, order: int) -> np.ndarray:
     """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``;
-    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_fourier_tables` zeroes."""
+    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_fourier_table` zeroes."""
     rows, cols, m = blocks.shape
     offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
     tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
@@ -165,24 +165,25 @@ class ToeplitzSection(NamedTuple):
 
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
     check_count(order, 1, "section order must be >= 1")
-    (blocks,), edge = _fourier_tables(lambda z: (symbol.eval(z),), symbol.degree_hint(), order, symbol.analytic)
+    blocks, edge = _fourier_table(symbol.eval, symbol.degree_hint(), order, symbol.analytic, "symbol")
     return ToeplitzSection(symbol=symbol, order=order, matrix=_lay_out(blocks, order), aliasing_estimate=edge)
 
 
 def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
-    """Sections of ``f``, ``g`` and ``fg`` of analytic symbols, from one
-    sampling of each on a circle where all three tables converge, starting
-    from the size the product's degree asks for; the values of ``fg`` are
-    the pointwise products ``f(z) g(z)``, taken by one matmul of contiguous
-    ``(m, rows, cols)`` stacks; all three are checked as analytic."""
+    """Sections of ``f``, ``g`` and ``fg`` of analytic symbols: those of
+    ``f`` and ``g`` from the tables :func:`toeplitz_section` takes, that of ``fg``
+    from the pointwise products ``f(z) g(z)`` on the circle where their
+    coefficients converge, starting from the size the product's degree
+    asks for; the products are taken by one matmul of contiguous
+    ``(m, rows, cols)`` stacks, and the product is checked as analytic."""
 
     def values(z):
-        fv, gv = f.eval(z), g.eval(z)
-        fg = np.ascontiguousarray(fv.transpose(2, 0, 1)) @ np.ascontiguousarray(gv.transpose(2, 0, 1))
-        return fv, gv, fg.transpose(1, 2, 0)
+        fg = np.ascontiguousarray(f.eval(z).transpose(2, 0, 1)) @ np.ascontiguousarray(g.eval(z).transpose(2, 0, 1))
+        return fg.transpose(1, 2, 0)
 
-    tables, _ = _fourier_tables(values, f.degree_hint() + g.degree_hint(), order, True)
-    return tuple(_lay_out(t, order) for t in tables)
+    left, right = (_lay_out(_fourier_table(s.eval, s.degree_hint(), order, True, "symbol")[0], order) for s in (f, g))
+    table, _ = _fourier_table(values, f.degree_hint() + g.degree_hint(), order, True, "product symbol")
+    return left, right, _lay_out(table, order)
 
 
 def _spectral_norm(x: np.ndarray) -> float:

@@ -143,7 +143,7 @@ def test_every_array_field_of_the_value_classes_is_read_only():
     assert arrays == 3 + 3 + 1 + 1 + 1  # grid edges, points, weights; a field's values and Gram extremes
 
 
-def test_a_field_cannot_drift_from_the_checks_of_its_construction():
+def test_a_field_refuses_writes_through_its_own_arrays():
     # writing -1 into the values would make a field its constructor refuses read a pointwise bound of 0
     grid = build_grid(2, 4, 0.1)
     values = np.full(grid.n, 0.25)
@@ -151,7 +151,7 @@ def test_a_field_cannot_drift_from_the_checks_of_its_construction():
     with pytest.raises(ValueError):
         field.values[:] = -1.0
     assert pointwise_bound(field) > 0.0 and not field.is_partial
-    # the caller's array is shared, not copied, and keeps its own flags
+    # the caller's array is shared, not copied, and keeps its own flags: writes through it still reach the field
     assert np.shares_memory(field.values, values) and values.flags.writeable
     # an array that is already read-only is kept as it is: a scaled field shares its Gram extremes
     computed = defect_field(AnalyticFrame.constant([[1.0], [0.5]]), grid)

@@ -508,18 +508,38 @@ def test_toeplitz_reads_a_pole_near_the_circle_from_converged_coefficients(tmp_p
     assert report["kernel_action"]["discrepancy"] <= 1e-12 and report["aliasing_estimate"] <= 1e-13, report
 
 
-@pytest.mark.parametrize("key", ["symbol", "second_symbol"])
-def test_toeplitz_names_the_symbol_whose_coefficients_do_not_converge(tmp_path, key):
-    near = MatrixSymbol.scalar(RationalFunction([1.0], [-(1 + 1e-6), 1.0]), analytic=True)
-    far = MatrixSymbol.scalar(RationalFunction([1.0], [-2.0, 1.0]), analytic=True)
-    (near if key == "symbol" else far).save(tmp_path / "a.json")
-    (far if key == "symbol" else near).save(tmp_path / "b.json")
+@pytest.mark.parametrize(
+    "poles, field, noun",
+    [
+        ((1 + 1e-6, 2.0), "symbol", "symbol"),
+        ((2.0, 1 + 1e-6), "second_symbol", "symbol"),
+        # 1/(z - 1.0005) converges alone on 2^18 points; its square stays above 2e-13 of its largest up to 2^20
+        ((1.0005, 1.0005), "second_symbol", "product symbol"),
+    ],
+    ids=["symbol", "second_symbol", "product"],
+)
+def test_toeplitz_names_the_symbol_whose_coefficients_do_not_converge(tmp_path, poles, field, noun):
+    for name, p in zip(("a.json", "b.json"), poles):
+        MatrixSymbol.scalar(RationalFunction([1.0], [-p, 1.0]), analytic=True).save(tmp_path / name)
     cfg = write_config(tmp_path / "cfg.json", {"symbol": "a.json", "second_symbol": "b.json"})
     result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
     assert result.returncode == 3 and result.stderr == "", result.stdout + result.stderr
     error = json.loads(result.stdout)
-    assert (error["type"], error["field"]) == ("NumericalError", key) and "do not converge" in error["message"]
+    assert (error["type"], error["field"]) == ("NumericalError", field)
+    assert f"coefficients of the {noun} do not converge" in error["message"], error
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_toeplitz_pairs_a_symbol_on_the_circle_its_section_reaches(tmp_path):
+    # 1/(z - 1.001) I converges alone on 2^17 points, 2^19 matrix elements; the multiplicativity check reaches
+    # that circle for it, though its three tables on one circle would hold three times as many
+    pole, zero = RationalFunction([1.0], [-1.001, 1.0]), RationalFunction([0.0])
+    MatrixSymbol([[pole, zero], [zero, pole]], analytic=True).save(tmp_path / "a.json")
+    MatrixSymbol.constant(np.eye(2)).save(tmp_path / "b.json")
+    cfg = write_config(tmp_path / "cfg.json", {"symbol": "a.json", "second_symbol": "b.json"})
+    result = run_cli(["toeplitz", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+    assert result.returncode == 0 and result.stderr == "", result.stdout + result.stderr
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["multiplicativity"] == 0.0
 
 
 def test_curvature_maps_a_failed_svd_to_numerical_error(tmp_path, capsys, monkeypatch):
