@@ -11,8 +11,8 @@ CSVs; sorted keys, fixed row orders) plus the command's CSV dumps into
 byte-identical artifacts. Validation problems
 exit with code 2, numerical failures with code 3, both with a
 machine-readable error JSON on stdout; a run that fails removes every
-file it wrote. Each ``_cmd_*`` computes its report and hands back its
-files' writers, and ``main`` writes them all. Each ``_cmd_*`` imports the
+file and directory it made. Each ``_cmd_*`` computes its report and hands
+back its files' writers, and ``main`` writes them all. Each ``_cmd_*`` imports the
 layers its command runs, so a run loads no other layer. This module
 imports no numpy, so the entry module's BLAS thread pin comes first.
 
@@ -210,9 +210,12 @@ def _stamp(path: Path):
 
 
 def _write_outputs(out_dir: Path, outputs: dict) -> None:
-    """Run each ``name: writer`` on ``out_dir / name`` in order. If one
-    fails, the files written before it and any part it wrote are removed
-    before the error goes on; a file it did not touch stays."""
+    """Make ``out_dir``, then run each ``name: writer`` on ``out_dir / name`` in
+    order. If one fails, the files written before it and any part it wrote,
+    then the directories made here, are removed before the error goes on;
+    a file it did not touch stays."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), out_dir, "--out")
     written = []
     for name, writer in outputs.items():
         path = out_dir / name
@@ -222,9 +225,9 @@ def _write_outputs(out_dir: Path, outputs: dict) -> None:
         except BaseException:
             if _stamp(path) != before:
                 written.append(path)
-            for done in written:
+            for undo in [done.unlink for done in written] + [directory.rmdir for directory in made]:
                 try:
-                    done.unlink()
+                    undo()
                 except OSError:
                     pass
             raise
@@ -313,7 +316,7 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
     grid = _grid(cfg)
     try:
         section = toeplitz_section(symbol, TOEPLITZ_ORDER)
-    except NumericalError as exc:  # values not finite on the circle, or coefficients that do not converge
+    except NumericalError as exc:  # coefficients or values that are not finite, or a circle that does not converge
         exc.field = "symbol"
         raise
     doc = {
@@ -332,7 +335,7 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
         other = _with_file(load_symbol, cfg["second_symbol"], "second_symbol")
         try:
             doc["multiplicativity"] = multiplicativity_check(symbol, other, TOEPLITZ_ORDER)
-        except (ParameterError, NumericalError) as exc:  # not analytic, shapes that do not compose, no convergence
+        except (ParameterError, NumericalError) as exc:  # not analytic, shapes that do not compose, not finite
             exc.field = "second_symbol"
             raise
     if symbol.analytic:
@@ -440,7 +443,6 @@ def _run(argv: list) -> str:
         return _help()
     cfg = load_config(Path(options["--config"]), command)
     out_dir = Path(options.get("--out", "."))
-    _with_file(lambda p: p.mkdir(parents=True, exist_ok=True), out_dir, "--out")
     doc, outputs = _DISPATCH[command](cfg)
     _write_outputs(out_dir, {**outputs, "report.json": lambda p: write_report(doc, p)})
     return _json_text({"status": "ok", "report": str(out_dir / "report.json")})

@@ -87,6 +87,26 @@ def _horner(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _taylor(stacks, order: int, name: str) -> np.ndarray:
+    """The Taylor coefficients below ``order`` of every column ``n/d`` of the
+    stacks ``(num, den)``, as a stack ``(order, columns)``: one recurrence
+    ``c_k = (n_k - sum_{j>=1} d_j c_{k-j}) / d_0`` over all columns, for
+    ``d(0) != 0``; the first that is not finite raises :class:`NumericalError`."""
+    num, den = stacks
+    out = np.zeros((order, num.shape[1]), dtype=complex)
+    out[: len(num)] = num[:order]
+    lower = list(den[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k, c in enumerate(out):
+            for d, earlier in zip(lower, reversed(out[:k])):
+                c -= d * earlier
+            c /= den[0]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"{name} Taylor coefficient {bad[0]} is not finite")
+    return out
+
+
 def _quotients(stacks, z) -> list:
     """``n/d`` of the stacks ``(num, den)`` at the flattened points of ``z``;
     given ``(num, den, num', den')``, also ``(n'd - nd')/d^2``, in that

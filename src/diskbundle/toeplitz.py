@@ -1,19 +1,15 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
-Each section takes its Fourier blocks from the FFT of the symbol's values
-on a circle doubled from the size its order asks for until the
-coefficients have converged, or refuses the symbol past a cap on the
-samples. An analytic symbol's negative offsets in that table are checked
-and then zeroed, so its sections are block
-lower-triangular and multiplication of analytic sections is exact. A
-section is one gather from the table by the offset index ``j - k``. The
-kernel-action and shift-intertwining identities are verified on interior
-sections where truncation cannot break them; the backward shift acts on
-a section as a slice by one block.
-
-The multiplicativity check takes the sections of both factors as they
-stand alone, and the blocks of their product from the pointwise products
-on the circle where those converge, so it builds no product symbol.
+An analytic symbol's blocks are the Taylor coefficients of its entries,
+from one recurrence over all entries and no circle, so its sections are
+block lower-triangular. Any other symbol's are the FFT of its values on
+a circle doubled until they converge, or it is refused past a cap on the
+samples. A section is one gather from the table by the offset ``j - k``.
+The kernel-action and shift-intertwining identities are verified on
+interior sections where truncation cannot break them; the backward shift
+acts on a section as a slice by one block. The multiplicativity check
+takes the product's blocks from the series of each term ``f_ik g_kj``,
+not from the factors' series.
 
 Also here: scalar inner-outer factorization by Blaschke-deflating the
 numerator zeros inside the disk, and the smallest-singular-value margin
@@ -28,25 +24,15 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .calculus import ComplexGrid
-from .errors import (
-    AccuracyError,
-    BoundaryZeroError,
-    NumericalError,
-    ParameterError,
-    SymbolError,
-    check_count,
-)
-from .rational import RationalFunction, RationalMatrix, gram_schmidt, poly_from_roots, poly_mul
+from .errors import AccuracyError, BoundaryZeroError, NumericalError, ParameterError, SymbolError, check_count
+from .rational import RationalFunction, RationalMatrix, _stack, _taylor, gram_schmidt, poly_from_roots, poly_mul
 
 #: zeros/poles this close to the unit circle are rejected as boundary cases
 _CIRCLE_TOL_POLE = 1e-8
 _CIRCLE_TOL_ZERO = 1e-10
 
-#: numeric verification level for "no negative Fourier coefficients"
-_ANALYTIC_TOL = 1e-12
-
-#: a circle's Fourier coefficients have converged once those at offsets
-#: ``|k| >= m/4`` are at most this, relative to the largest of their table
+#: a non-analytic symbol's Fourier coefficients have converged once those at
+#: offsets ``|k| >= m/4`` are at most this, relative to the largest of their table
 _TAIL_TOL = 1e-13
 
 #: the most matrix elements sampled on a doubled circle
@@ -60,9 +46,9 @@ class MatrixSymbol(RationalMatrix):
     """Rational matrix function on the circle with an analyticity flag.
 
     ``analytic=True`` requires all entry poles strictly outside the closed
-    disk, and each section cross-checks the negative FFT coefficients it
-    sets to zero; symbols in the general class only need their poles off
-    the unit circle.
+    disk, so each entry has a Taylor series that its sections read;
+    symbols in the general class only need their poles off the unit
+    circle.
     """
 
     noun = "symbol"
@@ -83,9 +69,7 @@ class MatrixSymbol(RationalMatrix):
         return self.rows == 1 and self.cols == 1
 
     def degree_hint(self) -> int:
-        return max(
-            len(e.num) - 1 + len(e.den) - 1 for row in self.entries for e in row
-        )
+        return max(len(e.num) - 1 + len(e.den) - 1 for row in self.entries for e in row)
 
     @classmethod
     def scalar(cls, fn: RationalFunction, analytic: bool) -> "MatrixSymbol":
@@ -100,58 +84,51 @@ def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
 
 
-def _fourier_table(values, degree: int, order: int, analytic: bool, name: str):
-    """``(table, edge)``: the Fourier table of the values ``values(z)`` on
-    the first FFT circle ``z`` where its coefficients have converged.
-
-    The circle starts at the least ``m = 64 * 2^j >= 4 (max(degree, order) + 1)``
-    points, which is always sampled, and doubles until the coefficients at
-    offsets ``|k| >= m/4`` are at most ``_TAIL_TOL`` of the largest; where
-    the doubled circle would pass ``_CIRCLE_CAP`` matrix elements, it
-    raises :class:`NumericalError` naming ``name`` and the tail reached,
-    as does a value that is not finite, naming ``name`` and its point. ``table[..., k]`` is the
-    coefficient at offset ``k`` for ``k < m/2`` and at ``k - m`` beyond,
-    the usual FFT layout; ``edge`` is the largest coefficient at the
-    offsets around ``m/2``. For an analytic symbol the offsets
-    ``-(m/2 - 1) .. -1``, which the pole check already rules out, must be
-    at most ``_ANALYTIC_TOL`` of the largest coefficient (at least 1), else
-    :class:`SymbolError`; they are then set to exact zeros.
-    """
+def _fourier_table(symbol: MatrixSymbol, order: int):
+    """``(table, edge)`` of a symbol that is not analytic: the FFT table, in
+    its usual layout, on the first circle of ``m = 64 * 2^j >= 4 (max(degree,
+    order) + 1)`` points or more where the offsets ``|k| >= m/4`` are at most
+    ``_TAIL_TOL`` of the largest, and its largest coefficient around ``m/2``.
+    A circle past ``_CIRCLE_CAP`` matrix elements, or a value that is not
+    finite, raises :class:`NumericalError` naming the tail or the point."""
     m = 64
-    while m < 4 * (max(degree, order) + 1):
+    while m < 4 * (max(symbol.degree_hint(), order) + 1):
         m *= 2
     while True:
-        vals = values(np.exp(2j * np.pi * np.arange(m) / m))
+        vals = symbol.eval(np.exp(2j * np.pi * np.arange(m) / m))
         bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
         if bad.size:
-            raise NumericalError(f"{name} value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
+            raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
         table = np.fft.fft(vals) / m
         size = np.abs(table)
         largest = float(np.max(size))
         tail = float(np.max(size[..., m // 4 : m - m // 4 + 1])) / largest if largest else 0.0
         if not tail > _TAIL_TOL:
-            break
+            return table, float(np.max(size[..., m // 2 - 1 : m // 2 + 2]))
         if 2 * m * size[..., 0].size > _CIRCLE_CAP:
             raise NumericalError(
-                f"Fourier coefficients of the {name} do not converge within {_CIRCLE_CAP} sampled matrix elements: "
+                f"Fourier coefficients of the symbol do not converge within {_CIRCLE_CAP} sampled matrix elements: "
                 f"on the circle of {m} points, those at offsets |k| >= {m // 4} reach {tail:.3g} of the largest"
             )
         m *= 2
-    edge = float(np.max(size[..., m // 2 - 1 : m // 2 + 2]))
-    if analytic:
-        if float(np.max(size[..., m // 2 + 1 :])) > _ANALYTIC_TOL * max(1.0, largest):
-            raise SymbolError("symbol flagged analytic but has nonzero negative Fourier coefficients")
-        table[..., m // 2 + 1 :] = 0.0
-    return table, edge
 
 
 def _lay_out(blocks: np.ndarray, order: int) -> np.ndarray:
     """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``;
-    ``m >= 4 (order + 1)`` keeps every ``j - k < 0`` in the range :func:`_fourier_table` zeroes."""
+    a table of ``m >= 2 order - 1`` offsets holds each ``j - k < 0`` at ``j - k + m``."""
     rows, cols, m = blocks.shape
     offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
     tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
     return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
+
+
+def _series_section(stacks, shape: tuple, order: int, name: str) -> np.ndarray:
+    """The section from the Taylor coefficients of the stacks ``(num, den)``: of shape
+    ``(rows, cols, terms)``, each entry the sum of ``terms`` columns in a row."""
+    rows, cols, terms = shape
+    table = np.zeros((rows, cols, 2 * order), dtype=complex)
+    table[..., :order] = _taylor(stacks, order, name).reshape(order, rows, cols, terms).sum(axis=-1).transpose(1, 2, 0)
+    return _lay_out(table, order)
 
 
 class ToeplitzSection(NamedTuple):
@@ -164,26 +141,22 @@ class ToeplitzSection(NamedTuple):
 
 
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
+    """An analytic symbol's section from its series, aliasing estimate 0.0; any other's from its circle."""
     check_count(order, 1, "section order must be >= 1")
-    blocks, edge = _fourier_table(symbol.eval, symbol.degree_hint(), order, symbol.analytic, "symbol")
-    return ToeplitzSection(symbol=symbol, order=order, matrix=_lay_out(blocks, order), aliasing_estimate=edge)
+    if symbol.analytic:
+        matrix = _series_section(symbol._stacks[:2], (symbol.rows, symbol.cols, 1), order, "symbol")
+        return ToeplitzSection(symbol=symbol, order=order, matrix=matrix, aliasing_estimate=0.0)
+    table, edge = _fourier_table(symbol, order)
+    return ToeplitzSection(symbol=symbol, order=order, matrix=_lay_out(table, order), aliasing_estimate=edge)
 
 
 def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):
-    """Sections of ``f``, ``g`` and ``fg`` of analytic symbols: those of
-    ``f`` and ``g`` from the tables :func:`toeplitz_section` takes, that of ``fg``
-    from the pointwise products ``f(z) g(z)`` on the circle where their
-    coefficients converge, starting from the size the product's degree
-    asks for; the products are taken by one matmul of contiguous
-    ``(m, rows, cols)`` stacks, and the product is checked as analytic."""
-
-    def values(z):
-        fg = np.ascontiguousarray(f.eval(z).transpose(2, 0, 1)) @ np.ascontiguousarray(g.eval(z).transpose(2, 0, 1))
-        return fg.transpose(1, 2, 0)
-
-    left, right = (_lay_out(_fourier_table(s.eval, s.degree_hint(), order, True, "symbol")[0], order) for s in (f, g))
-    table, _ = _fourier_table(values, f.degree_hint() + g.degree_hint(), order, True, "product symbol")
-    return left, right, _lay_out(table, order)
+    """Sections of analytic ``f`` and ``g`` from their series, and of ``fg`` from the series
+    of each term ``f_ik g_kj`` as one rational function, summed over ``k``."""
+    terms = [(f.entries[i][k], g.entries[k][j]) for i in range(f.rows) for j in range(g.cols) for k in range(f.cols)]
+    stacks = [_stack([poly_mul(getattr(a, part), getattr(b, part)) for a, b in terms]) for part in ("num", "den")]
+    left, right = (_series_section(s._stacks[:2], (s.rows, s.cols, 1), order, "symbol") for s in (f, g))
+    return left, right, _series_section(stacks, (f.rows, g.cols, f.cols), order, "product symbol")
 
 
 def _spectral_norm(x: np.ndarray) -> float:
