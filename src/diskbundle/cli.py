@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 COMMANDS = ("curvature", "criteria", "toeplitz", "counterexample")
 
-#: the order of the Toeplitz sections ``toeplitz`` builds and reports
+#: the order of the Toeplitz sections ``toeplitz`` builds of an analytic symbol and reports
 TOEPLITZ_ORDER = 64
 
 
@@ -301,7 +301,7 @@ def _cmd_criteria(cfg: dict) -> tuple:
 
 
 def _cmd_toeplitz(cfg: dict) -> tuple:
-    """Toeplitz sections of a matrix symbol and their checks."""
+    """The margin of a matrix symbol and, if it is analytic, its Toeplitz sections' checks."""
     from .toeplitz import (
         intertwining_check,
         kernel_action_check,
@@ -314,16 +314,16 @@ def _cmd_toeplitz(cfg: dict) -> tuple:
 
     symbol = _with_file(load_symbol, cfg["symbol"], "symbol")
     grid = _grid(cfg)
-    try:
-        section = toeplitz_section(symbol, TOEPLITZ_ORDER)
-    except NumericalError as exc:  # coefficients or values that are not finite, or a circle that does not converge
-        exc.field = "symbol"
-        raise
+    if symbol.analytic:  # a section, and its errors, before the margin's
+        try:
+            section = toeplitz_section(symbol, TOEPLITZ_ORDER)
+        except NumericalError as exc:  # Taylor coefficients that are not finite
+            exc.field = "symbol"
+            raise
     doc = {
         "command": "toeplitz",
         "order": TOEPLITZ_ORDER,
         "analytic": symbol.analytic,
-        "aliasing_estimate": section.aliasing_estimate,
         "margin": left_invertibility_margin(symbol, grid) if symbol.rows >= symbol.cols else None,
         "margin_scope": "grid sweep only; no claim about the full open disk",
         "multiplicativity": None,

@@ -1,10 +1,10 @@
 """Finite sections of Toeplitz operators with rational matrix symbols.
 
-An analytic symbol's blocks are the Taylor coefficients of its entries,
-from one recurrence over all entries and no circle, so its sections are
-block lower-triangular. Any other symbol's are the FFT of its values on
-a circle doubled until they converge, or it is refused past a cap on the
-samples. A section is one gather from the table by the offset ``j - k``.
+Sections are taken of analytic symbols only: their blocks are the Taylor
+coefficients of the entries, from one recurrence over all entries and no
+circle, so each section is block lower-triangular, one gather from the
+coefficients by the offset ``j - k``. A symbol that is not analytic is
+refused, as by every check that reads a section; it still has a margin.
 The kernel-action and shift-intertwining identities are verified on
 interior sections where truncation cannot break them; the backward shift
 acts on a section as a slice by one block. The multiplicativity check
@@ -31,13 +31,6 @@ from .rational import RationalFunction, RationalMatrix, _stack, _taylor, gram_sc
 _CIRCLE_TOL_POLE = 1e-8
 _CIRCLE_TOL_ZERO = 1e-10
 
-#: a non-analytic symbol's Fourier coefficients have converged once those at
-#: offsets ``|k| >= m/4`` are at most this, relative to the largest of their table
-_TAIL_TOL = 1e-13
-
-#: the most matrix elements sampled on a doubled circle
-_CIRCLE_CAP = 2**20
-
 #: circle samples on which a winding number is counted
 _WINDING_SAMPLES = 1024
 
@@ -48,7 +41,7 @@ class MatrixSymbol(RationalMatrix):
     ``analytic=True`` requires all entry poles strictly outside the closed
     disk, so each entry has a Taylor series that its sections read;
     symbols in the general class only need their poles off the unit
-    circle.
+    circle, and get a margin but no section.
     """
 
     noun = "symbol"
@@ -68,9 +61,6 @@ class MatrixSymbol(RationalMatrix):
     def is_scalar(self) -> bool:
         return self.rows == 1 and self.cols == 1
 
-    def degree_hint(self) -> int:
-        return max(len(e.num) - 1 + len(e.den) - 1 for row in self.entries for e in row)
-
     @classmethod
     def scalar(cls, fn: RationalFunction, analytic: bool) -> "MatrixSymbol":
         return cls([[fn]], analytic=analytic)
@@ -84,51 +74,16 @@ def load_symbol(path) -> MatrixSymbol:
     return MatrixSymbol.load(path)
 
 
-def _fourier_table(symbol: MatrixSymbol, order: int):
-    """``(table, edge)`` of a symbol that is not analytic: the FFT table, in
-    its usual layout, on the first circle of ``m = 64 * 2^j >= 4 (max(degree,
-    order) + 1)`` points or more where the offsets ``|k| >= m/4`` are at most
-    ``_TAIL_TOL`` of the largest, and its largest coefficient around ``m/2``.
-    A circle past ``_CIRCLE_CAP`` matrix elements, or a value that is not
-    finite, raises :class:`NumericalError` naming the tail or the point."""
-    m = 64
-    while m < 4 * (max(symbol.degree_hint(), order) + 1):
-        m *= 2
-    while True:
-        vals = symbol.eval(np.exp(2j * np.pi * np.arange(m) / m))
-        bad = np.flatnonzero(~np.isfinite(vals).all(axis=(0, 1)))
-        if bad.size:
-            raise NumericalError(f"symbol value at z = {complex(np.exp(2j * np.pi * bad[0] / m))!r} is not finite")
-        table = np.fft.fft(vals) / m
-        size = np.abs(table)
-        largest = float(np.max(size))
-        tail = float(np.max(size[..., m // 4 : m - m // 4 + 1])) / largest if largest else 0.0
-        if not tail > _TAIL_TOL:
-            return table, float(np.max(size[..., m // 2 - 1 : m // 2 + 2]))
-        if 2 * m * size[..., 0].size > _CIRCLE_CAP:
-            raise NumericalError(
-                f"Fourier coefficients of the symbol do not converge within {_CIRCLE_CAP} sampled matrix elements: "
-                f"on the circle of {m} points, those at offsets |k| >= {m // 4} reach {tail:.3g} of the largest"
-            )
-        m *= 2
-
-
-def _lay_out(blocks: np.ndarray, order: int) -> np.ndarray:
-    """The ``order x order`` block section with block ``blocks[..., j - k]`` at ``(j, k)``;
-    a table of ``m >= 2 order - 1`` offsets holds each ``j - k < 0`` at ``j - k + m``."""
-    rows, cols, m = blocks.shape
-    offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
-    tiles = np.moveaxis(blocks, -1, 0).take(offsets % m, axis=0)  # gathered from an (m, rows, cols) table
-    return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
-
-
 def _series_section(stacks, shape: tuple, order: int, name: str) -> np.ndarray:
-    """The section from the Taylor coefficients of the stacks ``(num, den)``: of shape
+    """The ``order x order`` block section with the Taylor coefficient ``j - k`` of the
+    stacks ``(num, den)`` at ``(j, k)``, and zero blocks above the diagonal: stacks of shape
     ``(rows, cols, terms)``, each entry the sum of ``terms`` columns in a row."""
     rows, cols, terms = shape
-    table = np.zeros((rows, cols, 2 * order), dtype=complex)
-    table[..., :order] = _taylor(stacks, order, name).reshape(order, rows, cols, terms).sum(axis=-1).transpose(1, 2, 0)
-    return _lay_out(table, order)
+    table = np.zeros((order + 1, rows, cols), dtype=complex)  # the last block is the zero above the diagonal
+    table[:order] = _taylor(stacks, order, name).reshape(order, rows, cols, terms).sum(axis=-1)
+    offsets = np.subtract.outer(np.arange(order), np.arange(order))  # j - k
+    tiles = table.take(np.where(offsets < 0, order, offsets), axis=0)
+    return tiles.transpose(0, 2, 1, 3).reshape(order * rows, order * cols)
 
 
 class ToeplitzSection(NamedTuple):
@@ -137,17 +92,15 @@ class ToeplitzSection(NamedTuple):
     symbol: MatrixSymbol
     order: int
     matrix: np.ndarray
-    aliasing_estimate: float
 
 
 def toeplitz_section(symbol: MatrixSymbol, order: int) -> ToeplitzSection:
-    """An analytic symbol's section from its series, aliasing estimate 0.0; any other's from its circle."""
+    """An analytic symbol's section from its Taylor series."""
+    if not symbol.analytic:
+        raise ParameterError("a Toeplitz section requires an analytic symbol")
     check_count(order, 1, "section order must be >= 1")
-    if symbol.analytic:
-        matrix = _series_section(symbol._stacks[:2], (symbol.rows, symbol.cols, 1), order, "symbol")
-        return ToeplitzSection(symbol=symbol, order=order, matrix=matrix, aliasing_estimate=0.0)
-    table, edge = _fourier_table(symbol, order)
-    return ToeplitzSection(symbol=symbol, order=order, matrix=_lay_out(table, order), aliasing_estimate=edge)
+    matrix = _series_section(symbol._stacks[:2], (symbol.rows, symbol.cols, 1), order, "symbol")
+    return ToeplitzSection(symbol=symbol, order=order, matrix=matrix)
 
 
 def _product_sections(f: MatrixSymbol, g: MatrixSymbol, order: int):

@@ -351,14 +351,15 @@ def csv_module_weights(w, path) -> None:
 
 
 def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
-    """The section with block ``coeff(j - k)`` at ``(j, k)``, written one
-    offset and one block row at a time; analytic symbols skip the offsets
-    below zero. The Fourier table is its own FFT of the symbol's values on
-    a circle of ``m`` points: 64, doubled until ``m >= 4 (max(degree hint,
-    order) + 1)`` and then until no coefficient at an offset ``|k| >= m/4``
-    passes 1e-13 of the largest."""
+    """An analytic symbol's section, with block ``coeff(j - k)`` at ``(j, k)``
+    for ``j >= k``, written one offset and one block row at a time. The
+    Fourier table is its own FFT of the symbol's values on a circle of ``m``
+    points: 64, doubled until ``m >= 4 (max(degree, order) + 1)``, the degree
+    the largest over the entries of ``deg num + deg den``, and then until no
+    coefficient at an offset ``|k| >= m/4`` passes 1e-13 of the largest."""
+    degree = max(len(e.num) - 1 + len(e.den) - 1 for row in symbol.entries for e in row)
     m = 64
-    while m < 4 * (max(symbol.degree_hint(), order) + 1):
+    while m < 4 * (max(degree, order) + 1):
         m *= 2
     while True:
         blocks = np.moveaxis(np.fft.fft(symbol.eval(np.exp(2j * np.pi * np.arange(m) / m))) / m, -1, 0)
@@ -368,14 +369,10 @@ def loop_toeplitz_section(symbol, order: int) -> np.ndarray:
         m *= 2
     rows, cols = symbol.rows, symbol.cols
     out = np.zeros((order * rows, order * cols), dtype=complex)
-    for offset in range(-(order - 1), order):
-        if symbol.analytic and offset < 0:
-            continue
-        block = blocks[offset % m]
-        for j in range(order):
+    for offset in range(order):
+        for j in range(offset, order):
             k = j - offset
-            if 0 <= k < order:
-                out[j * rows : (j + 1) * rows, k * cols : (k + 1) * cols] = block
+            out[j * rows : (j + 1) * rows, k * cols : (k + 1) * cols] = blocks[offset]
     return out
 
 
